@@ -3,8 +3,6 @@ of the two-allele Moran model's stationary law."""
 
 from .beta import BetaParams
 from .distance import (
-    DistanceReport,
-    distance_report,
     gap_h,
     kolmogorov,
     membership_check_g,
@@ -46,7 +44,6 @@ __all__ = [
     "BetaParams",
     "BoundCertificate",
     "ConvergenceError",
-    "DistanceReport",
     "LatticeDistribution",
     "ModelParams",
     "MomentTable",
@@ -55,7 +52,6 @@ __all__ = [
     "TransitionTriple",
     "bound_certificate",
     "c_constant",
-    "distance_report",
     "e_abs_s",
     "gap_h",
     "k_constant",

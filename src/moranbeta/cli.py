@@ -1,7 +1,7 @@
 """Command-line front end: reports, parameter sweeps, rate fits, MC checks.
 
-Exit codes: 0 success, 1 certificate violation (a sandwich or exactness
-check failed), 2 usage or parameter error.
+Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
+identity or a proof-level cap failed), 2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,9 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
+from operator import attrgetter
 
 import numpy as np
 
@@ -23,6 +25,7 @@ from . import beta as beta_dist
 from .beta import BetaParams
 from .distance import gap_h, kolmogorov, wasserstein
 from .model import (
+    LatticeDistribution,
     ModelParams,
     sample_stationary,
     simulate_chain,
@@ -30,42 +33,41 @@ from .model import (
 )
 from .moments import mean, moment_recursion, variance
 from .stein import (
+    BoundCertificate,
+    SteinReport,
     bound_certificate,
-    lower_bound,
     stein_report,
     upper_bound_assembled,
 )
 
 SCHEMA_VERSION = "1"
 
-SWEEP_COLUMNS = [
-    "n",
-    "a",
-    "b",
-    "mean",
-    "variance",
-    "beta_variance",
-    "gap_h",
-    "lower",
-    "upper",
-    "sandwich_ok",
-    "e_abs_s_exact",
-    "e_abs_s_bound",
-    "wasserstein",
-    "kolmogorov",
-    "cond1_max_residual",
-    "cond2_max_residual",
-]
+# One row per grid point: (column, JSON type, attribute path on PointResult).
+# The JSON type also picks the CSV cell format.
+COLUMNS = (
+    ("n", int, "params.n"),
+    ("a", float, "params.a"),
+    ("b", float, "params.b"),
+    ("mean", float, "mean"),
+    ("variance", float, "variance"),
+    ("beta_variance", float, "beta_variance"),
+    ("gap_h", float, "cert.gap"),
+    ("lower", float, "cert.lower"),
+    ("upper", float, "cert.upper"),
+    ("sandwich_ok", bool, "cert.sandwich_ok"),
+    ("e_abs_s_exact", float, "stein.e_abs_s_exact"),
+    ("e_abs_s_bound", float, "stein.e_abs_s_bound"),
+    ("wasserstein", float, "wasserstein"),
+    ("kolmogorov", float, "kolmogorov"),
+    ("cond1_max_residual", float, "stein.cond1_max_abs"),
+    ("cond2_max_residual", float, "stein.cond2_max_abs"),
+)
 
-EXACT_COLUMNS = [
-    "a_pq",
-    "b_pq",
-    "mean_pq",
-    "variance_pq",
-    "gap_h_pq",
-    "lower_pq",
-    "e_abs_s_exact_pq",
-]
+# Columns also rendered as exact p/q strings under --exact.
+EXACT_FIELDS = ("a", "b", "mean", "variance", "gap_h", "lower", "e_abs_s_exact")
+
+SWEEP_COLUMNS = [name for name, _, _ in COLUMNS]
+EXACT_COLUMNS = [f"{name}_pq" for name in EXACT_FIELDS]
 
 RATE_SLOPE_WINDOW = (-1.05, -0.95)
 
@@ -77,17 +79,10 @@ class SweepConfig:
     a_values: tuple[Fraction, ...]
     b_values: tuple[Fraction, ...]
     n_values: tuple[int, ...]
-    r_max: int = 8
-    seed: int = 0
-    output_format: str = "csv"
 
     def __post_init__(self) -> None:
         if not (self.a_values and self.b_values and self.n_values):
             raise ValueError("a, b, and n value lists must be non-empty")
-        if self.output_format not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.r_max < 1:
-            raise ValueError("r_max must be positive")
         for a in self.a_values:
             for b in self.b_values:
                 for n in self.n_values:
@@ -104,6 +99,28 @@ class SweepConfig:
             for b in set(self.b_values)
             for n in set(self.n_values)
         )
+
+
+@dataclass(frozen=True)
+class PointResult:
+    """Every certificate quantity of one parameter point, each computed once."""
+
+    params: ModelParams
+    stein: SteinReport
+    cert: BoundCertificate
+    upper_assembled: float
+    mean: Fraction
+    variance: Fraction
+    beta_variance: Fraction
+    wasserstein: float
+    kolmogorov: float
+
+    @property
+    def ok(self) -> bool:
+        """The verdict behind exit code 1 of `report` and `sweep`: the
+        sandwich, both exact identities and both proof-level caps hold."""
+        rep = self.stein
+        return self.cert.sandwich_ok and rep.conditions_exact and rep.caps_ok
 
 
 def parse_rational(text: str) -> Fraction:
@@ -130,8 +147,16 @@ def fmt(x: float) -> str:
     return format(float(x), ".17g")
 
 
+_CSV_CELL = {int: str, float: fmt, bool: lambda x: "true" if x else "false"}
+
+
 def pq(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
+    """Exact 'p/q' text at any size.
+
+    `Decimal` converts an int exactly and without the interpreter's cap on
+    int-to-str digits, which stays in force for parsing user input.
+    """
+    return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def _write_output(text: str, out: str | None) -> None:
@@ -142,14 +167,41 @@ def _write_output(text: str, out: str | None) -> None:
             fh.write(text)
 
 
-def _report_payload(params: ModelParams, r_max: int, exact: bool) -> dict:
+def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, float]:
+    """W1 and Kolmogorov distances of the lattice law to Beta(a, b)."""
+    beta = BetaParams(params.a, params.b)
+    return wasserstein(pi, beta), kolmogorov(pi, beta)
+
+
+def compute_point(params: ModelParams) -> PointResult:
+    """The point pipeline: exact pi, Stein sums, certificate, distances."""
     pi = stationary_ratio_product(params)
     rep = stein_report(params, pi)
-    cert = bound_certificate(params)
+    w1, kd = _distances(params, pi)
+    return PointResult(
+        params=params,
+        stein=rep,
+        cert=bound_certificate(params),
+        upper_assembled=upper_bound_assembled(params, rep),
+        mean=mean(params),
+        variance=variance(params),
+        beta_variance=beta_dist.variance(BetaParams(params.a, params.b)),
+        wasserstein=w1,
+        kolmogorov=kd,
+    )
+
+
+def _row_values(point: PointResult) -> dict:
+    return {name: attrgetter(path)(point) for name, _, path in COLUMNS}
+
+
+def _exact_section(values: dict) -> dict:
+    return {name: pq(values[name]) for name in EXACT_FIELDS}
+
+
+def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
+    params, rep, cert = point.params, point.stein, point.cert
     table = moment_recursion(params, r_max)
-    beta = BetaParams(params.a, params.b)
-    w1 = wasserstein(pi, beta)
-    kd = kolmogorov(pi, beta)
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "report",
@@ -172,156 +224,75 @@ def _report_payload(params: ModelParams, r_max: int, exact: bool) -> dict:
             "e_cubed_over_lambda_bound": float(rep.e_cubed_over_lambda_bound),
         },
         "certificate": {
-            "lower": cert.lower,
-            "gap_h": cert.gap,
+            "lower": float(cert.lower),
+            "gap_h": float(cert.gap),
             "upper": cert.upper,
-            "upper_assembled": upper_bound_assembled(params, pi),
+            "upper_assembled": point.upper_assembled,
             "sandwich_ok": cert.sandwich_ok,
         },
         "moments": {str(r): float(table[r]) for r in sorted(table.values)},
-        "variance": float(variance(params)),
-        "beta_variance": float(beta_dist.variance(beta)),
+        "variance": float(point.variance),
+        "beta_variance": float(point.beta_variance),
         "distance": {
-            "gap_h": float(gap_h(params)),
-            "wasserstein": w1,
-            "kolmogorov": kd,
+            "gap_h": float(cert.gap),
+            "wasserstein": point.wasserstein,
+            "kolmogorov": point.kolmogorov,
         },
     }
     if exact:
-        payload["exact"] = {
-            "a": pq(params.a),
-            "b": pq(params.b),
-            "mean": pq(mean(params)),
-            "variance": pq(variance(params)),
-            "gap_h": pq(gap_h(params)),
-            "lower": pq(lower_bound(params)),
-            "e_abs_s_exact": pq(rep.e_abs_s_exact),
-            "moments": {str(r): pq(table[r]) for r in sorted(table.values)},
+        payload["exact"] = _exact_section(_row_values(point))
+        payload["exact"]["moments"] = {
+            str(r): pq(table[r]) for r in sorted(table.values)
         }
     return payload
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    params = ModelParams(args.n, args.a, args.b)
-    payload = _report_payload(params, args.r_max, args.exact)
+    point = compute_point(ModelParams(args.n, args.a, args.b))
+    payload = _report_payload(point, args.r_max, args.exact)
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    ok = (
-        payload["certificate"]["sandwich_ok"]
-        and payload["stein"]["conditions_exact"]
-    )
-    return 0 if ok else 1
+    return 0 if point.ok else 1
 
 
-def _sweep_row(task: tuple[int, Fraction, Fraction]) -> dict:
+def _sweep_row(task: tuple[int, Fraction, Fraction]) -> tuple[dict, bool]:
+    """Column values and verdict of one grid point; pi stays in the worker."""
     n, a, b = task
     try:
-        return _sweep_row_inner(n, a, b)
+        point = compute_point(ModelParams(n, a, b))
     except Exception as exc:
         raise ValueError(f"row (a={a}, b={b}, n={n}) failed: {exc}") from exc
-
-
-def _sweep_row_inner(n: int, a: Fraction, b: Fraction) -> dict:
-    params = ModelParams(n, a, b)
-    pi = stationary_ratio_product(params)
-    rep = stein_report(params, pi)
-    cert = bound_certificate(params)
-    beta = BetaParams(a, b)
-    return {
-        "n": n,
-        "a": a,
-        "b": b,
-        "mean": mean(params),
-        "variance": variance(params),
-        "beta_variance": beta_dist.variance(beta),
-        "gap_h": gap_h(params),
-        "lower": lower_bound(params),
-        "upper": cert.upper,
-        "sandwich_ok": cert.sandwich_ok,
-        "e_abs_s_exact": rep.e_abs_s_exact,
-        "e_abs_s_bound": rep.e_abs_s_bound,
-        "wasserstein": wasserstein(pi, beta),
-        "kolmogorov": kolmogorov(pi, beta),
-        "cond1_max_residual": rep.cond1_max_abs,
-        "cond2_max_residual": rep.cond2_max_abs,
-    }
+    return _row_values(point), point.ok
 
 
 def _compute_rows(
     points: list[tuple[Fraction, Fraction, int]], jobs: int
-) -> list[dict]:
+) -> list[tuple[dict, bool]]:
     tasks = [(n, a, b) for (a, b, n) in points]
-    if jobs <= 1 or len(tasks) <= 1:
+    workers = min(jobs, len(tasks))
+    if workers <= 1:
         return [_sweep_row(t) for t in tasks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_row, tasks, chunksize=1))
 
 
 def _render_sweep_csv(rows: list[dict], exact: bool) -> str:
-    columns = SWEEP_COLUMNS + (EXACT_COLUMNS if exact else [])
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(SWEEP_COLUMNS + (EXACT_COLUMNS if exact else []))
     for row in rows:
-        rendered = {
-            "n": str(row["n"]),
-            "a": fmt(row["a"]),
-            "b": fmt(row["b"]),
-            "mean": fmt(row["mean"]),
-            "variance": fmt(row["variance"]),
-            "beta_variance": fmt(row["beta_variance"]),
-            "gap_h": fmt(row["gap_h"]),
-            "lower": fmt(row["lower"]),
-            "upper": fmt(row["upper"]),
-            "sandwich_ok": "true" if row["sandwich_ok"] else "false",
-            "e_abs_s_exact": fmt(row["e_abs_s_exact"]),
-            "e_abs_s_bound": fmt(row["e_abs_s_bound"]),
-            "wasserstein": fmt(row["wasserstein"]),
-            "kolmogorov": fmt(row["kolmogorov"]),
-            "cond1_max_residual": fmt(row["cond1_max_residual"]),
-            "cond2_max_residual": fmt(row["cond2_max_residual"]),
-            "a_pq": pq(row["a"]),
-            "b_pq": pq(row["b"]),
-            "mean_pq": pq(row["mean"]),
-            "variance_pq": pq(row["variance"]),
-            "gap_h_pq": pq(row["gap_h"]),
-            "lower_pq": pq(row["lower"]),
-            "e_abs_s_exact_pq": pq(row["e_abs_s_exact"]),
-        }
-        writer.writerow([rendered[c] for c in columns])
+        cells = [_CSV_CELL[kind](row[name]) for name, kind, _ in COLUMNS]
+        if exact:
+            cells += _exact_section(row).values()
+        writer.writerow(cells)
     return buf.getvalue()
 
 
 def _render_sweep_json(rows: list[dict], exact: bool) -> str:
     out_rows = []
     for row in rows:
-        item = {
-            "n": row["n"],
-            "a": float(row["a"]),
-            "b": float(row["b"]),
-            "mean": float(row["mean"]),
-            "variance": float(row["variance"]),
-            "beta_variance": float(row["beta_variance"]),
-            "gap_h": float(row["gap_h"]),
-            "lower": float(row["lower"]),
-            "upper": float(row["upper"]),
-            "sandwich_ok": bool(row["sandwich_ok"]),
-            "e_abs_s_exact": float(row["e_abs_s_exact"]),
-            "e_abs_s_bound": float(row["e_abs_s_bound"]),
-            "wasserstein": float(row["wasserstein"]),
-            "kolmogorov": float(row["kolmogorov"]),
-            "cond1_max_residual": float(row["cond1_max_residual"]),
-            "cond2_max_residual": float(row["cond2_max_residual"]),
-        }
+        item = {name: kind(row[name]) for name, kind, _ in COLUMNS}
         if exact:
-            item["exact"] = {
-                "a": pq(row["a"]),
-                "b": pq(row["b"]),
-                "mean": pq(row["mean"]),
-                "variance": pq(row["variance"]),
-                "gap_h": pq(row["gap_h"]),
-                "lower": pq(row["lower"]),
-                "e_abs_s_exact": pq(row["e_abs_s_exact"]),
-            }
+            item["exact"] = _exact_section(row)
         out_rows.append(item)
     return json.dumps(
         {"schema_version": SCHEMA_VERSION, "command": "sweep", "rows": out_rows},
@@ -330,31 +301,14 @@ def _render_sweep_json(rows: list[dict], exact: bool) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    config = SweepConfig(
-        a_values=args.a,
-        b_values=args.b,
-        n_values=args.n,
-        r_max=args.r_max,
-        seed=args.seed,
-        output_format=args.format,
-    )
+    config = SweepConfig(a_values=args.a, b_values=args.b, n_values=args.n)
     try:
-        rows = _compute_rows(config.points(), args.jobs)
+        results = _compute_rows(config.points(), args.jobs)
     except ValueError as exc:
         raise ValueError(f"sweep aborted: {exc}") from exc
-    if config.output_format == "csv":
-        text = _render_sweep_csv(rows, args.exact)
-    else:
-        text = _render_sweep_json(rows, args.exact)
-    _write_output(text, args.out)
-    violations = [
-        r
-        for r in rows
-        if not r["sandwich_ok"]
-        or r["cond1_max_residual"] != 0
-        or r["cond2_max_residual"] != 0
-    ]
-    return 1 if violations else 0
+    render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
+    _write_output(render([values for values, _ in results], args.exact), args.out)
+    return 0 if all(ok for _, ok in results) else 1
 
 
 def _fit_slope(ns: list[int], values: list[float]) -> float:
@@ -378,10 +332,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
             for n in ns:
                 params = ModelParams(n, a, b)
                 gaps.append(float(gap_h(params)))
-                pi = stationary_ratio_product(params)
-                beta = BetaParams(a, b)
-                w1s.append(wasserstein(pi, beta))
-                kols.append(kolmogorov(pi, beta))
+                w1, kd = _distances(params, stationary_ratio_product(params))
+                w1s.append(w1)
+                kols.append(kd)
             slope_gap = _fit_slope(ns, gaps)
             ok = RATE_SLOPE_WINDOW[0] <= slope_gap <= RATE_SLOPE_WINDOW[1]
             all_ok = all_ok and ok
@@ -490,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=parse_int_list, required=True, help="comma-separated n values")
     swp.add_argument("--a", type=parse_rational_list, required=True, help="comma-separated a values")
     swp.add_argument("--b", type=parse_rational_list, required=True, help="comma-separated b values")
-    swp.add_argument("--r-max", type=int, default=8)
-    swp.add_argument("--seed", type=int, default=0)
     swp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
                      help="parallel workers (rows are independent)")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
@@ -527,10 +478,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except IndexError as exc:
+    except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

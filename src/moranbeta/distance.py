@@ -14,7 +14,6 @@ Three quantities are reported:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -25,7 +24,6 @@ from .model import LatticeDistribution, ModelParams
 from .special import ConvergenceError, Tolerance
 
 __all__ = [
-    "DistanceReport",
     "DEFAULT_QUAD_TOL",
     "gap_h",
     "expected_h_lattice",
@@ -33,21 +31,11 @@ __all__ = [
     "membership_check_g",
     "wasserstein",
     "kolmogorov",
-    "distance_report",
 ]
 
 DEFAULT_QUAD_TOL = Tolerance(abs_eps=1e-11, rel_eps=1e-11, max_iter=48)
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
-
-
-@dataclass(frozen=True)
-class DistanceReport:
-    gap_h: float
-    wasserstein: float
-    kolmogorov: float
-    n: int
-    beta: BetaParams
 
 
 def expected_h_lattice(params: ModelParams) -> Fraction:
@@ -201,22 +189,3 @@ def kolmogorov(pi: LatticeDistribution, beta: BetaParams) -> float:
         prev = cum[i]
     return float(best)
 
-
-def distance_report(
-    params: ModelParams,
-    pi: LatticeDistribution | None = None,
-    tol: Tolerance = DEFAULT_QUAD_TOL,
-) -> DistanceReport:
-    """Bundle the three distances for one parameter point."""
-    from .model import stationary_ratio_product
-
-    if pi is None:
-        pi = stationary_ratio_product(params)
-    beta = BetaParams(params.a, params.b)
-    return DistanceReport(
-        gap_h=float(gap_h(params)),
-        wasserstein=wasserstein(pi, beta, tol),
-        kolmogorov=kolmogorov(pi, beta),
-        n=params.n,
-        beta=beta,
-    )

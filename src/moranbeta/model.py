@@ -233,11 +233,6 @@ class LatticeDistribution:
             raise ValueError("distributions live on different lattices")
         return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
-    def tv_exact(self, other: "LatticeDistribution") -> Fraction:
-        """Exact total variation distance; both sides must be rational."""
-        p, q = self.require_exact(), other.require_exact()
-        return sum((abs(x - y) for x, y in zip(p, q)), Fraction(0)) / 2
-
 
 def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     """Stationary law via exact detailed-balance ratios.

@@ -44,8 +44,6 @@ __all__ = [
     "stein_report",
 ]
 
-_SANDWICH_SLACK = Fraction(1, 10**12)
-
 
 @dataclass(frozen=True)
 class SteinReport:
@@ -76,13 +74,26 @@ class SteinReport:
     def conditions_exact(self) -> bool:
         return self.cond1_max_abs == 0 and self.cond2_max_abs == 0
 
+    @property
+    def caps_ok(self) -> bool:
+        """Both exact sums lie within their proof-level caps."""
+        return (
+            self.e_abs_s_exact <= self.e_abs_s_bound
+            and self.e_cubed_over_lambda_exact <= self.e_cubed_over_lambda_bound
+        )
+
 
 @dataclass(frozen=True)
 class BoundCertificate:
-    """lower <= |E h(W) - E h(Z)| <= K(a,b)/n, checked with 1e-12 slack."""
+    """lower <= |E h(W) - E h(Z)| <= K(a,b)/n.
 
-    lower: float
-    gap: float
+    lower and gap are exact rationals and the left inequality is checked
+    exactly; upper involves Gamma values and is compared in floating point
+    with 1e-12 slack.
+    """
+
+    lower: Fraction
+    gap: Fraction
     upper: float
     sandwich_ok: bool
 
@@ -193,7 +204,8 @@ def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction
     """Exact E|W'-W|^3 / lambda = (1/2n) sum_i pi(i)[p(i,i+1)+p(i,i-1)].
 
     One step moves by at most one site, so |W'-W| is either 0 or 1/(2n);
-    the ratio is therefore bounded by 1/(2n), which is asserted.
+    the ratio is therefore bounded by 1/(2n), which `SteinReport.caps_ok`
+    checks.
     """
     probs = pi.require_exact()
     move_mass = sum(
@@ -201,38 +213,30 @@ def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction
          for i, p in enumerate(probs)),
         Fraction(0),
     )
-    value = move_mass / (2 * params.n)
-    assert value <= Fraction(1, 2 * params.n), "third-moment ratio exceeded 1/(2n)"
-    return value
+    return move_mass / (2 * params.n)
 
 
-def upper_bound_assembled(params: ModelParams, pi: LatticeDistribution) -> float:
+def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
     """The pair bound assembled from exact E|S| and E|W'-W|^3, not their caps.
 
-    Always at most k_constant(a,b)/n, since the caps only loosen it.
+    Reads both sums from `rep`.  Always at most k_constant(a,b)/n, since the
+    caps only loosen it.
     """
     cab = c_constant(params.a, params.b)
     c11 = c_constant(params.a + 1, params.b + 1)
-    s_term, _ = e_abs_s(params, pi)
-    cubed = third_moment_ratio(params, pi)
+    s_term = float(rep.e_abs_s_exact)
+    cubed = float(rep.e_cubed_over_lambda_exact)
     sf = float(params.a + params.b)
-    return cab * float(s_term) + (c11 + sf * c11 * cab) * float(cubed) / 6.0
+    return cab * s_term + (c11 + sf * c11 * cab) * cubed / 6.0
 
 
 def bound_certificate(params: ModelParams) -> BoundCertificate:
-    """Certified sandwich for one parameter point.
-
-    lower and gap are exact rationals compared exactly; the upper bound
-    involves Gamma values and is compared in floating point with 1e-12
-    slack.
-    """
+    """Certified sandwich for one parameter point (see `BoundCertificate`)."""
     lo = lower_bound(params)
     gap = gap_h(params)
     upper = k_constant(params.a, params.b) / params.n
-    ok = (lo <= gap + _SANDWICH_SLACK) and (float(gap) <= upper + 1e-12)
-    return BoundCertificate(
-        lower=float(lo), gap=float(gap), upper=upper, sandwich_ok=ok
-    )
+    ok = lo <= gap and float(gap) <= upper + 1e-12
+    return BoundCertificate(lower=lo, gap=gap, upper=upper, sandwich_ok=ok)
 
 
 def stein_report(

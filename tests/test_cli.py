@@ -1,16 +1,24 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import moranbeta
+from moranbeta import cli, stein
 from moranbeta.cli import (
     SWEEP_COLUMNS,
     SweepConfig,
     main,
     parse_rational,
     parse_rational_list,
+    pq,
 )
 
 F = Fraction
@@ -30,6 +38,12 @@ class TestParsing:
 
     def test_rational_list(self):
         assert parse_rational_list("0.5,1,2") == (F(1, 2), F(1), F(2))
+
+    def test_pq_above_int_str_digit_limit(self):
+        # CPython refuses str() of ints above 4300 digits by default.
+        x = F(10**5000 + 1, 3)
+        assert pq(x) == "1" + "0" * 4999 + "1/3"
+        assert pq(F(-7, 2)) == "-7/2"
 
     def test_sweep_config_validation(self):
         with pytest.raises(ValueError):
@@ -129,12 +143,82 @@ class TestSweep:
         assert row["sandwich_ok"] is True
         assert row["exact"]["a"] == "1/2"
 
+    def test_jobs_capped_at_grid_size(self, monkeypatch, capsys):
+        seen = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        code, _, _ = run_cli(
+            capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"
+        )
+        assert code == 0
+        assert seen == [2]
+
     def test_invalid_grid_point_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--n", "2,5", "--a", "1", "--b", "3", "--jobs", "1"
         )
         assert code == 2
         assert "a + b < 2n" in err
+
+
+def _cubed_above_cap(params, pi):
+    return F(1, params.n)
+
+
+def _abs_s_above_cap(params, pi):
+    bound = (3 * params.a + 2 * params.b) / (4 * params.n)
+    return 2 * bound, bound
+
+
+class TestProofLevelCaps:
+    """A sum above its proof-level cap is a certificate violation (exit 1)."""
+
+    @pytest.mark.parametrize(
+        "name, fake",
+        [("third_moment_ratio", _cubed_above_cap), ("e_abs_s", _abs_s_above_cap)],
+    )
+    def test_cap_violation_exits_1(self, monkeypatch, capsys, name, fake):
+        monkeypatch.setattr(stein, name, fake)
+        code, out, _ = run_cli(capsys, "report", "--n", "3", "--a", "1", "--b", "2")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["certificate"]["sandwich_ok"] is True
+        assert doc["stein"]["conditions_exact"] is True
+        code, _, _ = run_cli(
+            capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "2", "--jobs", "1"
+        )
+        assert code == 1
+
+    def test_cap_check_survives_optimize_flag(self):
+        script = textwrap.dedent(
+            """
+            import os
+            from fractions import Fraction
+            from moranbeta import cli, stein
+            stein.third_moment_ratio = lambda params, pi: Fraction(1, params.n)
+            argv = ["report", "--n", "3", "--a", "1", "--b", "2", "--out", os.devnull]
+            raise SystemExit(cli.main(argv))
+            """
+        )
+        src = str(Path(moranbeta.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True
+        )
+        assert proc.returncode == 1, proc.stderr.decode()
 
 
 class TestRate:

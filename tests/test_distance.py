@@ -7,7 +7,6 @@ import pytest
 
 from moranbeta.beta import BetaParams, expected_h
 from moranbeta.distance import (
-    distance_report,
     expected_h_lattice,
     gap_h,
     kolmogorov,
@@ -175,12 +174,3 @@ class TestKolmogorov:
             for n in (5, 10, 20, 40)
         ]
         assert all(v2 <= v1 * 1.1 for v1, v2 in zip(vals, vals[1:]))
-
-
-class TestReport:
-    def test_bundle(self):
-        p = ModelParams(4, 1, 2)
-        rep = distance_report(p)
-        assert rep.n == 4
-        assert rep.gap_h == pytest.approx(float(gap_h(p)), rel=1e-15)
-        assert rep.wasserstein > 0 and 0 < rep.kolmogorov < 1

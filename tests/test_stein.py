@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+from moranbeta import stein
 from moranbeta.model import (
     ModelParams,
     detailed_balance_residuals,
@@ -199,23 +200,23 @@ class TestExpectations:
 class TestUpperBound:
     def test_assembled_spot(self):
         p = ModelParams(2, 1, 1)
-        pi = stationary_ratio_product(p)
-        assert upper_bound_assembled(p, pi) == pytest.approx(1.0, abs=1e-12)
+        rep = stein_report(p)
+        assert upper_bound_assembled(p, rep) == pytest.approx(1.0, abs=1e-12)
 
     def test_assembled_below_headline(self):
         for n, a, b in EXACT_GRID:
             if n > 10:
                 continue
             p = ModelParams(n, a, b)
-            pi = stationary_ratio_product(p)
-            assert upper_bound_assembled(p, pi) <= k_constant(a, b) / n + 1e-12
+            rep = stein_report(p)
+            assert upper_bound_assembled(p, rep) <= k_constant(a, b) / n + 1e-12
 
     def test_assembled_improves_with_n(self):
         for a, b in [(F(1, 2), F(1, 2)), (1, 1), (2, 5)]:
             prev = None
             for n in (5, 10, 20, 40):
                 p = ModelParams(n, a, b)
-                cur = upper_bound_assembled(p, stationary_ratio_product(p))
+                cur = upper_bound_assembled(p, stein_report(p))
                 if prev is not None:
                     assert cur <= prev + 1e-12
                 prev = cur
@@ -232,6 +233,13 @@ class TestCertificate:
     def test_sandwich_on_grid(self):
         for n, a, b in EXACT_GRID:
             assert bound_certificate(ModelParams(n, a, b)).sandwich_ok
+
+    def test_lower_side_compared_exactly(self, monkeypatch):
+        # Above the gap by less than any float slack would forgive.
+        p = ModelParams(7, F(1, 2), 3)
+        gap = stein.gap_h(p)
+        monkeypatch.setattr(stein, "lower_bound", lambda params: gap + F(1, 10**13))
+        assert bound_certificate(p).sandwich_ok is False
 
     def test_invariant_matches_fields(self):
         cert = bound_certificate(ModelParams(7, F(1, 2), 3))
