@@ -30,7 +30,8 @@ def pdf(p: BetaParams, x: float) -> float:
     """Density x^(a-1)(1-x)^(b-1)/B(a,b) on (0,1), zero outside [0,1].
 
     At an endpoint the one-sided limit is returned, which is +inf when the
-    adjacent shape is below 1 (quadrature never lands exactly there).
+    adjacent shape is below 1; callers that multiply it by a vanishing
+    factor must treat the endpoints themselves.
     """
     a, b = float(p.a), float(p.b)
     x = float(x)

@@ -1,7 +1,9 @@
 """Command-line front end: reports, parameter sweeps, rate fits, MC checks.
 
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
-identity or a proof-level cap failed), 2 usage or parameter error.
+identity or a proof-level cap failed), 2 usage or parameter error, 3
+internal error while computing a point (one `error: internal:` line on
+stderr names the exception and the point).
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
@@ -123,6 +126,26 @@ class PointResult:
         return self.cert.sandwich_ok and rep.conditions_exact and rep.caps_ok
 
 
+class PointError(Exception):
+    """An unexpected failure while computing a valid parameter point (exit 3)."""
+
+
+@contextmanager
+def _computing(params: ModelParams):
+    """Report any failure inside the block as a PointError naming the point.
+
+    Parameters are validated before the block (exit 2), so whatever is
+    raised inside is a fault of the computation, whatever its type.
+    """
+    try:
+        yield
+    except Exception as exc:
+        raise PointError(
+            f"internal: {type(exc).__name__}: {exc} "
+            f"(point a={params.a}, b={params.b}, n={params.n})"
+        ) from exc
+
+
 def parse_rational(text: str) -> Fraction:
     """Accept 'p/q' or decimal notation."""
     try:
@@ -175,20 +198,21 @@ def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, flo
 
 def compute_point(params: ModelParams) -> PointResult:
     """The point pipeline: exact pi, Stein sums, certificate, distances."""
-    pi = stationary_ratio_product(params)
-    rep = stein_report(params, pi)
-    w1, kd = _distances(params, pi)
-    return PointResult(
-        params=params,
-        stein=rep,
-        cert=bound_certificate(params),
-        upper_assembled=upper_bound_assembled(params, rep),
-        mean=mean(params),
-        variance=variance(params),
-        beta_variance=beta_dist.variance(BetaParams(params.a, params.b)),
-        wasserstein=w1,
-        kolmogorov=kd,
-    )
+    with _computing(params):
+        pi = stationary_ratio_product(params)
+        rep = stein_report(params, pi)
+        w1, kd = _distances(params, pi)
+        return PointResult(
+            params=params,
+            stein=rep,
+            cert=bound_certificate(params),
+            upper_assembled=upper_bound_assembled(params, rep),
+            mean=mean(params),
+            variance=variance(params),
+            beta_variance=beta_dist.variance(BetaParams(params.a, params.b)),
+            wasserstein=w1,
+            kolmogorov=kd,
+        )
 
 
 def _row_values(point: PointResult) -> dict:
@@ -257,10 +281,7 @@ def cmd_report(args: argparse.Namespace) -> int:
 def _sweep_row(task: tuple[int, Fraction, Fraction]) -> tuple[dict, bool]:
     """Column values and verdict of one grid point; pi stays in the worker."""
     n, a, b = task
-    try:
-        point = compute_point(ModelParams(n, a, b))
-    except Exception as exc:
-        raise ValueError(f"row (a={a}, b={b}, n={n}) failed: {exc}") from exc
+    point = compute_point(ModelParams(n, a, b))
     return _row_values(point), point.ok
 
 
@@ -302,10 +323,7 @@ def _render_sweep_json(rows: list[dict], exact: bool) -> str:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     config = SweepConfig(a_values=args.a, b_values=args.b, n_values=args.n)
-    try:
-        results = _compute_rows(config.points(), args.jobs)
-    except ValueError as exc:
-        raise ValueError(f"sweep aborted: {exc}") from exc
+    results = _compute_rows(config.points(), args.jobs)
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
     _write_output(render([values for values, _ in results], args.exact), args.out)
     return 0 if all(ok for _, ok in results) else 1
@@ -331,8 +349,9 @@ def cmd_rate(args: argparse.Namespace) -> int:
             gaps, w1s, kols = [], [], []
             for n in ns:
                 params = ModelParams(n, a, b)
-                gaps.append(float(gap_h(params)))
-                w1, kd = _distances(params, stationary_ratio_product(params))
+                with _computing(params):
+                    gaps.append(float(gap_h(params)))
+                    w1, kd = _distances(params, stationary_ratio_product(params))
                 w1s.append(w1)
                 kols.append(kd)
             slope_gap = _fit_slope(ns, gaps)
@@ -478,6 +497,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except PointError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,8 @@ Three quantities are reported:
 * the exact test-function gap |E h(W) - E h(Z)| for h(x) = x(1-x)/2, a
   rational closed form and a certified lower bound on the smooth-test
   distance (h extends to a periodic function g with |g'|, |g''| <= 1);
-* the Wasserstein distance, via the one-dimensional identity
-  integral |F_W - F_Z| over [0,1];
+* the Wasserstein distance, integral |F_W - F_Z| over [0,1], in closed
+  form from an antiderivative of the Beta CDF (see `wasserstein`);
 * the Kolmogorov distance sup |F_W - F_Z|, attained at the atoms because
   F_W is a step function and F_Z is continuous and monotone.
 """
@@ -21,10 +21,9 @@ import numpy as np
 from . import beta as beta_dist
 from .beta import BetaParams
 from .model import LatticeDistribution, ModelParams
-from .special import ConvergenceError, Tolerance
+from .special import ConvergenceError
 
 __all__ = [
-    "DEFAULT_QUAD_TOL",
     "gap_h",
     "expected_h_lattice",
     "periodic_extension_g",
@@ -33,9 +32,9 @@ __all__ = [
     "kolmogorov",
 ]
 
-DEFAULT_QUAD_TOL = Tolerance(abs_eps=1e-11, rel_eps=1e-11, max_iter=48)
-
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+# Crossing roots stop once a step is below this share of the piece width.
+_ROOT_REL_TOL = 1e-10
+_ROOT_MAX_ITER = 100
 
 
 def expected_h_lattice(params: ModelParams) -> Fraction:
@@ -100,76 +99,76 @@ def membership_check_g(grid_resolution: int) -> bool:
     return True
 
 
-def _gauss(f, lo: float, hi: float) -> float:
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    return half * math.fsum(
-        w * f(mid + half * t) for t, w in zip(_GL_NODES, _GL_WEIGHTS)
-    )
+def _cdf_integral(beta: BetaParams, x: float, fz: float, dens: float) -> float:
+    # G(x) = int_0^x F_Z for 0 < x < 1, from F_Z(x) and f_Z(x).  Follows from
+    # I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b)), DLMF 8.17(iv).
+    a, b = float(beta.a), float(beta.b)
+    return (x - a / (a + b)) * fz + x * (1.0 - x) * dens / (a + b)
 
 
-def _adaptive(f, lo: float, hi: float, eps: float, depth: int) -> float:
-    whole = _gauss(f, lo, hi)
-    mid = 0.5 * (lo + hi)
-    left = _gauss(f, lo, mid)
-    right = _gauss(f, mid, hi)
-    if abs(left + right - whole) <= eps or hi - lo < 1e-14:
-        return left + right
-    if depth <= 0:
-        raise ConvergenceError(
-            f"quadrature refinement exhausted on [{lo}, {hi}]"
-        )
-    return _adaptive(f, lo, mid, eps / 2, depth - 1) + _adaptive(
-        f, mid, hi, eps / 2, depth - 1
-    )
+def _crossing(
+    beta: BetaParams, lo: float, hi: float, f_lo: float, f_hi: float, c: float
+) -> tuple[float, float, float]:
+    """Root x of F_Z(x) = c in (lo, hi), given F_Z(lo) < c < F_Z(hi), with
+    F_Z(x) and f_Z(x): Newton steps from the linear interpolant, bisecting
+    when a step leaves the shrinking bracket or the slope is 0 or inf."""
+    x = lo + (hi - lo) * (c - f_lo) / (f_hi - f_lo)
+    tol = _ROOT_REL_TOL * (hi - lo)
+    for _ in range(_ROOT_MAX_ITER):
+        fz = beta_dist.cdf(beta, x)
+        dens = beta_dist.pdf(beta, x)
+        if fz < c:
+            lo = x
+        elif fz > c:
+            hi = x
+        step = (c - fz) / dens if 0.0 < dens < math.inf else math.inf
+        if not lo <= x + step <= hi:
+            step = 0.5 * (lo + hi) - x
+        if abs(step) <= tol:
+            return x, fz, dens
+        x += step
+    raise ConvergenceError(f"F_Z(x) = {c!r} not solved on [{lo}, {hi}]")
 
 
-def _crossing(f, lo: float, hi: float, level: float) -> float:
-    # f is increasing with f(lo) < level < f(hi); plain bisection.
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if f(mid) < level:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
+    """Wasserstein distance: integral of |F_W - F_Z| over [0,1], in closed form.
 
+    On each piece [lo, hi] = [i/m, (i+1)/m], m = 2n, F_W is a constant c.
+    With G(x) = int_0^x F_Z = (x - mu) F_Z(x) + x(1-x) f_Z(x)/(a+b),
+    mu = a/(a+b), G(0) = 0 and G(1) = 1 - mu, a piece where F_Z - c keeps
+    one sign contributes +-(G(hi) - G(lo) - c (hi - lo)).  Monotone F_Z
+    crosses c at most once; a crossing at x* contributes
+    c (2 x* - lo - hi) + G(lo) + G(hi) - 2 G(x*), which is stationary in x*,
+    so the root error enters only to second order.
 
-def wasserstein(
-    pi: LatticeDistribution,
-    beta: BetaParams,
-    tol: Tolerance = DEFAULT_QUAD_TOL,
-) -> float:
-    """Wasserstein distance: integral of |F_W - F_Z| over [0,1].
-
-    F_W is the right-continuous step CDF of the lattice law, so between
-    consecutive atoms the integrand is |F_Z - const| with F_Z monotone:
-    at most one sign change per piece, located by bisection, then each
-    smooth piece is integrated by 32-point Gauss rules with adaptive
-    splitting as a fallback.
+    The pieces are differences of O(1) values of G, so the rounding of F_Z,
+    f_Z and G does not cancel; the error grows roughly like m^1.5 eps.
+    Relative error against a 30-digit mpmath oracle: 1.7e-12 at n=200,
+    (1/10, 1/10); 5.6e-11 at n=1000, (1/10, 1/10); 1.5e-11 at n=1000,
+    (355/113, 103/37); 7.9e-11 at n=2000, (1/2, 3/2).
     """
     m = 2 * pi.n
     cum = np.cumsum(pi.probs)
-    fz = lambda x: beta_dist.cdf(beta, x)
-    piece_eps = tol.abs_eps / max(m, 1)
     total = 0.0
-    f_lo = 0.0
+    g_lo = f_lo = 0.0
     for i in range(m):
         lo = i / m
         hi = (i + 1) / m
         c = float(cum[i])
-        f_hi = fz(hi)
+        if i + 1 < m:
+            f_hi = beta_dist.cdf(beta, hi)
+            g_hi = _cdf_integral(beta, hi, f_hi, beta_dist.pdf(beta, hi))
+        else:  # f_Z(1) is infinite when b < 1
+            f_hi, g_hi = 1.0, float(beta.b / (beta.a + beta.b))
         if c <= f_lo:
-            total += _adaptive(lambda x: fz(x) - c, lo, hi, piece_eps, tol.max_iter)
+            total += g_hi - g_lo - c * (hi - lo)
         elif c >= f_hi:
-            total += _adaptive(lambda x: c - fz(x), lo, hi, piece_eps, tol.max_iter)
+            total += c * (hi - lo) - (g_hi - g_lo)
         else:
-            xs = _crossing(fz, lo, hi, c)
-            total += _adaptive(lambda x: c - fz(x), lo, xs, piece_eps, tol.max_iter)
-            total += _adaptive(lambda x: fz(x) - c, xs, hi, piece_eps, tol.max_iter)
-        f_lo = f_hi
+            x, fz, dens = _crossing(beta, lo, hi, f_lo, f_hi, c)
+            total += c * (2.0 * x - lo - hi) + g_lo + g_hi
+            total -= 2.0 * _cdf_integral(beta, x, fz, dens)
+        g_lo, f_lo = g_hi, f_hi
     return total
 
 

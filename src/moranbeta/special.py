@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 __all__ = [
     "ConvergenceError",
@@ -88,6 +89,13 @@ def log_beta(a: float, b: float) -> float:
     b = float(b)
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"log_beta requires positive arguments, got ({a!r}, {b!r})")
+    return _log_beta(a, b)
+
+
+# The Beta CDF and density evaluate ln B(a,b) at every point for a shape pair
+# that stays fixed over a whole distance computation.
+@lru_cache(maxsize=64)
+def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 

@@ -30,6 +30,22 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_cli_import_skips_scipy_and_mpmath():
+    # Start-up cost is part of every invocation; the heavy modules are
+    # test-only oracles.
+    script = (
+        "import sys, moranbeta.cli; "
+        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+    )
+    src = str(Path(moranbeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 class TestParsing:
     def test_rational_forms(self):
         assert parse_rational("1/3") == F(1, 3)
@@ -219,6 +235,50 @@ class TestProofLevelCaps:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True
         )
         assert proc.returncode == 1, proc.stderr.decode()
+
+
+def _raising(exc_type):
+    def fake(*args):
+        raise exc_type("injected")
+
+    return fake
+
+
+POINT_COMMANDS = [
+    ["report", "--n", "3", "--a", "1", "--b", "1"],
+    ["sweep", "--n", "3", "--a", "1", "--b", "1", "--jobs", "1"],
+]
+
+
+class TestInternalErrors:
+    """A failure while computing a valid point exits 3, never 2 or 1."""
+
+    @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError])
+    @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=["report", "sweep"])
+    def test_point_failure_exits_3(self, monkeypatch, capsys, argv, exc_type):
+        monkeypatch.setattr(stein, "third_moment_ratio", _raising(exc_type))
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: internal: {exc_type.__name__}: injected "
+            "(point a=1, b=1, n=3)\n"
+        )
+
+    def test_rate_distance_failure_exits_3(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "kolmogorov", _raising(ValueError))
+        code, _, err = run_cli(
+            capsys, "rate", "--n", "5,10,20,40", "--a", "1", "--b", "1"
+        )
+        assert code == 3
+        assert err.startswith("error: internal: ValueError: injected (point a=1")
+
+    @pytest.mark.parametrize("command", ["report", "sweep"])
+    def test_parameter_error_still_exits_2(self, monkeypatch, capsys, command):
+        monkeypatch.setattr(stein, "third_moment_ratio", _raising(ZeroDivisionError))
+        code, _, err = run_cli(capsys, command, "--n", "1", "--a", "1", "--b", "1")
+        assert code == 2
+        assert "a + b < 2n" in err
 
 
 class TestRate:

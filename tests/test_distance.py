@@ -1,12 +1,14 @@
 """Test-function gap, the periodic extension, Wasserstein, Kolmogorov."""
 
 from fractions import Fraction
+from itertools import accumulate
 
 import numpy as np
 import pytest
 
-from moranbeta.beta import BetaParams, expected_h
+from moranbeta.beta import BetaParams, cdf, expected_h, pdf
 from moranbeta.distance import (
+    _cdf_integral,
     expected_h_lattice,
     gap_h,
     kolmogorov,
@@ -140,6 +142,71 @@ class TestWasserstein:
         w1 = wasserstein(pi, BetaParams(2, 3))
         mean_gap = abs(float(pi.probs @ pi.support) - 2.0 / 5.0)
         assert w1 >= mean_gap - 1e-12
+
+
+class TestCdfIntegral:
+    @pytest.mark.parametrize(
+        "a,b", [(F(1, 10), F(1, 10)), (F(7, 3), F(11, 5)), (F(1, 2), F(3, 2))]
+    )
+    def test_matches_quadrature(self, a, b):
+        from scipy import integrate, special
+
+        beta = BetaParams(a, b)
+        fz = lambda t: special.betainc(float(a), float(b), t)
+        for x in (1e-6, 0.01, 0.3, 0.77, 0.999):
+            want, _ = integrate.quad(fz, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
+            got = _cdf_integral(beta, x, cdf(beta, x), pdf(beta, x))
+            assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+
+    @pytest.mark.parametrize("a,b", [(F(1, 10), F(1, 10)), (F(7, 3), F(11, 5))])
+    def test_tends_to_one_minus_mean_at_one(self, a, b):
+        beta = BetaParams(a, b)
+        mu = float(a / (a + b))
+        x = 1.0 - 1e-12
+        assert _cdf_integral(beta, x, cdf(beta, x), pdf(beta, x)) == pytest.approx(
+            1.0 - mu, abs=1e-11
+        )
+
+
+def oracle_distances(pi, a, b):
+    """Independent W1 and Kolmogorov distances from scipy: `quad` per lattice
+    piece, with the crossing of F_W and F_Z placed by `brentq` as a breakpoint."""
+    from scipy import integrate, optimize, special
+
+    fz = lambda x: special.betainc(float(a), float(b), x)
+    m = 2 * pi.n
+    cum = [float(c) for c in accumulate(pi.probs_exact)]
+    w1 = 0.0
+    kol = 0.0
+    for i in range(m):
+        lo, hi, c = i / m, (i + 1) / m, cum[i]
+        f_lo, f_hi = fz(lo), fz(hi)
+        kol = max(kol, abs(c - f_lo), abs(c - f_hi))
+        cuts = [lo, hi]
+        if f_lo < c < f_hi:
+            root = optimize.brentq(lambda x: fz(x) - c, lo, hi, xtol=1e-16, rtol=1e-15)
+            cuts.insert(1, root)
+        for u, v in zip(cuts, cuts[1:]):
+            part, _ = integrate.quad(
+                lambda x: abs(fz(x) - c), u, v, epsabs=1e-19, epsrel=1e-11, limit=100
+            )
+            w1 += part
+    return w1, kol
+
+
+class TestLargeN:
+    """W1 and Kolmogorov against an independent scipy oracle at large n."""
+
+    @pytest.mark.parametrize(
+        "n,a,b",
+        [(200, F(1, 10), F(1, 10)), (300, F(7, 3), F(11, 5)), (400, F(1, 2), F(3, 2))],
+    )
+    def test_against_scipy_oracle(self, n, a, b):
+        pi = stationary_ratio_product(ModelParams(n, a, b))
+        w1, kol = oracle_distances(pi, a, b)
+        beta = BetaParams(a, b)
+        assert wasserstein(pi, beta) == pytest.approx(w1, rel=1e-9)
+        assert kolmogorov(pi, beta) == pytest.approx(kol, abs=1e-12)
 
 
 class TestKolmogorov:

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from moranbeta import special
+from moranbeta.beta import BetaParams, cdf
 from moranbeta.special import (
     ConvergenceError,
     Tolerance,
@@ -76,6 +78,21 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
+
+    def test_computed_once_per_shape_pair(self, monkeypatch):
+        calls = []
+
+        def counting(t):
+            calls.append(t)
+            return log_gamma(t)
+
+        monkeypatch.setattr(special, "log_gamma", counting)
+        p = BetaParams(0.3141592653589793, 2.718281828459045)  # used nowhere else
+        for k in range(1000):
+            cdf(p, (k + 0.5) / 1000)
+        assert len(calls) <= 3
+        a, b = p.a, p.b
+        assert log_beta(a, b) == log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
 class TestRegIncBeta:
