@@ -74,6 +74,9 @@ EXACT_COLUMNS = [f"{name}_pq" for name in EXACT_FIELDS]
 
 RATE_SLOPE_WINDOW = (-1.05, -0.95)
 
+# Fewest batch-means batches behind validate's chain standard errors.
+MIN_BATCHES = 10
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -398,45 +401,46 @@ def _freq_section(
 
 def cmd_validate(args: argparse.Namespace) -> int:
     params = ModelParams(args.n, args.a, args.b)
-    pi = stationary_ratio_product(params)
-    exact = pi.probs
+    if min(args.samples, args.steps, args.burn_in) < 0:
+        raise ValueError("--samples, --steps and --burn-in must be nonnegative")
+    if 0 < args.steps < MIN_BATCHES:
+        raise ValueError(f"--steps must be 0 or at least {MIN_BATCHES}, one per batch")
     size = 2 * params.n + 1
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "validate",
         "params": {"n": params.n, "a": float(params.a), "b": float(params.b)},
         "seed": args.seed,
-        "exact_probs": [float(p) for p in exact],
     }
-    any_flags = False
-    if args.samples > 0:
-        draws = sample_stationary(pi, seed=args.seed, count=args.samples)
-        counts = np.bincount(draws, minlength=size).astype(float)
-        se = np.sqrt(exact * (1.0 - exact) / args.samples)
-        section = _freq_section(counts, args.samples, exact, se)
-        payload["iid"] = section
-        any_flags = any_flags or bool(section["flagged_states"])
-    if args.steps > 0:
-        path = simulate_chain(
-            params, start=params.n, steps=args.burn_in + args.steps, seed=args.seed + 1
-        )
-        kept = path[args.burn_in + 1 :]
-        counts = np.bincount(kept, minlength=size).astype(float)
-        # batch-means standard errors: occupation fractions are correlated
-        n_batches = min(1000, max(10, args.steps // 100))
-        usable = (len(kept) // n_batches) * n_batches
-        batches = kept[:usable].reshape(n_batches, -1)
-        batch_freqs = np.stack(
-            [np.bincount(row, minlength=size) / batches.shape[1] for row in batches]
-        )
-        se = batch_freqs.std(axis=0, ddof=1) / math.sqrt(n_batches)
-        section = _freq_section(counts, len(kept), exact, se)
-        section["burn_in"] = args.burn_in
-        section["batches"] = int(n_batches)
-        payload["chain"] = section
-        any_flags = any_flags or bool(section["flagged_states"])
+    with _computing(params):
+        pi = stationary_ratio_product(params)
+        exact = pi.probs
+        payload["exact_probs"] = [float(p) for p in exact]
+        if args.samples > 0:
+            draws = sample_stationary(pi, seed=args.seed, count=args.samples)
+            counts = np.bincount(draws, minlength=size).astype(float)
+            se = np.sqrt(exact * (1.0 - exact) / args.samples)
+            payload["iid"] = _freq_section(counts, args.samples, exact, se)
+        if args.steps > 0:
+            steps = args.burn_in + args.steps
+            path = simulate_chain(params, start=params.n, steps=steps, seed=args.seed + 1)
+            kept = path[args.burn_in + 1 :]
+            counts = np.bincount(kept, minlength=size).astype(float)
+            # batch-means standard errors: occupation fractions are correlated
+            n_batches = min(1000, max(MIN_BATCHES, args.steps // 100))
+            usable = (len(kept) // n_batches) * n_batches
+            batches = kept[:usable].reshape(n_batches, -1)
+            batch_freqs = np.stack(
+                [np.bincount(row, minlength=size) / batches.shape[1] for row in batches]
+            )
+            se = batch_freqs.std(axis=0, ddof=1) / math.sqrt(n_batches)
+            section = _freq_section(counts, len(kept), exact, se)
+            section["burn_in"] = args.burn_in
+            section["batches"] = int(n_batches)
+            payload["chain"] = section
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
-    return 1 if any_flags else 0
+    flagged = [payload[k]["flagged_states"] for k in ("iid", "chain") if k in payload]
+    return 1 if any(flagged) else 0
 
 
 def build_parser() -> argparse.ArgumentParser:

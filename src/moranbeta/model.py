@@ -10,9 +10,9 @@ kernel
 
 Parameters are carried in the rescaled form a = 2nv, b = 2nu, the regime in
 which the rescaled count W = I/(2n) under the stationary law approaches a
-Beta(a,b) variable.  Everything rational is kept as exact `Fraction`s;
-floating-point mirrors are always derived from the rationals, never the
-other way around.
+Beta(a,b) variable.  Exact quantities are integers over one common
+denominator (see `ModelParams` and `stationary_ratio_product`); floating
+mirrors are their correctly rounded quotients, never the other way around.
 
 The stationary distribution is computed three independent ways: exact
 detailed-balance ratio products (the reference), the closed Gamma-function
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -81,33 +82,51 @@ class ModelParams:
     """Population scale n and rescaled mutation rates (a, b) = (2nv, 2nu).
 
     Requires a > 0, b > 0 and a + b < 2n, so u + v < 1 and the closed-form
-    constants of the stationary law stay finite and positive.  Every kernel
-    row is checked to have p(i,i) >= 0 at construction.
+    constants of the stationary law stay finite and positive.  With
+    q = lcm(den a, den b), qa = q a, qb = q b, m = 2n and kernel_den = q m^3,
+
+        p(i,i-1) = D_i / kernel_den,  D_i = i(m-i)(qm - qa) + qb i^2,
+        p(i,i+1) = U_i / kernel_den,  U_i = i(m-i)(qm - qb) + qa (m-i)^2;
+
+    `down_poly` and `up_poly` hold the coefficients of D and U in powers of
+    i.  Construction checks p(i,i) >= 0 in every row.
     """
 
     n: int
     a: Fraction
     b: Fraction
-    _triples: tuple[TransitionTriple, ...] = field(
-        init=False, repr=False, compare=False, default=()
-    )
+    q: int = field(init=False, repr=False, compare=False)
+    qa: int = field(init=False, repr=False, compare=False)
+    qb: int = field(init=False, repr=False, compare=False)
+    down_poly: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    up_poly: tuple[int, int, int] = field(init=False, repr=False, compare=False)
+    kernel_den: int = field(init=False, repr=False, compare=False)
 
     def __init__(self, n: int, a: RationalLike, b: RationalLike) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ValueError(f"n must be a positive integer, got {n!r}")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "a", as_fraction(a))
-        object.__setattr__(self, "b", as_fraction(b))
-        if self.a <= 0 or self.b <= 0:
-            raise ValueError(
-                f"mutation parameters must be positive, got a={self.a}, b={self.b}"
-            )
-        if self.a + self.b >= 2 * n:
+        a, b = as_fraction(a), as_fraction(b)
+        if a <= 0 or b <= 0:
+            raise ValueError(f"mutation parameters must be positive, got a={a}, b={b}")
+        if a + b >= 2 * n:
             raise ValueError(
                 f"need a + b < 2n for a valid mutation regime, got "
-                f"a + b = {self.a + self.b} with 2n = {2 * n}"
+                f"a + b = {a + b} with 2n = {2 * n}"
             )
-        object.__setattr__(self, "_triples", self._build_triples())
+        m = 2 * n
+        q = math.lcm(a.denominator, b.denominator)
+        qa, qb, qm = int(q * a), int(q * b), q * m
+        self.__dict__.update(  # frozen: set the fields once, past __setattr__
+            n=n, a=a, b=b, q=q, qa=qa, qb=qb, kernel_den=qm * m * m,
+            down_poly=(0, m * (qm - qa), qa + qb - qm),
+            up_poly=(qa * m * m, m * (qm - qb - 2 * qa), qa + qb - qm),
+        )
+        for i, (d, u) in enumerate(zip(*self.kernel_rows())):
+            if d + u > self.kernel_den:
+                raise ValueError(
+                    f"kernel row {i} has negative holding probability p(i,i); "
+                    f"parameters outside the valid regime"
+                )
 
     @classmethod
     def from_rates(cls, n: int, u: RationalLike, v: RationalLike) -> "ModelParams":
@@ -129,69 +148,59 @@ class ModelParams:
         """The exchangeable-pair scaling constant 1/(4n^2)."""
         return Fraction(1, 4 * self.n * self.n)
 
-    @property
-    def states(self) -> int:
-        """Number of lattice states, 2n + 1."""
-        return 2 * self.n + 1
+    def kernel_rows(self) -> tuple[list[int], list[int]]:
+        """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
+        states = range(2 * self.n + 1)
+        down = [_quadratic(self.down_poly, i) for i in states]
+        return down, [_quadratic(self.up_poly, i) for i in states]
 
-    def w(self, i: int) -> Fraction:
-        """Rescaled support point w_i = i/(2n)."""
-        return Fraction(i, 2 * self.n)
 
-    def _build_triples(self) -> tuple[TransitionTriple, ...]:
-        m = 2 * self.n
-        u, v = self.u, self.v
-        denom = m * m
-        one_minus_u = 1 - u
-        one_minus_v = 1 - v
-        rows = []
-        for i in range(m + 1):
-            j = m - i
-            down = (i * j * one_minus_v + u * i * i) / denom
-            up = (i * j * one_minus_u + v * j * j) / denom
-            stay = 1 - down - up
-            if stay < 0:
-                raise ValueError(
-                    f"kernel row {i} has negative holding probability "
-                    f"p(i,i) = {stay}; parameters outside the valid regime"
-                )
-            rows.append(TransitionTriple(down=down, stay=stay, up=up))
-        return tuple(rows)
+def _quadratic(coef: tuple[int, int, int], i: int) -> int:
+    return coef[0] + i * (coef[1] + i * coef[2])
 
 
 def transition(params: ModelParams, i: int) -> TransitionTriple:
     """Exact kernel row at state i."""
     if not 0 <= i <= 2 * params.n:
         raise IndexError(f"state {i} outside {{0,...,{2 * params.n}}}")
-    return params._triples[i]
+    den = params.kernel_den
+    down, up = _quadratic(params.down_poly, i), _quadratic(params.up_poly, i)
+    return TransitionTriple(*(Fraction(x, den) for x in (down, den - down - up, up)))
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeDistribution:
     """Probability vector on {0,...,2n}, support points w_i = i/(2n).
 
-    `probs_exact` is present when the distribution was produced by exact
-    rational arithmetic; `probs` is the floating mirror used for numerics.
+    An exact law carries integer `weights` with pi(i) = weights[i] / total;
+    `probs_exact`, the same values as `Fraction`s, is built on first access.
+    `probs` is the floating mirror used for numerics.
     """
 
     n: int
     probs: np.ndarray
-    probs_exact: tuple[Fraction, ...] | None = None
+    weights: tuple[int, ...] | None = None
+    total: int = 1
 
     @classmethod
-    def from_exact(
-        cls, n: int, probs: Sequence[Fraction], validate: bool = True
+    def from_weights(
+        cls, n: int, weights: Sequence[int], total: int
     ) -> "LatticeDistribution":
-        probs = tuple(Fraction(p) for p in probs)
+        """Exact law pi(i) = weights[i] / total; int division rounds correctly."""
+        return cls(n, np.array([w / total for w in weights]), tuple(weights), total)
+
+    @classmethod
+    def from_exact(cls, n: int, probs: Sequence[Fraction]) -> "LatticeDistribution":
+        probs = [Fraction(p) for p in probs]
         if len(probs) != 2 * n + 1:
             raise ValueError(f"expected {2 * n + 1} probabilities, got {len(probs)}")
-        if validate:
-            if any(p < 0 for p in probs):
-                raise ValueError("negative probability entry")
-            if sum(probs) != 1:
-                raise ValueError("exact probabilities must sum to 1")
-        mirror = np.array([float(p) for p in probs], dtype=float)
-        return cls(n=n, probs=mirror, probs_exact=probs)
+        total = math.lcm(*(p.denominator for p in probs))
+        weights = [p.numerator * (total // p.denominator) for p in probs]
+        if any(w < 0 for w in weights):
+            raise ValueError("negative probability entry")
+        if sum(weights) != total:
+            raise ValueError("exact probabilities must sum to 1")
+        return cls.from_weights(n, weights, total)
 
     @classmethod
     def from_floats(cls, n: int, probs: np.ndarray) -> "LatticeDistribution":
@@ -204,7 +213,13 @@ class LatticeDistribution:
         total = probs.sum()
         if not math.isfinite(total) or total <= 0:
             raise ValueError("probabilities must have positive finite mass")
-        return cls(n=n, probs=probs / total, probs_exact=None)
+        return cls(n=n, probs=probs / total)
+
+    @cached_property
+    def probs_exact(self) -> tuple[Fraction, ...] | None:
+        if self.weights is None:
+            return None
+        return tuple(Fraction(w, self.total) for w in self.weights)
 
     @property
     def support(self) -> np.ndarray:
@@ -214,18 +229,16 @@ class LatticeDistribution:
     def w(self, i: int) -> Fraction:
         return Fraction(i, 2 * self.n)
 
-    def require_exact(self) -> tuple[Fraction, ...]:
-        if self.probs_exact is None:
+    def require_weights(self) -> tuple[tuple[int, ...], int]:
+        if self.weights is None:
             raise ValueError("operation requires an exact rational distribution")
-        return self.probs_exact
+        return self.weights, self.total
 
     def moment_exact(self, r: int) -> Fraction:
         """Exact E[W^r] by brute-force summation over the support."""
-        probs = self.require_exact()
+        weights, total = self.require_weights()
         m = 2 * self.n
-        return sum(
-            (p * Fraction(i, m) ** r for i, p in enumerate(probs)), Fraction(0)
-        )
+        return Fraction(sum(w * i**r for i, w in enumerate(weights)), total * m**r)
 
     def tv(self, other: "LatticeDistribution") -> float:
         """Total variation distance against another lattice law (floats)."""
@@ -237,24 +250,20 @@ class LatticeDistribution:
 def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     """Stationary law via exact detailed-balance ratios.
 
-    For a birth-death chain, pi(i+1)/pi(i) = p(i,i+1)/p(i+1,i); the products
-    are accumulated and normalized in exact rational arithmetic.  This is
-    the reference representation of pi.
+    For a birth-death chain, pi(i+1)/pi(i) = p(i,i+1)/p(i+1,i) = U_i/D_{i+1},
+    so pi(i) = w_i / sum_j w_j with the integer weights
+    w_i = (prod_{k<i} U_k)(prod_{k>i} D_k): suffix products of D times a
+    running prefix product of U.  This is the reference representation of pi.
     """
-    m = 2 * params.n
-    triples = params._triples
-    weights = [Fraction(1)]
-    for i in range(m):
-        up = triples[i].up
-        down_next = triples[i + 1].down
-        if down_next == 0:
-            raise ZeroDivisionError(
-                f"p({i + 1},{i}) = 0; detailed-balance ratios undefined"
-            )
-        weights.append(weights[-1] * up / down_next)
-    total = sum(weights)
-    probs = tuple(w / total for w in weights)
-    return LatticeDistribution.from_exact(params.n, probs, validate=False)
+    down, up = params.kernel_rows()
+    weights = [1] * len(down)
+    for i in range(len(down) - 1, 0, -1):
+        weights[i - 1] = weights[i] * down[i]
+    prefix = 1
+    for i, u in enumerate(up):
+        weights[i] *= prefix
+        prefix *= u
+    return LatticeDistribution.from_weights(params.n, weights, sum(weights))
 
 
 def closed_form_log_weights(params: ModelParams) -> np.ndarray:
@@ -306,15 +315,14 @@ def stationary_closed_form(params: ModelParams) -> LatticeDistribution:
     shift = logw.max()
     w = np.exp(logw - shift)
     w /= w.sum()
-    return LatticeDistribution(n=params.n, probs=w, probs_exact=None)
+    return LatticeDistribution(n=params.n, probs=w)
 
 
 def _float_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    triples = params._triples
-    down = np.array([float(t.down) for t in triples])
-    stay = np.array([float(t.stay) for t in triples])
-    up = np.array([float(t.up) for t in triples])
-    return down, stay, up
+    down, up = params.kernel_rows()
+    den = params.kernel_den
+    stay = [den - d - u for d, u in zip(down, up)]
+    return tuple(np.array([x / den for x in row]) for row in (down, stay, up))
 
 
 def apply_kernel(params: ModelParams, probs: np.ndarray) -> np.ndarray:
@@ -331,23 +339,24 @@ def apply_kernel_exact(
     params: ModelParams, probs: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """One exact step: returns probs @ P in rational arithmetic."""
-    triples = params._triples
-    m = 2 * params.n
-    out = [probs[i] * triples[i].stay for i in range(m + 1)]
-    for i in range(m):
-        out[i] += probs[i + 1] * triples[i + 1].down
-        out[i + 1] += probs[i] * triples[i].up
-    return tuple(out)
+    down, up = params.kernel_rows()
+    den = params.kernel_den
+    out = [p * (den - d - u) for p, d, u in zip(probs, down, up)]
+    for i in range(2 * params.n):
+        out[i] += probs[i + 1] * down[i + 1]
+        out[i + 1] += probs[i] * up[i]
+    return tuple(x / den for x in out)
 
 
 def detailed_balance_residuals(
     params: ModelParams, pi: LatticeDistribution
 ) -> tuple[Fraction, ...]:
     """Exact residuals pi(i)p(i,i+1) - pi(i+1)p(i+1,i) along every edge."""
-    probs = pi.require_exact()
-    triples = params._triples
+    weights, total = pi.require_weights()
+    down, up = params.kernel_rows()
+    den = total * params.kernel_den
     return tuple(
-        probs[i] * triples[i].up - probs[i + 1] * triples[i + 1].down
+        Fraction(weights[i] * up[i] - weights[i + 1] * down[i + 1], den)
         for i in range(2 * params.n)
     )
 
@@ -372,7 +381,7 @@ def power_iteration_oracle(
         tv = 0.5 * float(np.abs(new - pi).sum())
         pi = new
         if tv < tol.abs_eps:
-            return LatticeDistribution(n=params.n, probs=pi, probs_exact=None)
+            return LatticeDistribution(n=params.n, probs=pi)
     raise ConvergenceError(
         f"power iteration did not reach TV < {tol.abs_eps} in {tol.max_iter} sweeps"
     )

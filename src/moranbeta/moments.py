@@ -50,17 +50,6 @@ def variance(params: ModelParams) -> Fraction:
     return 2 * a * b * n / (s * s * (2 * n + s * (2 * n - 1)))
 
 
-def _step_polynomials(params: ModelParams) -> tuple[list[Fraction], list[Fraction]]:
-    # Down/up kernel entries as quadratics in the state index i, with the
-    # common denominator (2n)^2 dropped (it cancels in the recursion).
-    n = params.n
-    m = 2 * n
-    u, v = params.u, params.v
-    down = [Fraction(0), m * (1 - v), u + v - 1]
-    up = [m * m * v, m * (1 - u) - 2 * m * v, u + v - 1]
-    return down, up
-
-
 def moment_recursion(params: ModelParams, r_max: int = 8) -> MomentTable:
     """Exact E[W^r] for r = 1..r_max via the one-step expectation identity.
 
@@ -76,10 +65,11 @@ def moment_recursion(params: ModelParams, r_max: int = 8) -> MomentTable:
     if not isinstance(r_max, int) or r_max < 1:
         raise ValueError(f"r_max must be a positive integer, got {r_max!r}")
     m = 2 * params.n
-    down, up = _step_polynomials(params)
+    # The kernel's integer quadratics; their common denominator cancels.
+    down, up = params.down_poly, params.up_poly
     values: dict[int, Fraction] = {0: Fraction(1)}
     for r in range(1, r_max + 1):
-        coef = [Fraction(0)] * (r + 2)
+        coef = [0] * (r + 2)
         for k in range(r):
             binom = math.comb(r, k)
             sign = -1 if (r - k) % 2 else 1

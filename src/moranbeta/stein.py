@@ -143,22 +143,28 @@ def lower_bound(params: ModelParams) -> Fraction:
     return a * b / (4 * n * s * (1 + s) ** 2)
 
 
+def _s_form(params: ModelParams, p: int, r: int) -> int:
+    # 4nq r^2 S(p/r), an integer: 2(qa+qb)p^2 - (3qa+qb)pr + qa r^2.
+    qa, qb = params.qa, params.qb
+    return 2 * (qa + qb) * p * p - (3 * qa + qb) * p * r + qa * r * r
+
+
+def _s_numerators(params: ModelParams) -> list[int]:
+    # S(i/2n) * 2 kernel_den for i = 0..2n.
+    return [_s_form(params, i, 2 * params.n) for i in range(2 * params.n + 1)]
+
+
 def verify_condition_1(params: ModelParams) -> tuple[Fraction, ...]:
     """Exact residuals of the linear-regression identity at every state.
 
     LHS = 4n^2 (1/2n) [p(i,i+1) - p(i,i-1)]; RHS = a - (a+b) i/(2n).
     Both sides are rational, so a correct kernel yields residuals == 0.
     """
-    n = params.n
-    m = 2 * n
-    a, b = params.a, params.b
-    out = []
-    for i in range(m + 1):
-        t = params._triples[i]
-        lhs = 2 * n * (t.up - t.down)
-        rhs = a - (a + b) * Fraction(i, m)
-        out.append(lhs - rhs)
-    return tuple(out)
+    m, qa, qb = 2 * params.n, params.qa, params.qb
+    return tuple(
+        Fraction(u - d - m * (qa * m - (qa + qb) * i), params.q * m * m)
+        for i, (d, u) in enumerate(zip(*params.kernel_rows()))
+    )
 
 
 def s_remainder(params: ModelParams, w: Fraction) -> Fraction:
@@ -166,8 +172,8 @@ def s_remainder(params: ModelParams, w: Fraction) -> Fraction:
     w = Fraction(w)
     if not 0 <= w <= 1:
         raise ValueError(f"w must lie in [0,1], got {w}")
-    a, b = params.a, params.b
-    return (2 * (a + b) * w * w - (3 * a + b) * w + a) / (4 * params.n)
+    r = w.denominator
+    return Fraction(_s_form(params, w.numerator, r), 4 * params.n * params.q * r * r)
 
 
 def verify_condition_2(params: ModelParams) -> tuple[Fraction, ...]:
@@ -176,28 +182,21 @@ def verify_condition_2(params: ModelParams) -> tuple[Fraction, ...]:
     LHS = 2n^2 (1/2n)^2 [p(i,i+1) + p(i,i-1)]; RHS = w(1-w) + S(w).
     """
     m = 2 * params.n
-    out = []
-    for i in range(m + 1):
-        t = params._triples[i]
-        lhs = (t.up + t.down) / 2
-        w = Fraction(i, m)
-        rhs = w * (1 - w) + s_remainder(params, w)
-        out.append(lhs - rhs)
-    return tuple(out)
+    down, up = params.kernel_rows()
+    return tuple(
+        Fraction(u + d - 2 * params.q * m * i * (m - i) - s, 2 * params.kernel_den)
+        for i, (d, u, s) in enumerate(zip(down, up, _s_numerators(params)))
+    )
 
 
 def e_abs_s(
     params: ModelParams, pi: LatticeDistribution
 ) -> tuple[Fraction, Fraction]:
     """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n)."""
-    probs = pi.require_exact()
-    m = 2 * params.n
-    value = sum(
-        (p * abs(s_remainder(params, Fraction(i, m))) for i, p in enumerate(probs)),
-        Fraction(0),
-    )
+    weights, total = pi.require_weights()
+    value = sum(w * abs(s) for w, s in zip(weights, _s_numerators(params)))
     bound = (3 * params.a + 2 * params.b) / (4 * params.n)
-    return value, bound
+    return Fraction(value, 2 * total * params.kernel_den), bound
 
 
 def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction:
@@ -207,13 +206,9 @@ def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction
     the ratio is therefore bounded by 1/(2n), which `SteinReport.caps_ok`
     checks.
     """
-    probs = pi.require_exact()
-    move_mass = sum(
-        (p * (params._triples[i].up + params._triples[i].down)
-         for i, p in enumerate(probs)),
-        Fraction(0),
-    )
-    return move_mass / (2 * params.n)
+    weights, total = pi.require_weights()
+    move_mass = sum(w * (d + u) for w, d, u in zip(weights, *params.kernel_rows()))
+    return Fraction(move_mass, 2 * params.n * total * params.kernel_den)
 
 
 def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
@@ -245,8 +240,7 @@ def stein_report(
     """Full exact verification bundle for one parameter point."""
     if pi is None:
         pi = stationary_ratio_product(params)
-    m = 2 * params.n
-    s_vals = tuple(s_remainder(params, Fraction(i, m)) for i in range(m + 1))
+    s_vals = tuple(Fraction(s, 2 * params.kernel_den) for s in _s_numerators(params))
     eabs, ebound = e_abs_s(params, pi)
     return SteinReport(
         lam=params.lam,

@@ -238,7 +238,7 @@ class TestProofLevelCaps:
 
 
 def _raising(exc_type):
-    def fake(*args):
+    def fake(*args, **kwargs):
         raise exc_type("injected")
 
     return fake
@@ -258,6 +258,21 @@ class TestInternalErrors:
     def test_point_failure_exits_3(self, monkeypatch, capsys, argv, exc_type):
         monkeypatch.setattr(stein, "third_moment_ratio", _raising(exc_type))
         code, out, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert out == ""
+        assert err == (
+            f"error: internal: {exc_type.__name__}: injected "
+            "(point a=1, b=1, n=3)\n"
+        )
+
+    @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError])
+    def test_validate_failure_exits_3(self, monkeypatch, capsys, exc_type):
+        monkeypatch.setattr(cli, "sample_stationary", _raising(exc_type))
+        code, out, err = run_cli(
+            capsys,
+            "validate", "--n", "3", "--a", "1", "--b", "1",
+            "--samples", "10", "--steps", "0",
+        )
         assert code == 3
         assert out == ""
         assert err == (
@@ -323,6 +338,34 @@ class TestValidate:
         assert doc["iid"]["flagged_states"] == []
         assert doc["chain"]["flagged_states"] == []
         assert doc["iid"]["count"] == 50000
+
+    @pytest.mark.parametrize(
+        "counts",
+        [
+            ["--samples", "-1", "--steps", "0"],
+            ["--samples", "0", "--steps", "-1"],
+            ["--samples", "0", "--steps", "100", "--burn-in", "-50"],
+            ["--samples", "0", "--steps", "9"],
+            ["--samples", "0", "--steps", "1"],
+        ],
+    )
+    def test_rejects_unusable_counts(self, capsys, counts):
+        code, out, err = run_cli(
+            capsys, "validate", "--n", "3", "--a", "1", "--b", "2", *counts
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: --")
+
+    def test_fewest_steps_fill_every_batch(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            "validate", "--n", "3", "--a", "1", "--b", "2",
+            "--samples", "0", "--steps", "10", "--burn-in", "0",
+        )
+        assert code in (0, 1)
+        chain = json.loads(out)["chain"]
+        assert chain["count"] == 10 and chain["batches"] == 10
 
     def test_zero_samples_keeps_exact_section(self, capsys):
         code, out, _ = run_cli(

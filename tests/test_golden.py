@@ -18,6 +18,9 @@ SWEEP_GRID = ["sweep", "--n", "5,10", "--a", "1/2,1", "--b", "7/3", "--jobs", "1
 CASES = {
     "report_n2_a1_b1_exact.json": ["report", "--n", "2", "--a", "1", "--b", "1", "--exact"],
     "report_n7_a1-2_b3_exact.json": ["report", "--n", "7", "--a", "1/2", "--b", "3", "--exact"],
+    "report_n40_a355-113_b103-37_exact.json": [
+        "report", "--n", "40", "--a", "355/113", "--b", "103/37", "--exact"
+    ],
     "sweep_small.csv": SWEEP_GRID,
     "sweep_small_exact.json": SWEEP_GRID + ["--format", "json", "--exact"],
 }

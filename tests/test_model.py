@@ -1,5 +1,6 @@
 """Kernel, stationary law (three routes), sampling, and simulation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -29,9 +30,13 @@ PI_N2_UNIFORM = (F(1, 7), F(8, 35), F(9, 35), F(8, 35), F(1, 7))
 
 @st.composite
 def valid_params(draw):
+    # Coprime shape denominators up to 10^4, so q = lcm(den a, den b), the
+    # kernel's common denominator factor, reaches 10^8.
     n = draw(st.integers(min_value=2, max_value=15))
-    a = F(draw(st.integers(1, 20)), draw(st.sampled_from([1, 2, 3, 4])))
-    b = F(draw(st.integers(1, 20)), draw(st.sampled_from([1, 2, 3, 4])))
+    den_a = draw(st.integers(1, 10**4))
+    den_b = draw(st.integers(1, 10**4).filter(lambda d: math.gcd(d, den_a) == 1))
+    a = F(draw(st.integers(1, 20 * den_a)), den_a)
+    b = F(draw(st.integers(1, 20 * den_b)), den_b)
     assume(a + b < 2 * n)
     return ModelParams(n, a, b)
 

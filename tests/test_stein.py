@@ -41,9 +41,13 @@ EXACT_GRID = [
 
 @st.composite
 def valid_params(draw):
+    # Coprime shape denominators up to 10^4, so q = lcm(den a, den b), the
+    # kernel's common denominator factor, reaches 10^8.
     n = draw(st.integers(min_value=2, max_value=15))
-    a = F(draw(st.integers(1, 20)), draw(st.sampled_from([1, 2, 3, 4])))
-    b = F(draw(st.integers(1, 20)), draw(st.sampled_from([1, 2, 3, 4])))
+    den_a = draw(st.integers(1, 10**4))
+    den_b = draw(st.integers(1, 10**4).filter(lambda d: math.gcd(d, den_a) == 1))
+    a = F(draw(st.integers(1, 20 * den_a)), den_a)
+    b = F(draw(st.integers(1, 20 * den_b)), den_b)
     assume(a + b < 2 * n)
     return ModelParams(n, a, b)
 
@@ -181,20 +185,21 @@ class TestExpectations:
         assert third_moment_ratio(p, pi) == F(1, 10)
 
     def test_third_moment_bound_and_identity(self):
-        for n, a, b in EXACT_GRID:
-            if n > 10:
-                continue
+        # The grid, plus one point whose q = lcm(113, 37) is odd and large.
+        points = [(n, a, b) for n, a, b in EXACT_GRID if n <= 10]
+        for n, a, b in points + [(150, F(355, 113), F(103, 37))]:
             p = ModelParams(n, a, b)
             pi = stationary_ratio_product(p)
             tmr = third_moment_ratio(p, pi)
             assert 0 <= tmr <= F(1, 2 * n)
             # quadratic identity route: tmr = (1/n) E[W(1-W) + S]
             e_w1w = pi.moment_exact(1) - pi.moment_exact(2)
-            e_s = sum(
-                (pr * s_remainder(p, F(i, 2 * n)) for i, pr in enumerate(pi.probs_exact)),
-                F(0),
-            )
+            s = [s_remainder(p, F(i, 2 * n)) for i in range(2 * n + 1)]
+            e_s = sum((pr * si for pr, si in zip(pi.probs_exact, s)), F(0))
             assert tmr == (e_w1w + e_s) / n
+            # E|S| as a Fraction sum over probs_exact
+            e_abs = sum((pr * abs(si) for pr, si in zip(pi.probs_exact, s)), F(0))
+            assert e_abs_s(p, pi)[0] == e_abs
 
 
 class TestUpperBound:
