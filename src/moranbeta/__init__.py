@@ -20,8 +20,8 @@ from .model import (
     stationary_ratio_product,
     transition,
 )
-from .moments import MomentTable, moment_recursion
-from .special import ConvergenceError, Tolerance, log_beta, log_gamma, reg_inc_beta
+from .moments import moment_recursion
+from .special import ConvergenceError, log_beta, log_gamma, reg_inc_beta
 from .stein import (
     BoundCertificate,
     SteinReport,
@@ -46,9 +46,7 @@ __all__ = [
     "ConvergenceError",
     "LatticeDistribution",
     "ModelParams",
-    "MomentTable",
     "SteinReport",
-    "Tolerance",
     "TransitionTriple",
     "bound_certificate",
     "c_constant",

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-from .special import DEFAULT_TOL, Tolerance, log_beta, reg_inc_beta
+from .special import log_beta, reg_inc_beta
 
 __all__ = ["BetaParams", "pdf", "cdf", "moments", "variance", "expected_h"]
 
@@ -50,14 +50,14 @@ def pdf(p: BetaParams, x: float) -> float:
     )
 
 
-def cdf(p: BetaParams, x: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def cdf(p: BetaParams, x: float) -> float:
     """Distribution function: 0 below 0, 1 above 1, I_x(a,b) in between."""
     x = float(x)
     if x <= 0.0:
         return 0.0
     if x >= 1.0:
         return 1.0
-    return reg_inc_beta(x, float(p.a), float(p.b), tol)
+    return reg_inc_beta(x, float(p.a), float(p.b))
 
 
 def moments(p: BetaParams, r: int) -> Shape:

@@ -1,9 +1,9 @@
 """Command-line front end: reports, parameter sweeps, rate fits, MC checks.
 
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
-identity or a proof-level cap failed), 2 usage or parameter error, 3
-internal error while computing a point (one `error: internal:` line on
-stderr names the exception and the point).
+identity or a proof-level cap failed), 2 usage or parameter error (an
+unwritable `--out` included), 3 internal error while computing a point
+(one `error: internal:` line on stderr names the exception and the point).
 """
 
 from __future__ import annotations
@@ -188,9 +188,12 @@ def pq(x: Fraction) -> str:
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
+    except OSError as exc:  # a usage error, like a bad option value
+        raise ValueError(f"cannot write --out: {exc}") from exc
 
 
 def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, float]:
@@ -257,7 +260,7 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
             "upper_assembled": point.upper_assembled,
             "sandwich_ok": cert.sandwich_ok,
         },
-        "moments": {str(r): float(table[r]) for r in sorted(table.values)},
+        "moments": {str(r): float(table[r]) for r in sorted(table)},
         "variance": float(point.variance),
         "beta_variance": float(point.beta_variance),
         "distance": {
@@ -268,9 +271,7 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
     }
     if exact:
         payload["exact"] = _exact_section(_row_values(point))
-        payload["exact"]["moments"] = {
-            str(r): pq(table[r]) for r in sorted(table.values)
-        }
+        payload["exact"]["moments"] = {str(r): pq(table[r]) for r in sorted(table)}
     return payload
 
 
@@ -325,6 +326,8 @@ def _render_sweep_json(rows: list[dict], exact: bool) -> str:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = SweepConfig(a_values=args.a, b_values=args.b, n_values=args.n)
     results = _compute_rows(config.points(), args.jobs)
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json

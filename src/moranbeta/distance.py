@@ -100,9 +100,9 @@ def membership_check_g(grid_resolution: int) -> bool:
 
 
 def _cdf_integral(beta: BetaParams, x: float, fz: float, dens: float) -> float:
-    # G(x) = int_0^x F_Z for 0 < x < 1, from F_Z(x) and f_Z(x).  Follows from
-    # I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b)), DLMF 8.17(iv).
-    a, b = float(beta.a), float(beta.b)
+    # G(x) = int_0^x F_Z for 0 < x < 1 and float shapes, from F_Z(x), f_Z(x)
+    # and I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b)), DLMF 8.17(iv).
+    a, b = beta.a, beta.b
     return (x - a / (a + b)) * fz + x * (1.0 - x) * dens / (a + b)
 
 
@@ -147,6 +147,7 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
     (1/10, 1/10); 5.6e-11 at n=1000, (1/10, 1/10); 1.5e-11 at n=1000,
     (355/113, 103/37); 7.9e-11 at n=2000, (1/2, 3/2).
     """
+    fbeta = BetaParams(float(beta.a), float(beta.b))  # cdf/pdf then convert nothing
     m = 2 * pi.n
     cum = np.cumsum(pi.probs)
     total = 0.0
@@ -156,8 +157,8 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
         hi = (i + 1) / m
         c = float(cum[i])
         if i + 1 < m:
-            f_hi = beta_dist.cdf(beta, hi)
-            g_hi = _cdf_integral(beta, hi, f_hi, beta_dist.pdf(beta, hi))
+            f_hi = beta_dist.cdf(fbeta, hi)
+            g_hi = _cdf_integral(fbeta, hi, f_hi, beta_dist.pdf(fbeta, hi))
         else:  # f_Z(1) is infinite when b < 1
             f_hi, g_hi = 1.0, float(beta.b / (beta.a + beta.b))
         if c <= f_lo:
@@ -165,9 +166,9 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
         elif c >= f_hi:
             total += c * (hi - lo) - (g_hi - g_lo)
         else:
-            x, fz, dens = _crossing(beta, lo, hi, f_lo, f_hi, c)
+            x, fz, dens = _crossing(fbeta, lo, hi, f_lo, f_hi, c)
             total += c * (2.0 * x - lo - hi) + g_lo + g_hi
-            total -= 2.0 * _cdf_integral(beta, x, fz, dens)
+            total -= 2.0 * _cdf_integral(fbeta, x, fz, dens)
         g_lo, f_lo = g_hi, f_hi
     return total
 
@@ -178,12 +179,13 @@ def kolmogorov(pi: LatticeDistribution, beta: BetaParams) -> float:
     F_W is constant between atoms and F_Z is monotone, so the supremum is
     attained at an atom, approached from the left or from the right.
     """
+    fbeta = BetaParams(float(beta.a), float(beta.b))  # cdf/pdf then convert nothing
     m = 2 * pi.n
     cum = np.cumsum(pi.probs)
     best = 0.0
     prev = 0.0
     for i in range(m + 1):
-        fzi = beta_dist.cdf(beta, i / m)
+        fzi = beta_dist.cdf(fbeta, i / m)
         best = max(best, abs(cum[i] - fzi), abs(prev - fzi))
         prev = cum[i]
     return float(best)

@@ -11,28 +11,11 @@ is exact rational arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .model import ModelParams
 
-__all__ = ["MomentTable", "mean", "variance", "moment_recursion"]
-
-
-@dataclass(frozen=True, eq=False)
-class MomentTable:
-    """Exact E[W^r] for 1 <= r <= r_max."""
-
-    params: ModelParams
-    values: Mapping[int, Fraction]
-
-    def __getitem__(self, r: int) -> Fraction:
-        return self.values[r]
-
-    @property
-    def r_max(self) -> int:
-        return max(self.values)
+__all__ = ["mean", "variance", "moment_recursion"]
 
 
 def mean(params: ModelParams) -> Fraction:
@@ -50,8 +33,8 @@ def variance(params: ModelParams) -> Fraction:
     return 2 * a * b * n / (s * s * (2 * n + s * (2 * n - 1)))
 
 
-def moment_recursion(params: ModelParams, r_max: int = 8) -> MomentTable:
-    """Exact E[W^r] for r = 1..r_max via the one-step expectation identity.
+def moment_recursion(params: ModelParams, r_max: int = 8) -> dict[int, Fraction]:
+    """Exact E[W^r], keyed by r = 1..r_max, via the one-step expectation identity.
 
     For each r, expands
 
@@ -88,4 +71,4 @@ def moment_recursion(params: ModelParams, r_max: int = 8) -> MomentTable:
         )
         values[r] = -acc / (lead * m**r)
     del values[0]
-    return MomentTable(params=params, values=values)
+    return values

@@ -8,13 +8,10 @@ function require.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 __all__ = [
     "ConvergenceError",
-    "Tolerance",
-    "DEFAULT_TOL",
     "log_gamma",
     "log_beta",
     "reg_inc_beta",
@@ -25,24 +22,10 @@ class ConvergenceError(RuntimeError):
     """An iterative evaluation failed to meet its tolerance within budget."""
 
 
-@dataclass(frozen=True)
-class Tolerance:
-    """Absolute/relative accuracy targets plus an iteration budget."""
-
-    abs_eps: float = 1e-14
-    rel_eps: float = 1e-14
-    max_iter: int = 300
-
-    def __post_init__(self) -> None:
-        if not (self.abs_eps > 0.0):
-            raise ValueError("abs_eps must be positive")
-        if not (self.rel_eps > 0.0):
-            raise ValueError("rel_eps must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be at least 1")
-
-
-DEFAULT_TOL = Tolerance()
+# The incomplete-beta continued fraction stops once a Lentz factor is within
+# this of 1, and gives up after this many even/odd step pairs.
+_CF_EPS = 1e-14
+_CF_MAX_ITER = 300
 
 _SQRT_2PI = 2.5066282746310005
 
@@ -99,7 +82,7 @@ def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> float:
+def reg_inc_beta(x: float, a: float, b: float) -> float:
     """Regularized incomplete beta function I_x(a,b).
 
     Continued-fraction evaluation (modified Lentz) with the usual symmetry
@@ -118,14 +101,13 @@ def reg_inc_beta(x: float, a: float, b: float, tol: Tolerance = DEFAULT_TOL) -> 
         return 1.0
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x, tol) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x, tol) / b
+        return front * _beta_cont_frac(a, b, x) / a
+    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def _beta_cont_frac(a: float, b: float, x: float, tol: Tolerance) -> float:
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
     # Modified Lentz iteration for the incomplete-beta continued fraction.
     tiny = 1e-300
-    eps = min(tol.abs_eps, tol.rel_eps)
     qab = a + b
     qap = a + 1.0
     qam = a - 1.0
@@ -135,7 +117,7 @@ def _beta_cont_frac(a: float, b: float, x: float, tol: Tolerance) -> float:
         d = tiny
     d = 1.0 / d
     h = d
-    for m in range(1, tol.max_iter + 1):
+    for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
         # even step
         aa = m * (b - m) * x / ((qam + m2) * (a + m2))
@@ -158,9 +140,9 @@ def _beta_cont_frac(a: float, b: float, x: float, tol: Tolerance) -> float:
         d = 1.0 / d
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < eps:
+        if abs(delta - 1.0) < _CF_EPS:
             return h
     raise ConvergenceError(
-        f"incomplete beta continued fraction did not converge in {tol.max_iter} "
+        f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
         f"iterations for (x={x!r}, a={a!r}, b={b!r})"
     )

@@ -47,28 +47,19 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SteinReport:
-    """Per-state condition residuals, the remainder S, and proof-level bounds.
+    """Largest condition residuals, the remainder S, and proof-level bounds.
 
-    All rational fields are exact; the residual tuples are expected to be
-    identically zero (the conditions are identities, not approximations).
+    All rational fields are exact; both residual maxima are expected to be
+    zero (the conditions are identities, not approximations).
     """
 
-    lam: Fraction
-    cond1_residuals: tuple[Fraction, ...]
-    cond2_residuals: tuple[Fraction, ...]
+    cond1_max_abs: Fraction
+    cond2_max_abs: Fraction
     s_values: tuple[Fraction, ...]
     e_abs_s_exact: Fraction
     e_abs_s_bound: Fraction
     e_cubed_over_lambda_exact: Fraction
     e_cubed_over_lambda_bound: Fraction
-
-    @property
-    def cond1_max_abs(self) -> Fraction:
-        return max((abs(r) for r in self.cond1_residuals), default=Fraction(0))
-
-    @property
-    def cond2_max_abs(self) -> Fraction:
-        return max((abs(r) for r in self.cond2_residuals), default=Fraction(0))
 
     @property
     def conditions_exact(self) -> bool:
@@ -243,9 +234,8 @@ def stein_report(
     s_vals = tuple(Fraction(s, 2 * params.kernel_den) for s in _s_numerators(params))
     eabs, ebound = e_abs_s(params, pi)
     return SteinReport(
-        lam=params.lam,
-        cond1_residuals=verify_condition_1(params),
-        cond2_residuals=verify_condition_2(params),
+        cond1_max_abs=max(map(abs, verify_condition_1(params))),
+        cond2_max_abs=max(map(abs, verify_condition_2(params))),
         s_values=s_vals,
         e_abs_s_exact=eabs,
         e_abs_s_bound=ebound,

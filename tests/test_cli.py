@@ -182,6 +182,15 @@ class TestSweep:
         assert code == 0
         assert seen == [2]
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exits_2(self, capsys, jobs):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "3", "--a", "1", "--b", "1", "--jobs", jobs
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --jobs must be at least 1, got {jobs}\n"
+
     def test_invalid_grid_point_exits_2(self, capsys):
         code, _, err = run_cli(
             capsys, "sweep", "--n", "2,5", "--a", "1", "--b", "3", "--jobs", "1"
@@ -294,6 +303,30 @@ class TestInternalErrors:
         code, _, err = run_cli(capsys, command, "--n", "1", "--a", "1", "--b", "1")
         assert code == 2
         assert "a + b < 2n" in err
+
+
+OUT_COMMANDS = {
+    "report": ["report", "--n", "3", "--a", "1", "--b", "1"],
+    "sweep": ["sweep", "--n", "3", "--a", "1", "--b", "1", "--jobs", "1"],
+    "rate": ["rate", "--n", "5,10,20,40", "--a", "1", "--b", "1"],
+    "validate": [
+        "validate", "--n", "3", "--a", "1", "--b", "1", "--samples", "10", "--steps", "0"
+    ],
+}
+
+
+class TestUnwritableOut:
+    """An --out that cannot be written is a usage error: exit 2, one line."""
+
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("command", sorted(OUT_COMMANDS))
+    def test_exits_2(self, tmp_path, capsys, command, target):
+        out_path = tmp_path / "missing" / "x" if target == "missing_dir" else tmp_path
+        code, out, err = run_cli(capsys, *OUT_COMMANDS[command], "--out", str(out_path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: cannot write --out: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
 
 class TestRate:

@@ -11,25 +11,10 @@ from moranbeta import special
 from moranbeta.beta import BetaParams, cdf
 from moranbeta.special import (
     ConvergenceError,
-    Tolerance,
     log_beta,
     log_gamma,
     reg_inc_beta,
 )
-
-
-class TestTolerance:
-    def test_defaults(self):
-        tol = Tolerance()
-        assert tol.abs_eps == 1e-14 and tol.max_iter == 300
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [{"abs_eps": 0.0}, {"abs_eps": -1e-3}, {"rel_eps": 0.0}, {"max_iter": 0}],
-    )
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            Tolerance(**kwargs)
 
 
 class TestLogGamma:
@@ -167,7 +152,8 @@ class TestRegIncBeta:
         with pytest.raises(ValueError):
             reg_inc_beta(0.5, 1.0, -1.0)
 
-    def test_non_convergence_raises(self):
-        tiny_budget = Tolerance(abs_eps=1e-30, rel_eps=1e-30, max_iter=2)
+    def test_non_convergence_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_CF_EPS", 1e-30)
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 2)
         with pytest.raises(ConvergenceError):
-            reg_inc_beta(0.4, 2.0, 3.0, tol=tiny_budget)
+            reg_inc_beta(0.4, 2.0, 3.0)

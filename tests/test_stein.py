@@ -257,7 +257,7 @@ class TestReport:
     def test_bundle(self):
         p = ModelParams(2, 1, 1)
         rep = stein_report(p)
-        assert rep.lam == F(1, 16)
+        assert p.lam == F(1, 16)
         assert rep.conditions_exact
         assert rep.s_values == (F(1, 8), F(1, 32), F(0), F(1, 32), F(1, 8))
         assert rep.e_abs_s_exact == F(1, 20)
