@@ -161,14 +161,21 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
             g_hi = _cdf_integral(fbeta, hi, f_hi, beta_dist.pdf(fbeta, hi))
         else:  # f_Z(1) is infinite when b < 1
             f_hi, g_hi = 1.0, float(beta.b / (beta.a + beta.b))
+        # Each piece integrates |F_W - F_Z| >= 0; one that rounding takes
+        # below 0 adds nothing.
         if c <= f_lo:
-            total += g_hi - g_lo - c * (hi - lo)
+            total += max(g_hi - g_lo - c * (hi - lo), 0.0)
         elif c >= f_hi:
-            total += c * (hi - lo) - (g_hi - g_lo)
+            total += max(c * (hi - lo) - (g_hi - g_lo), 0.0)
         else:
             x, fz, dens = _crossing(fbeta, lo, hi, f_lo, f_hi, c)
-            total += c * (2.0 * x - lo - hi) + g_lo + g_hi
-            total -= 2.0 * _cdf_integral(fbeta, x, fz, dens)
+            rise = c * (2.0 * x - lo - hi) + g_lo + g_hi
+            fall = 2.0 * _cdf_integral(fbeta, x, fz, dens)
+            if rise > fall:
+                # Two steps, not total += rise - fall: that rounds
+                # differently and moves W1 in its last digits.
+                total += rise
+                total -= fall
         g_lo, f_lo = g_hi, f_hi
     return total
 

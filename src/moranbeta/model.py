@@ -14,15 +14,18 @@ Beta(a,b) variable.  Exact quantities are integers over one common
 denominator (see `ModelParams` and `stationary_ratio_product`); floating
 mirrors are their correctly rounded quotients, never the other way around.
 
-The stationary distribution comes from exact detailed-balance ratio
-products (the reference).  The closed Gamma-function formula and a
-power-iteration fixed point are independent floating oracles that the test
-suite checks it against.
+The stationary distribution (the reference) comes from exact
+detailed-balance ratios, walked state by state in integers after the
+factor (2n)! shared by every weight is divided out, so each state costs
+one multiply and one exact division by a small integer.  The closed
+Gamma-function formula and a power-iteration fixed point are independent
+floating oracles that the test suite checks it against.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
@@ -84,14 +87,17 @@ class ModelParams:
     """Population scale n and rescaled mutation rates (a, b) = (2nv, 2nu).
 
     Requires a > 0, b > 0 and a + b < 2n, so u + v < 1 and the closed-form
-    constants of the stationary law stay finite and positive.  With
+    constants of the stationary law stay finite and positive; a and b must
+    also be at least the smallest normal float, so the float shapes of the
+    Beta target are normal positive numbers.  With
     q = lcm(den a, den b), qa = q a, qb = q b, m = 2n and kernel_den = q m^3,
 
         p(i,i-1) = D_i / kernel_den,  D_i = i(m-i)(qm - qa) + qb i^2,
         p(i,i+1) = U_i / kernel_den,  U_i = i(m-i)(qm - qb) + qa (m-i)^2;
 
     `down_poly` and `up_poly` hold the coefficients of D and U in powers of
-    i.  Construction checks p(i,i) >= 0 in every row.
+    i.  Construction builds the rows (D_i) and (U_i) once, checks
+    p(i,i) >= 0 in every row and keeps them for `kernel_rows`.
     """
 
     n: int
@@ -103,6 +109,9 @@ class ModelParams:
     down_poly: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     up_poly: tuple[int, int, int] = field(init=False, repr=False, compare=False)
     kernel_den: int = field(init=False, repr=False, compare=False)
+    _rows: tuple[tuple[int, ...], tuple[int, ...]] = field(
+        init=False, repr=False, compare=False
+    )
 
     def __init__(self, n: int, a: RationalLike, b: RationalLike) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -115,15 +124,23 @@ class ModelParams:
                 f"need a + b < 2n for a valid mutation regime, got "
                 f"a + b = {a + b} with 2n = {2 * n}"
             )
+        if min(float(a), float(b)) < sys.float_info.min:
+            raise ValueError(
+                f"mutation parameters must be at least {sys.float_info.min!r} "
+                f"(the smallest normal float), got a={float(a)!r}, b={float(b)!r}"
+            )
         m = 2 * n
         q = math.lcm(a.denominator, b.denominator)
         qa, qb, qm = int(q * a), int(q * b), q * m
+        down_poly = (0, m * (qm - qa), qa + qb - qm)
+        up_poly = (qa * m * m, m * (qm - qb - 2 * qa), qa + qb - qm)
+        down = tuple(_quadratic(down_poly, i) for i in range(m + 1))
+        up = tuple(_quadratic(up_poly, i) for i in range(m + 1))
         self.__dict__.update(  # frozen: set the fields once, past __setattr__
             n=n, a=a, b=b, q=q, qa=qa, qb=qb, kernel_den=qm * m * m,
-            down_poly=(0, m * (qm - qa), qa + qb - qm),
-            up_poly=(qa * m * m, m * (qm - qb - 2 * qa), qa + qb - qm),
+            down_poly=down_poly, up_poly=up_poly, _rows=(down, up),
         )
-        for i, (d, u) in enumerate(zip(*self.kernel_rows())):
+        for i, (d, u) in enumerate(zip(down, up)):
             if d + u > self.kernel_den:
                 raise ValueError(
                     f"kernel row {i} has negative holding probability p(i,i); "
@@ -150,11 +167,9 @@ class ModelParams:
         """The exchangeable-pair scaling constant 1/(4n^2)."""
         return Fraction(1, 4 * self.n * self.n)
 
-    def kernel_rows(self) -> tuple[list[int], list[int]]:
+    def kernel_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
-        states = range(2 * self.n + 1)
-        down = [_quadratic(self.down_poly, i) for i in states]
-        return down, [_quadratic(self.up_poly, i) for i in states]
+        return self._rows
 
 
 def _quadratic(coef: tuple[int, int, int], i: int) -> int:
@@ -253,19 +268,37 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     """Stationary law via exact detailed-balance ratios.
 
     For a birth-death chain, pi(i+1)/pi(i) = p(i,i+1)/p(i+1,i) = U_i/D_{i+1},
-    so pi(i) = w_i / sum_j w_j with the integer weights
-    w_i = (prod_{k<i} U_k)(prod_{k>i} D_k): suffix products of D times a
-    running prefix product of U.  This is the reference representation of pi.
+    so pi(i) is proportional to (prod_{k<i} U_k)(prod_{k>i} D_k).  With
+    m = 2n both numerators factor as D_k = k d_k and U_k = (m-k) u_k, where
+
+        d_k = (m-k)(qm - qa) + qb k,   u_k = k(qm - qb) + qa (m-k),
+
+    so that product is m! w_i with the integer weights
+
+        w_i = C(m, i) (prod_{k<i} u_k)(prod_{k>i} d_k).
+
+    w_0 = prod_{k>=1} d_k comes from a balanced product tree, and the walk
+    w_{i+1} = w_i (m-i) u_i / ((i+1) d_{i+1}) divides exactly, one
+    big-by-small multiply and division per state.  pi(i) = w_i / sum_j w_j
+    is the reference representation of pi.
     """
-    down, up = params.kernel_rows()
-    weights = [1] * len(down)
-    for i in range(len(down) - 1, 0, -1):
-        weights[i - 1] = weights[i] * down[i]
-    prefix = 1
-    for i, u in enumerate(up):
-        weights[i] *= prefix
-        prefix *= u
+    m, qa, qb = 2 * params.n, params.qa, params.qb
+    qm = params.q * m
+    down = [(m - k) * (qm - qa) + qb * k for k in range(m + 1)]
+    up = [k * (qm - qb) + qa * (m - k) for k in range(m + 1)]
+    w = _product(down[1:])
+    weights = [w]
+    for i in range(m):
+        w = w * ((m - i) * up[i]) // ((i + 1) * down[i + 1])
+        weights.append(w)
     return LatticeDistribution.from_weights(params.n, weights, sum(weights))
+
+
+def _product(xs: list[int]) -> int:
+    # Balanced product tree: multiplies operands of similar size.
+    while len(xs) > 1:
+        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
+    return xs[0]
 
 
 def closed_form_log_weights(params: ModelParams) -> np.ndarray:

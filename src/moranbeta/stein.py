@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .distance import gap_h
 from .model import LatticeDistribution, ModelParams, stationary_ratio_product
@@ -140,9 +141,11 @@ def _s_form(params: ModelParams, p: int, r: int) -> int:
     return 2 * (qa + qb) * p * p - (3 * qa + qb) * p * r + qa * r * r
 
 
-def _s_numerators(params: ModelParams) -> list[int]:
-    # S(i/2n) * 2 kernel_den for i = 0..2n.
-    return [_s_form(params, i, 2 * params.n) for i in range(2 * params.n + 1)]
+@lru_cache(maxsize=1)
+def _s_numerators(params: ModelParams) -> tuple[int, ...]:
+    # S(i/2n) * 2 kernel_den for i = 0..2n; kept for the point in progress,
+    # which reads them for s_values, condition 2 and E|S|.
+    return tuple(_s_form(params, i, 2 * params.n) for i in range(2 * params.n + 1))
 
 
 def verify_condition_1(params: ModelParams) -> tuple[Fraction, ...]:

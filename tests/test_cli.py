@@ -97,6 +97,21 @@ class TestReport:
         assert code == 2
         assert "a + b < 2n" in err
 
+    @pytest.mark.parametrize("a", ["1e-400", "1e-310"])
+    def test_rejects_shapes_below_normal_float(self, capsys, a):
+        code, out, err = run_cli(capsys, "report", "--n", "10", "--a", a, "--b", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: mutation parameters must be at least")
+        assert err.count("\n") == 1
+
+    def test_tiny_normal_shape_prints_valid_json(self, capsys):
+        def reject(name):
+            raise ValueError(f"not JSON: {name}")
+
+        code, out, _ = run_cli(capsys, "report", "--n", "10", "--a", "1e-300", "--b", "1")
+        assert code == 0
+        assert json.loads(out, parse_constant=reject)["distance"]["wasserstein"] >= 0.0
+
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])

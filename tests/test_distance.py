@@ -135,6 +135,13 @@ class TestWasserstein:
         w1 = wasserstein(lattice, BetaParams(a, b))
         assert 0.0 <= w1 <= 1.0 / (2 * n) + 1e-9
 
+    @pytest.mark.parametrize("a,b", [(F("1e-30"), 1), (1, F("1e-30"))])
+    def test_nonnegative_at_tiny_shapes(self, a, b):
+        # Both laws sit almost entirely on one endpoint, so every piece is
+        # rounding noise around 0; none may pull the sum below it.
+        pi = stationary_ratio_product(ModelParams(10, a, b))
+        assert 0.0 <= wasserstein(pi, BetaParams(a, b)) <= 1e-13
+
     def test_dominates_mean_difference(self):
         # both laws share the mean a/(a+b); consistency, not tightness
         p = ModelParams(5, 2, 3)

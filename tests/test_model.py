@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from moranbeta import model
@@ -22,6 +22,7 @@ from moranbeta.model import (
     stationary_ratio_product,
     transition,
 )
+from moranbeta.stein import stein_report
 
 F = Fraction
 
@@ -67,6 +68,27 @@ class TestModelParams:
     def test_rejects_bad_n(self, n):
         with pytest.raises(ValueError):
             ModelParams(n, 1, 1)
+
+    @pytest.mark.parametrize(
+        "a,b", [("1e-400", 1), (1, "1e-400"), ("1e-310", 1), (1, "1e-310")]
+    )
+    def test_rejects_shapes_below_normal_float(self, a, b):
+        # Zero or subnormal as floats: the Beta target and its constants
+        # would see a zero shape or overflow.
+        with pytest.raises(ValueError, match="smallest normal float"):
+            ModelParams(10, a, b)
+
+    def test_accepts_tiny_normal_shapes(self):
+        p = ModelParams(10, "1e-300", 1)
+        assert p.a == F(1, 10**300)
+
+    def test_kernel_rows_built_once(self):
+        p = ModelParams(3, F(1, 2), 2)
+        down, up = p.kernel_rows()
+        assert p.kernel_rows() is p.kernel_rows()
+        assert isinstance(down, tuple) and isinstance(up, tuple)
+        assert p == ModelParams(3, F(1, 2), 2)
+        assert repr(p) == "ModelParams(n=3, a=Fraction(1, 2), b=Fraction(2, 1))"
 
 
 class TestTransition:
@@ -124,6 +146,33 @@ class TestStationaryRatioProduct:
         p = ModelParams(5, 2, 3)
         pi = stationary_ratio_product(p)
         assert apply_kernel_exact(p, pi.probs_exact) == pi.probs_exact
+
+    @given(valid_params())
+    @example(ModelParams(1, F(1, 2), F(1, 3)))
+    @example(ModelParams(1, F(9973, 10**4), F(9999, 9973)))
+    def test_walk_matches_ratio_product_definition(self, p):
+        # pi(i) proportional to prod_{k<i} U_k prod_{k>i} D_k, built the
+        # slow way from the kernel rows and compared as reduced fractions.
+        down, up = p.kernel_rows()
+        size = 2 * p.n + 1
+        brute = [
+            math.prod(up[:i]) * math.prod(down[i + 1 :]) for i in range(size)
+        ]
+        want = [F(w, sum(brute)) for w in brute]
+        pi = stationary_ratio_product(p)
+        assert pi.probs_exact == tuple(want)
+        assert [float(x) for x in want] == pi.probs.tolist()
+
+    def test_large_n_stays_exact(self):
+        p = ModelParams(2000, F(7, 3), F(11, 5))
+        pi = stationary_ratio_product(p)
+        down, up = p.kernel_rows()
+        w = pi.weights
+        assert all(w[i] * up[i] == w[i + 1] * down[i + 1] for i in range(2 * p.n))
+        # sum_i pi(i) = 1 exactly, read off the integers: reducing 4001
+        # Fractions of about 10^5 bits would take minutes.
+        assert sum(w) == pi.total
+        assert stein_report(p, pi).caps_ok
 
 
 class TestStationaryClosedForm:

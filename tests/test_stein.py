@@ -265,3 +265,14 @@ class TestReport:
         assert rep.e_cubed_over_lambda_exact == F(1, 10)
         assert rep.e_cubed_over_lambda_bound == F(1, 4)
         assert rep.cond1_max_abs == 0 and rep.cond2_max_abs == 0
+
+    def test_s_numerators_built_once(self, monkeypatch):
+        calls = []
+        form = stein._s_form
+        monkeypatch.setattr(
+            stein, "_s_form", lambda *args: calls.append(args) or form(*args)
+        )
+        stein._s_numerators.cache_clear()
+        rep = stein_report(ModelParams(3, 1, 2))
+        assert len(calls) == 7  # one per state
+        assert rep.conditions_exact and rep.caps_ok
