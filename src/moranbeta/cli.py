@@ -15,7 +15,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from decimal import Decimal
@@ -39,6 +38,7 @@ from .stein import (
     BoundCertificate,
     SteinReport,
     bound_certificate,
+    k_constant,
     stein_report,
     upper_bound_assembled,
 )
@@ -196,6 +196,13 @@ def _write_output(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out: {exc}") from exc
 
 
+def _require_finite_k(a: Fraction, b: Fraction) -> None:
+    """Reject shapes whose K(a,b) is not a finite float (a usage error): the
+    certificate could not print its upper bound as JSON or compare it."""
+    if not math.isfinite(k_constant(a, b)):
+        raise ValueError(f"K(a,b) is not a finite float at a={float(a)}, b={float(b)}")
+
+
 def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, float]:
     """W1 and Kolmogorov distances of the lattice law to Beta(a, b)."""
     beta = BetaParams(params.a, params.b)
@@ -276,7 +283,9 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    point = compute_point(ModelParams(args.n, args.a, args.b))
+    params = ModelParams(args.n, args.a, args.b)
+    _require_finite_k(params.a, params.b)
+    point = compute_point(params)
     payload = _report_payload(point, args.r_max, args.exact)
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if point.ok else 1
@@ -296,6 +305,10 @@ def _compute_rows(
     workers = min(jobs, len(tasks))
     if workers <= 1:
         return [_sweep_row(t) for t in tasks]
+    # Imported here: the pool's modules cost every other invocation start-up
+    # time and memory.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_sweep_row, tasks, chunksize=1))
 
@@ -329,7 +342,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     config = SweepConfig(a_values=args.a, b_values=args.b, n_values=args.n)
-    results = _compute_rows(config.points(), args.jobs)
+    points = config.points()
+    for a, b, _ in points:
+        _require_finite_k(a, b)
+    results = _compute_rows(points, args.jobs)
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
     _write_output(render([values for values, _ in results], args.exact), args.out)
     return 0 if all(ok for _, ok in results) else 1

@@ -3,12 +3,20 @@
 Deliberately minimal: log-gamma, log-beta, and the regularized incomplete
 beta function are all that the stationary formula and the Beta distribution
 function require.
+
+The incomplete beta function has one implementation, over float arrays: the
+distances evaluate it at every lattice atom at once, and `reg_inc_beta` runs
+it on a one-element array.  Logarithms and exponentials go through `math`
+and numpy does only + - * /, so every array value is bit-identical to the
+scalar formula.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+
+import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -99,50 +107,73 @@ def reg_inc_beta(x: float, a: float, b: float) -> float:
         return 0.0
     if x == 1.0:
         return 1.0
-    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+    return float(_reg_inc_beta_interior(np.array([x]), a, b)[0])
 
 
-def _beta_cont_frac(a: float, b: float, x: float) -> float:
-    # Modified Lentz iteration for the incomplete-beta continued fraction.
-    tiny = 1e-300
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < tiny:
-        d = tiny
-    d = 1.0 / d
+def _libm(fn, v: np.ndarray) -> np.ndarray:
+    # fn (math.log, math.log1p or math.exp) at every element, through libm
+    # like the scalar formulas, so that each value is the scalar one.
+    return np.fromiter(map(fn, v.tolist()), float, v.size)
+
+
+def _logs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # ln x and ln(1-x) at every 0 < x < 1.
+    return _libm(math.log, x), _libm(math.log1p, -x)
+
+
+def _reg_inc_beta_interior(
+    x: np.ndarray, a: float, b: float, logs: tuple[np.ndarray, np.ndarray] | None = None
+) -> np.ndarray:
+    # I_x(a,b) at every 0 < x < 1 of a float array, for float shapes a, b > 0;
+    # `logs` are _logs(x) when the caller has them already.
+    log_x, log_1mx = _logs(x) if logs is None else logs
+    front = _libm(math.exp, a * log_x + b * log_1mx - log_beta(a, b))
+    low = x < (a + 1.0) / (a + b + 2.0)
+    p = np.where(low, a, b)
+    part = front * _beta_cont_frac(p, np.where(low, b, a), np.where(low, x, 1.0 - x)) / p
+    return np.where(low, part, 1.0 - part)
+
+
+def _floor_tiny(v: np.ndarray) -> np.ndarray:
+    # Lentz's guard, in place: a denominator that vanishes becomes a tiny one.
+    v[np.abs(v) < 1e-300] = 1e-300
+    return v
+
+
+def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # Modified Lentz iteration for the incomplete-beta continued fraction,
+    # elementwise; an element leaves the iteration once its own factor is
+    # within _CF_EPS of 1, so every value is the one a scalar loop returns.
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = np.ones_like(x)
+    d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
     h = d
     for m in range(1, _CF_MAX_ITER + 1):
         m2 = 2 * m
+        am2 = a + m2
         # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
+        aa = m * (b - m) * x / ((qam + m2) * am2)
+        d = 1.0 / _floor_tiny(1.0 + aa * d)
+        c = _floor_tiny(1.0 + aa / c)
+        h = h * (d * c)
         # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
+        aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
+        d = 1.0 / _floor_tiny(1.0 + aa * d)
+        c = _floor_tiny(1.0 + aa / c)
         delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
-            return h
+        h = h * delta
+        done = np.abs(delta - 1.0) < _CF_EPS
+        if np.count_nonzero(done):
+            out[idx[done]] = h[done]
+            if done.all():
+                return out
+            live = ~done
+            idx, a, b, x, qab, qap, qam, c, d, h = (
+                v[live] for v in (idx, a, b, x, qab, qap, qam, c, d, h)
+            )
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
-        f"iterations for (x={x!r}, a={a!r}, b={b!r})"
+        f"iterations for (x={float(x[0])!r}, a={float(a[0])!r}, b={float(b[0])!r})"
     )

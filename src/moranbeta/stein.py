@@ -21,6 +21,7 @@ function h(x) = x(1-x)/2, whose expectation gap has an exact closed form.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -148,17 +149,28 @@ def _s_numerators(params: ModelParams) -> tuple[int, ...]:
     return tuple(_s_form(params, i, 2 * params.n) for i in range(2 * params.n + 1))
 
 
+def _cond1_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
+    # Numerators of the condition 1 residuals over their one denominator.
+    m, qa, qb = 2 * params.n, params.qa, params.qb
+    rows = enumerate(zip(*params.kernel_rows()))
+    return (u - d - m * (qa * m - (qa + qb) * i) for i, (d, u) in rows), params.q * m * m
+
+
+def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
+    # Numerators of the condition 2 residuals over their one denominator.
+    m, q = 2 * params.n, params.q
+    rows = enumerate(zip(*params.kernel_rows(), _s_numerators(params)))
+    return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
+
+
 def verify_condition_1(params: ModelParams) -> tuple[Fraction, ...]:
     """Exact residuals of the linear-regression identity at every state.
 
     LHS = 4n^2 (1/2n) [p(i,i+1) - p(i,i-1)]; RHS = a - (a+b) i/(2n).
     Both sides are rational, so a correct kernel yields residuals == 0.
     """
-    m, qa, qb = 2 * params.n, params.qa, params.qb
-    return tuple(
-        Fraction(u - d - m * (qa * m - (qa + qb) * i), params.q * m * m)
-        for i, (d, u) in enumerate(zip(*params.kernel_rows()))
-    )
+    nums, den = _cond1_residuals(params)
+    return tuple(Fraction(r, den) for r in nums)
 
 
 def s_remainder(params: ModelParams, w: Fraction) -> Fraction:
@@ -175,12 +187,8 @@ def verify_condition_2(params: ModelParams) -> tuple[Fraction, ...]:
 
     LHS = 2n^2 (1/2n)^2 [p(i,i+1) + p(i,i-1)]; RHS = w(1-w) + S(w).
     """
-    m = 2 * params.n
-    down, up = params.kernel_rows()
-    return tuple(
-        Fraction(u + d - 2 * params.q * m * i * (m - i) - s, 2 * params.kernel_den)
-        for i, (d, u, s) in enumerate(zip(down, up, _s_numerators(params)))
-    )
+    nums, den = _cond2_residuals(params)
+    return tuple(Fraction(r, den) for r in nums)
 
 
 def e_abs_s(
@@ -234,11 +242,12 @@ def stein_report(
     """Full exact verification bundle for one parameter point."""
     if pi is None:
         pi = stationary_ratio_product(params)
+    (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
     s_vals = tuple(Fraction(s, 2 * params.kernel_den) for s in _s_numerators(params))
     eabs, ebound = e_abs_s(params, pi)
     return SteinReport(
-        cond1_max_abs=max(map(abs, verify_condition_1(params))),
-        cond2_max_abs=max(map(abs, verify_condition_2(params))),
+        cond1_max_abs=Fraction(max(map(abs, res1)), den1),
+        cond2_max_abs=Fraction(max(map(abs, res2)), den2),
         s_values=s_vals,
         e_abs_s_exact=eabs,
         e_abs_s_bound=ebound,

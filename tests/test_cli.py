@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
+import concurrent.futures
 import json
 import os
 import subprocess
@@ -31,11 +32,12 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_skips_scipy_and_mpmath():
-    # Start-up cost is part of every invocation; the heavy modules are
-    # test-only oracles.
+    # Start-up cost is part of every invocation; scipy and mpmath are
+    # test-only oracles, and the process pool loads only for a parallel sweep.
     script = (
         "import sys, moranbeta.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'mpmath', 'multiprocessing') "
+        "if m in sys.modules))"
     )
     src = str(Path(moranbeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -111,6 +113,14 @@ class TestReport:
         code, out, _ = run_cli(capsys, "report", "--n", "10", "--a", "1e-300", "--b", "1")
         assert code == 0
         assert json.loads(out, parse_constant=reject)["distance"]["wasserstein"] >= 0.0
+
+    @pytest.mark.parametrize("a,b", [("1e-307", "1"), ("3e-308", "1"), ("1", "1e-307")])
+    def test_rejects_shapes_whose_k_overflows(self, capsys, a, b):
+        # K(a,b) = inf would print "upper": Infinity, which is not JSON.
+        code, out, err = run_cli(capsys, "report", "--n", "10", "--a", a, "--b", b)
+        assert code == 2 and out == ""
+        assert err.startswith("error: K(a,b) is not a finite float")
+        assert err.count("\n") == 1
 
     def test_unknown_command_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -190,12 +200,20 @@ class TestSweep:
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
         code, _, _ = run_cli(
             capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"
         )
         assert code == 0
         assert seen == [2]
+
+    def test_rejects_shapes_whose_k_overflows(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "10", "--a", "1,1e-307", "--b", "1", "--jobs", "1"
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: K(a,b) is not a finite float")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):

@@ -5,7 +5,10 @@ from itertools import accumulate
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from moranbeta import distance, special
 from moranbeta.beta import BetaParams, cdf, expected_h, pdf
 from moranbeta.distance import (
     _cdf_integral,
@@ -18,6 +21,7 @@ from moranbeta.distance import (
 )
 from moranbeta.model import LatticeDistribution, ModelParams, stationary_ratio_product
 from moranbeta.moments import moment_recursion
+from moranbeta.special import ConvergenceError
 from moranbeta.stein import lower_bound
 
 F = Fraction
@@ -90,6 +94,66 @@ class TestPeriodicExtension:
         g = np.array([periodic_extension_g(float(x)) for x in xs])
         d1 = np.abs((g[2:] - g[:-2]) * res / 2.0).max()
         assert d1 == pytest.approx(0.5, abs=1e-3)
+
+
+RATIONAL = st.fractions(min_value=F(1, 1000), max_value=50, max_denominator=1000)
+TINY = st.sampled_from([F("1e-30"), F("1e-300")])
+SHAPES = st.one_of(RATIONAL, TINY)
+
+
+def scalar_atom_cdfs(n, a, b):
+    """F_Z at the atoms i/(2n), one scalar `beta.cdf` call each."""
+    fbeta = BetaParams(float(a), float(b))
+    return [cdf(fbeta, i / (2 * n)) for i in range(2 * n + 1)]
+
+
+class TestAtomPass:
+    @settings(max_examples=25)
+    @given(st.integers(1, 300), SHAPES, SHAPES)
+    def test_atom_cdfs_match_scalar_cdf_bitwise(self, n, a, b):
+        fz, _ = distance._atoms(2 * n, BetaParams(a, b))
+        assert fz.tolist() == scalar_atom_cdfs(n, a, b)
+
+    @settings(max_examples=25)
+    @given(st.integers(1, 300), RATIONAL, RATIONAL, st.one_of(st.none(), TINY))
+    def test_kolmogorov_matches_scalar_loop_bitwise(self, n, a, b, tiny):
+        assume(a + b < 2 * n)
+        pi = stationary_ratio_product(ModelParams(n, a, b))
+        if tiny is not None:  # exact pi at tiny shapes is slow; move the target
+            a = tiny
+        best, prev = 0.0, 0.0
+        for c, fz in zip(np.cumsum(pi.probs), scalar_atom_cdfs(n, a, b)):
+            best = max(best, abs(c - fz), abs(prev - fz))
+            prev = c
+        assert kolmogorov(pi, BetaParams(a, b)) == best
+
+    def test_runs_once_for_both_distances(self):
+        pi = stationary_ratio_product(ModelParams(30, F(2, 7), F(9, 4)))
+        beta = BetaParams(F(2, 7), F(9, 4))
+        distance._atoms.cache_clear()
+        wasserstein(pi, beta)
+        kolmogorov(pi, beta)
+        info = distance._atoms.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_cached_arrays_are_read_only(self):
+        fz, g = distance._atoms(10, BetaParams(1, 2))
+        assert not fz.flags.writeable and not g.flags.writeable
+
+    def test_continued_fraction_budget_raises(self, monkeypatch):
+        monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
+        distance._atoms.cache_clear()
+        pi = stationary_ratio_product(ModelParams(20, F(5, 2), F(7, 3)))
+        with pytest.raises(ConvergenceError, match="did not converge in 3"):
+            wasserstein(pi, BetaParams(F(5, 2), F(7, 3)))
+
+    def test_non_finite_cdf_raises(self):
+        # At these shapes the Beta CDF rounds to NaN; no distance may be
+        # printed from it.
+        beta = BetaParams(F("2.3e-308"), F("3e-308"))
+        distance._atoms.cache_clear()
+        with pytest.raises(FloatingPointError):
+            distance._atoms(20, beta)
 
 
 def point_mass_at_half():

@@ -52,6 +52,14 @@ def valid_params(draw):
     return ModelParams(n, a, b)
 
 
+class TestConditionMaxima:
+    @given(valid_params())
+    def test_report_maxima_match_residual_tuples(self, p):
+        rep = stein_report(p)
+        assert rep.cond1_max_abs == max(map(abs, verify_condition_1(p)))
+        assert rep.cond2_max_abs == max(map(abs, verify_condition_2(p)))
+
+
 class TestCConstant:
     def test_diagonal_below_one(self):
         assert c_constant(0.5, 0.5) == 4.0
