@@ -2,23 +2,13 @@
 of the two-allele Moran model's stationary law."""
 
 from .beta import BetaParams
-from .distance import (
-    gap_h,
-    kolmogorov,
-    membership_check_g,
-    periodic_extension_g,
-    wasserstein,
-)
+from .distance import gap_h, kolmogorov, wasserstein
 from .model import (
     LatticeDistribution,
     ModelParams,
-    TransitionTriple,
-    power_iteration_oracle,
     sample_stationary,
     simulate_chain,
-    stationary_closed_form,
     stationary_ratio_product,
-    transition,
 )
 from .moments import moment_recursion
 from .special import ConvergenceError, log_beta, log_gamma, reg_inc_beta
@@ -47,7 +37,6 @@ __all__ = [
     "LatticeDistribution",
     "ModelParams",
     "SteinReport",
-    "TransitionTriple",
     "bound_certificate",
     "c_constant",
     "e_abs_s",
@@ -57,19 +46,14 @@ __all__ = [
     "log_beta",
     "log_gamma",
     "lower_bound",
-    "membership_check_g",
     "moment_recursion",
-    "periodic_extension_g",
-    "power_iteration_oracle",
     "reg_inc_beta",
     "s_remainder",
     "sample_stationary",
     "simulate_chain",
-    "stationary_closed_form",
     "stationary_ratio_product",
     "stein_report",
     "third_moment_ratio",
-    "transition",
     "upper_bound_assembled",
     "verify_condition_1",
     "verify_condition_2",

@@ -77,6 +77,14 @@ RATE_SLOPE_WINDOW = (-1.05, -0.95)
 # Fewest batch-means batches behind validate's chain standard errors.
 MIN_BATCHES = 10
 
+# Smallest shape whose distances are reported.  W1 is accurate to about
+# 1e-13 absolute, while at a tiny shape the true distance is of the order of
+# the shape: at n=10, a=2.3e-308, b=3e-308 it came out 1.1e-13 where a
+# 30-digit mpmath oracle gives below 1e-31.  Below 1e-300, where ln Gamma of
+# a shape needs its recurrence (see special.log_gamma), such points are
+# refused as a usage error rather than reported.
+MIN_SHAPE = 1e-300
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -168,6 +176,16 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
 
 
+def parse_positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def fmt(x: float) -> str:
     """Decimal rendering with 17 significant digits (CSV contract)."""
     return format(float(x), ".17g")
@@ -201,6 +219,17 @@ def _require_finite_k(a: Fraction, b: Fraction) -> None:
     certificate could not print its upper bound as JSON or compare it."""
     if not math.isfinite(k_constant(a, b)):
         raise ValueError(f"K(a,b) is not a finite float at a={float(a)}, b={float(b)}")
+
+
+def _require_resolved_shapes(*shapes: Fraction) -> None:
+    """Reject shapes below MIN_SHAPE (a usage error): their distances would
+    be rounding noise."""
+    for x in shapes:
+        if float(x) < MIN_SHAPE:
+            raise ValueError(
+                f"shapes below {MIN_SHAPE} are not supported, got {float(x)!r}: "
+                f"the distances there are rounding noise"
+            )
 
 
 def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, float]:
@@ -285,6 +314,7 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
 def cmd_report(args: argparse.Namespace) -> int:
     params = ModelParams(args.n, args.a, args.b)
     _require_finite_k(params.a, params.b)
+    _require_resolved_shapes(params.a, params.b)
     point = compute_point(params)
     payload = _report_payload(point, args.r_max, args.exact)
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
@@ -345,6 +375,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     points = config.points()
     for a, b, _ in points:
         _require_finite_k(a, b)
+        _require_resolved_shapes(a, b)
     results = _compute_rows(points, args.jobs)
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
     _write_output(render([values for values, _ in results], args.exact), args.out)
@@ -364,6 +395,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise ValueError("rate fitting needs at least 4 distinct n values")
     if max(ns) < 8 * min(ns):
         raise ValueError("rate fitting needs n values spanning a factor of 8")
+    _require_resolved_shapes(*args.a, *args.b)
     fits = []
     all_ok = True
     for a in sorted(set(args.a)):
@@ -418,6 +450,28 @@ def _freq_section(
     }
 
 
+def _chain_se_floor(
+    se: np.ndarray, freqs: np.ndarray, exact: np.ndarray, count: int
+) -> np.ndarray:
+    """Lower bound on the chain's SE at each state under the law `exact`.
+
+    Batch means see no spread at a state that no batch visited, or that one
+    batch visited once, so their SE there is 0 or tiny, and any positive
+    pi(i) would lie (almost) infinitely many SE away.  The floor is the
+    binomial SE of `count` i.i.d. draws, sqrt(pi(1-pi)/count), inflated by
+    tau, the median over the states with a positive batch-means SE of that
+    variance divided by the i.i.d. variance of their observed frequencies: a
+    typical autocorrelation time of the chain's occupation indicators.  tau comes
+    from the path alone, so a wrong `exact` cannot widen it.  It is assumed
+    to be at least 1: successive states of the chain are positively
+    correlated, so its frequencies vary at least as much as i.i.d. draws do.
+    """
+    seen = (se > 0) & (freqs > 0) & (freqs < 1)
+    ratios = se[seen] ** 2 * count / (freqs[seen] * (1.0 - freqs[seen]))
+    tau = max(float(np.median(ratios)), 1.0) if ratios.size else 1.0
+    return np.sqrt(tau * exact * (1.0 - exact) / count)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     params = ModelParams(args.n, args.a, args.b)
     if min(args.samples, args.steps, args.burn_in) < 0:
@@ -453,6 +507,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
                 [np.bincount(row, minlength=size) / batches.shape[1] for row in batches]
             )
             se = batch_freqs.std(axis=0, ddof=1) / math.sqrt(n_batches)
+            se = np.maximum(se, _chain_se_floor(se, counts / len(kept), exact, len(kept)))
             section = _freq_section(counts, len(kept), exact, se)
             section["burn_in"] = args.burn_in
             section["batches"] = int(n_batches)
@@ -476,7 +531,8 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=int, required=True, help="population scale n")
     rep.add_argument("--a", type=parse_rational, required=True, help="a = 2nv, 'p/q' or decimal")
     rep.add_argument("--b", type=parse_rational, required=True, help="b = 2nu, 'p/q' or decimal")
-    rep.add_argument("--r-max", type=int, default=8, help="highest moment order")
+    rep.add_argument("--r-max", type=parse_positive_int, default=8,
+                     help="highest moment order (at least 1)")
     rep.add_argument("--exact", action="store_true", help="include exact p/q fields")
     rep.add_argument("--out", default=None, help="write to FILE instead of stdout")
     rep.set_defaults(func=cmd_report)

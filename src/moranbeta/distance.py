@@ -3,8 +3,10 @@
 Three quantities are reported:
 
 * the exact test-function gap |E h(W) - E h(Z)| for h(x) = x(1-x)/2, a
-  rational closed form and a certified lower bound on the smooth-test
-  distance (h extends to a periodic function g with |g'|, |g''| <= 1);
+  rational closed form and a lower bound on the smooth-test distance: h
+  extends to the 2-periodic alternating function g (g = h on [0,1],
+  g(x) = -g(x-1)), which has |g'|, |g''| <= 1 and so is a valid test
+  function (the test suite checks this on a grid);
 * the Wasserstein distance, integral |F_W - F_Z| over [0,1], in closed
   form from an antiderivative of the Beta CDF (see `wasserstein`);
 * the Kolmogorov distance sup |F_W - F_Z|, attained at the atoms because
@@ -30,8 +32,6 @@ from .special import ConvergenceError, _libm, _logs, _reg_inc_beta_interior, log
 __all__ = [
     "gap_h",
     "expected_h_lattice",
-    "periodic_extension_g",
-    "membership_check_g",
     "wasserstein",
     "kolmogorov",
 ]
@@ -57,50 +57,6 @@ def gap_h(params: ModelParams) -> Fraction:
     ehz = beta_dist.expected_h(BetaParams(params.a, params.b))
     ehw = expected_h_lattice(params)
     return abs(ehz - ehw)
-
-
-def periodic_extension_g(x: float) -> float:
-    """The 2-periodic alternating extension of h(x) = x(1-x)/2.
-
-    Equals h on [0,1], -h(x-1) on [1,2], and so on; continuously
-    differentiable with |g'| <= 1/2 and |g''| = 1 almost everywhere, hence a
-    valid smooth test function witnessing the lower bound.
-    """
-    k = math.floor(x)
-    t = x - k
-    h = 0.5 * t * (1.0 - t)
-    return h if k % 2 == 0 else -h
-
-
-def membership_check_g(grid_resolution: int) -> bool:
-    """Check |g'| <= 1 and |g''| <= 1 on a dense grid over [-3,3].
-
-    Uses central finite differences plus continuity of g and g' at the
-    integer junctions; everything must hold within 1e-8.
-    """
-    if grid_resolution < 100:
-        raise ValueError("grid_resolution must be at least 100")
-    slack = 1e-8
-    h = 1.0 / grid_resolution
-    xs = np.arange(-3 * grid_resolution, 3 * grid_resolution + 1) * h
-    g = np.array([periodic_extension_g(x) for x in xs])
-    d1 = (g[2:] - g[:-2]) / (2.0 * h)
-    d2 = (g[2:] - 2.0 * g[1:-1] + g[:-2]) / (h * h)
-    if np.abs(d1).max() > 1.0 + slack or np.abs(d2).max() > 1.0 + slack:
-        return False
-    eps_cont = 1e-9
-    eps_slope = 1e-5  # secant slopes; the curvature flip cancels the O(eps) term
-    for k in range(-2, 3):
-        mid = periodic_extension_g(float(k))
-        left = periodic_extension_g(k - eps_cont)
-        right = periodic_extension_g(k + eps_cont)
-        if abs(left - mid) > slack or abs(right - mid) > slack:
-            return False
-        slope_left = (mid - periodic_extension_g(k - eps_slope)) / eps_slope
-        slope_right = (periodic_extension_g(k + eps_slope) - mid) / eps_slope
-        if abs(slope_left - slope_right) > slack:
-            return False
-    return True
 
 
 def _cdf_integral(beta: BetaParams, x, fz, dens):

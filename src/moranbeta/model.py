@@ -10,16 +10,12 @@ kernel
 
 Parameters are carried in the rescaled form a = 2nv, b = 2nu, the regime in
 which the rescaled count W = I/(2n) under the stationary law approaches a
-Beta(a,b) variable.  Exact quantities are integers over one common
-denominator (see `ModelParams` and `stationary_ratio_product`); floating
-mirrors are their correctly rounded quotients, never the other way around.
-
-The stationary distribution (the reference) comes from exact
-detailed-balance ratios, walked state by state in integers after the
-factor (2n)! shared by every weight is divided out, so each state costs
-one multiply and one exact division by a small integer.  The closed
-Gamma-function formula and a power-iteration fixed point are independent
-floating oracles that the test suite checks it against.
+Beta(a,b) variable.  This module holds the kernel, as integer rows over one
+common denominator (`ModelParams`), the exact stationary law walked along
+those rows (`stationary_ratio_product`), and seeded sampling from the law
+and from the chain.  Floating values are correctly rounded quotients of
+the integers, never the other way around.  The independent oracles the
+test suite checks the law against live with the tests.
 """
 
 from __future__ import annotations
@@ -33,53 +29,21 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .special import ConvergenceError, log_gamma
-
 __all__ = [
     "RationalLike",
     "ModelParams",
-    "TransitionTriple",
     "LatticeDistribution",
-    "transition",
     "stationary_ratio_product",
-    "stationary_closed_form",
-    "closed_form_log_weights",
-    "power_iteration_oracle",
     "sample_stationary",
     "simulate_chain",
-    "apply_kernel",
-    "apply_kernel_exact",
-    "detailed_balance_residuals",
 ]
 
 RationalLike = Union[int, str, Fraction, float]
-
-# Power iteration stops once one sweep moves pi by less than this in total
-# variation, and gives up after this many sweeps.
-_POWER_TV_EPS = 1e-14
-_POWER_MAX_SWEEPS = 5_000_000
 
 
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce to an exact Fraction (strings may be 'p/q' or decimal)."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-@dataclass(frozen=True)
-class TransitionTriple:
-    """One row of the kernel: exact (down, stay, up) probabilities."""
-
-    down: Fraction
-    stay: Fraction
-    up: Fraction
-
-    def __post_init__(self) -> None:
-        for name in ("down", "stay", "up"):
-            p = getattr(self, name)
-            if not (0 <= p <= 1):
-                raise ValueError(f"transition probability {name}={p} outside [0,1]")
-        if self.down + self.stay + self.up != 1:
-            raise ValueError("transition probabilities must sum to 1 exactly")
 
 
 @dataclass(frozen=True)
@@ -176,28 +140,19 @@ def _quadratic(coef: tuple[int, int, int], i: int) -> int:
     return coef[0] + i * (coef[1] + i * coef[2])
 
 
-def transition(params: ModelParams, i: int) -> TransitionTriple:
-    """Exact kernel row at state i."""
-    if not 0 <= i <= 2 * params.n:
-        raise IndexError(f"state {i} outside {{0,...,{2 * params.n}}}")
-    den = params.kernel_den
-    down, up = _quadratic(params.down_poly, i), _quadratic(params.up_poly, i)
-    return TransitionTriple(*(Fraction(x, den) for x in (down, den - down - up, up)))
-
-
 @dataclass(frozen=True, eq=False)
 class LatticeDistribution:
-    """Probability vector on {0,...,2n}, support points w_i = i/(2n).
+    """Exact probability vector on {0,...,2n}: pi(i) = weights[i] / total.
 
-    An exact law carries integer `weights` with pi(i) = weights[i] / total;
-    `probs_exact`, the same values as `Fraction`s, is built on first access.
-    `probs` is the floating mirror used for numerics.
+    `probs` is the floating mirror used for numerics, each entry the
+    correctly rounded quotient; `probs_exact`, the same values as
+    `Fraction`s, is built on first access.
     """
 
     n: int
     probs: np.ndarray
-    weights: tuple[int, ...] | None = None
-    total: int = 1
+    weights: tuple[int, ...]
+    total: int
 
     @classmethod
     def from_weights(
@@ -206,90 +161,33 @@ class LatticeDistribution:
         """Exact law pi(i) = weights[i] / total; int division rounds correctly."""
         return cls(n, np.array([w / total for w in weights]), tuple(weights), total)
 
-    @classmethod
-    def from_exact(cls, n: int, probs: Sequence[Fraction]) -> "LatticeDistribution":
-        probs = [Fraction(p) for p in probs]
-        if len(probs) != 2 * n + 1:
-            raise ValueError(f"expected {2 * n + 1} probabilities, got {len(probs)}")
-        total = math.lcm(*(p.denominator for p in probs))
-        weights = [p.numerator * (total // p.denominator) for p in probs]
-        if any(w < 0 for w in weights):
-            raise ValueError("negative probability entry")
-        if sum(weights) != total:
-            raise ValueError("exact probabilities must sum to 1")
-        return cls.from_weights(n, weights, total)
-
-    @classmethod
-    def from_floats(cls, n: int, probs: np.ndarray) -> "LatticeDistribution":
-        probs = np.asarray(probs, dtype=float)
-        if probs.shape != (2 * n + 1,):
-            raise ValueError(f"expected shape ({2 * n + 1},), got {probs.shape}")
-        if np.any(probs < -1e-15):
-            raise ValueError("negative probability entry")
-        probs = np.clip(probs, 0.0, None)
-        total = probs.sum()
-        if not math.isfinite(total) or total <= 0:
-            raise ValueError("probabilities must have positive finite mass")
-        return cls(n=n, probs=probs / total)
-
     @cached_property
-    def probs_exact(self) -> tuple[Fraction, ...] | None:
-        if self.weights is None:
-            return None
+    def probs_exact(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(w, self.total) for w in self.weights)
-
-    @property
-    def support(self) -> np.ndarray:
-        """Float support points i/(2n)."""
-        return np.arange(2 * self.n + 1) / (2 * self.n)
-
-    def w(self, i: int) -> Fraction:
-        return Fraction(i, 2 * self.n)
-
-    def require_weights(self) -> tuple[tuple[int, ...], int]:
-        if self.weights is None:
-            raise ValueError("operation requires an exact rational distribution")
-        return self.weights, self.total
-
-    def moment_exact(self, r: int) -> Fraction:
-        """Exact E[W^r] by brute-force summation over the support."""
-        weights, total = self.require_weights()
-        m = 2 * self.n
-        return Fraction(sum(w * i**r for i, w in enumerate(weights)), total * m**r)
-
-    def tv(self, other: "LatticeDistribution") -> float:
-        """Total variation distance against another lattice law (floats)."""
-        if other.n != self.n:
-            raise ValueError("distributions live on different lattices")
-        return 0.5 * float(np.abs(self.probs - other.probs).sum())
 
 
 def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
-    """Stationary law via exact detailed-balance ratios.
+    """Stationary law via exact detailed-balance ratios, walked along the
+    kernel rows (D_i, U_i) of `ModelParams.kernel_rows`.
 
     For a birth-death chain, pi(i+1)/pi(i) = p(i,i+1)/p(i+1,i) = U_i/D_{i+1},
     so pi(i) is proportional to (prod_{k<i} U_k)(prod_{k>i} D_k).  With
-    m = 2n both numerators factor as D_k = k d_k and U_k = (m-k) u_k, where
+    m = 2n every D_k with k >= 1 is a multiple of k, and dividing the
+    product by m! = prod_{k>=1} k leaves the integer weights
 
-        d_k = (m-k)(qm - qa) + qb k,   u_k = k(qm - qb) + qa (m-k),
+        w_0 = prod_{k>=1} D_k / k,   w_{i+1} = w_i U_i / D_{i+1},
 
-    so that product is m! w_i with the integer weights
-
-        w_i = C(m, i) (prod_{k<i} u_k)(prod_{k>i} d_k).
-
-    w_0 = prod_{k>=1} d_k comes from a balanced product tree, and the walk
-    w_{i+1} = w_i (m-i) u_i / ((i+1) d_{i+1}) divides exactly, one
-    big-by-small multiply and division per state.  pi(i) = w_i / sum_j w_j
-    is the reference representation of pi.
+    where w_0 comes from a balanced product tree and every step divides
+    exactly: one big-by-small multiply and one exact division by a small
+    integer per state.  pi(i) = w_i / sum_j w_j is the reference
+    representation of pi.
     """
-    m, qa, qb = 2 * params.n, params.qa, params.qb
-    qm = params.q * m
-    down = [(m - k) * (qm - qa) + qb * k for k in range(m + 1)]
-    up = [k * (qm - qb) + qa * (m - k) for k in range(m + 1)]
-    w = _product(down[1:])
+    down, up = params.kernel_rows()
+    m = 2 * params.n
+    w = _product([down[k] // k for k in range(1, m + 1)])
     weights = [w]
     for i in range(m):
-        w = w * ((m - i) * up[i]) // ((i + 1) * down[i + 1])
+        w = w * up[i] // down[i + 1]
         weights.append(w)
     return LatticeDistribution.from_weights(params.n, weights, sum(weights))
 
@@ -301,123 +199,11 @@ def _product(xs: list[int]) -> int:
     return xs[0]
 
 
-def closed_form_log_weights(params: ModelParams) -> np.ndarray:
-    """Log of the closed-form stationary weights, including the pi(0) constant.
-
-    With A = 2nv/(1-u-v), B = 2n(1-v)/(1-u-v), C = 2nu/(1-u-v),
-    D = 2n/(1-u-v) and pi(0) = Gamma(B)Gamma(A+C)/[Gamma(D)Gamma(C)],
-
-        ln pi(i) = ln pi(0) + ln (2n)! - ln i! - ln (2n-i)!
-                   + ln Gamma(i+A) + ln Gamma(B-i) - ln Gamma(A) - ln Gamma(B).
-
-    Exponentiating these and summing should give 1 up to floating error;
-    `stationary_closed_form` renormalizes anyway.  Gamma arguments are
-    assembled exactly as rationals before rounding to float so no accuracy
-    is lost to argument cancellation.
-    """
-    n = params.n
-    m = 2 * n
-    one_minus = 1 - params.u - params.v  # positive by construction
-    A = m * params.v / one_minus
-    B = m * (1 - params.v) / one_minus
-    C = m * params.u / one_minus
-    D = Fraction(m) / one_minus
-    lg = log_gamma
-    ln_pi0 = lg(float(B)) + lg(float(A + C)) - lg(float(D)) - lg(float(C))
-    const = ln_pi0 + lg(m + 1) - lg(float(A)) - lg(float(B))
-    out = np.empty(m + 1, dtype=float)
-    for i in range(m + 1):
-        out[i] = math.fsum(
-            (
-                const,
-                -lg(i + 1),
-                -lg(m - i + 1),
-                lg(float(A + i)),
-                lg(float(B - i)),
-            )
-        )
-    return out
-
-
-def stationary_closed_form(params: ModelParams) -> LatticeDistribution:
-    """Stationary law from the closed Gamma-function formula (floating).
-
-    Exponentiation goes through a log-sum-exp shift, so the result is a
-    normalized probability vector even when individual weights underflow
-    plain `exp`.
-    """
-    logw = closed_form_log_weights(params)
-    shift = logw.max()
-    w = np.exp(logw - shift)
-    w /= w.sum()
-    return LatticeDistribution(n=params.n, probs=w)
-
-
 def _float_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     down, up = params.kernel_rows()
     den = params.kernel_den
     stay = [den - d - u for d, u in zip(down, up)]
     return tuple(np.array([x / den for x in row]) for row in (down, stay, up))
-
-
-def apply_kernel(params: ModelParams, probs: np.ndarray) -> np.ndarray:
-    """One step of the chain acting on a float row vector: returns probs @ P."""
-    down, stay, up = _float_kernel(params)
-    probs = np.asarray(probs, dtype=float)
-    out = stay * probs
-    out[:-1] += probs[1:] * down[1:]
-    out[1:] += probs[:-1] * up[:-1]
-    return out
-
-
-def apply_kernel_exact(
-    params: ModelParams, probs: Sequence[Fraction]
-) -> tuple[Fraction, ...]:
-    """One exact step: returns probs @ P in rational arithmetic."""
-    down, up = params.kernel_rows()
-    den = params.kernel_den
-    out = [p * (den - d - u) for p, d, u in zip(probs, down, up)]
-    for i in range(2 * params.n):
-        out[i] += probs[i + 1] * down[i + 1]
-        out[i + 1] += probs[i] * up[i]
-    return tuple(x / den for x in out)
-
-
-def detailed_balance_residuals(
-    params: ModelParams, pi: LatticeDistribution
-) -> tuple[Fraction, ...]:
-    """Exact residuals pi(i)p(i,i+1) - pi(i+1)p(i+1,i) along every edge."""
-    weights, total = pi.require_weights()
-    down, up = params.kernel_rows()
-    den = total * params.kernel_den
-    return tuple(
-        Fraction(weights[i] * up[i] - weights[i + 1] * down[i + 1], den)
-        for i in range(2 * params.n)
-    )
-
-
-def power_iteration_oracle(params: ModelParams) -> LatticeDistribution:
-    """Brute-force fixed point: iterate the kernel from the uniform vector.
-
-    Stops when successive iterates differ by less than 1e-14 in total
-    variation.  Slowly mixing for large n (relaxation time ~ 4n^2/(a+b)), so
-    intended as an independent oracle at desk scale, not a production path.
-    """
-    down, stay, up = _float_kernel(params)
-    size = 2 * params.n + 1
-    pi = np.full(size, 1.0 / size)
-    for _ in range(_POWER_MAX_SWEEPS):
-        new = stay * pi
-        new[:-1] += pi[1:] * down[1:]
-        new[1:] += pi[:-1] * up[:-1]
-        new /= new.sum()
-        tv = 0.5 * float(np.abs(new - pi).sum())
-        pi = new
-        if tv < _POWER_TV_EPS:
-            return LatticeDistribution(n=params.n, probs=pi)
-    raise ConvergenceError(
-        f"power iteration did not converge in {_POWER_MAX_SWEEPS} sweeps"
-    )
 
 
 def sample_stationary(

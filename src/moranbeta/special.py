@@ -1,8 +1,8 @@
-"""Special functions backing the closed-form stationary law and the Beta CDF.
+"""Special functions behind the Beta target and the approximation constants.
 
 Deliberately minimal: log-gamma, log-beta, and the regularized incomplete
-beta function are all that the stationary formula and the Beta distribution
-function require.
+beta function are all that the Beta density and distribution function and
+the constants C(a,b) and K(a,b) require.
 
 The incomplete beta function has one implementation, over float arrays: the
 distances evaluate it at every lattice atom at once, and `reg_inc_beta` runs
@@ -39,6 +39,9 @@ _SQRT_2PI = 2.5066282746310005
 
 # Lanczos rational approximation, g = 607/128, 14 correction terms.
 # Good to ~1e-15 relative over the whole positive axis.
+# Its ser / t overflows below about 4.6e-307, so below this argument
+# log_gamma steps up by the recurrence instead.
+_LANCZOS_MIN_T = 1e-300
 _LANCZOS_SHIFT = 5.24218750000000000  # g + 1/2
 _LANCZOS_SER0 = 0.999999999999997092
 _LANCZOS_COF = (
@@ -60,10 +63,16 @@ _LANCZOS_COF = (
 
 
 def log_gamma(t: float) -> float:
-    """ln Gamma(t) for t > 0 via a fixed-coefficient Lanczos sum."""
+    """ln Gamma(t) for t > 0 via a fixed-coefficient Lanczos sum.
+
+    For t < 1e-300 it returns ln Gamma(t + 1) - ln t, since t + 1 rounds to
+    1 and the sum itself would overflow.
+    """
     t = float(t)
     if not t > 0.0:
         raise ValueError(f"log_gamma requires t > 0, got {t!r}")
+    if t < _LANCZOS_MIN_T:
+        return log_gamma(t + 1.0) - math.log(t)
     ser = _LANCZOS_SER0
     y = t
     for c in _LANCZOS_COF:

@@ -195,7 +195,7 @@ def e_abs_s(
     params: ModelParams, pi: LatticeDistribution
 ) -> tuple[Fraction, Fraction]:
     """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n)."""
-    weights, total = pi.require_weights()
+    weights, total = pi.weights, pi.total
     value = sum(w * abs(s) for w, s in zip(weights, _s_numerators(params)))
     bound = (3 * params.a + 2 * params.b) / (4 * params.n)
     return Fraction(value, 2 * total * params.kernel_den), bound
@@ -208,7 +208,7 @@ def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction
     the ratio is therefore bounded by 1/(2n), which `SteinReport.caps_ok`
     checks.
     """
-    weights, total = pi.require_weights()
+    weights, total = pi.weights, pi.total
     move_mass = sum(w * (d + u) for w, d, u in zip(weights, *params.kernel_rows()))
     return Fraction(move_mass, 2 * params.n * total * params.kernel_den)
 

@@ -21,6 +21,7 @@ from moranbeta.cli import (
     parse_rational_list,
     pq,
 )
+from moranbeta.model import ModelParams, stationary_ratio_product
 
 F = Fraction
 
@@ -120,6 +121,23 @@ class TestReport:
         code, out, err = run_cli(capsys, "report", "--n", "10", "--a", a, "--b", b)
         assert code == 2 and out == ""
         assert err.startswith("error: K(a,b) is not a finite float")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--n", "10"],
+            ["sweep", "--n", "10", "--jobs", "1"],
+            ["rate", "--n", "10,20,40,80"],
+        ],
+        ids=["report", "sweep", "rate"],
+    )
+    def test_rejects_shapes_below_resolved_distances(self, capsys, argv):
+        # K(a,b) and the Beta CDF are finite here, but W1 would be rounding
+        # noise: 1.1e-13 where the exact distance is below 1e-31.
+        code, out, err = run_cli(capsys, *argv, "--a", "2.3e-308", "--b", "3e-308")
+        assert code == 2 and out == ""
+        assert err.startswith("error: shapes below 1e-300 are not supported")
         assert err.count("\n") == 1
 
     def test_unknown_command_exits_2(self, capsys):
@@ -330,6 +348,20 @@ class TestInternalErrors:
         assert code == 3
         assert err.startswith("error: internal: ValueError: injected (point a=1")
 
+    def test_bad_r_max_exits_2_before_any_work(self, monkeypatch, capsys):
+        calls = []
+
+        def failing(*args):
+            calls.append(args)
+            raise ZeroDivisionError("injected")
+
+        monkeypatch.setattr(stein, "third_moment_ratio", failing)
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--n", "3", "--a", "1", "--b", "1", "--r-max", "0"])
+        assert exc.value.code == 2
+        assert calls == []
+        assert "--r-max: must be at least 1" in capsys.readouterr().err
+
     @pytest.mark.parametrize("command", ["report", "sweep"])
     def test_parameter_error_still_exits_2(self, monkeypatch, capsys, command):
         monkeypatch.setattr(stein, "third_moment_ratio", _raising(ZeroDivisionError))
@@ -404,6 +436,35 @@ class TestValidate:
         assert doc["iid"]["flagged_states"] == []
         assert doc["chain"]["flagged_states"] == []
         assert doc["iid"]["count"] == 50000
+
+    def test_unvisited_states_are_not_flagged(self, capsys):
+        # pi puts mass up to 1e-3 on states 85-89 that this run never visits:
+        # the chain reaches that tail only in rare excursions.
+        code, out, _ = run_cli(
+            capsys,
+            "validate", "--n", "50", "--a", "20", "--b", "1/10",
+            "--samples", "0", "--steps", "100000",
+        )
+        assert code == 0
+        assert "Infinity" not in out and "NaN" not in out
+        chain = json.loads(out)["chain"]
+        assert chain["flagged_states"] == []
+        assert min(chain["frequencies"][85:90]) == 0.0
+
+    def test_wrong_law_is_flagged(self, monkeypatch, capsys):
+        # The mirrored law puts its mass at 0 while the chain sits near 2n.
+        monkeypatch.setattr(
+            cli, "stationary_ratio_product",
+            lambda p: stationary_ratio_product(ModelParams(p.n, p.b, p.a)),
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "validate", "--n", "50", "--a", "20", "--b", "1/10",
+            "--samples", "0", "--steps", "100000",
+        )
+        assert code == 1
+        assert "Infinity" not in out and "NaN" not in out
+        assert {0, 100} <= set(json.loads(out)["chain"]["flagged_states"])
 
     @pytest.mark.parametrize(
         "counts",

@@ -15,14 +15,13 @@ from moranbeta.distance import (
     expected_h_lattice,
     gap_h,
     kolmogorov,
-    membership_check_g,
-    periodic_extension_g,
     wasserstein,
 )
-from moranbeta.model import LatticeDistribution, ModelParams, stationary_ratio_product
+from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import moment_recursion
 from moranbeta.special import ConvergenceError
 from moranbeta.stein import lower_bound
+from oracles import from_exact, from_floats, membership_check_g, periodic_extension_g
 
 F = Fraction
 
@@ -147,17 +146,33 @@ class TestAtomPass:
         with pytest.raises(ConvergenceError, match="did not converge in 3"):
             wasserstein(pi, BetaParams(F(5, 2), F(7, 3)))
 
-    def test_non_finite_cdf_raises(self):
-        # At these shapes the Beta CDF rounds to NaN; no distance may be
-        # printed from it.
+    def test_non_finite_cdf_raises(self, monkeypatch):
+        # A Beta CDF that rounds to NaN: no distance may be printed from it.
+        monkeypatch.setattr(
+            distance, "_reg_inc_beta_interior",
+            lambda x, a, b, logs=None: np.full_like(x, np.nan),
+        )
         beta = BetaParams(F("2.3e-308"), F("3e-308"))
         distance._atoms.cache_clear()
         with pytest.raises(FloatingPointError):
             distance._atoms(20, beta)
 
+    def test_tiny_shapes_leave_only_rounding_noise(self):
+        # Both laws sit on the endpoints, P(0) = b/(a+b) up to O(a), so the
+        # exact W1 is below 1e-31 (30-digit mpmath).  The atoms are finite,
+        # but W1 comes out as rounding noise, which is why the CLI refuses
+        # shapes below 1e-300.
+        a, b = F("2.3e-308"), F("3e-308")
+        pi = stationary_ratio_product(ModelParams(10, a, b))
+        beta = BetaParams(a, b)
+        distance._atoms.cache_clear()
+        assert np.isfinite(distance._atoms(20, beta)[0]).all()
+        assert kolmogorov(pi, beta) == float(b / (a + b))
+        assert 0.0 <= wasserstein(pi, beta) <= 1e-12
+
 
 def point_mass_at_half():
-    return LatticeDistribution.from_exact(1, (F(0), F(1), F(0)))
+    return from_exact(1, (F(0), F(1), F(0)))
 
 
 class TestWasserstein:
@@ -195,7 +210,7 @@ class TestWasserstein:
         m = 2 * n
         edges = np.clip((np.arange(m + 1 + 1) - 0.5) / m, 0.0, 1.0)
         cell = np.diff(stats.beta.cdf(edges, a, b))
-        lattice = LatticeDistribution.from_floats(n, cell)
+        lattice = from_floats(n, cell)
         w1 = wasserstein(lattice, BetaParams(a, b))
         assert 0.0 <= w1 <= 1.0 / (2 * n) + 1e-9
 
@@ -211,7 +226,8 @@ class TestWasserstein:
         p = ModelParams(5, 2, 3)
         pi = stationary_ratio_product(p)
         w1 = wasserstein(pi, BetaParams(2, 3))
-        mean_gap = abs(float(pi.probs @ pi.support) - 2.0 / 5.0)
+        support = np.arange(11) / 10
+        mean_gap = abs(float(pi.probs @ support) - 2.0 / 5.0)
         assert w1 >= mean_gap - 1e-12
 
 

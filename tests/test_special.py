@@ -1,6 +1,7 @@
 """Special-function accuracy: log-gamma, log-beta, incomplete beta."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -15,6 +16,18 @@ from moranbeta.special import (
     log_gamma,
     reg_inc_beta,
 )
+
+
+def lanczos_log_gamma(t):
+    """The Lanczos sum of `special.log_gamma`, with no small-argument branch."""
+    ser = special._LANCZOS_SER0
+    y = t
+    for c in special._LANCZOS_COF:
+        y += 1.0
+        ser += c / y
+    tmp = t + special._LANCZOS_SHIFT
+    tmp = (t + 0.5) * math.log(tmp) - tmp
+    return tmp + math.log(special._SQRT_2PI * ser / t)
 
 
 class TestLogGamma:
@@ -42,6 +55,21 @@ class TestLogGamma:
                 log_gamma(float(t)), math.lgamma(float(t)),
                 rel_tol=1e-13, abs_tol=1e-13,
             )
+
+    @pytest.mark.parametrize("t", [3e-308, 2.3e-308, 1e-307, sys.float_info.min])
+    def test_smallest_normal_arguments(self, t):
+        # The Lanczos sum overflows below about 4.6e-307; the recurrence
+        # ln Gamma(t) = ln Gamma(t + 1) - ln t takes over below 1e-300.
+        assert log_gamma(t) == math.lgamma(t)
+
+    @given(st.floats(min_value=1e-300, max_value=1e3))
+    def test_lanczos_formula_from_1e_300(self, t):
+        assert log_gamma(t) == lanczos_log_gamma(t)
+
+    @given(st.floats(min_value=sys.float_info.min, max_value=1e305))
+    def test_finite_for_normal_arguments(self, t):
+        # ln Gamma itself exceeds the largest float above about 2.6e305.
+        assert math.isfinite(log_gamma(t))
 
     @given(st.floats(min_value=0.1, max_value=100.0))
     def test_recurrence(self, t):
