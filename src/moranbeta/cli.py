@@ -1,9 +1,14 @@
 """Command-line front end: reports, parameter sweeps, rate fits, MC checks.
 
+Every point passes one gate, `grid_points`, before any point is computed,
+and is computed inside one guard, `_computing`.
+
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
-identity or a proof-level cap failed), 2 usage or parameter error (an
-unwritable `--out` included), 3 internal error while computing a point
-(one `error: internal:` line on stderr names the exception and the point).
+identity or a proof-level cap failed) or a `validate` flag, 2 usage or
+parameter error (a `ValueError` outside the guard: a point the gate
+refuses, a bad option value or an unwritable `--out`), 3 internal error
+while computing a point, whatever its type (one `error: internal:` line on
+stderr names the exception and the point).
 """
 
 from __future__ import annotations
@@ -87,35 +92,6 @@ MIN_SHAPE = 1e-300
 
 
 @dataclass(frozen=True)
-class SweepConfig:
-    """Grid of parameter points for sweep/rate runs."""
-
-    a_values: tuple[Fraction, ...]
-    b_values: tuple[Fraction, ...]
-    n_values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if not (self.a_values and self.b_values and self.n_values):
-            raise ValueError("a, b, and n value lists must be non-empty")
-        for a in self.a_values:
-            for b in self.b_values:
-                for n in self.n_values:
-                    if a + b >= 2 * n:
-                        raise ValueError(
-                            f"grid point (a={a}, b={b}, n={n}) violates a + b < 2n"
-                        )
-
-    def points(self) -> list[tuple[Fraction, Fraction, int]]:
-        """Grid points in deterministic lexicographic (a, b, n) order."""
-        return sorted(
-            (a, b, n)
-            for a in set(self.a_values)
-            for b in set(self.b_values)
-            for n in set(self.n_values)
-        )
-
-
-@dataclass(frozen=True)
 class PointResult:
     """Every certificate quantity of one parameter point, each computed once."""
 
@@ -145,7 +121,7 @@ class PointError(Exception):
 def _computing(params: ModelParams):
     """Report any failure inside the block as a PointError naming the point.
 
-    Parameters are validated before the block (exit 2), so whatever is
+    The gate checks parameters before the block (exit 2), so whatever is
     raised inside is a fault of the computation, whatever its type.
     """
     try:
@@ -214,22 +190,34 @@ def _write_output(text: str, out: str | None) -> None:
         raise ValueError(f"cannot write --out: {exc}") from exc
 
 
-def _require_finite_k(a: Fraction, b: Fraction) -> None:
-    """Reject shapes whose K(a,b) is not a finite float (a usage error): the
-    certificate could not print its upper bound as JSON or compare it."""
-    if not math.isfinite(k_constant(a, b)):
-        raise ValueError(f"K(a,b) is not a finite float at a={float(a)}, b={float(b)}")
+def grid_points(
+    a_values: tuple[Fraction, ...],
+    b_values: tuple[Fraction, ...],
+    n_values: tuple[int, ...],
+    certified: bool,
+) -> list[ModelParams]:
+    """The gate: ModelParams of every grid point in lexicographic (a, b, n)
+    order, repeats dropped, all checked before any point is computed.
 
-
-def _require_resolved_shapes(*shapes: Fraction) -> None:
-    """Reject shapes below MIN_SHAPE (a usage error): their distances would
-    be rounding noise."""
-    for x in shapes:
-        if float(x) < MIN_SHAPE:
-            raise ValueError(
-                f"shapes below {MIN_SHAPE} are not supported, got {float(x)!r}: "
-                f"the distances there are rounding noise"
-            )
+    The rules, in order, each a usage error: non-empty value lists, the
+    model's own (ModelParams), a finite K(a,b) when `certified` (the
+    certificate prints and compares it), and shapes of at least MIN_SHAPE.
+    """
+    if not (a_values and b_values and n_values):
+        raise ValueError("a, b, and n value lists must be non-empty")
+    grid = {(a, b, n) for a in a_values for b in b_values for n in n_values}
+    points = [ModelParams(n, a, b) for a, b, n in sorted(grid)]
+    for params in points:
+        a, b = params.a, params.b
+        if certified and not math.isfinite(k_constant(a, b)):
+            raise ValueError(f"K(a,b) is not a finite float at a={float(a)}, b={float(b)}")
+        for x in (a, b):
+            if float(x) < MIN_SHAPE:
+                raise ValueError(
+                    f"shapes below {MIN_SHAPE} are not supported, got {float(x)!r}: "
+                    f"the distances there are rounding noise"
+                )
+    return points
 
 
 def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, float]:
@@ -240,21 +228,20 @@ def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, flo
 
 def compute_point(params: ModelParams) -> PointResult:
     """The point pipeline: exact pi, Stein sums, certificate, distances."""
-    with _computing(params):
-        pi = stationary_ratio_product(params)
-        rep = stein_report(params, pi)
-        w1, kd = _distances(params, pi)
-        return PointResult(
-            params=params,
-            stein=rep,
-            cert=bound_certificate(params),
-            upper_assembled=upper_bound_assembled(params, rep),
-            mean=mean(params),
-            variance=variance(params),
-            beta_variance=beta_dist.variance(BetaParams(params.a, params.b)),
-            wasserstein=w1,
-            kolmogorov=kd,
-        )
+    pi = stationary_ratio_product(params)
+    rep = stein_report(params, pi)
+    w1, kd = _distances(params, pi)
+    return PointResult(
+        params=params,
+        stein=rep,
+        cert=bound_certificate(params),
+        upper_assembled=upper_bound_assembled(params, rep),
+        mean=mean(params),
+        variance=variance(params),
+        beta_variance=beta_dist.variance(BetaParams(params.a, params.b)),
+        wasserstein=w1,
+        kolmogorov=kd,
+    )
 
 
 def _row_values(point: PointResult) -> dict:
@@ -312,35 +299,31 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    params = ModelParams(args.n, args.a, args.b)
-    _require_finite_k(params.a, params.b)
-    _require_resolved_shapes(params.a, params.b)
-    point = compute_point(params)
-    payload = _report_payload(point, args.r_max, args.exact)
+    (params,) = grid_points((args.a,), (args.b,), (args.n,), certified=True)
+    with _computing(params):
+        point = compute_point(params)
+        payload = _report_payload(point, args.r_max, args.exact)
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     return 0 if point.ok else 1
 
 
-def _sweep_row(task: tuple[int, Fraction, Fraction]) -> tuple[dict, bool]:
+def _sweep_row(params: ModelParams) -> tuple[dict, bool]:
     """Column values and verdict of one grid point; pi stays in the worker."""
-    n, a, b = task
-    point = compute_point(ModelParams(n, a, b))
-    return _row_values(point), point.ok
+    with _computing(params):
+        point = compute_point(params)
+        return _row_values(point), point.ok
 
 
-def _compute_rows(
-    points: list[tuple[Fraction, Fraction, int]], jobs: int
-) -> list[tuple[dict, bool]]:
-    tasks = [(n, a, b) for (a, b, n) in points]
-    workers = min(jobs, len(tasks))
+def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool]]:
+    workers = min(jobs, len(points))
     if workers <= 1:
-        return [_sweep_row(t) for t in tasks]
+        return [_sweep_row(params) for params in points]
     # Imported here: the pool's modules cost every other invocation start-up
     # time and memory.
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_row, tasks, chunksize=1))
+        return list(pool.map(_sweep_row, points, chunksize=1))
 
 
 def _render_sweep_csv(rows: list[dict], exact: bool) -> str:
@@ -371,11 +354,7 @@ def _render_sweep_json(rows: list[dict], exact: bool) -> str:
 def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    config = SweepConfig(a_values=args.a, b_values=args.b, n_values=args.n)
-    points = config.points()
-    for a, b, _ in points:
-        _require_finite_k(a, b)
-        _require_resolved_shapes(a, b)
+    points = grid_points(args.a, args.b, args.n, certified=True)
     results = _compute_rows(points, args.jobs)
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
     _write_output(render([values for values, _ in results], args.exact), args.out)
@@ -395,32 +374,27 @@ def cmd_rate(args: argparse.Namespace) -> int:
         raise ValueError("rate fitting needs at least 4 distinct n values")
     if max(ns) < 8 * min(ns):
         raise ValueError("rate fitting needs n values spanning a factor of 8")
-    _require_resolved_shapes(*args.a, *args.b)
+    points = grid_points(args.a, args.b, args.n, certified=False)
     fits = []
-    all_ok = True
-    for a in sorted(set(args.a)):
-        for b in sorted(set(args.b)):
-            gaps, w1s, kols = [], [], []
-            for n in ns:
-                params = ModelParams(n, a, b)
-                with _computing(params):
-                    gaps.append(float(gap_h(params)))
-                    w1, kd = _distances(params, stationary_ratio_product(params))
-                w1s.append(w1)
-                kols.append(kd)
-            slope_gap = _fit_slope(ns, gaps)
-            ok = RATE_SLOPE_WINDOW[0] <= slope_gap <= RATE_SLOPE_WINDOW[1]
-            all_ok = all_ok and ok
-            fits.append(
-                {
-                    "a": float(a),
-                    "b": float(b),
-                    "slope_gap_h": slope_gap,
-                    "slope_wasserstein": _fit_slope(ns, w1s),
-                    "slope_kolmogorov": _fit_slope(ns, kols),
-                    "gap_h_slope_ok": ok,
-                }
-            )
+    for start in range(0, len(points), len(ns)):
+        run = points[start : start + len(ns)]
+        values = []
+        for params in run:
+            with _computing(params):
+                gap = float(gap_h(params))
+                values.append((gap, *_distances(params, stationary_ratio_product(params))))
+        slope_gap, slope_w1, slope_kd = (_fit_slope(ns, col) for col in zip(*values))
+        fits.append(
+            {
+                "a": float(run[0].a),
+                "b": float(run[0].b),
+                "slope_gap_h": slope_gap,
+                "slope_wasserstein": slope_w1,
+                "slope_kolmogorov": slope_kd,
+                "gap_h_slope_ok": RATE_SLOPE_WINDOW[0] <= slope_gap <= RATE_SLOPE_WINDOW[1],
+            }
+        )
+    all_ok = all(fit["gap_h_slope_ok"] for fit in fits)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "rate",
@@ -579,7 +553,7 @@ def main(argv: list[str] | None = None) -> int:
     except PointError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, IndexError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -91,12 +91,21 @@ class BoundCertificate:
     sandwich_ok: bool
 
 
+def _exp_or_inf(x: float) -> float:
+    """exp(x), or inf where it is past the largest float."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 def c_constant(a, b) -> float:
     """The four-branch approximation constant C(a,b) (C(a,a) on the diagonal).
 
     Diagonal: 4 for 0 < a < 1, else 2a sqrt(pi) Gamma(a)/Gamma(a+1/2).
     Off-diagonal: 2(a+b) times Gamma(a)Gamma(b)/Gamma(a+b), 1/a, 1/b, or
     Gamma(a+b)/(ab Gamma(a)Gamma(b)) according to which shapes exceed 1.
+    A Gamma ratio past the largest float makes C inf.
     """
     if a <= 0 or b <= 0:
         raise ValueError(f"c_constant requires positive arguments, got ({a}, {b})")
@@ -109,16 +118,12 @@ def c_constant(a, b) -> float:
         )
     s = 2.0 * (af + bf)
     if a <= 1 and b <= 1:
-        return s * math.exp(log_gamma(af) + log_gamma(bf) - log_gamma(af + bf))
+        return s * _exp_or_inf(log_gamma(af) + log_gamma(bf) - log_gamma(af + bf))
     if a <= 1 < b:
         return s / af
     if b <= 1 < a:
         return s / bf
-    return (
-        s
-        * math.exp(log_gamma(af + bf) - log_gamma(af) - log_gamma(bf))
-        / (af * bf)
-    )
+    return s * _exp_or_inf(log_gamma(af + bf) - log_gamma(af) - log_gamma(bf)) / (af * bf)
 
 
 def k_constant(a, b) -> float:

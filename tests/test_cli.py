@@ -15,7 +15,7 @@ import moranbeta
 from moranbeta import cli, stein
 from moranbeta.cli import (
     SWEEP_COLUMNS,
-    SweepConfig,
+    grid_points,
     main,
     parse_rational,
     parse_rational_list,
@@ -65,16 +65,16 @@ class TestParsing:
         assert pq(F(-7, 2)) == "-7/2"
 
     def test_sweep_config_validation(self):
-        with pytest.raises(ValueError):
-            SweepConfig(a_values=(F(1),), b_values=(F(3),), n_values=(2,))
-        with pytest.raises(ValueError):
-            SweepConfig(a_values=(), b_values=(F(1),), n_values=(5,))
-        cfg = SweepConfig(a_values=(F(2), F(1)), b_values=(F(1),), n_values=(10, 5))
-        assert cfg.points() == [
-            (F(1), F(1), 5),
-            (F(1), F(1), 10),
-            (F(2), F(1), 5),
-            (F(2), F(1), 10),
+        with pytest.raises(ValueError, match="a \\+ b < 2n"):
+            grid_points((F(1),), (F(3),), (2,), certified=True)
+        with pytest.raises(ValueError, match="non-empty"):
+            grid_points((), (F(1),), (5,), certified=True)
+        points = grid_points((F(2), F(1), F(2)), (F(1),), (10, 5), certified=True)
+        assert points == [
+            ModelParams(5, 1, 1),
+            ModelParams(10, 1, 1),
+            ModelParams(5, 2, 1),
+            ModelParams(10, 2, 1),
         ]
 
 
@@ -144,6 +144,58 @@ class TestReport:
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
         assert exc.value.code == 2
+
+
+GATED_COMMANDS = {
+    "report": ["report", "--n", "10"],
+    "sweep": ["sweep", "--n", "10", "--jobs", "1"],
+    "rate": ["rate", "--n", "10,20,40,80"],
+}
+
+
+class TestGate:
+    """Every point is checked before any is computed: exit 2, one line."""
+
+    def test_sweep_rejects_subnormal_shape(self, capsys):
+        code, out, err = run_cli(capsys, *GATED_COMMANDS["sweep"], "--a", "1e-310", "--b", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: mutation parameters must be at least")
+        assert "(the smallest normal float)" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", sorted(GATED_COMMANDS))
+    def test_negative_shape_same_line(self, capsys, command):
+        code, out, err = run_cli(capsys, *GATED_COMMANDS[command], "--a", "-1", "--b", "1")
+        assert code == 2 and out == ""
+        assert err == "error: mutation parameters must be positive, got a=-1, b=1\n"
+
+    def test_rate_checks_every_point_first(self, monkeypatch, capsys):
+        calls = []
+
+        def counting(params):
+            calls.append(params)
+            return stationary_ratio_product(params)
+
+        monkeypatch.setattr(cli, "stationary_ratio_product", counting)
+        code, out, err = run_cli(capsys, *GATED_COMMANDS["rate"], "--a", "1,30", "--b", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error: need a + b < 2n") and err.count("\n") == 1
+        assert calls == []
+
+    @pytest.mark.parametrize(
+        "argv", [["report"], ["sweep", "--jobs", "1"]], ids=["report", "sweep"]
+    )
+    def test_overflowing_k_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv, "--n", "602", "--a", "600", "--b", "601")
+        assert code == 2 and out == ""
+        assert err == "error: K(a,b) is not a finite float at a=600.0, b=601.0\n"
+
+    def test_k_rule_only_when_certified(self):
+        # rate prints no K, so it takes these shapes; report and sweep do not.
+        assert grid_points((F(600),), (F(601),), (602,), certified=False) == [
+            ModelParams(602, 600, 601)
+        ]
+        with pytest.raises(ValueError, match="K\\(a,b\\) is not a finite float"):
+            grid_points((F(600),), (F(601),), (602,), certified=True)
 
 
 class TestSweep:
@@ -335,6 +387,16 @@ class TestInternalErrors:
         )
         assert code == 3
         assert out == ""
+        assert err == (
+            f"error: internal: {exc_type.__name__}: injected "
+            "(point a=1, b=1, n=3)\n"
+        )
+
+    @pytest.mark.parametrize("exc_type", [ArithmeticError, IndexError])
+    def test_report_moment_failure_exits_3(self, monkeypatch, capsys, exc_type):
+        monkeypatch.setattr(cli, "moment_recursion", _raising(exc_type))
+        code, out, err = run_cli(capsys, *POINT_COMMANDS[0])
+        assert code == 3 and out == ""
         assert err == (
             f"error: internal: {exc_type.__name__}: injected "
             "(point a=1, b=1, n=3)\n"

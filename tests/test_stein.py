@@ -87,6 +87,15 @@ class TestCConstant:
     def test_offdiagonal_branches(self, a, b, factor):
         assert c_constant(a, b) == pytest.approx(2 * (a + b) * factor, rel=1e-12)
 
+    def test_gamma_ratio_overflow_is_inf(self):
+        # Gamma(1201)/(Gamma(600)Gamma(601)) is about e^832, past the
+        # largest float; K(a,b) then reads inf instead of raising.
+        assert c_constant(600, 601) == math.inf
+        assert k_constant(600, 601) == math.inf
+        assert math.isfinite(c_constant(300, 301))
+        # Gamma(a) at a subnormal a overflows in the both-below-one branch.
+        assert c_constant(1e-310, 1) == math.inf
+
     def test_domain_errors(self):
         with pytest.raises(ValueError):
             c_constant(0, 1)
