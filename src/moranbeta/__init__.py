@@ -11,7 +11,7 @@ from .model import (
     stationary_ratio_product,
 )
 from .moments import moment_recursion
-from .special import ConvergenceError, log_beta, log_gamma, reg_inc_beta
+from .special import ConvergenceError, log_beta, log_gamma
 from .stein import (
     BoundCertificate,
     SteinReport,
@@ -20,12 +20,9 @@ from .stein import (
     e_abs_s,
     k_constant,
     lower_bound,
-    s_remainder,
     stein_report,
     third_moment_ratio,
     upper_bound_assembled,
-    verify_condition_1,
-    verify_condition_2,
 )
 
 __version__ = "0.1.0"
@@ -47,15 +44,11 @@ __all__ = [
     "log_gamma",
     "lower_bound",
     "moment_recursion",
-    "reg_inc_beta",
-    "s_remainder",
     "sample_stationary",
     "simulate_chain",
     "stationary_ratio_product",
     "stein_report",
     "third_moment_ratio",
     "upper_bound_assembled",
-    "verify_condition_1",
-    "verify_condition_2",
     "wasserstein",
 ]

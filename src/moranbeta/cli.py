@@ -270,7 +270,7 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
             "cond1_max_residual": float(rep.cond1_max_abs),
             "cond2_max_residual": float(rep.cond2_max_abs),
             "conditions_exact": rep.conditions_exact,
-            "s_values": [float(s) for s in rep.s_values],
+            "s_values": list(rep.s_values),
             "e_abs_s_exact": float(rep.e_abs_s_exact),
             "e_abs_s_bound": float(rep.e_abs_s_bound),
             "e_cubed_over_lambda_exact": float(rep.e_cubed_over_lambda_exact),
@@ -448,8 +448,8 @@ def _chain_se_floor(
 
 def cmd_validate(args: argparse.Namespace) -> int:
     params = ModelParams(args.n, args.a, args.b)
-    if min(args.samples, args.steps, args.burn_in) < 0:
-        raise ValueError("--samples, --steps and --burn-in must be nonnegative")
+    if min(args.samples, args.steps, args.burn_in, args.seed) < 0:
+        raise ValueError("--samples, --steps, --burn-in and --seed must be nonnegative")
     if 0 < args.steps < MIN_BATCHES:
         raise ValueError(f"--steps must be 0 or at least {MIN_BATCHES}, one per batch")
     size = 2 * params.n + 1

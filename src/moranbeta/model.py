@@ -111,13 +111,6 @@ class ModelParams:
                     f"parameters outside the valid regime"
                 )
 
-    @classmethod
-    def from_rates(cls, n: int, u: RationalLike, v: RationalLike) -> "ModelParams":
-        """Construct from the raw per-step mutation rates (u, v)."""
-        u = as_fraction(u)
-        v = as_fraction(v)
-        return cls(n, a=2 * n * v, b=2 * n * u)
-
     @property
     def u(self) -> Fraction:
         return self.b / (2 * self.n)
@@ -146,7 +139,9 @@ class LatticeDistribution:
 
     `probs` is the floating mirror used for numerics, each entry the
     correctly rounded quotient; `probs_exact`, the same values as
-    `Fraction`s, is built on first access.
+    `Fraction`s, is built on first access.  No command reads it: it is kept
+    for `perfbench/tracer.py`, which reads the bit length of pi(0)'s
+    reduced denominator.
     """
 
     n: int

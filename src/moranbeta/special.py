@@ -1,14 +1,14 @@
 """Special functions behind the Beta target and the approximation constants.
 
 Deliberately minimal: log-gamma, log-beta, and the regularized incomplete
-beta function are all that the Beta density and distribution function and
-the constants C(a,b) and K(a,b) require.
+beta function are all that the Beta distribution function at the lattice
+atoms and the constants C(a,b) and K(a,b) require.
 
-The incomplete beta function has one implementation, over float arrays: the
-distances evaluate it at every lattice atom at once, and `reg_inc_beta` runs
-it on a one-element array.  Logarithms and exponentials go through `math`
-and numpy does only + - * /, so every array value is bit-identical to the
-scalar formula.
+The incomplete beta function has one implementation, `_reg_inc_beta_interior`,
+over float arrays: the distances evaluate it at every lattice atom at once.
+Logarithms and exponentials go through `math` and numpy does only + - * /,
+so every array value is bit-identical to a one-value loop over the same
+formulas.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ __all__ = [
     "ConvergenceError",
     "log_gamma",
     "log_beta",
-    "reg_inc_beta",
 ]
 
 
@@ -92,36 +91,16 @@ def log_beta(a: float, b: float) -> float:
     return _log_beta(a, b)
 
 
-# The Beta CDF and density evaluate ln B(a,b) at every point for a shape pair
-# that stays fixed over a whole distance computation.
+# The Beta CDF and density read ln B(a,b) in every pass for a shape pair that
+# stays fixed over a whole distance computation.
 @lru_cache(maxsize=64)
 def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def reg_inc_beta(x: float, a: float, b: float) -> float:
-    """Regularized incomplete beta function I_x(a,b).
-
-    Continued-fraction evaluation (modified Lentz) with the usual symmetry
-    switch at x > (a+1)/(a+b+2) so the fraction always converges fast.
-    """
-    x = float(x)
-    a = float(a)
-    b = float(b)
-    if not (a > 0.0 and b > 0.0):
-        raise ValueError(f"reg_inc_beta requires positive shapes, got ({a!r}, {b!r})")
-    if not (0.0 <= x <= 1.0):
-        raise ValueError(f"reg_inc_beta requires 0 <= x <= 1, got {x!r}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    return float(_reg_inc_beta_interior(np.array([x]), a, b)[0])
-
-
 def _libm(fn, v: np.ndarray) -> np.ndarray:
-    # fn (math.log, math.log1p or math.exp) at every element, through libm
-    # like the scalar formulas, so that each value is the scalar one.
+    # fn (math.log, math.log1p or math.exp) at every element, through libm,
+    # so that each value is the one a call on that element returns.
     return np.fromiter(map(fn, v.tolist()), float, v.size)
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .distance import gap_h
-from .model import LatticeDistribution, ModelParams, stationary_ratio_product
+from .model import LatticeDistribution, ModelParams
 from .special import log_gamma
 
 __all__ = [
@@ -36,9 +36,6 @@ __all__ = [
     "c_constant",
     "k_constant",
     "lower_bound",
-    "verify_condition_1",
-    "verify_condition_2",
-    "s_remainder",
     "e_abs_s",
     "third_moment_ratio",
     "upper_bound_assembled",
@@ -52,12 +49,13 @@ class SteinReport:
     """Largest condition residuals, the remainder S, and proof-level bounds.
 
     All rational fields are exact; both residual maxima are expected to be
-    zero (the conditions are identities, not approximations).
+    zero (the conditions are identities, not approximations).  `s_values`
+    holds S(i/2n), i = 0..2n, each the correctly rounded float.
     """
 
     cond1_max_abs: Fraction
     cond2_max_abs: Fraction
-    s_values: tuple[Fraction, ...]
+    s_values: tuple[float, ...]
     e_abs_s_exact: Fraction
     e_abs_s_bound: Fraction
     e_cubed_over_lambda_exact: Fraction
@@ -168,34 +166,6 @@ def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
 
 
-def verify_condition_1(params: ModelParams) -> tuple[Fraction, ...]:
-    """Exact residuals of the linear-regression identity at every state.
-
-    LHS = 4n^2 (1/2n) [p(i,i+1) - p(i,i-1)]; RHS = a - (a+b) i/(2n).
-    Both sides are rational, so a correct kernel yields residuals == 0.
-    """
-    nums, den = _cond1_residuals(params)
-    return tuple(Fraction(r, den) for r in nums)
-
-
-def s_remainder(params: ModelParams, w: Fraction) -> Fraction:
-    """The quadratic remainder S(w) = [2(a+b)w^2 - (3a+b)w + a] / (4n)."""
-    w = Fraction(w)
-    if not 0 <= w <= 1:
-        raise ValueError(f"w must lie in [0,1], got {w}")
-    r = w.denominator
-    return Fraction(_s_form(params, w.numerator, r), 4 * params.n * params.q * r * r)
-
-
-def verify_condition_2(params: ModelParams) -> tuple[Fraction, ...]:
-    """Exact residuals of the quadratic identity at every state.
-
-    LHS = 2n^2 (1/2n)^2 [p(i,i+1) + p(i,i-1)]; RHS = w(1-w) + S(w).
-    """
-    nums, den = _cond2_residuals(params)
-    return tuple(Fraction(r, den) for r in nums)
-
-
 def e_abs_s(
     params: ModelParams, pi: LatticeDistribution
 ) -> tuple[Fraction, Fraction]:
@@ -241,14 +211,11 @@ def bound_certificate(params: ModelParams) -> BoundCertificate:
     return BoundCertificate(lower=lo, gap=gap, upper=upper, sandwich_ok=ok)
 
 
-def stein_report(
-    params: ModelParams, pi: LatticeDistribution | None = None
-) -> SteinReport:
+def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
     """Full exact verification bundle for one parameter point."""
-    if pi is None:
-        pi = stationary_ratio_product(params)
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
-    s_vals = tuple(Fraction(s, 2 * params.kernel_den) for s in _s_numerators(params))
+    # int true division rounds correctly, so each value is float(Fraction(...))
+    s_vals = tuple(s / (2 * params.kernel_den) for s in _s_numerators(params))
     eabs, ebound = e_abs_s(params, pi)
     return SteinReport(
         cond1_max_abs=Fraction(max(map(abs, res1)), den1),

@@ -3,8 +3,10 @@
 None of these is on the certifier's path.  They restate the stationary law
 through the closed Gamma-function formula and through power iteration of
 the float kernel, step the kernel in float and in rational arithmetic, read
-exact residuals and moments off a law's integer weights, and build the
-periodic test function g behind the lower bound.
+exact residuals and moments off a law's integer weights, give the Beta
+moments as rising-factorial products and the incomplete beta function as a
+one-value Lentz loop, and build the periodic test function g behind the
+lower bound.
 """
 
 from __future__ import annotations
@@ -15,8 +17,9 @@ from typing import Sequence
 
 import numpy as np
 
+from moranbeta.beta import BetaParams, Shape
 from moranbeta.model import LatticeDistribution, ModelParams, _float_kernel
-from moranbeta.special import ConvergenceError, log_gamma
+from moranbeta.special import ConvergenceError, log_beta, log_gamma
 
 # Power iteration stops once one sweep moves pi by less than this in total
 # variation, and gives up after this many sweeps.
@@ -55,6 +58,55 @@ def moment_exact(pi: LatticeDistribution, r: int) -> Fraction:
     """Exact E[W^r] by brute-force summation over the support."""
     m = 2 * pi.n
     return Fraction(sum(w * i**r for i, w in enumerate(pi.weights)), pi.total * m**r)
+
+
+def beta_moments(p: BetaParams, r: int) -> Shape:
+    """E[Z^r] as the rising-factorial product prod_{k<r} (a+k)/(a+b+k).
+
+    Exact (Fraction in, Fraction out) for rational shapes; overflow-free.
+    """
+    if not isinstance(r, int) or r < 1:
+        raise ValueError(f"moment order must be a positive integer, got {r!r}")
+    a, b = p.a, p.b
+    out = a / (a + b)
+    for k in range(1, r):
+        out *= (a + k) / (a + b + k)
+    return out
+
+
+def scalar_reg_inc_beta(x: float, a: float, b: float) -> float:
+    """I_x(a,b) at one 0 < x < 1 by a one-value modified Lentz loop: the
+    reference for the array implementation, which must match it bit for bit."""
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _scalar_cont_frac(a, b, x) / a
+    return 1.0 - front * _scalar_cont_frac(b, a, 1.0 - x) / b
+
+
+def _scalar_cont_frac(a: float, b: float, x: float) -> float:
+    tiny = 1e-300
+
+    def floor(v):
+        return tiny if abs(v) < tiny else v
+
+    qab, qap, qam = a + b, a + 1.0, a - 1.0
+    c = 1.0
+    d = 1.0 / floor(1.0 - qab * x / qap)
+    h = d
+    for m in range(1, 301):
+        m2 = 2 * m
+        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
+        d = 1.0 / floor(1.0 + aa * d)
+        c = floor(1.0 + aa / c)
+        h *= d * c
+        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
+        d = 1.0 / floor(1.0 + aa * d)
+        c = floor(1.0 + aa / c)
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) < 1e-14:
+            return h
+    raise AssertionError("reference loop did not converge")
 
 
 def closed_form_log_weights(params: ModelParams) -> np.ndarray:

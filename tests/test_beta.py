@@ -1,14 +1,30 @@
-"""Beta target: density, CDF, moments, bump-function expectation."""
+"""Beta target: density and CDF as the distances evaluate them, the moment
+reference, variance and bump-function expectation."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from moranbeta.beta import BetaParams, cdf, expected_h, moments, pdf, variance
+from moranbeta import distance
+from moranbeta.beta import BetaParams, expected_h, variance
+from oracles import beta_moments as moments
 
 F = Fraction
+
+
+def cdf_pdf(p, xs):
+    """F_Z and f_Z at every 0 < x < 1 of `xs`, as the distances compute them."""
+    fbeta = BetaParams(float(p.a), float(p.b))
+    return distance._cdf_pdf(fbeta, np.asarray(xs, dtype=float))
+
+
+def pdf(p, x):
+    return float(cdf_pdf(p, [x])[1][0])
+
+
+def cdf(p, x):
+    return float(cdf_pdf(p, [x])[0][0])
 
 
 class TestBetaParams:
@@ -29,18 +45,6 @@ class TestPdf:
 
     def test_symmetric_peak(self):
         assert pdf(BetaParams(2, 2), 0.5) == pytest.approx(1.5, rel=1e-14)
-
-    def test_outside_support(self):
-        p = BetaParams(2.5, 0.7)
-        assert pdf(p, -0.5) == 0.0
-        assert pdf(p, 1.5) == 0.0
-
-    def test_endpoint_limits(self):
-        assert pdf(BetaParams(0.5, 1), 0.0) == math.inf
-        assert pdf(BetaParams(2, 1), 0.0) == 0.0
-        assert pdf(BetaParams(1, 3), 0.0) == 3.0
-        assert pdf(BetaParams(1, 0.5), 1.0) == math.inf
-        assert pdf(BetaParams(1, 2), 1.0) == 0.0
 
     def test_integrates_to_one(self):
         from scipy import integrate
@@ -68,21 +72,14 @@ class TestCdf:
 
     def test_closed_form_one_two(self):
         p = BetaParams(1, 2)
-        for x in np.linspace(0.05, 0.95, 10):
-            assert cdf(p, float(x)) == pytest.approx(1 - (1 - x) ** 2, abs=1e-13)
-
-    def test_clamps_outside(self):
-        p = BetaParams(3, 4)
-        assert cdf(p, -1.0) == 0.0
-        assert cdf(p, 0.0) == 0.0
-        assert cdf(p, 1.0) == 1.0
-        assert cdf(p, 2.0) == 1.0
+        xs = np.linspace(0.05, 0.95, 10)
+        fz, _ = cdf_pdf(p, xs)
+        assert fz == pytest.approx(1 - (1 - xs) ** 2, abs=1e-13)
 
     def test_nondecreasing(self):
-        p = BetaParams(0.4, 2.7)
-        xs = np.linspace(0.0, 1.0, 201)
-        vals = [cdf(p, float(x)) for x in xs]
-        assert all(v2 >= v1 for v1, v2 in zip(vals, vals[1:]))
+        # F_Z at the atoms i/200, i = 0..200, ends included.
+        fz, _ = distance._atoms(200, BetaParams(0.4, 2.7))
+        assert (np.diff(fz) >= 0.0).all()
 
 
 class TestMoments:

@@ -536,6 +536,9 @@ class TestValidate:
             ["--samples", "0", "--steps", "100", "--burn-in", "-50"],
             ["--samples", "0", "--steps", "9"],
             ["--samples", "0", "--steps", "1"],
+            ["--samples", "10", "--steps", "10", "--seed", "-1"],
+            # Only the chain draws here, seeded with seed + 1: -1 would pass.
+            ["--samples", "0", "--steps", "100", "--seed", "-2"],
         ],
     )
     def test_rejects_unusable_counts(self, capsys, counts):
@@ -545,6 +548,7 @@ class TestValidate:
         assert code == 2
         assert out == ""
         assert err.startswith("error: --")
+        assert err.count("\n") == 1 and err.endswith("\n")
 
     def test_fewest_steps_fill_every_batch(self, capsys):
         code, out, _ = run_cli(

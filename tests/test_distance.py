@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranbeta import distance, special
-from moranbeta.beta import BetaParams, cdf, expected_h, pdf
+from moranbeta.beta import BetaParams, expected_h
 from moranbeta.distance import (
     _cdf_integral,
     expected_h_lattice,
@@ -21,7 +21,13 @@ from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import moment_recursion
 from moranbeta.special import ConvergenceError
 from moranbeta.stein import lower_bound
-from oracles import from_exact, from_floats, membership_check_g, periodic_extension_g
+from oracles import (
+    from_exact,
+    from_floats,
+    membership_check_g,
+    periodic_extension_g,
+    scalar_reg_inc_beta,
+)
 
 F = Fraction
 
@@ -101,9 +107,10 @@ SHAPES = st.one_of(RATIONAL, TINY)
 
 
 def scalar_atom_cdfs(n, a, b):
-    """F_Z at the atoms i/(2n), one scalar `beta.cdf` call each."""
-    fbeta = BetaParams(float(a), float(b))
-    return [cdf(fbeta, i / (2 * n)) for i in range(2 * n + 1)]
+    """F_Z at the atoms i/(2n): 0 and 1 at the ends, one scalar Lentz loop
+    at each interior atom."""
+    inner = [scalar_reg_inc_beta(i / (2 * n), float(a), float(b)) for i in range(1, 2 * n)]
+    return [0.0, *inner, 1.0]
 
 
 class TestAtomPass:
@@ -238,21 +245,21 @@ class TestCdfIntegral:
     def test_matches_quadrature(self, a, b):
         from scipy import integrate, special
 
-        beta = BetaParams(a, b)
+        beta = BetaParams(float(a), float(b))
         fz = lambda t: special.betainc(float(a), float(b), t)
-        for x in (1e-6, 0.01, 0.3, 0.77, 0.999):
+        xs = np.array([1e-6, 0.01, 0.3, 0.77, 0.999])
+        got = _cdf_integral(beta, xs, *distance._cdf_pdf(beta, xs))
+        for x, g in zip(xs, got):
             want, _ = integrate.quad(fz, 0.0, x, epsabs=0.0, epsrel=1e-13, limit=200)
-            got = _cdf_integral(beta, x, cdf(beta, x), pdf(beta, x))
-            assert got == pytest.approx(want, rel=1e-12, abs=1e-16)
+            assert g == pytest.approx(want, rel=1e-12, abs=1e-16)
 
     @pytest.mark.parametrize("a,b", [(F(1, 10), F(1, 10)), (F(7, 3), F(11, 5))])
     def test_tends_to_one_minus_mean_at_one(self, a, b):
-        beta = BetaParams(a, b)
+        beta = BetaParams(float(a), float(b))
         mu = float(a / (a + b))
-        x = 1.0 - 1e-12
-        assert _cdf_integral(beta, x, cdf(beta, x), pdf(beta, x)) == pytest.approx(
-            1.0 - mu, abs=1e-11
-        )
+        x = np.array([1.0 - 1e-12])
+        g = _cdf_integral(beta, x, *distance._cdf_pdf(beta, x))
+        assert g[0] == pytest.approx(1.0 - mu, abs=1e-11)
 
 
 def oracle_distances(pi, a, b):

@@ -58,11 +58,6 @@ class TestModelParams:
         p = ModelParams(2, 1, 1)
         assert p.u == F(1, 4) and p.v == F(1, 4) and p.lam == F(1, 16)
 
-    def test_from_rates_round_trip(self):
-        p = ModelParams.from_rates(5, u=F(1, 20), v=F(3, 20))
-        assert p.a == F(3, 2) and p.b == F(1, 2)
-        assert p.u == F(1, 20) and p.v == F(3, 20)
-
     def test_accepts_strings_and_decimals(self):
         p = ModelParams(4, "1/2", "0.25")
         assert p.a == F(1, 2) and p.b == F(1, 4)

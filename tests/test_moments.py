@@ -7,11 +7,10 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from moranbeta.beta import BetaParams
-from moranbeta.beta import moments as beta_moments
 from moranbeta.beta import variance as beta_variance
 from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import mean, moment_recursion, variance
-from oracles import moment_exact
+from oracles import beta_moments, moment_exact
 
 F = Fraction
 

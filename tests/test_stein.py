@@ -16,12 +16,9 @@ from moranbeta.stein import (
     e_abs_s,
     k_constant,
     lower_bound,
-    s_remainder,
     stein_report,
     third_moment_ratio,
     upper_bound_assembled,
-    verify_condition_1,
-    verify_condition_2,
 )
 from oracles import detailed_balance_residuals, moment_exact
 
@@ -49,12 +46,15 @@ def valid_params(draw):
     return ModelParams(n, a, b)
 
 
-class TestConditionMaxima:
-    @given(valid_params())
-    def test_report_maxima_match_residual_tuples(self, p):
-        rep = stein_report(p)
-        assert rep.cond1_max_abs == max(map(abs, verify_condition_1(p)))
-        assert rep.cond2_max_abs == max(map(abs, verify_condition_2(p)))
+def residuals(generator, p):
+    """The residual numerators of one condition at every state."""
+    nums, _ = generator(p)
+    return list(nums)
+
+
+def s_exact(p):
+    """S(i/2n), i = 0..2n, as exact Fractions."""
+    return [F(s, 2 * p.kernel_den) for s in stein._s_numerators(p)]
 
 
 class TestCConstant:
@@ -131,19 +131,19 @@ class TestLowerBound:
 class TestConditions:
     def test_condition1_boundaries(self):
         p = ModelParams(3, 2, 1)
-        res = verify_condition_1(p)
+        res = residuals(stein._cond1_residuals, p)
         assert res[0] == 0 and res[-1] == 0
 
     def test_exact_zero_on_grid(self):
         for n, a, b in EXACT_GRID:
             p = ModelParams(n, a, b)
-            assert all(r == 0 for r in verify_condition_1(p))
-            assert all(r == 0 for r in verify_condition_2(p))
+            assert all(r == 0 for r in residuals(stein._cond1_residuals, p))
+            assert all(r == 0 for r in residuals(stein._cond2_residuals, p))
 
     @given(valid_params())
     def test_exact_zero_property(self, p):
-        assert all(r == 0 for r in verify_condition_1(p))
-        assert all(r == 0 for r in verify_condition_2(p))
+        assert all(r == 0 for r in residuals(stein._cond1_residuals, p))
+        assert all(r == 0 for r in residuals(stein._cond2_residuals, p))
 
     @given(valid_params())
     def test_exchangeability(self, p):
@@ -154,28 +154,22 @@ class TestConditions:
 class TestSRemainder:
     def test_at_zero(self):
         p = ModelParams(5, F(3, 2), 2)
-        assert s_remainder(p, F(0)) == p.a / (4 * p.n)
+        assert s_exact(p)[0] == p.a / (4 * p.n)
 
     def test_at_one(self):
         # 2(a+b) - (3a+b) + a = b, so S(1) = b/(4n); 1/8 at (n=2, a=b=1)
         p = ModelParams(2, 1, 1)
-        assert s_remainder(p, F(1)) == F(1, 8)
+        assert s_exact(p)[-1] == F(1, 8)
         q = ModelParams(5, F(3, 2), 2)
-        assert s_remainder(q, F(1)) == q.b / (4 * q.n)
+        assert s_exact(q)[-1] == q.b / (4 * q.n)
 
     def test_at_half_symmetric(self):
-        assert s_remainder(ModelParams(2, 1, 1), F(1, 2)) == 0
+        assert s_exact(ModelParams(2, 1, 1))[2] == 0
 
     def test_sign_can_flip(self):
         # roots at ((3a+b) +- |a-b|)/(4(a+b)); between them S < 0
-        p = ModelParams(5, 1, 2)
-        ws = [F(i, 10) for i in range(11)]
-        values = [s_remainder(p, w) for w in ws]
+        values = s_exact(ModelParams(5, 1, 2))  # S(i/10), i = 0..10
         assert any(v < 0 for v in values) and any(v > 0 for v in values)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            s_remainder(ModelParams(2, 1, 1), F(3, 2))
 
 
 class TestExpectations:
@@ -208,7 +202,7 @@ class TestExpectations:
             assert 0 <= tmr <= F(1, 2 * n)
             # quadratic identity route: tmr = (1/n) E[W(1-W) + S]
             e_w1w = moment_exact(pi, 1) - moment_exact(pi, 2)
-            s = [s_remainder(p, F(i, 2 * n)) for i in range(2 * n + 1)]
+            s = s_exact(p)
             e_s = sum((pr * si for pr, si in zip(pi.probs_exact, s)), F(0))
             assert tmr == (e_w1w + e_s) / n
             # E|S| as a Fraction sum over probs_exact
@@ -219,7 +213,7 @@ class TestExpectations:
 class TestUpperBound:
     def test_assembled_spot(self):
         p = ModelParams(2, 1, 1)
-        rep = stein_report(p)
+        rep = stein_report(p, stationary_ratio_product(p))
         assert upper_bound_assembled(p, rep) == pytest.approx(1.0, abs=1e-12)
 
     def test_assembled_below_headline(self):
@@ -227,7 +221,7 @@ class TestUpperBound:
             if n > 10:
                 continue
             p = ModelParams(n, a, b)
-            rep = stein_report(p)
+            rep = stein_report(p, stationary_ratio_product(p))
             assert upper_bound_assembled(p, rep) <= k_constant(a, b) / n + 1e-12
 
     def test_assembled_improves_with_n(self):
@@ -235,7 +229,7 @@ class TestUpperBound:
             prev = None
             for n in (5, 10, 20, 40):
                 p = ModelParams(n, a, b)
-                cur = upper_bound_assembled(p, stein_report(p))
+                cur = upper_bound_assembled(p, stein_report(p, stationary_ratio_product(p)))
                 if prev is not None:
                     assert cur <= prev + 1e-12
                 prev = cur
@@ -270,7 +264,7 @@ class TestCertificate:
 class TestReport:
     def test_bundle(self):
         p = ModelParams(2, 1, 1)
-        rep = stein_report(p)
+        rep = stein_report(p, stationary_ratio_product(p))
         assert p.lam == F(1, 16)
         assert rep.conditions_exact
         assert rep.s_values == (F(1, 8), F(1, 32), F(0), F(1, 32), F(1, 8))
@@ -287,6 +281,16 @@ class TestReport:
             stein, "_s_form", lambda *args: calls.append(args) or form(*args)
         )
         stein._s_numerators.cache_clear()
-        rep = stein_report(ModelParams(3, 1, 2))
+        p = ModelParams(3, 1, 2)
+        rep = stein_report(p, stationary_ratio_product(p))
         assert len(calls) == 7  # one per state
         assert rep.conditions_exact and rep.caps_ok
+
+    @given(valid_params())
+    def test_s_values_are_correctly_rounded_floats(self, p):
+        rep = stein_report(p, stationary_ratio_product(p))
+        nums = stein._s_numerators(p)
+        assert len(rep.s_values) == len(nums) == 2 * p.n + 1
+        for value, num in zip(rep.s_values, nums):
+            assert type(value) is float
+            assert value == float(F(num, 2 * p.kernel_den))
