@@ -11,9 +11,10 @@ kernel
 Parameters are carried in the rescaled form a = 2nv, b = 2nu, the regime in
 which the rescaled count W = I/(2n) under the stationary law approaches a
 Beta(a,b) variable.  This module holds the kernel, as integer rows over one
-common denominator (`ModelParams`), the exact stationary law walked along
-those rows (`stationary_ratio_product`), and seeded sampling from the law
-and from the chain.  Floating values are correctly rounded quotients of
+common denominator (`ModelParams`), the exact stationary law read off
+those rows (`stationary_ratio_product`: exact sums by binary splitting, a
+float mirror by an interval walk), and seeded sampling from the law and
+from the chain.  Floating values are correctly rounded quotients of
 the integers, never the other way around.  The independent oracles the
 test suite checks the law against live with the tests.
 """
@@ -25,7 +26,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Union
 
 import numpy as np
 
@@ -62,6 +63,9 @@ class ModelParams:
     `down_poly` and `up_poly` hold the coefficients of D and U in powers of
     i.  Construction builds the rows (D_i) and (U_i) once, checks
     p(i,i) >= 0 in every row and keeps them for `kernel_rows`.
+    `remainder_row`, the numerators S_i = 2(qa+qb) i^2 - (3qa+qb) i m + qa m^2
+    of the condition 2 remainder S(i/m) over 2 kernel_den (see
+    `moranbeta.stein`), is built on first access and kept.
     """
 
     n: int
@@ -128,6 +132,13 @@ class ModelParams:
         """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
         return self._rows
 
+    @cached_property
+    def remainder_row(self) -> tuple[int, ...]:
+        """Numerators S_i of the remainder S(i/2n) over 2 kernel_den, i = 0..2n."""
+        m, qa, qb = 2 * self.n, self.qa, self.qb
+        coef = (qa * m * m, -(3 * qa + qb) * m, 2 * (qa + qb))
+        return tuple(_quadratic(coef, i) for i in range(m + 1))
+
 
 def _quadratic(coef: tuple[int, int, int], i: int) -> int:
     return coef[0] + i * (coef[1] + i * coef[2])
@@ -135,48 +146,162 @@ def _quadratic(coef: tuple[int, int, int], i: int) -> int:
 
 @dataclass(frozen=True, eq=False)
 class LatticeDistribution:
-    """Exact probability vector on {0,...,2n}: pi(i) = weights[i] / total.
+    """The stationary law of one point on {0,...,2n}: pi(i) = w_i / total.
 
-    `probs` is the floating mirror used for numerics, each entry the
-    correctly rounded quotient; `probs_exact`, the same values as
-    `Fraction`s, is built on first access.  No command reads it: it is kept
-    for `perfbench/tracer.py`, which reads the bit length of pi(0)'s
-    reduced denominator.
+    The integer weights w_i of `stationary_ratio_product` are not kept.
+    What is kept is everything the certificate and the distances read:
+    three exact sums over the weights,
+
+        total = sum_i w_i,  abs_s_sum = sum_i w_i |S_i|,
+        move_sum = sum_i w_i (D_i + U_i),
+
+    with S_i the entries of `ModelParams.remainder_row` and (D_i, U_i) the
+    kernel rows, and `probs`, the floating mirror used for numerics, each
+    entry the correctly rounded quotient w_i / total.  `weights` (walked
+    state by state) and `probs_exact` (the same values as reduced
+    `Fraction`s, all 2n+1 of them) are built on first access and kept.  No
+    command reads them: the tests do, and so does `perfbench/tracer.py`,
+    for the bit length of pi(0)'s reduced denominator.
     """
 
-    n: int
+    params: ModelParams
     probs: np.ndarray
-    weights: tuple[int, ...]
     total: int
+    abs_s_sum: int
+    move_sum: int
 
-    @classmethod
-    def from_weights(
-        cls, n: int, weights: Sequence[int], total: int
-    ) -> "LatticeDistribution":
-        """Exact law pi(i) = weights[i] / total; int division rounds correctly."""
-        return cls(n, np.array([w / total for w in weights]), tuple(weights), total)
+    @property
+    def n(self) -> int:
+        return self.params.n
+
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        return tuple(_exact_walk(self.params))
 
     @cached_property
     def probs_exact(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(w, self.total) for w in self.weights)
 
 
+# Bits of each bound in the float mirror's interval walk.  Wider only makes
+# a fallback to the exact walk rarer; the bounds hold at any width.
+_MIRROR_BITS = 192
+
+
 def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
-    """Stationary law via exact detailed-balance ratios, walked along the
-    kernel rows (D_i, U_i) of `ModelParams.kernel_rows`.
+    """Stationary law via exact detailed-balance ratios along the kernel
+    rows (D_i, U_i) of `ModelParams.kernel_rows`.
 
     For a birth-death chain, pi(i+1)/pi(i) = p(i,i+1)/p(i+1,i) = U_i/D_{i+1},
     so pi(i) is proportional to (prod_{k<i} U_k)(prod_{k>i} D_k).  With
-    m = 2n every D_k with k >= 1 is a multiple of k, and dividing the
-    product by m! = prod_{k>=1} k leaves the integer weights
+    m = 2n every D_k with k >= 1 is a multiple of k, and dividing by
+    m! = prod_{k>=1} k leaves the integer weights
 
         w_0 = prod_{k>=1} D_k / k,   w_{i+1} = w_i U_i / D_{i+1},
 
-    where w_0 comes from a balanced product tree and every step divides
-    exactly: one big-by-small multiply and one exact division by a small
-    integer per state.  pi(i) = w_i / sum_j w_j is the reference
-    representation of pi.
+    and pi(i) = w_i / total with total = sum_j w_j.  The weights themselves
+    are never built; two passes give what `LatticeDistribution` keeps.
+
+    Exact sums by binary splitting (Haible & Papanikolaou 1998).  A segment
+    of states carries (PU, PD, T): the products of its U_k and of its D_k,
+    and the three sums T = sum_i c_i (prod_{k<i} U_k)(prod_{k>i} D_k), the
+    products running over the segment, for the columns c_i = 1, |S_i| and
+    D_i + U_i at once.  Leaf i is (U_i, D_i, c_i), and segments merge as
+    (PU1 PU2, PD1 PD2, T1 PD2 + PU1 T2).  The root's three T, divided
+    exactly by m!, are total, abs_s_sum and move_sum.
+
+    Float mirror by an interval walk.  Bounds lo_i <= w_i <= hi_i, each a
+    `_MIRROR_BITS`-bit integer times a power of two, follow the recursion
+    above, and total is bounded the same way.  Every product and quotient is
+    rounded down for lo and up for hi, a renormalising right shift rounds
+    the same way, and a left shift is exact, so the bounds hold at every
+    state whatever the width: no accumulated-error constant enters.
+    Rounding to nearest is monotone, so where RN(lo_i / total_hi) equals
+    RN(hi_i / total_lo) both equal RN(w_i / total).  Both are int true
+    divisions, which round correctly into the subnormals and to 0.  If the
+    two differ at any state (a near-tie, rare at 192 bits), the whole point
+    falls back to the exact walk and rounds its weights.
     """
+    down, up = params.kernel_rows()
+    _, _, *sums = _split(down, up, params.remainder_row, 0, len(down))
+    factorial = math.factorial(2 * params.n)
+    total, abs_s_sum, move_sum = (t // factorial for t in sums)
+    probs = _interval_mirror(down, up, total)
+    if probs is None:
+        probs = [w / total for w in _exact_walk(params)]
+    return LatticeDistribution(params, np.array(probs), total, abs_s_sum, move_sum)
+
+
+# Segments of at most this many states are folded in one loop.
+_SPLIT_LEAVES = 16
+
+
+def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int, int, int]:
+    # (PU, PD, T for c = 1, |S_i|, D_i + U_i) of the states lo..hi-1.
+    if hi - lo <= _SPLIT_LEAVES:
+        pu = pd = 1
+        t_one = t_abs = t_move = 0
+        for i in range(lo, hi):
+            d, u = down[i], up[i]
+            t_one = t_one * d + pu
+            t_abs = t_abs * d + pu * abs(s[i])
+            t_move = t_move * d + pu * (d + u)
+            pu *= u
+            pd *= d
+        return pu, pd, t_one, t_abs, t_move
+    mid = (lo + hi) // 2
+    pu1, pd1, *t1 = _split(down, up, s, lo, mid)
+    pu2, pd2, *t2 = _split(down, up, s, mid, hi)
+    return (pu1 * pu2, pd1 * pd2, *(x * pd2 + pu1 * y for x, y in zip(t1, t2)))
+
+
+def _interval_mirror(down, up, total: int) -> list[float] | None:
+    # RN(w_i / total) for every state, or None where the bounds leave one
+    # undecided (see `stationary_ratio_product`).
+    bits = _MIRROR_BITS
+    m = len(down) - 1
+    lo = hi = 1
+    exp = 0  # lo and hi are in units of 2**exp
+    for k in range(1, m + 1):
+        lo, hi, exp = _scaled(lo, hi, exp, down[k] // k, 1, bits)
+    z_lo, z_hi, z_exp = _scaled(total, total, 0, 1, 1, bits)
+    # hi < 2**(bits + 1) and z_lo >= 2**(bits - 2), so both quotients are
+    # below 2**(3 + shift): past this shift they round to 0 either way, and
+    # a longer shift need not be built.
+    min_shift = -1100
+    probs = []
+    for i in range(m + 1):
+        shift = max(exp - z_exp, min_shift)
+        p = _quotient(lo, z_hi, shift)
+        if p != _quotient(hi, z_lo, shift):
+            return None
+        probs.append(p)
+        if i < m:
+            lo, hi, exp = _scaled(lo, hi, exp, up[i], down[i + 1], bits)
+    return probs
+
+
+def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
+    # Bounds on (lo, hi) * num / den, renormalised so the quotient keeps
+    # about `bits` bits: floor for lo, ceil for hi, exact left shifts.
+    lo, hi = lo * num, hi * num
+    excess = hi.bit_length() - den.bit_length() - bits
+    if excess > 0:
+        lo, hi = lo >> excess, -(-hi >> excess)
+    else:
+        lo, hi = lo << -excess, hi << -excess
+    return lo // den, -(-hi // den), exp + excess
+
+
+def _quotient(x: int, y: int, shift: int) -> float:
+    # RN(x * 2**shift / y); int true division rounds correctly.
+    return (x << shift) / y if shift >= 0 else x / (y << -shift)
+
+
+def _exact_walk(params: ModelParams) -> list[int]:
+    # The weights w_i themselves: w_0 from a balanced product tree, then one
+    # big-by-small multiply and one exact division by a small integer per
+    # state.
     down, up = params.kernel_rows()
     m = 2 * params.n
     w = _product([down[k] // k for k in range(1, m + 1)])
@@ -184,7 +309,7 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     for i in range(m):
         w = w * up[i] // down[i + 1]
         weights.append(w)
-    return LatticeDistribution.from_weights(params.n, weights, sum(weights))
+    return weights
 
 
 def _product(xs: list[int]) -> int:

@@ -24,7 +24,6 @@ import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .distance import gap_h
 from .model import LatticeDistribution, ModelParams
@@ -139,19 +138,6 @@ def lower_bound(params: ModelParams) -> Fraction:
     return a * b / (4 * n * s * (1 + s) ** 2)
 
 
-def _s_form(params: ModelParams, p: int, r: int) -> int:
-    # 4nq r^2 S(p/r), an integer: 2(qa+qb)p^2 - (3qa+qb)pr + qa r^2.
-    qa, qb = params.qa, params.qb
-    return 2 * (qa + qb) * p * p - (3 * qa + qb) * p * r + qa * r * r
-
-
-@lru_cache(maxsize=1)
-def _s_numerators(params: ModelParams) -> tuple[int, ...]:
-    # S(i/2n) * 2 kernel_den for i = 0..2n; kept for the point in progress,
-    # which reads them for s_values, condition 2 and E|S|.
-    return tuple(_s_form(params, i, 2 * params.n) for i in range(2 * params.n + 1))
-
-
 def _cond1_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     # Numerators of the condition 1 residuals over their one denominator.
     m, qa, qb = 2 * params.n, params.qa, params.qb
@@ -162,18 +148,21 @@ def _cond1_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
 def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     # Numerators of the condition 2 residuals over their one denominator.
     m, q = 2 * params.n, params.q
-    rows = enumerate(zip(*params.kernel_rows(), _s_numerators(params)))
+    rows = enumerate(zip(*params.kernel_rows(), params.remainder_row))
     return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
 
 
 def e_abs_s(
     params: ModelParams, pi: LatticeDistribution
 ) -> tuple[Fraction, Fraction]:
-    """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n)."""
-    weights, total = pi.weights, pi.total
-    value = sum(w * abs(s) for w, s in zip(weights, _s_numerators(params)))
+    """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n).
+
+    Reads pi's exact sum of w_i |S_i| (`LatticeDistribution.abs_s_sum`,
+    from the binary-splitting pass of `stationary_ratio_product`): with
+    S(i/2n) = S_i / (2 kernel_den), E|S| = abs_s_sum / (2 kernel_den total).
+    """
     bound = (3 * params.a + 2 * params.b) / (4 * params.n)
-    return Fraction(value, 2 * total * params.kernel_den), bound
+    return Fraction(pi.abs_s_sum, 2 * pi.total * params.kernel_den), bound
 
 
 def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction:
@@ -181,11 +170,10 @@ def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction
 
     One step moves by at most one site, so |W'-W| is either 0 or 1/(2n);
     the ratio is therefore bounded by 1/(2n), which `SteinReport.caps_ok`
-    checks.
+    checks.  Reads pi's exact sum of w_i (D_i + U_i)
+    (`LatticeDistribution.move_sum`, from the same pass as `e_abs_s`).
     """
-    weights, total = pi.weights, pi.total
-    move_mass = sum(w * (d + u) for w, d, u in zip(weights, *params.kernel_rows()))
-    return Fraction(move_mass, 2 * params.n * total * params.kernel_den)
+    return Fraction(pi.move_sum, 2 * params.n * pi.total * params.kernel_den)
 
 
 def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
@@ -215,7 +203,7 @@ def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
     """Full exact verification bundle for one parameter point."""
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
     # int true division rounds correctly, so each value is float(Fraction(...))
-    s_vals = tuple(s / (2 * params.kernel_den) for s in _s_numerators(params))
+    s_vals = tuple(s / (2 * params.kernel_den) for s in params.remainder_row)
     eabs, ebound = e_abs_s(params, pi)
     return SteinReport(
         cond1_max_abs=Fraction(max(map(abs, res1)), den1),

@@ -12,6 +12,7 @@ lower bound.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,7 +33,16 @@ def tv(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
-def from_exact(n: int, probs: Sequence[Fraction]) -> LatticeDistribution:
+@dataclass(frozen=True, eq=False)
+class ExactLaw:
+    """A law on {0,...,2n} that is not the stationary law of a model point,
+    as the distances read a `LatticeDistribution`: `n` and `probs`."""
+
+    n: int
+    probs: np.ndarray
+
+
+def from_exact(n: int, probs: Sequence[Fraction]) -> ExactLaw:
     """Exact law from rational probabilities, which must sum to 1."""
     probs = [Fraction(p) for p in probs]
     if len(probs) != 2 * n + 1:
@@ -43,10 +53,11 @@ def from_exact(n: int, probs: Sequence[Fraction]) -> LatticeDistribution:
         raise ValueError("negative probability entry")
     if sum(weights) != total:
         raise ValueError("exact probabilities must sum to 1")
-    return LatticeDistribution.from_weights(n, weights, total)
+    # int true division rounds correctly
+    return ExactLaw(n, np.array([w / total for w in weights]))
 
 
-def from_floats(n: int, probs: Sequence[float]) -> LatticeDistribution:
+def from_floats(n: int, probs: Sequence[float]) -> ExactLaw:
     """Exact law of nonnegative floats, each read as its exact binary value,
     renormalised in rational arithmetic."""
     exact = [Fraction(float(p)) for p in probs]

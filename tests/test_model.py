@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
+from moranbeta import model
 from moranbeta.model import (
     ModelParams,
     sample_stationary,
@@ -172,6 +173,89 @@ class TestStationaryRatioProduct:
         # Fractions of about 10^5 bits would take minutes.
         assert sum(w) == pi.total
         assert stein_report(p, pi).caps_ok
+
+
+# The points the benchmark certifies: report_singular, report_exact_large
+# and the 36 points of sweep_grid.
+BENCHMARK_POINTS = [
+    (200, F(1, 10), F(1, 10)),
+    (600, F(355, 113), F(103, 37)),
+    *(
+        (n, F(a), F(b))
+        for n in (25, 50, 100, 200)
+        for a in ("0.5", "1", "2")
+        for b in ("0.5", "1", "2")
+    ),
+]
+
+
+def mirror_hex(pi):
+    return [x.hex() for x in pi.probs.tolist()]
+
+
+class TestExactPass:
+    """The binary-splitting sums and the interval float mirror of
+    `stationary_ratio_product` against the exact walk, which `weights`
+    runs on first access."""
+
+    @given(valid_params())
+    # pi(i) rounds to 0 at 21 states and to a subnormal at 11
+    @example(ModelParams(300, F(1, 7), F(599, 2)))
+    @example(ModelParams(150, F(355, 113), F(103, 37)))
+    def test_matches_exact_walk(self, p):
+        pi = stationary_ratio_product(p)
+        w = pi.weights
+        down, up = p.kernel_rows()
+        assert pi.total == sum(w)
+        assert pi.abs_s_sum == sum(x * abs(s) for x, s in zip(w, p.remainder_row))
+        assert pi.move_sum == sum(x * (d + u) for x, d, u in zip(w, down, up))
+        assert mirror_hex(pi) == [(x / pi.total).hex() for x in w]
+
+    @pytest.mark.parametrize(
+        "n,a,b", [(150, F(355, 113), F(103, 37)), (300, F(1, 7), F(599, 2))]
+    )
+    def test_narrow_mirror_falls_back_to_exact_walk(self, monkeypatch, n, a, b):
+        p = ModelParams(n, a, b)
+        want = stationary_ratio_product(p)
+        walks = []
+        walk = model._exact_walk
+        monkeypatch.setattr(
+            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
+        )
+        monkeypatch.setattr(model, "_MIRROR_BITS", 8)
+        got = stationary_ratio_product(p)
+        assert walks == [p]
+        assert mirror_hex(got) == mirror_hex(want)
+        assert (got.total, got.abs_s_sum, got.move_sum) == (
+            want.total, want.abs_s_sum, want.move_sum,
+        )
+
+    @given(
+        st.integers(1, 2**300),
+        st.integers(0, 2**20),
+        st.integers(-50, 50),
+        st.integers(1, 2**80),
+        st.integers(1, 2**80),
+        st.integers(8, 192),
+    )
+    def test_interval_step_keeps_its_bounds(self, lo, width, exp, num, den, bits):
+        # One step of the mirror's walk bounds (lo, hi) * num / den from
+        # below and above, with about `bits` bits left in the upper bound.
+        hi = lo + width
+        lo2, hi2, exp2 = model._scaled(lo, hi, exp, num, den, bits)
+        scale, scale2 = F(2) ** exp, F(2) ** exp2
+        assert lo2 * scale2 <= F(lo * num, den) * scale
+        assert hi2 * scale2 >= F(hi * num, den) * scale
+        assert bits - 1 <= hi2.bit_length() <= bits + 1
+
+    def test_no_fallback_at_benchmark_points(self, monkeypatch):
+        def walk(params):
+            raise AssertionError(f"exact walk ran at {params}")
+
+        monkeypatch.setattr(model, "_exact_walk", walk)
+        for n, a, b in BENCHMARK_POINTS:
+            pi = stationary_ratio_product(ModelParams(n, a, b))
+            assert pi.probs.shape == (2 * n + 1,)
 
 
 class TestStationaryClosedForm:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from moranbeta import stein
+from moranbeta import model, stein
 from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.special import log_gamma
 from moranbeta.stein import (
@@ -54,7 +54,7 @@ def residuals(generator, p):
 
 def s_exact(p):
     """S(i/2n), i = 0..2n, as exact Fractions."""
-    return [F(s, 2 * p.kernel_den) for s in stein._s_numerators(p)]
+    return [F(s, 2 * p.kernel_den) for s in p.remainder_row]
 
 
 class TestCConstant:
@@ -255,9 +255,10 @@ class TestCertificate:
         assert bound_certificate(p).sandwich_ok is False
 
     def test_invariant_matches_fields(self):
+        # The lower side is exact rationals, compared with no float slack.
         cert = bound_certificate(ModelParams(7, F(1, 2), 3))
         assert cert.sandwich_ok == (
-            cert.lower <= cert.gap + 1e-12 and cert.gap <= cert.upper + 1e-12
+            cert.lower <= cert.gap and cert.gap <= cert.upper + 1e-12
         )
 
 
@@ -275,13 +276,14 @@ class TestReport:
         assert rep.cond1_max_abs == 0 and rep.cond2_max_abs == 0
 
     def test_s_numerators_built_once(self, monkeypatch):
-        calls = []
-        form = stein._s_form
-        monkeypatch.setattr(
-            stein, "_s_form", lambda *args: calls.append(args) or form(*args)
-        )
-        stein._s_numerators.cache_clear()
+        # The exact pass, the conditions and s_values all read
+        # ModelParams.remainder_row; the kernel rows are built before the spy.
         p = ModelParams(3, 1, 2)
+        calls = []
+        quadratic = model._quadratic
+        monkeypatch.setattr(
+            model, "_quadratic", lambda *args: calls.append(args) or quadratic(*args)
+        )
         rep = stein_report(p, stationary_ratio_product(p))
         assert len(calls) == 7  # one per state
         assert rep.conditions_exact and rep.caps_ok
@@ -289,7 +291,7 @@ class TestReport:
     @given(valid_params())
     def test_s_values_are_correctly_rounded_floats(self, p):
         rep = stein_report(p, stationary_ratio_product(p))
-        nums = stein._s_numerators(p)
+        nums = p.remainder_row
         assert len(rep.s_values) == len(nums) == 2 * p.n + 1
         for value, num in zip(rep.s_values, nums):
             assert type(value) is float
