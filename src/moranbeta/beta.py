@@ -1,6 +1,6 @@
 """The continuous Beta(a,b) target: its shapes, variance and test-function mean.
 
-The CDF and density the distances need are evaluated over arrays of points
+The CDF and density the distances need are evaluated at the lattice atoms
 in `distance`.
 """
 

@@ -25,8 +25,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from . import beta as beta_dist
 from .beta import BetaParams
@@ -47,6 +46,11 @@ from .stein import (
     stein_report,
     upper_bound_assembled,
 )
+
+# numpy serves only `rate` and `validate`; the functions that use it import
+# it, so `report` and `sweep` start without it.
+if TYPE_CHECKING:
+    import numpy as np
 
 SCHEMA_VERSION = "1"
 
@@ -362,6 +366,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _fit_slope(ns: list[int], values: list[float]) -> float:
+    import numpy as np
+
     logs_n = np.log(np.asarray(ns, dtype=float))
     logs_v = np.log(np.asarray(values, dtype=float))
     slope, _ = np.polyfit(logs_n, logs_v, 1)
@@ -410,6 +416,8 @@ def cmd_rate(args: argparse.Namespace) -> int:
 def _freq_section(
     counts: np.ndarray, total: int, exact: np.ndarray, se: np.ndarray
 ) -> dict:
+    import numpy as np
+
     freqs = counts / total
     dev = np.abs(freqs - exact)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -440,6 +448,8 @@ def _chain_se_floor(
     to be at least 1: successive states of the chain are positively
     correlated, so its frequencies vary at least as much as i.i.d. draws do.
     """
+    import numpy as np
+
     seen = (se > 0) & (freqs > 0) & (freqs < 1)
     ratios = se[seen] ** 2 * count / (freqs[seen] * (1.0 - freqs[seen]))
     tau = max(float(np.median(ratios)), 1.0) if ratios.size else 1.0
@@ -447,6 +457,8 @@ def _chain_se_floor(
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    import numpy as np
+
     params = ModelParams(args.n, args.a, args.b)
     if min(args.samples, args.steps, args.burn_in, args.seed) < 0:
         raise ValueError("--samples, --steps, --burn-in and --seed must be nonnegative")
@@ -461,7 +473,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
     }
     with _computing(params):
         pi = stationary_ratio_product(params)
-        exact = pi.probs
+        exact = np.array(pi.probs)
         payload["exact_probs"] = [float(p) for p in exact]
         if args.samples > 0:
             draws = sample_stationary(pi, seed=args.seed, count=args.samples)

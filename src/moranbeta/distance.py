@@ -12,8 +12,9 @@ Three quantities are reported:
 * the Kolmogorov distance sup |F_W - F_Z|, attained at the atoms because
   F_W is a step function and F_Z is continuous and monotone.
 
-Both distances read F_Z at the atoms i/(2n) from one vectorised pass per
-point, which also yields the density and the antiderivative G for W1.
+Both distances read F_Z at the atoms i/(2n) from one pass per point, which
+also yields the antiderivative G for W1.  Each is one loop on Python floats
+over the lattice pieces.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ import math
 from fractions import Fraction
 from functools import lru_cache
 
-import numpy as np
-
 from . import beta as beta_dist
 from .beta import BetaParams
 from .model import LatticeDistribution, ModelParams
-from .special import ConvergenceError, _libm, _logs, _reg_inc_beta_interior, log_beta
+from .special import ConvergenceError, _reg_inc_beta_interior, log_beta
 
 __all__ = [
     "gap_h",
@@ -59,73 +58,69 @@ def gap_h(params: ModelParams) -> Fraction:
     return abs(ehz - ehw)
 
 
-def _cdf_integral(beta: BetaParams, x, fz, dens):
+def _cdf_integral(a: float, b: float, x: float, fz: float, dens: float) -> float:
     # G(x) = int_0^x F_Z for 0 < x < 1 and float shapes, from F_Z(x), f_Z(x)
     # and I_x(a+1, b) = I_x(a, b) - x^a (1-x)^b / (a B(a, b)), DLMF 8.17(iv).
-    # Scalars or arrays alike.
-    a, b = beta.a, beta.b
     return (x - a / (a + b)) * fz + x * (1.0 - x) * dens / (a + b)
 
 
-def _cdf_pdf(beta: BetaParams, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # F_Z and f_Z at every 0 < x < 1, for float shapes.
-    a, b = beta.a, beta.b
-    logs = _logs(x)
-    dens = _libm(math.exp, (a - 1.0) * logs[0] + (b - 1.0) * logs[1] - log_beta(a, b))
-    return _reg_inc_beta_interior(x, a, b, logs), dens
+def _cdf_pdf(a: float, b: float, ln_beta: float, x: float) -> tuple[float, float]:
+    # F_Z and f_Z at 0 < x < 1, for float shapes and ln B(a, b).
+    logs = math.log(x), math.log1p(-x)
+    dens = math.exp((a - 1.0) * logs[0] + (b - 1.0) * logs[1] - ln_beta)
+    return _reg_inc_beta_interior(x, a, b, ln_beta, logs), dens
 
 
 @lru_cache(maxsize=1)
-def _atoms(m: int, beta: BetaParams) -> tuple[np.ndarray, np.ndarray]:
-    """F_Z and G at the atoms i/m, i = 0..m, computed once for the point in
-    progress: both distances read them.  They depend on the lattice and the
-    shapes only, so the key holds no lattice law."""
-    fbeta = BetaParams(float(beta.a), float(beta.b))
-    x = np.arange(1, m) / m
-    fz, dens = _cdf_pdf(fbeta, x)
-    if not np.isfinite(fz).all():
-        raise FloatingPointError(f"Beta{fbeta.a, fbeta.b} CDF is not finite at i/{m}")
-    g = _cdf_integral(fbeta, x, fz, dens)
+def _atoms(m: int, beta: BetaParams) -> tuple[tuple[float, ...], tuple[float, ...], float]:
+    """F_Z and G at the atoms i/m, i = 0..m, and ln B(a,b), computed once for
+    the point in progress: both distances read them.  They depend on the
+    lattice and the shapes only, so the key holds no lattice law."""
+    a, b = float(beta.a), float(beta.b)
+    ln_beta = log_beta(a, b)
+    fz, g = [0.0], [0.0]
+    for i in range(1, m):
+        x = i / m
+        f, dens = _cdf_pdf(a, b, ln_beta, x)
+        if not math.isfinite(f):
+            raise FloatingPointError(f"Beta{a, b} CDF is not finite at i/{m}")
+        fz.append(f)
+        g.append(_cdf_integral(a, b, x, f, dens))
     # f_Z is infinite at an endpoint where the adjacent shape is below 1.
-    fz = np.concatenate(([0.0], fz, [1.0]))
-    g = np.concatenate(([0.0], g, [float(beta.b / (beta.a + beta.b))]))
-    fz.flags.writeable = g.flags.writeable = False
-    return fz, g
+    fz.append(1.0)
+    g.append(float(beta.b / (beta.a + beta.b)))
+    return tuple(fz), tuple(g), ln_beta
 
 
-def _crossings(
-    beta: BetaParams, lo: np.ndarray, hi: np.ndarray,
-    f_lo: np.ndarray, f_hi: np.ndarray, c: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Roots x of F_Z(x) = c in (lo, hi), elementwise, given F_Z(lo) < c <
-    F_Z(hi), with F_Z(x) and f_Z(x): Newton steps from the linear
-    interpolant, bisecting when a step leaves the shrinking open bracket or
-    the slope is 0 or inf.  An element stops once its Newton or bisection
-    step is below _ROOT_REL_TOL of its piece width; a Newton step that
-    small may round onto a bracket end, so it is tested first."""
+def _crossing(
+    a: float, b: float, ln_beta: float,
+    lo: float, hi: float, f_lo: float, f_hi: float, c: float,
+) -> tuple[float, float, float]:
+    """The root x of F_Z(x) = c in (lo, hi), given F_Z(lo) < c < F_Z(hi),
+    with F_Z(x) and f_Z(x): Newton steps from the linear interpolant,
+    bisecting when a step leaves the shrinking open bracket or the slope is
+    0 or inf.  It stops once its Newton or bisection step is below
+    _ROOT_REL_TOL of the piece width; a Newton step that small may round
+    onto a bracket end, so it is tested first."""
     tol = _ROOT_REL_TOL * (hi - lo)
     x = lo + (hi - lo) * (c - f_lo) / (f_hi - f_lo)
-    x = np.where((lo < x) & (x < hi), x, 0.5 * (lo + hi))
-    out = np.empty((3, c.size))
-    idx = np.arange(c.size)
+    if not lo < x < hi:
+        x = 0.5 * (lo + hi)
     for _ in range(_ROOT_MAX_ITER):
-        fz, dens = _cdf_pdf(beta, x)
-        lo = np.where(fz < c, x, lo)
-        hi = np.where(fz > c, x, hi)
-        sloped = (0.0 < dens) & (dens < math.inf)
-        step = np.where(sloped, (c - fz) / np.where(sloped, dens, 1.0), math.inf)
-        done = np.abs(step) <= tol
-        step = np.where((lo < x + step) & (x + step < hi), step, 0.5 * (lo + hi) - x)
-        done |= np.abs(step) <= tol
-        out[:, idx[done]] = x[done], fz[done], dens[done]
-        live = ~done
-        if not live.any():
-            return out[0], out[1], out[2]
-        idx, lo, hi, c, tol = idx[live], lo[live], hi[live], c[live], tol[live]
-        x = x[live] + step[live]
-    raise ConvergenceError(
-        f"F_Z(x) = {float(c[0])!r} not solved on [{float(lo[0])}, {float(hi[0])}]"
-    )
+        fz, dens = _cdf_pdf(a, b, ln_beta, x)
+        if fz < c:
+            lo = x
+        elif fz > c:
+            hi = x
+        step = (c - fz) / dens if 0.0 < dens < math.inf else math.inf
+        if abs(step) <= tol:
+            return x, fz, dens
+        if not lo < x + step < hi:
+            step = 0.5 * (lo + hi) - x
+            if abs(step) <= tol:
+                return x, fz, dens
+        x += step
+    raise ConvergenceError(f"F_Z(x) = {c!r} not solved on [{lo}, {hi}]")
 
 
 def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
@@ -137,8 +132,9 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
     one sign contributes +-(G(hi) - G(lo) - c (hi - lo)).  Monotone F_Z
     crosses c at most once; a crossing at x* contributes
     c (2 x* - lo - hi) + G(lo) + G(hi) - 2 G(x*), which is stationary in x*,
-    so the root error enters only to second order.  All crossings are
-    solved together, and the pieces, each >= 0, are summed by `math.fsum`.
+    so the root error enters only to second order.  One pass over the
+    pieces solves each crossing as it comes, and the pieces, each >= 0,
+    are summed by `math.fsum`.
 
     The pieces are differences of O(1) values of G, so the rounding of F_Z,
     f_Z and G does not cancel.  Relative error against a 30-digit mpmath
@@ -147,22 +143,26 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
     n=5000, both (1/2, 3/2).
     """
     m = 2 * pi.n
-    fz, g = _atoms(m, beta)
-    xs = np.arange(m + 1) / m
-    lo, hi, f_lo, f_hi, g_lo, g_hi = xs[:-1], xs[1:], fz[:-1], fz[1:], g[:-1], g[1:]
-    c = np.cumsum(pi.probs)[:m]
-    area = c * (hi - lo)
-    pieces = np.where(c <= f_lo, g_hi - g_lo - area, area - (g_hi - g_lo))
-    cross = (f_lo < c) & (c < f_hi)
-    if cross.any():
-        fbeta = BetaParams(float(beta.a), float(beta.b))
-        lo, hi, c = lo[cross], hi[cross], c[cross]
-        x, fzx, dens = _crossings(fbeta, lo, hi, f_lo[cross], f_hi[cross], c)
-        rise = c * (2.0 * x - lo - hi) + g_lo[cross] + g_hi[cross]
-        pieces[cross] = rise - 2.0 * _cdf_integral(fbeta, x, fzx, dens)
-    # Each piece integrates |F_W - F_Z| >= 0; one that rounding takes below
-    # 0 adds nothing.
-    return math.fsum(np.maximum(pieces, 0.0).tolist())
+    fz, g, ln_beta = _atoms(m, beta)
+    a, b = float(beta.a), float(beta.b)
+    pieces = []
+    c = 0.0
+    for i in range(m):
+        c += pi.probs[i]
+        lo, hi = i / m, (i + 1) / m
+        f_lo, f_hi, g_lo, g_hi = fz[i], fz[i + 1], g[i], g[i + 1]
+        if f_lo < c < f_hi:
+            x, fzx, dens = _crossing(a, b, ln_beta, lo, hi, f_lo, f_hi, c)
+            rise = c * (2.0 * x - lo - hi) + g_lo + g_hi
+            piece = rise - 2.0 * _cdf_integral(a, b, x, fzx, dens)
+        elif c <= f_lo:
+            piece = g_hi - g_lo - c * (hi - lo)
+        else:
+            piece = c * (hi - lo) - (g_hi - g_lo)
+        # Each piece integrates |F_W - F_Z| >= 0; one that rounding takes
+        # below 0 adds nothing.
+        pieces.append(max(piece, 0.0))
+    return math.fsum(pieces)
 
 
 def kolmogorov(pi: LatticeDistribution, beta: BetaParams) -> float:
@@ -171,7 +171,10 @@ def kolmogorov(pi: LatticeDistribution, beta: BetaParams) -> float:
     F_W is constant between atoms and F_Z is monotone, so the supremum is
     attained at an atom, approached from the left or from the right.
     """
-    fz, _ = _atoms(2 * pi.n, beta)
-    cum = np.cumsum(pi.probs)
-    prev = np.concatenate(([0.0], cum[:-1]))
-    return float(max(np.abs(cum - fz).max(), np.abs(prev - fz).max()))
+    fz = _atoms(2 * pi.n, beta)[0]
+    worst = prev = 0.0
+    for p, f in zip(pi.probs, fz):
+        cum = prev + p
+        worst = max(worst, abs(cum - f), abs(prev - f))
+        prev = cum
+    return worst

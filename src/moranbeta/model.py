@@ -26,9 +26,12 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import Union
+from typing import TYPE_CHECKING, Union
 
-import numpy as np
+# Only the float kernel, sampling and simulation use numpy, and they import
+# it: building the exact law does not load it.
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "RationalLike",
@@ -156,16 +159,17 @@ class LatticeDistribution:
         move_sum = sum_i w_i (D_i + U_i),
 
     with S_i the entries of `ModelParams.remainder_row` and (D_i, U_i) the
-    kernel rows, and `probs`, the floating mirror used for numerics, each
-    entry the correctly rounded quotient w_i / total.  `weights` (walked
-    state by state) and `probs_exact` (the same values as reduced
-    `Fraction`s, all 2n+1 of them) are built on first access and kept.  No
-    command reads them: the tests do, and so does `perfbench/tracer.py`,
-    for the bit length of pi(0)'s reduced denominator.
+    kernel rows, and `probs`, the floating mirror used for numerics: a
+    tuple of floats, each the correctly rounded quotient w_i / total.
+    `weights` (walked state by state) and `probs_exact` (the same values as
+    reduced `Fraction`s, all 2n+1 of them) are built on first access and
+    kept.  No command reads them: the tests do, and so does
+    `perfbench/tracer.py`, for the bit length of pi(0)'s reduced
+    denominator.
     """
 
     params: ModelParams
-    probs: np.ndarray
+    probs: tuple[float, ...]
     total: int
     abs_s_sum: int
     move_sum: int
@@ -229,7 +233,7 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     probs = _interval_mirror(down, up, total)
     if probs is None:
         probs = [w / total for w in _exact_walk(params)]
-    return LatticeDistribution(params, np.array(probs), total, abs_s_sum, move_sum)
+    return LatticeDistribution(params, tuple(probs), total, abs_s_sum, move_sum)
 
 
 # Segments of at most this many states are folded in one loop.
@@ -320,6 +324,8 @@ def _product(xs: list[int]) -> int:
 
 
 def _float_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    import numpy as np
+
     down, up = params.kernel_rows()
     den = params.kernel_den
     stay = [den - d - u for d, u in zip(down, up)]
@@ -330,6 +336,8 @@ def sample_stationary(
     dist: LatticeDistribution, seed: int, count: int
 ) -> np.ndarray:
     """`count` i.i.d. state indices by inverse-CDF lookup; seeded, reproducible."""
+    import numpy as np
+
     if count < 0:
         raise ValueError("count must be nonnegative")
     if count == 0:
@@ -349,6 +357,8 @@ def simulate_chain(
     Each step draws one uniform and moves down / stays / moves up according
     to the cumulative ordering (down, stay, up).  Deterministic given seed.
     """
+    import numpy as np
+
     if not 0 <= start <= 2 * params.n:
         raise IndexError(f"start state {start} outside {{0,...,{2 * params.n}}}")
     if steps < 0:

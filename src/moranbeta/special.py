@@ -5,18 +5,14 @@ beta function are all that the Beta distribution function at the lattice
 atoms and the constants C(a,b) and K(a,b) require.
 
 The incomplete beta function has one implementation, `_reg_inc_beta_interior`,
-over float arrays: the distances evaluate it at every lattice atom at once.
-Logarithms and exponentials go through `math` and numpy does only + - * /,
-so every array value is bit-identical to a one-value loop over the same
-formulas.
+a one-value continued fraction on Python floats that the distances call at
+every lattice atom.  It takes ln B(a,b) from its caller, which computes it
+once per point.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
-
-import numpy as np
 
 __all__ = [
     "ConvergenceError",
@@ -88,80 +84,58 @@ def log_beta(a: float, b: float) -> float:
     b = float(b)
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"log_beta requires positive arguments, got ({a!r}, {b!r})")
-    return _log_beta(a, b)
-
-
-# The Beta CDF and density read ln B(a,b) in every pass for a shape pair that
-# stays fixed over a whole distance computation.
-@lru_cache(maxsize=64)
-def _log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _libm(fn, v: np.ndarray) -> np.ndarray:
-    # fn (math.log, math.log1p or math.exp) at every element, through libm,
-    # so that each value is the one a call on that element returns.
-    return np.fromiter(map(fn, v.tolist()), float, v.size)
-
-
-def _logs(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # ln x and ln(1-x) at every 0 < x < 1.
-    return _libm(math.log, x), _libm(math.log1p, -x)
-
-
 def _reg_inc_beta_interior(
-    x: np.ndarray, a: float, b: float, logs: tuple[np.ndarray, np.ndarray] | None = None
-) -> np.ndarray:
-    # I_x(a,b) at every 0 < x < 1 of a float array, for float shapes a, b > 0;
-    # `logs` are _logs(x) when the caller has them already.
-    log_x, log_1mx = _logs(x) if logs is None else logs
-    front = _libm(math.exp, a * log_x + b * log_1mx - log_beta(a, b))
-    low = x < (a + 1.0) / (a + b + 2.0)
-    p = np.where(low, a, b)
-    part = front * _beta_cont_frac(p, np.where(low, b, a), np.where(low, x, 1.0 - x)) / p
-    return np.where(low, part, 1.0 - part)
+    x: float, a: float, b: float, ln_beta: float,
+    logs: tuple[float, float] | None = None,
+) -> float:
+    """I_x(a,b) at 0 < x < 1 for float shapes a, b > 0, given ln B(a,b);
+    `logs` are (ln x, ln(1-x)) when the caller has them already."""
+    log_x, log_1mx = (math.log(x), math.log1p(-x)) if logs is None else logs
+    front = math.exp(a * log_x + b * log_1mx - ln_beta)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_cont_frac(a, b, x) / a
+    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
 
 
-def _floor_tiny(v: np.ndarray) -> np.ndarray:
-    # Lentz's guard, in place: a denominator that vanishes becomes a tiny one.
-    v[np.abs(v) < 1e-300] = 1e-300
-    return v
+# Lentz's guard: a denominator that vanishes becomes this tiny one.
+_TINY = 1e-300
 
 
-def _beta_cont_frac(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
-    # Modified Lentz iteration for the incomplete-beta continued fraction,
-    # elementwise; an element leaves the iteration once its own factor is
-    # within _CF_EPS of 1, so every value is the one a scalar loop returns.
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
+def _beta_cont_frac(a: float, b: float, x: float) -> float:
+    # Modified Lentz iteration for the incomplete-beta continued fraction;
+    # stops once a factor is within _CF_EPS of 1.  The step counter m is a
+    # float, which saves an int conversion per operation and changes no bit.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 / _floor_tiny(1.0 - qab * x / qap)
+    c = 1.0
+    d = 1.0 - qab * x / qap
+    d = 1.0 / (_TINY if abs(d) < _TINY else d)
     h = d
-    for m in range(1, _CF_MAX_ITER + 1):
-        m2 = 2 * m
+    m = 0.0
+    for _ in range(_CF_MAX_ITER):
+        m += 1.0
+        m2 = m + m
         am2 = a + m2
         # even step
         aa = m * (b - m) * x / ((qam + m2) * am2)
-        d = 1.0 / _floor_tiny(1.0 + aa * d)
-        c = _floor_tiny(1.0 + aa / c)
-        h = h * (d * c)
+        d = 1.0 + aa * d
+        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        c = 1.0 + aa / c
+        c = _TINY if abs(c) < _TINY else c
+        h *= d * c
         # odd step
         aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
-        d = 1.0 / _floor_tiny(1.0 + aa * d)
-        c = _floor_tiny(1.0 + aa / c)
+        d = 1.0 + aa * d
+        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        c = 1.0 + aa / c
+        c = _TINY if abs(c) < _TINY else c
         delta = d * c
-        h = h * delta
-        done = np.abs(delta - 1.0) < _CF_EPS
-        if np.count_nonzero(done):
-            out[idx[done]] = h[done]
-            if done.all():
-                return out
-            live = ~done
-            idx, a, b, x, qab, qap, qam, c, d, h = (
-                v[live] for v in (idx, a, b, x, qab, qap, qam, c, d, h)
-            )
+        h *= delta
+        if abs(delta - 1.0) < _CF_EPS:
+            return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "
-        f"iterations for (x={float(x[0])!r}, a={float(a[0])!r}, b={float(b[0])!r})"
+        f"iterations for (x={x!r}, a={a!r}, b={b!r})"
     )

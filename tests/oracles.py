@@ -39,7 +39,7 @@ class ExactLaw:
     as the distances read a `LatticeDistribution`: `n` and `probs`."""
 
     n: int
-    probs: np.ndarray
+    probs: tuple[float, ...]
 
 
 def from_exact(n: int, probs: Sequence[Fraction]) -> ExactLaw:
@@ -54,7 +54,7 @@ def from_exact(n: int, probs: Sequence[Fraction]) -> ExactLaw:
     if sum(weights) != total:
         raise ValueError("exact probabilities must sum to 1")
     # int true division rounds correctly
-    return ExactLaw(n, np.array([w / total for w in weights]))
+    return ExactLaw(n, tuple(w / total for w in weights))
 
 
 def from_floats(n: int, probs: Sequence[float]) -> ExactLaw:
@@ -86,8 +86,9 @@ def beta_moments(p: BetaParams, r: int) -> Shape:
 
 
 def scalar_reg_inc_beta(x: float, a: float, b: float) -> float:
-    """I_x(a,b) at one 0 < x < 1 by a one-value modified Lentz loop: the
-    reference for the array implementation, which must match it bit for bit."""
+    """I_x(a,b) at one 0 < x < 1 by a one-value modified Lentz loop that
+    computes ln B(a,b) itself: the reference for the package's loop, which
+    must match it bit for bit."""
     front = math.exp(a * math.log(x) + b * math.log1p(-x) - log_beta(a, b))
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _scalar_cont_frac(a, b, x) / a

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import moranbeta
-from moranbeta import cli, stein
+from moranbeta import cli, distance, special, stein
 from moranbeta.cli import (
     SWEEP_COLUMNS,
     grid_points,
@@ -34,10 +34,11 @@ def run_cli(capsys, *argv):
 
 def test_cli_import_skips_scipy_and_mpmath():
     # Start-up cost is part of every invocation; scipy and mpmath are
-    # test-only oracles, and the process pool loads only for a parallel sweep.
+    # test-only oracles, numpy serves only rate and validate, and the process
+    # pool loads only for a parallel sweep.
     script = (
         "import sys, moranbeta.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'multiprocessing') "
+        "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing') "
         "if m in sys.modules))"
     )
     src = str(Path(moranbeta.__file__).resolve().parents[1])
@@ -47,6 +48,54 @@ def test_cli_import_skips_scipy_and_mpmath():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_report_and_sweep_run_without_numpy():
+    # The certifier and its distances are exact integers and plain floats:
+    # computing a report and a sweep must not load numpy.
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from moranbeta import cli
+        for argv in (
+            ["report", "--n", "7", "--a", "1/2", "--b", "3", "--exact"],
+            ["sweep", "--n", "5,10", "--a", "1", "--b", "1", "--jobs", "1"],
+        ):
+            assert cli.main(argv + ["--out", os.devnull]) == 0, argv
+        print("numpy" in sys.modules)
+        """
+    )
+    src = str(Path(moranbeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_log_beta_once_per_point_not_per_atom(monkeypatch):
+    # ln B(a,b) is fixed per point: the atom pass computes it once and hands
+    # it to every CDF evaluation, the crossings included, at any n.
+    real = special.log_beta
+    calls = []
+
+    def counting(a, b):
+        calls.append((a, b))
+        return real(a, b)
+
+    for mod in list(sys.modules.values()):
+        name = getattr(mod, "__name__", "")
+        if name.startswith("moranbeta") and getattr(mod, "log_beta", None) is real:
+            monkeypatch.setattr(mod, "log_beta", counting)
+    counts = []
+    for n in ("50", "400"):
+        calls.clear()
+        distance._atoms.cache_clear()
+        argv = ["report", "--n", n, "--a", "1/10", "--b", "1/10", "--out", os.devnull]
+        assert main(argv) == 0
+        counts.append(len(calls))
+    assert counts == [1, 1]
 
 
 class TestParsing:
@@ -335,7 +384,7 @@ class TestProofLevelCaps:
             """
             import os
             from fractions import Fraction
-            from moranbeta import cli, stein
+            from moranbeta import cli, distance, special, stein
             stein.third_moment_ratio = lambda params, pi: Fraction(1, params.n)
             argv = ["report", "--n", "3", "--a", "1", "--b", "2", "--out", os.devnull]
             raise SystemExit(cli.main(argv))

@@ -15,8 +15,9 @@ from oracles import scalar_reg_inc_beta
 
 
 def inc_beta(xs, a, b):
-    """I_x(a,b) at every 0 < x < 1 of `xs`, through the array implementation."""
-    return special._reg_inc_beta_interior(np.asarray(xs, dtype=float), a, b)
+    """I_x(a,b) at every 0 < x < 1 of `xs`, one value at a time, as an array."""
+    ln_beta = log_beta(a, b)
+    return np.array([special._reg_inc_beta_interior(float(x), a, b, ln_beta) for x in xs])
 
 
 def lanczos_log_gamma(t):
@@ -102,8 +103,9 @@ class TestLogBeta:
 
         monkeypatch.setattr(special, "log_gamma", counting)
         p = BetaParams(0.3141592653589793, 2.718281828459045)  # used nowhere else
-        for k in range(1000):
-            inc_beta([(k + 0.5) / 1000], p.a, p.b)
+        # The atom pass evaluates I_x at 999 atoms with one ln B(a,b).
+        distance._atoms.cache_clear()
+        distance._atoms(1000, p)
         assert len(calls) <= 3
         a, b = p.a, p.b
         assert log_beta(a, b) == log_gamma(a) + log_gamma(b) - log_gamma(a + b)
@@ -127,7 +129,7 @@ class TestRegIncBeta:
     def test_endpoints(self):
         # The distances never evaluate I_x at x = 0 or 1: the atom pass
         # sets F_Z to exactly 0 and 1 there.
-        fz, _ = distance._atoms(4, BetaParams(3.2, 0.7))
+        fz = distance._atoms(4, BetaParams(3.2, 0.7))[0]
         assert fz[0] == 0.0
         assert fz[-1] == 1.0
 
@@ -181,16 +183,19 @@ class TestRegIncBeta:
         st.floats(min_value=1e-3, max_value=50.0),
     )
     def test_array_path_matches_scalar_lentz_bitwise(self, xs, a, b):
-        # Each element leaves the array iteration at its own convergence
-        # step, so it equals the plain one-value loop bit for bit.
+        # The package's loop with ln B(a,b) passed in equals the reference
+        # one-value loop, which computes it itself, bit for bit.
         got = inc_beta(xs, a, b)
         assert got.tolist() == [scalar_reg_inc_beta(x, a, b) for x in xs]
 
     def test_array_budget_raises(self, monkeypatch):
-        # Small x converges within the budget, x = 0.5 does not.
+        # Small x converges within the budget, x = 0.5 does not, and the
+        # atom pass lets the error through.
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
+        inc_beta([1e-4, 2e-4], 4.0, 4.0)
+        distance._atoms.cache_clear()
         with pytest.raises(ConvergenceError, match="x=0.5"):
-            inc_beta([1e-4, 0.5, 2e-4], 4.0, 4.0)
+            distance._atoms(2, BetaParams(4.0, 4.0))
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CF_EPS", 1e-30)
