@@ -1,7 +1,10 @@
 """Command-line front end: reports, parameter sweeps, rate fits, MC checks.
 
 Every point passes one gate, `grid_points`, before any point is computed,
-and is computed inside one guard, `_computing`.
+and is computed inside one guard, `_computing`. A `sweep` splits its grid
+into at most `--jobs` shares balanced by lattice states (`_shares`): the
+process computes the first share and a forked child each other one, with
+no process pool, and the rows are the same bytes for every `--jobs`.
 
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
 identity or a proof-level cap failed) or a `validate` flag, 2 usage or
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, BinaryIO
 
 from . import beta as beta_dist
 from .beta import BetaParams
@@ -121,6 +124,11 @@ class PointError(Exception):
     """An unexpected failure while computing a valid parameter point (exit 3)."""
 
 
+def _internal(params: ModelParams, what: str) -> str:
+    """The message of a PointError at `params`."""
+    return f"internal: {what} (point a={params.a}, b={params.b}, n={params.n})"
+
+
 @contextmanager
 def _computing(params: ModelParams):
     """Report any failure inside the block as a PointError naming the point.
@@ -131,10 +139,7 @@ def _computing(params: ModelParams):
     try:
         yield
     except Exception as exc:
-        raise PointError(
-            f"internal: {type(exc).__name__}: {exc} "
-            f"(point a={params.a}, b={params.b}, n={params.n})"
-        ) from exc
+        raise PointError(_internal(params, f"{type(exc).__name__}: {exc}")) from exc
 
 
 def parse_rational(text: str) -> Fraction:
@@ -318,16 +323,127 @@ def _sweep_row(params: ModelParams) -> tuple[dict, bool]:
         return _row_values(point), point.ok
 
 
-def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool]]:
-    workers = min(jobs, len(points))
-    if workers <= 1:
-        return [_sweep_row(params) for params in points]
-    # Imported here: the pool's modules cost every other invocation start-up
-    # time and memory.
-    from concurrent.futures import ProcessPoolExecutor
+def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
+    """Indices of `points` split into min(jobs, len(points)) non-empty shares.
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_sweep_row, points, chunksize=1))
+    Longest-processing-time list scheduling on the cost of a point, its
+    2n + 1 lattice states: the costliest point first, each to the share
+    with the least load so far. Any two loads then differ by at most the
+    largest point's cost (Graham 1969). Each share lists its indices in
+    grid order, so it meets its earliest failing point first.
+    """
+    loads = [0] * min(jobs, len(points))
+    shares: list[list[int]] = [[] for _ in loads]
+    for i in sorted(range(len(points)), key=lambda i: -points[i].n):
+        k = loads.index(min(loads))
+        shares[k].append(i)
+        loads[k] += 2 * points[i].n + 1
+    return [sorted(share) for share in shares]
+
+
+def _run_share(points: list[ModelParams], share: list[int]) -> tuple[list, tuple | None]:
+    """`(index, row, ok)` records of one share, up to its first failing point,
+    and that failure as `(index, message)`, or None. A message, not the
+    PointError: a child pickles only plain data."""
+    records = []
+    for i in share:
+        try:
+            row, ok = _sweep_row(points[i])
+        except PointError as exc:
+            return records, (i, str(exc))
+        records.append((i, row, ok))
+    return records, None
+
+
+def _fork_share(points: list[ModelParams], share: list[int]) -> tuple[int, BinaryIO]:
+    """Compute `share` in a forked child; returns its pid and the read end of
+    the pipe that carries `_run_share`'s result as one pickle. The CLI starts
+    no threads, so the child inherits no lock held by another thread."""
+    import pickle
+
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # Whatever happens, the child leaves here: it never returns into the
+        # caller's code, flushes the parent's stdio or runs its handlers.
+        code = 1
+        try:
+            os.close(read_fd)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(pickle.dumps(_run_share(points, share)))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    return pid, open(read_fd, "rb")
+
+
+def _share_result(
+    points: list[ModelParams], share: list[int], data: bytes, status: int
+) -> tuple[list, tuple | None]:
+    """What `_run_share` returned in a child, from the bytes it sent and its
+    wait status. A child exits 0 only once its whole result is written; one
+    that died otherwise, its result cut short, fails at the first point of
+    its share."""
+    import pickle
+
+    code = os.waitstatus_to_exitcode(status)
+    if code == 0:
+        return pickle.loads(data)
+    if code < 0:
+        what = f"sweep worker killed by signal {-code}"
+    else:
+        what = f"sweep worker exited with status {code}"
+    return [], (share[0], _internal(points[share[0]], what))
+
+
+def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool]]:
+    """Rows of every point in grid order.
+
+    The parent computes the first share and a forked child each other one;
+    where there is no `os.fork`, the parent computes the one share. Each
+    pipe is read to EOF before its child is reaped, so no child blocks on
+    a full pipe. A failure is raised as the serial loop would raise it: the
+    one earliest in grid order. If the parent is interrupted, it kills and
+    reaps every child it has not collected.
+    """
+    shares = _shares(points, jobs if hasattr(os, "fork") else 1)
+    children: dict[int, tuple[BinaryIO, list[int]]] = {}
+    try:
+        for share in shares[1:]:
+            with _computing(points[share[0]]):
+                pid, pipe = _fork_share(points, share)
+            children[pid] = (pipe, share)
+        outcomes = [_run_share(points, shares[0])]
+        for pid, (pipe, share) in list(children.items()):
+            with pipe:
+                data = pipe.read()
+            _, status = os.waitpid(pid, 0)
+            del children[pid]
+            outcomes.append(_share_result(points, share, data, status))
+    finally:
+        if children:
+            import signal
+
+            for pid, (pipe, _) in children.items():
+                pipe.close()
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    rows: list = [None] * len(points)
+    failures = []
+    for records, failure in outcomes:
+        for i, row, ok in records:
+            rows[i] = (row, ok)
+        if failure is not None:
+            failures.append(failure)
+    if failures:
+        raise PointError(min(failures)[1])
+    return rows
 
 
 def _render_sweep_csv(rows: list[dict], exact: bool) -> str:

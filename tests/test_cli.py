@@ -1,8 +1,10 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
-import concurrent.futures
 import json
 import os
+import pickle
+import re
+import signal
 import subprocess
 import sys
 import textwrap
@@ -34,8 +36,8 @@ def run_cli(capsys, *argv):
 
 def test_cli_import_skips_scipy_and_mpmath():
     # Start-up cost is part of every invocation; scipy and mpmath are
-    # test-only oracles, numpy serves only rate and validate, and the process
-    # pool loads only for a parallel sweep.
+    # test-only oracles, numpy serves only rate and validate, and no command
+    # loads multiprocessing (a parallel sweep forks its workers directly).
     script = (
         "import sys, moranbeta.cli; "
         "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing') "
@@ -72,6 +74,28 @@ def test_report_and_sweep_run_without_numpy():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_parallel_sweep_loads_no_process_pool():
+    # A parallel sweep forks its workers itself: the pool's modules cost
+    # start-up time and memory, and under a forkserver or spawn start method
+    # its workers would import the package again.
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from moranbeta import cli
+        argv = ["sweep", "--n", "5,10", "--a", "1", "--b", "1", "--jobs", "2"]
+        assert cli.main(argv + ["--out", os.devnull]) == 0
+        print(sorted(m for m in ("concurrent.futures", "multiprocessing") if m in sys.modules))
+        """
+    )
+    src = str(Path(moranbeta.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_log_beta_once_per_point_not_per_atom(monkeypatch):
@@ -303,28 +327,67 @@ class TestSweep:
         assert row["sandwich_ok"] is True
         assert row["exact"]["a"] == "1/2"
 
-    def test_jobs_capped_at_grid_size(self, monkeypatch, capsys):
-        seen = []
+    def test_parallel_matches_serial_beyond_pipe_buffer(self, monkeypatch, tmp_path):
+        # A worker's rows outgrow the pipe buffer (64 KiB on Linux), so the
+        # worker blocks in its write until the parent reads. The parallel run
+        # is a subprocess with a timeout: reaping before reading would hang.
+        shapes = "1/2,1,3/2,1/3,2/3"
+        n_values = ",".join(str(n) for n in range(2, 31))
+        args = ["sweep", "--n", n_values, "--a", shapes, "--b", shapes, "--exact"]
+        rows = {}
+        real = cli._sweep_row
 
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+        def recording(params):
+            rows[params] = real(params)
+            return rows[params]
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks, chunksize=1):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-        code, _, _ = run_cli(
-            capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"
+        monkeypatch.setattr(cli, "_sweep_row", recording)
+        serial = tmp_path / "serial.csv"
+        parallel = tmp_path / "parallel.csv"
+        assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
+        src = str(Path(moranbeta.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "moranbeta.cli", *args, "--jobs", "2", "--out", str(parallel)],
+            env={**os.environ, "PYTHONPATH": src}, capture_output=True, timeout=120,
         )
-        assert code == 0
-        assert seen == [2]
+        assert proc.returncode == 0, proc.stderr
+        assert serial.read_bytes() == parallel.read_bytes()
+        points = list(rows)
+        child = cli._shares(points, 2)[1]
+        payload = pickle.dumps(([(i, *rows[points[i]]) for i in child], None))
+        assert len(payload) > 65536
+
+    def test_jobs_capped_at_grid_size(self, monkeypatch):
+        cases = [
+            ((3, 4), 64),
+            ((25, 50, 100, 200), 2),
+            ((25, 50, 100, 200), 3),
+            ((5,), 4),
+            ((7, 3, 200, 9, 50, 11), 5),
+            (tuple(range(2, 40)), 3),
+        ]
+        for n_values, jobs in cases:
+            points = grid_points((F(1), F(1, 2)), (F(1),), n_values, certified=True)
+            shares = cli._shares(points, jobs)
+            assert len(shares) == min(jobs, len(points))
+            assert all(shares)
+            assert sorted(i for share in shares for i in share) == list(range(len(points)))
+            assert all(share == sorted(share) for share in shares)
+            loads = [sum(2 * points[i].n + 1 for i in share) for share in shares]
+            assert max(loads) - min(loads) <= max(2 * p.n + 1 for p in points)
+        # End to end: the parent computes one share and forks one child for
+        # each other share.
+        forks = []
+        real = cli._fork_share
+
+        def counting(points, share):
+            forks.append(share)
+            return real(points, share)
+
+        monkeypatch.setattr(cli, "_fork_share", counting)
+        argv = ["sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"]
+        assert main(argv + ["--out", os.devnull]) == 0
+        assert len(forks) == 1
 
     def test_rejects_shapes_whose_k_overflows(self, capsys):
         code, out, err = run_cli(
@@ -425,6 +488,106 @@ class TestInternalErrors:
             f"error: internal: {exc_type.__name__}: injected "
             "(point a=1, b=1, n=3)\n"
         )
+
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
+    @pytest.mark.parametrize("failing", ["every", "first_share", "last_share", "two_shares"])
+    def test_parallel_point_failure_matches_serial(self, monkeypatch, capsys, jobs, failing):
+        # The failure reported is the one earliest in grid order, whichever
+        # share meets it, and no worker is left unreaped.
+        argv = ["sweep", "--n", "3,4,5", "--a", "1", "--b", "1,2"]
+        points = grid_points((F(1),), (F(1), F(2)), (3, 4, 5), certified=True)
+        shares = cli._shares(points, jobs)
+        last_of_first, first_of_last = shares[0][-1], shares[-1][0]
+        targets = {
+            "every": set(points),
+            "first_share": {points[last_of_first]},
+            "last_share": {points[first_of_last]},
+            # at --jobs 3, a child's failure is earlier than the parent's
+            "two_shares": {points[last_of_first], points[first_of_last]},
+        }[failing]
+        real = stein.third_moment_ratio
+
+        def fake(params, pi):
+            if params in targets:
+                raise ZeroDivisionError("injected")
+            return real(params, pi)
+
+        monkeypatch.setattr(stein, "third_moment_ratio", fake)
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        assert serial[0] == 3 and serial[1] == ""
+        assert run_cli(capsys, *argv, "--jobs", str(jobs)) == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_sweep_worker_exits_3(self, monkeypatch, capsys):
+        # A worker killed mid-point (say by the OOM killer) is an internal
+        # error naming a point of its share, not a traceback.
+        parent = os.getpid()
+        real = stein.third_moment_ratio
+
+        def dying(params, pi):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return real(params, pi)
+
+        monkeypatch.setattr(stein, "third_moment_ratio", dying)
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "2"
+        )
+        assert code == 3 and out == ""
+        assert re.fullmatch(r"error: internal: [^\n]*\(point a=1, b=1, n=[34]\)\n", err)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_failure_when_cli_runs_as_main(self):
+        # Run as __main__ without replacing sys.modules["__main__"], as
+        # runpy.run_module does by default: a worker must send its failure
+        # as plain data, since no pickled class of the cli module resolves.
+        script = textwrap.dedent(
+            """
+            import os, runpy, sys
+            from moranbeta import stein
+            real, parent = stein.third_moment_ratio, os.getpid()
+            def fake(params, pi):
+                if os.getpid() != parent and params.n == 5:
+                    raise ZeroDivisionError("injected")
+                return real(params, pi)
+            stein.third_moment_ratio = fake
+            sys.argv = ["moranbeta", "sweep", "--n", "3,4,5,6", "--a", "1", "--b", "1",
+                        "--jobs", "2"]
+            runpy.run_module("moranbeta.cli", run_name="__main__")
+            """
+        )
+        src = str(Path(moranbeta.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src},
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == "error: internal: ZeroDivisionError: injected (point a=1, b=1, n=5)\n"
+
+    def test_failed_fork_exits_3_and_reaps_started_workers(self, monkeypatch, capsys):
+        real = os.fork
+        calls = []
+
+        def second_fork_fails():
+            calls.append(None)
+            if len(calls) == 2:
+                raise BlockingIOError(11, "Resource temporarily unavailable")
+            return real()
+
+        monkeypatch.setattr(os, "fork", second_fork_fails)
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "3,4,5", "--a", "1", "--b", "1", "--jobs", "3"
+        )
+        assert code == 3 and out == ""
+        assert re.fullmatch(
+            r"error: internal: BlockingIOError: \[Errno 11\] Resource temporarily "
+            r"unavailable \(point a=1, b=1, n=[345]\)\n",
+            err,
+        )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError])
     def test_validate_failure_exits_3(self, monkeypatch, capsys, exc_type):
