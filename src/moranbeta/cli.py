@@ -5,6 +5,9 @@ and is computed inside one guard, `_computing`. A `sweep` splits its grid
 into at most `--jobs` shares balanced by lattice states (`_shares`): the
 process computes the first share and a forked child each other one, with
 no process pool, and the rows are the same bytes for every `--jobs`.
+`validate` judges a chain's frequencies by error bars from the kernel
+alone, `ModelParams.iact_bound`, and like `rate` runs on the standard
+library: the package has no runtime dependency.
 
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
 identity or a proof-level cap failed) or a `validate` flag, 2 usage or
@@ -28,7 +31,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import TYPE_CHECKING, BinaryIO
+from typing import BinaryIO, Sequence
 
 from . import beta as beta_dist
 from .beta import BetaParams
@@ -49,11 +52,6 @@ from .stein import (
     stein_report,
     upper_bound_assembled,
 )
-
-# numpy serves only `rate` and `validate`; the functions that use it import
-# it, so `report` and `sweep` start without it.
-if TYPE_CHECKING:
-    import numpy as np
 
 SCHEMA_VERSION = "1"
 
@@ -85,9 +83,6 @@ SWEEP_COLUMNS = [name for name, _, _ in COLUMNS]
 EXACT_COLUMNS = [f"{name}_pq" for name in EXACT_FIELDS]
 
 RATE_SLOPE_WINDOW = (-1.05, -0.95)
-
-# Fewest batch-means batches behind validate's chain standard errors.
-MIN_BATCHES = 10
 
 # Smallest shape whose distances are reported.  W1 is accurate to about
 # 1e-13 absolute, while at a tiny shape the true distance is of the order of
@@ -482,12 +477,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _fit_slope(ns: list[int], values: list[float]) -> float:
-    import numpy as np
-
-    logs_n = np.log(np.asarray(ns, dtype=float))
-    logs_v = np.log(np.asarray(values, dtype=float))
-    slope, _ = np.polyfit(logs_n, logs_v, 1)
-    return float(slope)
+    """Least-squares slope of log(values) against log(ns)."""
+    xs = [math.log(n) for n in ns]
+    ys = [math.log(v) for v in values]
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_bar for x in xs]
+    num = math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys))
+    return num / math.fsum(dx * dx for dx in dxs)
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
@@ -529,58 +525,33 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _freq_section(
-    counts: np.ndarray, total: int, exact: np.ndarray, se: np.ndarray
-) -> dict:
-    import numpy as np
+def _freq_section(states: Sequence[int], exact: tuple[float, ...], tau: float) -> dict:
+    """Frequencies of `states` against the law `exact`, each state flagged
+    beyond 5 SE, SE_i = sqrt(tau pi_i (1 - pi_i) / count): `tau` is 1 for
+    i.i.d. draws and bounds the integrated autocorrelation time of a chain."""
+    from collections import Counter
 
-    freqs = counts / total
-    dev = np.abs(freqs - exact)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        units = np.where(se > 0, dev / se, np.where(dev > 0, np.inf, 0.0))
-    flags = [int(i) for i in np.nonzero(units > 5.0)[0]]
+    total = len(states)
+    counts = Counter(states)
+    freqs = [counts[i] / total for i in range(len(exact))]
+    devs = [abs(f - p) for f, p in zip(freqs, exact)]
+    units = []
+    for dev, p in zip(devs, exact):
+        se = math.sqrt(tau * p * (1.0 - p) / total)
+        units.append(dev / se if se > 0 else math.inf if dev > 0 else 0.0)
     return {
-        "count": int(total),
-        "frequencies": [float(f) for f in freqs],
-        "tv_to_exact": float(0.5 * dev.sum()),
-        "max_se_units": float(units.max()),
-        "flagged_states": flags,
+        "count": total,
+        "frequencies": freqs,
+        "tv_to_exact": 0.5 * math.fsum(devs),
+        "max_se_units": max(units),
+        "flagged_states": [i for i, u in enumerate(units) if u > 5.0],
     }
 
 
-def _chain_se_floor(
-    se: np.ndarray, freqs: np.ndarray, exact: np.ndarray, count: int
-) -> np.ndarray:
-    """Lower bound on the chain's SE at each state under the law `exact`.
-
-    Batch means see no spread at a state that no batch visited, or that one
-    batch visited once, so their SE there is 0 or tiny, and any positive
-    pi(i) would lie (almost) infinitely many SE away.  The floor is the
-    binomial SE of `count` i.i.d. draws, sqrt(pi(1-pi)/count), inflated by
-    tau, the median over the states with a positive batch-means SE of that
-    variance divided by the i.i.d. variance of their observed frequencies: a
-    typical autocorrelation time of the chain's occupation indicators.  tau comes
-    from the path alone, so a wrong `exact` cannot widen it.  It is assumed
-    to be at least 1: successive states of the chain are positively
-    correlated, so its frequencies vary at least as much as i.i.d. draws do.
-    """
-    import numpy as np
-
-    seen = (se > 0) & (freqs > 0) & (freqs < 1)
-    ratios = se[seen] ** 2 * count / (freqs[seen] * (1.0 - freqs[seen]))
-    tau = max(float(np.median(ratios)), 1.0) if ratios.size else 1.0
-    return np.sqrt(tau * exact * (1.0 - exact) / count)
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
-    import numpy as np
-
     params = ModelParams(args.n, args.a, args.b)
     if min(args.samples, args.steps, args.burn_in, args.seed) < 0:
         raise ValueError("--samples, --steps, --burn-in and --seed must be nonnegative")
-    if 0 < args.steps < MIN_BATCHES:
-        raise ValueError(f"--steps must be 0 or at least {MIN_BATCHES}, one per batch")
-    size = 2 * params.n + 1
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "validate",
@@ -589,30 +560,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     }
     with _computing(params):
         pi = stationary_ratio_product(params)
-        exact = np.array(pi.probs)
-        payload["exact_probs"] = [float(p) for p in exact]
+        payload["exact_probs"] = list(pi.probs)
         if args.samples > 0:
             draws = sample_stationary(pi, seed=args.seed, count=args.samples)
-            counts = np.bincount(draws, minlength=size).astype(float)
-            se = np.sqrt(exact * (1.0 - exact) / args.samples)
-            payload["iid"] = _freq_section(counts, args.samples, exact, se)
+            payload["iid"] = _freq_section(draws, pi.probs, 1.0)
         if args.steps > 0:
             steps = args.burn_in + args.steps
             path = simulate_chain(params, start=params.n, steps=steps, seed=args.seed + 1)
-            kept = path[args.burn_in + 1 :]
-            counts = np.bincount(kept, minlength=size).astype(float)
-            # batch-means standard errors: occupation fractions are correlated
-            n_batches = min(1000, max(MIN_BATCHES, args.steps // 100))
-            usable = (len(kept) // n_batches) * n_batches
-            batches = kept[:usable].reshape(n_batches, -1)
-            batch_freqs = np.stack(
-                [np.bincount(row, minlength=size) / batches.shape[1] for row in batches]
-            )
-            se = batch_freqs.std(axis=0, ddof=1) / math.sqrt(n_batches)
-            se = np.maximum(se, _chain_se_floor(se, counts / len(kept), exact, len(kept)))
-            section = _freq_section(counts, len(kept), exact, se)
+            tau = params.iact_bound
+            section = _freq_section(path[args.burn_in + 1 :], pi.probs, tau)
             section["burn_in"] = args.burn_in
-            section["batches"] = int(n_batches)
+            section["iact_bound"] = tau
             payload["chain"] = section
     _write_output(json.dumps(payload, indent=2) + "\n", args.out)
     flagged = [payload[k]["flagged_states"] for k in ("iid", "chain") if k in payload]

@@ -51,7 +51,8 @@ def gap_h(params: ModelParams) -> Fraction:
     """Exact |E h(W) - E h(Z)| for h(x) = x(1-x)/2.
 
     Equals ab / (2(a+b)(1+a+b)(2n + (2n-1)(a+b))); the Beta side always
-    dominates the lattice side for finite n.
+    dominates the lattice side for finite n.  As |h'| <= 1/2 on [0, 1],
+    Kantorovich-Rubinstein gives 2 gap_h <= W1.
     """
     ehz = beta_dist.expected_h(BetaParams(params.a, params.b))
     ehw = expected_h_lattice(params)
@@ -138,9 +139,10 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
 
     The pieces are differences of O(1) values of G, so the rounding of F_Z,
     f_Z and G does not cancel.  Relative error against a 30-digit mpmath
-    oracle: 1.8e-12 at n=200, (1/10, 1/10); 5.4e-11 at n=1000, (1/10, 1/10);
-    1.5e-11 at n=1000, (355/113, 103/37); 8.2e-11 at n=2000 and 8.9e-11 at
-    n=5000, both (1/2, 3/2).
+    oracle: 1.8e-12 at n=200, (1/10, 1/10), which the test suite holds to
+    1e-11; single measurements, too slow for the suite: 5.4e-11 at n=1000,
+    (1/10, 1/10); 1.5e-11 at n=1000, (355/113, 103/37); 8.2e-11 at n=2000
+    and 8.9e-11 at n=5000, both (1/2, 3/2).
     """
     m = 2 * pi.n
     fz, g, ln_beta = _atoms(m, beta)

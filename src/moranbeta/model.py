@@ -13,10 +13,12 @@ which the rescaled count W = I/(2n) under the stationary law approaches a
 Beta(a,b) variable.  This module holds the kernel, as integer rows over one
 common denominator (`ModelParams`), the exact stationary law read off
 those rows (`stationary_ratio_product`: exact sums by binary splitting, a
-float mirror by an interval walk), and seeded sampling from the law and
-from the chain.  Floating values are correctly rounded quotients of
-the integers, never the other way around.  The independent oracles the
-test suite checks the law against live with the tests.
+float mirror by an interval walk), the bound on the chain's
+autocorrelation time that condition 1 proves (`ModelParams.iact_bound`),
+and seeded sampling from the law and from the chain on the standard
+library's `random`.  Floating values are correctly rounded quotients of the
+integers, never the other way around.  The independent oracles the test
+suite checks the law against live with the tests.
 """
 
 from __future__ import annotations
@@ -26,12 +28,7 @@ import sys
 from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Union
-
-# Only the float kernel, sampling and simulation use numpy, and they import
-# it: building the exact law does not load it.
-if TYPE_CHECKING:
-    import numpy as np
+from typing import Union
 
 __all__ = [
     "RationalLike",
@@ -130,6 +127,22 @@ class ModelParams:
     def lam(self) -> Fraction:
         """The exchangeable-pair scaling constant 1/(4n^2)."""
         return Fraction(1, 4 * self.n * self.n)
+
+    @property
+    def iact_bound(self) -> float:
+        """tau = 8n^2/(a+b) - 1, a bound on the integrated autocorrelation
+        time of every function of the stationary chain (inf past the float
+        range).
+
+        Condition 1 says W - a/(a+b) is an eigenfunction of the kernel with
+        eigenvalue lambda_2 = 1 - (a+b)/(4n^2).  It changes sign once, so by
+        the oscillation theorem for Jacobi matrices (Gantmacher & Krein 1950)
+        lambda_2 is the second largest eigenvalue, and for a reversible chain
+        the asymptotic variance of an average is at most
+        (1 + lambda_2)/(1 - lambda_2) = tau times its i.i.d. variance
+        (Geyer 1992).
+        """
+        return 8 * self.n**2 / float(self.a + self.b) - 1
 
     def kernel_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
@@ -323,59 +336,61 @@ def _product(xs: list[int]) -> int:
     return xs[0]
 
 
-def _float_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    import numpy as np
-
-    down, up = params.kernel_rows()
-    den = params.kernel_den
-    stay = [den - d - u for d, u in zip(down, up)]
-    return tuple(np.array([x / den for x in row]) for row in (down, stay, up))
+# Draws made per call of `Random.choices`, which builds a list of them.
+_CHUNK = 1 << 16
 
 
-def sample_stationary(
-    dist: LatticeDistribution, seed: int, count: int
-) -> np.ndarray:
-    """`count` i.i.d. state indices by inverse-CDF lookup; seeded, reproducible."""
-    import numpy as np
+def sample_stationary(dist: LatticeDistribution, seed: int, count: int) -> array:
+    """`count` i.i.d. state indices by inverse-CDF lookup, as an `array('q')`.
+
+    Reproducible from `seed`: `random.Random(seed).choices` locates one
+    `random()` per draw in the running sums of `probs`.  The array is
+    allocated before any draw, so an impossible count fails at once.
+    """
+    import random
+    from array import array
+    from itertools import accumulate
 
     if count < 0:
         raise ValueError("count must be nonnegative")
-    if count == 0:
-        return np.empty(0, dtype=np.int64)
-    cdf = np.cumsum(dist.probs)
-    rng = np.random.default_rng(seed)
-    u = rng.random(count)
-    idx = np.searchsorted(cdf, u, side="right")
-    return np.minimum(idx, 2 * dist.n).astype(np.int64)
+    draws = array("q", [0]) * count
+    choices = random.Random(seed).choices
+    states = range(2 * dist.n + 1)
+    cum = list(accumulate(dist.probs))
+    for lo in range(0, count, _CHUNK):
+        k = min(_CHUNK, count - lo)
+        draws[lo : lo + k] = array("q", choices(states, cum_weights=cum, k=k))
+    return draws
 
 
-def simulate_chain(
-    params: ModelParams, start: int, steps: int, seed: int
-) -> np.ndarray:
-    """Trajectory of `steps` kernel steps from `start` (length steps + 1).
+def simulate_chain(params: ModelParams, start: int, steps: int, seed: int) -> array:
+    """Trajectory of `steps` kernel steps from `start`, as an `array('q')`
+    of length steps + 1, allocated before the first step.
 
-    Each step draws one uniform and moves down / stays / moves up according
-    to the cumulative ordering (down, stay, up).  Deterministic given seed.
+    Each step draws one u = `random()` of `random.Random(seed)` and moves
+    down if u < D_i / kernel_den, up if u >= (kernel_den - U_i) / kernel_den,
+    and stays otherwise; both thresholds are correctly rounded quotients of
+    the kernel rows.
     """
-    import numpy as np
+    import random
+    from array import array
 
     if not 0 <= start <= 2 * params.n:
         raise IndexError(f"start state {start} outside {{0,...,{2 * params.n}}}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    down, stay, _ = _float_kernel(params)
-    t1 = down.tolist()
-    t2 = (down + stay).tolist()
-    rng = np.random.default_rng(seed)
-    us = rng.random(steps)
-    path = np.empty(steps + 1, dtype=np.int64)
-    path[0] = start
-    i = start
-    for k in range(steps):
-        u = us[k]
-        if u < t1[i]:
+    path = array("q", [0]) * (steps + 1)
+    down, up = params.kernel_rows()
+    den = params.kernel_den
+    t_down = [d / den for d in down]
+    t_up = [(den - u) / den for u in up]
+    uniform = random.Random(seed).random
+    path[0] = i = start
+    for k in range(1, steps + 1):
+        u = uniform()
+        if u < t_down[i]:
             i -= 1
-        elif u >= t2[i]:
+        elif u >= t_up[i]:
             i += 1
-        path[k + 1] = i
+        path[k] = i
     return path

@@ -3,14 +3,16 @@
 None of these is on the certifier's path.  They restate the stationary law
 through the closed Gamma-function formula and through power iteration of
 the float kernel, step the kernel in float and in rational arithmetic, read
-exact residuals and moments off a law's integer weights, give the Beta
-moments as rising-factorial products and the incomplete beta function as a
-one-value Lentz loop, and build the periodic test function g behind the
-lower bound.
+exact residuals and moments off a law's integer weights, give each
+state's exact asymptotic variance in the chain by a closed form and by the
+fundamental matrix, give the Beta moments as rising-factorial products and
+the incomplete beta function as a one-value Lentz loop, and build the
+periodic test function g behind the lower bound.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from moranbeta.beta import BetaParams, Shape
-from moranbeta.model import LatticeDistribution, ModelParams, _float_kernel
+from moranbeta.model import LatticeDistribution, ModelParams
 from moranbeta.special import ConvergenceError, log_beta, log_gamma
 
 # Power iteration stops once one sweep moves pi by less than this in total
@@ -173,6 +175,14 @@ def stationary_closed_form(params: ModelParams) -> np.ndarray:
     return w
 
 
+def float_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows (down, stay, up) of the kernel as correctly rounded floats."""
+    down, up = params.kernel_rows()
+    den = params.kernel_den
+    stay = [den - d - u for d, u in zip(down, up)]
+    return tuple(np.array([x / den for x in row]) for row in (down, stay, up))
+
+
 def _step(kernel: tuple[np.ndarray, ...], probs: np.ndarray) -> np.ndarray:
     # probs @ P for the float kernel rows (down, stay, up).
     down, stay, up = kernel
@@ -184,7 +194,7 @@ def _step(kernel: tuple[np.ndarray, ...], probs: np.ndarray) -> np.ndarray:
 
 def apply_kernel(params: ModelParams, probs: np.ndarray) -> np.ndarray:
     """One step of the chain acting on a float row vector: returns probs @ P."""
-    return _step(_float_kernel(params), np.asarray(probs, dtype=float))
+    return _step(float_kernel(params), np.asarray(probs, dtype=float))
 
 
 def apply_kernel_exact(
@@ -213,6 +223,110 @@ def detailed_balance_residuals(
     )
 
 
+def asymptotic_variances(pi: LatticeDistribution) -> tuple[Fraction, ...]:
+    """Exact sigma_i^2 = lim T Var(fraction of T stationary steps at i).
+
+    For a birth-death chain the Poisson equation of f = 1{X = i} integrates
+    along the edges, and with Pi(k) = pi(0) + ... + pi(k) and
+    c_k = pi(k) p(k,k+1),
+
+        sigma_i^2 = 2 pi_i^2 sum_{k<2n} ([k >= i] - Pi(k))^2 / c_k
+                    - pi_i (1 - pi_i).
+
+    Expanding the square splits the sum into one term common to every i and
+    a suffix sum, so all 2n+1 states take O(n) operations.
+    """
+    probs = pi.probs_exact
+    params = pi.params
+    _, up = params.kernel_rows()
+    m = 2 * pi.n
+    cum = list(itertools.accumulate(probs))
+    flux = [probs[k] * Fraction(up[k], params.kernel_den) for k in range(m)]
+    common = sum(cum[k] ** 2 / flux[k] for k in range(m))
+    suffix = [Fraction(0)] * (m + 1)
+    for k in reversed(range(m)):
+        suffix[k] = suffix[k + 1] + (1 - 2 * cum[k]) / flux[k]
+    return tuple(
+        2 * p * p * (common + suffix[i]) - p * (1 - p) for i, p in enumerate(probs)
+    )
+
+
+def asymptotic_variances_dense(pi: LatticeDistribution) -> tuple[Fraction, ...]:
+    """The same variances from the fundamental matrix Z = (I - P + 1 pi)^-1
+    (Kemeny & Snell): sigma_i^2 = pi_i (2 Z_ii - 1 - pi_i).  Dense Gaussian
+    elimination in rational arithmetic, for small n only."""
+    probs = pi.probs_exact
+    params = pi.params
+    down, up = params.kernel_rows()
+    den = params.kernel_den
+    size = len(probs)
+    a = [[probs[j] + (i == j) for j in range(size)] for i in range(size)]
+    for i in range(size):
+        if i > 0:
+            a[i][i - 1] -= Fraction(down[i], den)
+        if i < size - 1:
+            a[i][i + 1] -= Fraction(up[i], den)
+        a[i][i] -= Fraction(den - down[i] - up[i], den)
+    z = _inverse(a)
+    return tuple(p * (2 * z[i][i] - 1 - p) for i, p in enumerate(probs))
+
+
+def _inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
+    # Gauss-Jordan with the first nonzero pivot: exact, so no pivoting rule.
+    size = len(a)
+    rows = [row + [Fraction(i == j) for j in range(size)] for i, row in enumerate(a)]
+    for col in range(size):
+        piv = next(r for r in range(col, size) if rows[r][col] != 0)
+        rows[col], rows[piv] = rows[piv], rows[col]
+        lead = rows[col][col]
+        rows[col] = [x / lead for x in rows[col]]
+        for r in range(size):
+            if r != col and rows[r][col] != 0:
+                factor = rows[r][col]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[col])]
+    return [row[size:] for row in rows]
+
+
+def wasserstein_mpmath(pi: LatticeDistribution, dps: int = 30) -> float:
+    """W1 of the law `pi` to Beta(a, b) at `dps` significant digits (mpmath).
+
+    The same piecewise closed form as `moranbeta.distance.wasserstein`,
+    on the exact weights, with G(x) = int_0^x F_Z = x I_x(a,b) - mu
+    I_x(a+1,b), mu = a/(a+b), and each crossing F_Z(x*) = c solved by
+    mpmath's bracketing root finder.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (pi.params.a, pi.params.b))
+        mu = a / (a + b)
+
+        def cdf(x):
+            return mpmath.betainc(a, b, 0, x, regularized=True)
+
+        def antiderivative(x):
+            return x * cdf(x) - mu * mpmath.betainc(a + 1, b, 0, x, regularized=True)
+
+        m = 2 * pi.n
+        atoms = [mpmath.mpf(i) / m for i in range(m + 1)]
+        fz = [cdf(x) for x in atoms]
+        g = [antiderivative(x) for x in atoms]
+        total = mpmath.mpf(0)
+        weight = 0
+        for i in range(m):
+            weight += pi.weights[i]
+            c = mpmath.mpf(weight) / pi.total
+            lo, hi = atoms[i], atoms[i + 1]
+            if fz[i] < c < fz[i + 1]:
+                x = mpmath.findroot(lambda t: cdf(t) - c, (lo, hi), solver="anderson")
+                total += c * (2 * x - lo - hi) + g[i] + g[i + 1] - 2 * antiderivative(x)
+            elif c <= fz[i]:
+                total += g[i + 1] - g[i] - c * (hi - lo)
+            else:
+                total += c * (hi - lo) - (g[i + 1] - g[i])
+        return float(total)
+
+
 def power_iteration_oracle(params: ModelParams) -> np.ndarray:
     """Brute-force fixed point: iterate the kernel from the uniform vector.
 
@@ -220,7 +334,7 @@ def power_iteration_oracle(params: ModelParams) -> np.ndarray:
     variation.  Slowly mixing for large n (relaxation time ~ 4n^2/(a+b)), so
     intended as an independent oracle at desk scale, not a production path.
     """
-    kernel = _float_kernel(params)
+    kernel = float_kernel(params)
     size = 2 * params.n + 1
     pi = np.full(size, 1.0 / size)
     for _ in range(_POWER_MAX_SWEEPS):

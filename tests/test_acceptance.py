@@ -219,14 +219,15 @@ def test_criterion_12_monte_carlo_consistency():
     size = 2 * p.n + 1
     count = 1_000_000
 
-    draws = sample_stationary(pi, seed=20240903, count=count)
+    draws = np.asarray(sample_stationary(pi, seed=20240903, count=count))
     freqs = np.bincount(draws, minlength=size) / count
     se = np.sqrt(probs * (1.0 - probs) / count)
     iid_units = float(np.abs(freqs - probs).max() / se.min())
     assert np.all(np.abs(freqs - probs) <= 5 * se)
 
     burn, steps = 10_000, 1_000_000
-    path = simulate_chain(p, start=p.n, steps=burn + steps, seed=20240904)[burn + 1:]
+    path = simulate_chain(p, start=p.n, steps=burn + steps, seed=20240904)
+    path = np.asarray(path)[burn + 1:]
     occ = np.bincount(path, minlength=size) / steps
     batches = path[: (steps // 1000) * 1000].reshape(1000, -1)
     bf = np.stack([np.bincount(r, minlength=size) / batches.shape[1] for r in batches])

@@ -35,9 +35,9 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_skips_scipy_and_mpmath():
-    # Start-up cost is part of every invocation; scipy and mpmath are
-    # test-only oracles, numpy serves only rate and validate, and no command
-    # loads multiprocessing (a parallel sweep forks its workers directly).
+    # Start-up cost is part of every invocation; scipy, mpmath and numpy are
+    # test-only oracles, and no command loads multiprocessing (a parallel
+    # sweep forks its workers directly).
     script = (
         "import sys, moranbeta.cli; "
         "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing') "
@@ -53,8 +53,10 @@ def test_cli_import_skips_scipy_and_mpmath():
 
 
 def test_report_and_sweep_run_without_numpy():
-    # The certifier and its distances are exact integers and plain floats:
-    # computing a report and a sweep must not load numpy.
+    # The package has no runtime dependency: the certifier and its
+    # distances are exact integers and plain floats, and the rate fit,
+    # sampling and chain statistics use the standard library, so no
+    # command loads numpy.
     script = textwrap.dedent(
         """
         import os, sys
@@ -62,6 +64,9 @@ def test_report_and_sweep_run_without_numpy():
         for argv in (
             ["report", "--n", "7", "--a", "1/2", "--b", "3", "--exact"],
             ["sweep", "--n", "5,10", "--a", "1", "--b", "1", "--jobs", "1"],
+            ["rate", "--n", "5,10,20,40", "--a", "1", "--b", "1"],
+            ["validate", "--n", "5", "--a", "1", "--b", "1",
+             "--samples", "1000", "--steps", "1000"],
         ):
             assert cli.main(argv + ["--out", os.devnull]) == 0, argv
         print("numpy" in sys.modules)
@@ -746,8 +751,6 @@ class TestValidate:
             ["--samples", "-1", "--steps", "0"],
             ["--samples", "0", "--steps", "-1"],
             ["--samples", "0", "--steps", "100", "--burn-in", "-50"],
-            ["--samples", "0", "--steps", "9"],
-            ["--samples", "0", "--steps", "1"],
             ["--samples", "10", "--steps", "10", "--seed", "-1"],
             # Only the chain draws here, seeded with seed + 1: -1 would pass.
             ["--samples", "0", "--steps", "100", "--seed", "-2"],
@@ -762,15 +765,48 @@ class TestValidate:
         assert err.startswith("error: --")
         assert err.count("\n") == 1 and err.endswith("\n")
 
-    def test_fewest_steps_fill_every_batch(self, capsys):
+    def test_one_step_is_judged_by_the_iact_bound(self, capsys):
+        # No --steps minimum: the error bars come from the kernel alone, and
+        # one step leaves every state within 5 SE of pi at this point.
         code, out, _ = run_cli(
             capsys,
             "validate", "--n", "3", "--a", "1", "--b", "2",
-            "--samples", "0", "--steps", "10", "--burn-in", "0",
+            "--samples", "0", "--steps", "1", "--burn-in", "0",
         )
-        assert code in (0, 1)
+        assert code == 0
         chain = json.loads(out)["chain"]
-        assert chain["count"] == 10 and chain["batches"] == 10
+        assert chain["count"] == 1 and chain["burn_in"] == 0
+        assert chain["iact_bound"] == 8 * 3**2 / 3 - 1
+        assert chain["flagged_states"] == []
+        assert "batches" not in chain
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_exact_law_not_flagged_below_the_mixing_time(self, capsys, seed):
+        # A bimodal law whose relaxation time, 4n^2/(a+b) = 18,000 steps, is
+        # a fifth of the run: the chain crosses between the modes only a few
+        # times, so error bars measured from the path come out too small.
+        # The bound comes from the kernel and holds at any run length.
+        code, out, _ = run_cli(
+            capsys,
+            "validate", "--n", "30", "--a", "1/10", "--b", "1/10",
+            "--samples", "0", "--steps", "100000", "--seed", str(seed),
+        )
+        chain = json.loads(out)["chain"]
+        assert chain["iact_bound"] == 35999.0
+        assert chain["flagged_states"] == []
+        assert code == 0
+
+    @pytest.mark.parametrize("count", ["--samples", "--steps"])
+    def test_impossible_count_fails_at_once(self, capsys, count):
+        # Both arrays are allocated before the first draw: 10^14 entries
+        # of 8 bytes fail there rather than after a run without end.
+        argv = ["--samples", "0", "--steps", "0", count, str(10**14)]
+        code, out, err = run_cli(
+            capsys, "validate", "--n", "3", "--a", "1", "--b", "2", *argv
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: internal: MemoryError")
 
     def test_zero_samples_keeps_exact_section(self, capsys):
         code, out, _ = run_cli(

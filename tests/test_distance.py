@@ -27,6 +27,7 @@ from oracles import (
     membership_check_g,
     periodic_extension_g,
     scalar_reg_inc_beta,
+    wasserstein_mpmath,
 )
 
 F = Fraction
@@ -307,6 +308,30 @@ class TestLargeN:
         beta = BetaParams(a, b)
         assert wasserstein(pi, beta) == pytest.approx(w1, rel=1e-9)
         assert kolmogorov(pi, beta) == pytest.approx(kol, abs=1e-12)
+
+    def test_against_30_digit_oracle(self):
+        # The first accuracy figure of the `wasserstein` docstring: 1.8e-12.
+        n, a, b = 200, F(1, 10), F(1, 10)
+        pi = stationary_ratio_product(ModelParams(n, a, b))
+        oracle = wasserstein_mpmath(pi)
+        assert wasserstein(pi, BetaParams(a, b)) == pytest.approx(oracle, rel=1e-11)
+
+
+GAP_SHAPES = (F(1, 10), F(1, 2), F(1), F(2), F(5), F(20), F(355, 113), F(103, 37))
+
+
+def test_twice_gap_h_at_most_w1():
+    # Kantorovich-Rubinstein: |h'| = |1/2 - x| <= 1/2 on [0, 1], so
+    # |E h(W) - E h(Z)| <= W1 / 2.
+    points = [
+        (n, a, b) for a in GAP_SHAPES for b in GAP_SHAPES for n in (3, 10, 50, 200)
+        if a + b < 2 * n
+    ]
+    assert len(points) == 216
+    for n, a, b in points:
+        p = ModelParams(n, a, b)
+        w1 = wasserstein(stationary_ratio_product(p), BetaParams(a, b))
+        assert 2 * float(gap_h(p)) <= w1, (n, a, b)
 
 
 class TestKolmogorov:

@@ -21,6 +21,8 @@ import oracles
 from oracles import (
     apply_kernel,
     apply_kernel_exact,
+    asymptotic_variances,
+    asymptotic_variances_dense,
     closed_form_log_weights,
     detailed_balance_residuals,
     from_exact,
@@ -334,7 +336,7 @@ class TestLatticeDistribution:
 class TestSampling:
     def test_empty(self):
         pi = stationary_ratio_product(ModelParams(2, 1, 1))
-        assert sample_stationary(pi, seed=1, count=0).size == 0
+        assert len(sample_stationary(pi, seed=1, count=0)) == 0
 
     def test_deterministic(self):
         pi = stationary_ratio_product(ModelParams(3, 1, 2))
@@ -347,7 +349,7 @@ class TestSampling:
         pi = stationary_ratio_product(p)
         probs = np.array(pi.probs)
         count = 1_000_000
-        draws = sample_stationary(pi, seed=2024, count=count)
+        draws = np.asarray(sample_stationary(pi, seed=2024, count=count))
         w_bar = draws.mean() / 4.0
         support = np.arange(5) / 4.0
         se_mean = np.sqrt(float(probs @ (support - 0.5) ** 2) / count)
@@ -364,7 +366,7 @@ class TestSimulateChain:
 
     def test_birth_death_increments(self):
         p = ModelParams(4, F(1, 2), 3)
-        path = simulate_chain(p, start=4, steps=20000, seed=5)
+        path = np.asarray(simulate_chain(p, start=4, steps=20000, seed=5))
         steps = np.diff(path)
         assert np.abs(steps).max() <= 1
         assert path.min() >= 0 and path.max() <= 8
@@ -384,9 +386,57 @@ class TestSimulateChain:
         p = ModelParams(2, 1, 1)
         pi = stationary_ratio_product(p)
         burn, steps = 10_000, 1_000_000
-        path = simulate_chain(p, start=2, steps=burn + steps, seed=77)[burn + 1 :]
+        path = simulate_chain(p, start=2, steps=burn + steps, seed=77)
+        path = np.asarray(path)[burn + 1 :]
         freqs = np.bincount(path, minlength=5) / steps
         batches = path[: (steps // 1000) * 1000].reshape(1000, -1)
         bf = np.stack([np.bincount(r, minlength=5) / batches.shape[1] for r in batches])
         se = bf.std(axis=0, ddof=1) / np.sqrt(1000)
         assert np.all(np.abs(freqs - pi.probs) <= 5 * se)
+
+
+MIXING_SHAPES = [
+    (F(1), F(1)), (F(1, 10), F(1, 10)), (F(1, 2), F(3, 2)),
+    (F(355, 113), F(103, 37)), (F(1, 7), F(5)), (F(7, 3), F(11, 5)),
+]
+
+
+class TestIactBound:
+    """The chain error bars of `validate`: tau = 8n^2/(a+b) - 1 bounds every
+    state's asymptotic variance by tau pi_i (1 - pi_i)."""
+
+    @pytest.mark.parametrize("a, b", MIXING_SHAPES)
+    @pytest.mark.parametrize("n", [3, 7, 20])
+    def test_second_eigenvalue_is_condition_1s(self, n, a, b):
+        # The kernel is similar to a symmetric tridiagonal matrix, with
+        # off-diagonal sqrt(p(i,i+1) p(i+1,i)).
+        p = ModelParams(n, a, b)
+        down, stay, up = oracles.float_kernel(p)
+        sym = np.diag(stay) + np.diag(np.sqrt(up[:-1] * down[1:]), 1)
+        eigs = np.linalg.eigvalsh(sym + np.triu(sym, 1).T)
+        lam2 = 1 - (a + b) / (4 * n * n)
+        assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
+        assert eigs[-2] == pytest.approx(float(lam2), abs=1e-12)
+        assert p.iact_bound == pytest.approx(float((1 + lam2) / (1 - lam2)), rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "n, a, b",
+        [
+            (n, a, b)
+            for n in (2, 5)
+            for a, b in MIXING_SHAPES + [(F(6), F(1, 10))]
+            if a + b < 2 * n
+        ],
+    )
+    def test_closed_form_variance_matches_fundamental_matrix(self, n, a, b):
+        pi = stationary_ratio_product(ModelParams(n, a, b))
+        assert asymptotic_variances(pi) == asymptotic_variances_dense(pi)
+
+    @given(valid_params())
+    @example(ModelParams(50, 20, F(1, 10)))
+    @example(ModelParams(30, F(1, 10), F(1, 10)))
+    def test_variances_within_the_bound(self, p):
+        pi = stationary_ratio_product(p)
+        tau = 8 * F(p.n) ** 2 / (p.a + p.b) - 1
+        for var, q in zip(asymptotic_variances(pi), pi.probs_exact):
+            assert 0 <= var <= tau * q * (1 - q)
