@@ -751,6 +751,10 @@ class TestValidate:
             ["--samples", "-1", "--steps", "0"],
             ["--samples", "0", "--steps", "-1"],
             ["--samples", "0", "--steps", "100", "--burn-in", "-50"],
+            # A negative count is refused even for the section it would feed
+            # being skipped: no chain here, no i.i.d. draws in the next case.
+            ["--samples", "10", "--steps", "0", "--burn-in", "-1"],
+            ["--samples", "-5", "--steps", "100"],
             ["--samples", "10", "--steps", "10", "--seed", "-1"],
             # Only the chain draws here, seeded with seed + 1: -1 would pass.
             ["--samples", "0", "--steps", "100", "--seed", "-2"],
