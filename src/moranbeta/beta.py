@@ -6,25 +6,27 @@ in `distance`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import NamedTuple, Union
 
 __all__ = ["BetaParams", "variance", "expected_h"]
 
 Shape = Union[int, float, Fraction]
 
 
-@dataclass(frozen=True)
-class BetaParams:
-    """Shape pair of the Beta target; exact values for rational shapes."""
+class BetaParams(NamedTuple("BetaParams", [("a", Shape), ("b", Shape)])):
+    """Shape pair of the Beta target; exact values for rational shapes.
 
-    a: Shape
-    b: Shape
+    Immutable, and equal and hashed by value: `distance._atoms` keys its
+    cache on it.
+    """
 
-    def __post_init__(self) -> None:
-        if not (self.a > 0 and self.b > 0):
-            raise ValueError(f"Beta shapes must be positive, got ({self.a}, {self.b})")
+    __slots__ = ()
+
+    def __new__(cls, a: Shape, b: Shape) -> BetaParams:
+        if not (a > 0 and b > 0):
+            raise ValueError(f"Beta shapes must be positive, got ({a}, {b})")
+        return super().__new__(cls, a, b)
 
 
 def variance(p: BetaParams) -> Shape:

@@ -27,11 +27,10 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, NamedTuple, Sequence
 
 from . import beta as beta_dist
 from .beta import BetaParams
@@ -93,8 +92,7 @@ RATE_SLOPE_WINDOW = (-1.05, -0.95)
 MIN_SHAPE = 1e-300
 
 
-@dataclass(frozen=True)
-class PointResult:
+class PointResult(NamedTuple):
     """Every certificate quantity of one parameter point, each computed once."""
 
     params: ModelParams
@@ -129,12 +127,14 @@ def _computing(params: ModelParams):
     """Report any failure inside the block as a PointError naming the point.
 
     The gate checks parameters before the block (exit 2), so whatever is
-    raised inside is a fault of the computation, whatever its type.
+    raised inside is a fault of the computation, whatever its type.  An
+    exception without a message is named alone.
     """
     try:
         yield
     except Exception as exc:
-        raise PointError(_internal(params, f"{type(exc).__name__}: {exc}")) from exc
+        what = f"{type(exc).__name__}: {exc}" if str(exc) else type(exc).__name__
+        raise PointError(_internal(params, what)) from exc
 
 
 def parse_rational(text: str) -> Fraction:

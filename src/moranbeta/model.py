@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from functools import cached_property
 from fractions import Fraction
 from typing import Union
@@ -47,8 +46,18 @@ def as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-@dataclass(frozen=True)
-class ModelParams:
+class _Frozen:
+    """Rejects attribute assignment and deletion on instances.  Constructors
+    set their fields through `__dict__`, as `cached_property` does."""
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class ModelParams(_Frozen):
     """Population scale n and rescaled mutation rates (a, b) = (2nv, 2nu).
 
     Requires a > 0, b > 0 and a + b < 2n, so u + v < 1 and the closed-form
@@ -65,21 +74,20 @@ class ModelParams:
     p(i,i) >= 0 in every row and keeps them for `kernel_rows`.
     `remainder_row`, the numerators S_i = 2(qa+qb) i^2 - (3qa+qb) i m + qa m^2
     of the condition 2 remainder S(i/m) over 2 kernel_den (see
-    `moranbeta.stein`), is built on first access and kept.
+    `moranbeta.stein`), is built on first access and kept.  Instances are
+    immutable, and equal, hashed and shown by (n, a, b).
     """
 
     n: int
     a: Fraction
     b: Fraction
-    q: int = field(init=False, repr=False, compare=False)
-    qa: int = field(init=False, repr=False, compare=False)
-    qb: int = field(init=False, repr=False, compare=False)
-    down_poly: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    up_poly: tuple[int, int, int] = field(init=False, repr=False, compare=False)
-    kernel_den: int = field(init=False, repr=False, compare=False)
-    _rows: tuple[tuple[int, ...], tuple[int, ...]] = field(
-        init=False, repr=False, compare=False
-    )
+    q: int
+    qa: int
+    qb: int
+    down_poly: tuple[int, int, int]
+    up_poly: tuple[int, int, int]
+    kernel_den: int
+    _rows: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __init__(self, n: int, a: RationalLike, b: RationalLike) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -114,6 +122,17 @@ class ModelParams:
                     f"kernel row {i} has negative holding probability p(i,i); "
                     f"parameters outside the valid regime"
                 )
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.n, self.a, self.b) == (other.n, other.a, other.b)
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.a, self.b))
+
+    def __repr__(self) -> str:
+        return f"ModelParams(n={self.n!r}, a={self.a!r}, b={self.b!r})"
 
     @property
     def u(self) -> Fraction:
@@ -160,8 +179,7 @@ def _quadratic(coef: tuple[int, int, int], i: int) -> int:
     return coef[0] + i * (coef[1] + i * coef[2])
 
 
-@dataclass(frozen=True, eq=False)
-class LatticeDistribution:
+class LatticeDistribution(_Frozen):
     """The stationary law of one point on {0,...,2n}: pi(i) = w_i / total.
 
     The integer weights w_i of `stationary_ratio_product` are not kept.
@@ -178,7 +196,7 @@ class LatticeDistribution:
     reduced `Fraction`s, all 2n+1 of them) are built on first access and
     kept.  No command reads them: the tests do, and so does
     `perfbench/tracer.py`, for the bit length of pi(0)'s reduced
-    denominator.
+    denominator.  Instances are immutable and compare by identity.
     """
 
     params: ModelParams
@@ -186,6 +204,15 @@ class LatticeDistribution:
     total: int
     abs_s_sum: int
     move_sum: int
+
+    def __init__(
+        self, params: ModelParams, probs: tuple[float, ...],
+        total: int, abs_s_sum: int, move_sum: int,
+    ) -> None:
+        self.__dict__.update(
+            params=params, probs=probs, total=total, abs_s_sum=abs_s_sum,
+            move_sum=move_sum,
+        )
 
     @property
     def n(self) -> int:
@@ -340,6 +367,17 @@ def _product(xs: list[int]) -> int:
 _CHUNK = 1 << 16
 
 
+def _zeros(count: int, what: str) -> array:
+    # `count` zeros as an array('q'), allocated at once; a count that cannot
+    # be allocated fails with a message that names it.
+    from array import array
+
+    try:
+        return array("q", [0]) * count
+    except MemoryError:
+        raise MemoryError(f"cannot allocate {count} {what} ({8 * count} bytes)") from None
+
+
 def sample_stationary(dist: LatticeDistribution, seed: int, count: int) -> array:
     """`count` i.i.d. state indices by inverse-CDF lookup, as an `array('q')`.
 
@@ -353,7 +391,7 @@ def sample_stationary(dist: LatticeDistribution, seed: int, count: int) -> array
 
     if count < 0:
         raise ValueError("count must be nonnegative")
-    draws = array("q", [0]) * count
+    draws = _zeros(count, "draws")
     choices = random.Random(seed).choices
     states = range(2 * dist.n + 1)
     cum = list(accumulate(dist.probs))
@@ -373,13 +411,12 @@ def simulate_chain(params: ModelParams, start: int, steps: int, seed: int) -> ar
     the kernel rows.
     """
     import random
-    from array import array
 
     if not 0 <= start <= 2 * params.n:
         raise IndexError(f"start state {start} outside {{0,...,{2 * params.n}}}")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
-    path = array("q", [0]) * (steps + 1)
+    path = _zeros(steps + 1, "chain states")
     down, up = params.kernel_rows()
     den = params.kernel_den
     t_down = [d / den for d in down]

@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .distance import gap_h
 from .model import LatticeDistribution, ModelParams
@@ -43,8 +43,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SteinReport:
+class SteinReport(NamedTuple):
     """Largest condition residuals, the remainder S, and proof-level bounds.
 
     All rational fields are exact; both residual maxima are expected to be
@@ -73,8 +72,7 @@ class SteinReport:
         )
 
 
-@dataclass(frozen=True)
-class BoundCertificate:
+class BoundCertificate(NamedTuple):
     """lower <= |E h(W) - E h(Z)| <= K(a,b)/n.
 
     lower and gap are exact rationals and the left inequality is checked

@@ -42,6 +42,15 @@ class TestBetaParams:
         p = BetaParams(F(1, 2), F(3, 2))
         assert p.a == F(1, 2)
 
+    def test_equal_and_hashed_by_value(self):
+        # The key of the atom cache.
+        p = BetaParams(F(1, 2), 2)
+        same = BetaParams(F(1, 2), F(2))
+        assert p == same and hash(p) == hash(same)
+        assert p != BetaParams(F(1, 2), 3)
+        assert len({p, same, BetaParams(2, F(1, 2))}) == 2
+        assert repr(p) == "BetaParams(a=Fraction(1, 2), b=2)"
+
 
 class TestPdf:
     def test_uniform(self):

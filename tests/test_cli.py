@@ -15,6 +15,7 @@ import pytest
 
 import moranbeta
 from moranbeta import cli, distance, special, stein
+from moranbeta.beta import BetaParams
 from moranbeta.cli import (
     SWEEP_COLUMNS,
     grid_points,
@@ -36,12 +37,13 @@ def run_cli(capsys, *argv):
 
 def test_cli_import_skips_scipy_and_mpmath():
     # Start-up cost is part of every invocation; scipy, mpmath and numpy are
-    # test-only oracles, and no command loads multiprocessing (a parallel
-    # sweep forks its workers directly).
+    # test-only oracles, no command loads multiprocessing (a parallel sweep
+    # forks its workers directly), and the record classes are built without
+    # dataclasses, which would load inspect and its imports.
     script = (
         "import sys, moranbeta.cli; "
-        "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing') "
-        "if m in sys.modules))"
+        "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing', "
+        "'dataclasses', 'inspect') if m in sys.modules))"
     )
     src = str(Path(moranbeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -494,6 +496,16 @@ class TestInternalErrors:
             "(point a=1, b=1, n=3)\n"
         )
 
+    @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=["report", "sweep"])
+    def test_exception_without_message_is_named_alone(self, monkeypatch, capsys, argv):
+        def failing(params, pi):
+            raise MemoryError
+
+        monkeypatch.setattr(stein, "third_moment_ratio", failing)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: internal: MemoryError (point a=1, b=1, n=3)\n"
+
     @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize("failing", ["every", "first_share", "last_share", "two_shares"])
     def test_parallel_point_failure_matches_serial(self, monkeypatch, capsys, jobs, failing):
@@ -812,6 +824,21 @@ class TestValidate:
         assert out == ""
         assert err.startswith("error: internal: MemoryError")
 
+    @pytest.mark.parametrize(
+        "count,what", [("--samples", "draws"), ("--steps", "chain states")]
+    )
+    def test_impossible_count_is_named(self, capsys, count, what):
+        argv = ["--samples", "0", "--steps", "0", "--burn-in", "0", count, str(10**14)]
+        code, _, err = run_cli(
+            capsys, "validate", "--n", "3", "--a", "1", "--b", "2", *argv
+        )
+        assert code == 3
+        size = 10**14 + (count == "--steps")
+        assert err == (
+            f"error: internal: MemoryError: cannot allocate {size} {what} "
+            f"({8 * size} bytes) (point a=1, b=2, n=3)\n"
+        )
+
     def test_zero_samples_keeps_exact_section(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -822,3 +849,20 @@ class TestValidate:
         doc = json.loads(out)
         assert "iid" not in doc and "chain" not in doc
         assert len(doc["exact_probs"]) == 7
+
+
+def test_records_reject_assignment():
+    # The six record classes are immutable, though none is a dataclass.
+    params = ModelParams(3, 1, 2)
+    point = cli.compute_point(params)
+    records = [
+        BetaParams(1, 2), params, stationary_ratio_product(params),
+        point.stein, point.cert, point,
+    ]
+    for record in records:
+        with pytest.raises(AttributeError):
+            record.n = 4
+        for name in ("a", "params", "cond1_max_abs", "upper", "mean"):
+            if hasattr(record, name):
+                with pytest.raises(AttributeError):
+                    setattr(record, name, 0)

@@ -1,5 +1,6 @@
 """Test-function gap, the periodic extension, Wasserstein, Kolmogorov."""
 
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
 
@@ -145,7 +146,7 @@ class TestAtomPass:
 
     def test_cached_arrays_are_read_only(self):
         # Immutable: the cached atoms are tuples.
-        fz, g, _ = distance._atoms(10, BetaParams(1, 2))
+        fz, _, g, _ = distance._atoms(10, BetaParams(1, 2))
         assert type(fz) is tuple and type(g) is tuple
 
     def test_continued_fraction_budget_raises(self, monkeypatch):
@@ -315,6 +316,92 @@ class TestLargeN:
         pi = stationary_ratio_product(ModelParams(n, a, b))
         oracle = wasserstein_mpmath(pi)
         assert wasserstein(pi, BetaParams(a, b)) == pytest.approx(oracle, rel=1e-11)
+
+
+SWEEP_GRID = [
+    (n, a, b)
+    for a in (F(1, 2), F(1), F(2)) for b in (F(1, 2), F(1), F(2)) for n in (25, 50, 100, 200)
+]
+
+
+def crossing_count(pi, beta):
+    """Pieces where F_W = c lies strictly between F_Z at the piece's ends."""
+    fz = distance._atoms(2 * pi.n, beta)[0]
+    cum = accumulate(pi.probs)
+    return sum(f_lo < c < f_hi for c, f_lo, f_hi in zip(cum, fz, fz[1:]))
+
+
+@contextmanager
+def newton_only():
+    """Every crossing solved by `_crossing`: the acceptance bound set to 0."""
+    bound = distance._ONE_EVAL_BOUND
+    distance._ONE_EVAL_BOUND = 0.0
+    try:
+        yield
+    finally:
+        distance._ONE_EVAL_BOUND = bound
+
+
+SMALL_OR_ODD = st.one_of(
+    st.fractions(min_value=F(1, 20), max_value=20, max_denominator=1000),
+    st.sampled_from([F(1, 10), F(1, 7), F(2, 7), F(355, 113), F(103, 37)]),
+)
+
+
+class TestCrossings:
+    def test_one_evaluation_per_crossing_on_the_sweep_grid(self, monkeypatch):
+        # Each crossing is read from one F_Z evaluation at its Hermite start
+        # unless that estimate is refused; the atom pass makes 2n - 1.
+        calls = []
+        real = distance._cdf_pdf
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(distance, "_cdf_pdf", counting)
+        atom_calls = crossings = 0
+        for n, a, b in SWEEP_GRID:
+            pi = stationary_ratio_product(ModelParams(n, a, b))
+            beta = BetaParams(a, b)
+            distance._atoms.cache_clear()
+            wasserstein(pi, beta)
+            atom_calls += 2 * n - 1
+            crossings += crossing_count(pi, beta)
+        assert len(calls) <= 14_000
+        assert len(calls) - atom_calls <= 1.1 * crossings
+
+    def test_zero_bound_sends_every_crossing_to_newton(self, monkeypatch):
+        solved = []
+        real = distance._crossing
+        monkeypatch.setattr(
+            distance, "_crossing", lambda *args: solved.append(args) or real(*args)
+        )
+        for n, a, b in SWEEP_GRID:
+            pi = stationary_ratio_product(ModelParams(n, a, b))
+            beta = BetaParams(a, b)
+            distance._atoms.cache_clear()
+            w1 = wasserstein(pi, beta)
+            solved.clear()
+            with newton_only():
+                newton = wasserstein(pi, beta)
+            assert len(solved) == crossing_count(pi, beta) > 0, (n, a, b)
+            assert w1 == pytest.approx(newton, rel=2e-10, abs=0.0), (n, a, b)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 300), SMALL_OR_ODD, SMALL_OR_ODD)
+    def test_matches_newton_crossings(self, n, a, b):
+        # Shapes down to 1/20.  Below about 1/100 W1 is small enough that the
+        # rounding noise of F_Z at the crossing points, on either path, is
+        # itself near 2e-10 of it.
+        assume(a + b < 2 * n)
+        pi = stationary_ratio_product(ModelParams(n, a, b))
+        beta = BetaParams(a, b)
+        distance._atoms.cache_clear()
+        w1 = wasserstein(pi, beta)
+        with newton_only():
+            newton = wasserstein(pi, beta)
+        assert w1 == pytest.approx(newton, rel=2e-10, abs=0.0)
 
 
 GAP_SHAPES = (F(1, 10), F(1, 2), F(1), F(2), F(5), F(20), F(355, 113), F(103, 37))

@@ -61,6 +61,22 @@ class TestModelParams:
         p = ModelParams(2, 1, 1)
         assert p.u == F(1, 4) and p.v == F(1, 4) and p.lam == F(1, 16)
 
+    def test_equal_and_hashed_by_value(self):
+        p = ModelParams(3, "1/2", 2)
+        same = ModelParams(3, F(1, 2), F(2))
+        assert p == same and hash(p) == hash(same)
+        assert len({p, same, ModelParams(4, F(1, 2), 2), ModelParams(3, 1, 2)}) == 3
+        assert p != ModelParams(3, F(1, 2), 3)
+        assert p != (3, F(1, 2), F(2))
+
+    def test_cached_row_built_on_an_immutable_instance(self):
+        p = ModelParams(3, F(1, 2), 2)
+        with pytest.raises(AttributeError):
+            p.remainder_row = ()
+        assert p.remainder_row is p.remainder_row
+        with pytest.raises(AttributeError):
+            del p.n
+
     def test_accepts_strings_and_decimals(self):
         p = ModelParams(4, "1/2", "0.25")
         assert p.a == F(1, 2) and p.b == F(1, 4)
