@@ -14,7 +14,8 @@ Three quantities are reported:
 
 Both distances read F_Z at the atoms i/(2n) from one pass per point, which
 also yields the antiderivative G for W1.  Each is one loop on Python floats
-over the lattice pieces.
+over the lattice pieces; W1 solves each crossing of F_W and F_Z by one
+Newton loop that may stop after its first evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from functools import lru_cache
 from . import beta as beta_dist
 from .beta import BetaParams
 from .model import LatticeDistribution, ModelParams
-from .special import ConvergenceError, _reg_inc_beta_interior, log_beta
+from .special import ConvergenceError, _cdf_pdf, log_beta
 
 __all__ = [
     "gap_h",
@@ -35,10 +36,9 @@ __all__ = [
     "kolmogorov",
 ]
 
-# Crossing roots stop once a step is below this share of the piece width.
-# A crossing is taken from its one evaluation instead when the error term
-# |f_Z'(x0)| |delta|^3 / 3 of that estimate is below _ONE_EVAL_BOUND / 3
-# (see `_crossing_gain`).
+# A crossing's Newton loop stops with the corrected estimate once its error
+# term |f_Z'(x)| |delta|^3 / 3 is below _ONE_EVAL_BOUND / 3, or else once a
+# step is below _ROOT_REL_TOL of the piece width (see `_crossing_gain`).
 _ROOT_REL_TOL = 1e-10
 _ROOT_MAX_ITER = 100
 _ONE_EVAL_BOUND = 2.0**-60
@@ -69,13 +69,6 @@ def _cdf_integral(a: float, b: float, x: float, fz: float, dens: float) -> float
     return (x - a / (a + b)) * fz + x * (1.0 - x) * dens / (a + b)
 
 
-def _cdf_pdf(a: float, b: float, ln_beta: float, x: float) -> tuple[float, float]:
-    # F_Z and f_Z at 0 < x < 1, for float shapes and ln B(a, b).
-    logs = math.log(x), math.log1p(-x)
-    dens = math.exp((a - 1.0) * logs[0] + (b - 1.0) * logs[1] - ln_beta)
-    return _reg_inc_beta_interior(x, a, b, ln_beta, logs), dens
-
-
 def _end_density(shape: float, ln_beta: float) -> float:
     # f_Z at the endpoint where `shape` is the exponent's shape: 0 above 1,
     # infinite below 1, and 1/B(a, b) at 1.
@@ -88,12 +81,10 @@ def _atoms(
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float]:
     """F_Z, f_Z and G at the atoms i/m, i = 0..m, and ln B(a,b), computed
     once for the point in progress: both distances read F_Z, and W1 reads
-    G and, for the Hermite start of each crossing, f_Z (see
-    `_crossing_gain`: one evaluation per crossing, kept when its error term
-    f_Z'(x0) delta^3 / 3 has |f_Z'(x0)| |delta|^3 < 2^-60).  They depend on
-    the lattice and the shapes only, so the key holds no lattice law.  f_Z
-    at 0 and 1 is its limit: 0, infinite or 1/B(a,b) as the shape at that
-    end is above, below or equal to 1."""
+    G and, for the Hermite start of each crossing's Newton loop, f_Z (see
+    `_crossing_gain`).  They depend on the lattice and the shapes only, so
+    the key holds no lattice law.  f_Z at 0 and 1 is its limit: 0, infinite
+    or 1/B(a,b) as the shape at that end is above, below or equal to 1."""
     a, b = float(beta.a), float(beta.b)
     ln_beta = log_beta(a, b)
     fz, dens, g = [0.0], [_end_density(a, ln_beta)], [0.0]
@@ -112,40 +103,6 @@ def _atoms(
     return tuple(fz), tuple(dens), tuple(g), ln_beta
 
 
-def _crossing(
-    a: float, b: float, ln_beta: float,
-    lo: float, hi: float, f_lo: float, f_hi: float, c: float,
-) -> tuple[float, float, float]:
-    """The root x of F_Z(x) = c in (lo, hi), given F_Z(lo) < c < F_Z(hi),
-    with F_Z(x) and f_Z(x): Newton steps from the linear interpolant,
-    bisecting when a step leaves the shrinking open bracket or the slope is
-    0 or inf.  It stops once its Newton or bisection step is below
-    _ROOT_REL_TOL of the piece width; a Newton step that small may round
-    onto a bracket end, so it is tested first.  W1 calls it only for a
-    crossing whose one-evaluation estimate `_crossing_gain` refuses: one
-    whose Newton step leaves the piece or whose error term
-    f_Z'(x0) delta^3 / 3 has |f_Z'(x0)| |delta|^3 >= 2^-60."""
-    tol = _ROOT_REL_TOL * (hi - lo)
-    x = lo + (hi - lo) * (c - f_lo) / (f_hi - f_lo)
-    if not lo < x < hi:
-        x = 0.5 * (lo + hi)
-    for _ in range(_ROOT_MAX_ITER):
-        fz, dens = _cdf_pdf(a, b, ln_beta, x)
-        if fz < c:
-            lo = x
-        elif fz > c:
-            hi = x
-        step = (c - fz) / dens if 0.0 < dens < math.inf else math.inf
-        if abs(step) <= tol:
-            return x, fz, dens
-        if not lo < x + step < hi:
-            step = 0.5 * (lo + hi) - x
-            if abs(step) <= tol:
-                return x, fz, dens
-        x += step
-    raise ConvergenceError(f"F_Z(x) = {c!r} not solved on [{lo}, {hi}]")
-
-
 def _crossing_gain(
     a: float, b: float, ln_beta: float, lo: float, hi: float,
     f_lo: float, f_hi: float, d_lo: float, d_hi: float, c: float,
@@ -155,20 +112,25 @@ def _crossing_gain(
     d_lo, d_hi there: what the piece adds to G(hi) - G(lo) - c (hi - lo).
 
     With P(x) = c (2x - lo - hi) + G(lo) + G(hi) - 2 G(x), the piece is
-    P(x*), and P' = 2 (c - F_Z) vanishes at x*.  From one evaluation F0, f0
-    at a start x0, with e = c - F0 and delta = e / f0,
+    P(x*), and P' = 2 (c - F_Z) vanishes at x*.  From an evaluation F, f at
+    x, with e = c - F and delta = e / f,
 
-        P(x*) = P(x0) + e^2 / f0 - f_Z'(x0) delta^3 / 3 + O(delta^4),
+        P(x*) = P(x) + e^2 / f - f_Z'(x) delta^3 / 3 + O(delta^4),
 
-    f_Z'(x) = f_Z(x) ((a-1)/x - (b-1)/(1-x)).  The start x0 is the inverse
-    cubic Hermite interpolant through (f_lo, lo) and (f_hi, hi) with slopes
-    1/d_lo and 1/d_hi, or the linear one where a density is 0 or infinite
-    or the cubic leaves (lo, hi).  P(x0) + e^2 / f0 is taken when x0 + delta
-    stays in (lo, hi) and |f_Z'(x0)| |delta|^3 < _ONE_EVAL_BOUND = 2^-60,
-    a leading error below 2^-60 / 3.  Otherwise `_crossing` solves the
-    root and P is read there, without the correction.  Either way
-    G(x) - G(lo) is formed from differences of F_Z and of x(1-x) f_Z, not
-    of O(1) values of G, so it does not cancel.
+    f_Z'(x) = f_Z(x) ((a-1)/x - (b-1)/(1-x)).  One Newton loop finds x: it
+    starts at the inverse cubic Hermite interpolant through (f_lo, lo) and
+    (f_hi, hi) with slopes 1/d_lo and 1/d_hi, or the linear one where a
+    density is 0 or infinite or the cubic leaves (lo, hi).  Each round
+    evaluates F_Z and f_Z once and narrows the bracket by the sign of
+    c - F.  It returns P(x) + e^2 / f once x + delta stays in (lo, hi) and
+    |f_Z'(x)| |delta|^3 < _ONE_EVAL_BOUND = 2^-60, a leading error below
+    2^-60 / 3: mostly after the first round.  Otherwise it returns P(x)
+    alone once its next step is below _ROOT_REL_TOL of the piece width,
+    and steps to x + delta before that, bisecting when x + delta leaves
+    the bracket or f is 0 or infinite; a Newton step that small may round
+    onto a bracket end, so it is tested first.  G(x) - G(lo) is formed
+    from differences of F_Z and of x(1-x) f_Z, not of O(1) values of G,
+    so it does not cancel.
     """
     t = (c - f_lo) / (f_hi - f_lo)
     x = lo + t * (hi - lo)
@@ -181,16 +143,31 @@ def _crossing_gain(
             x = cubic
     if not lo < x < hi:
         x = 0.5 * (lo + hi)
-    fx, dens = _cdf_pdf(a, b, ln_beta, x)
-    e = c - fx
-    delta = e / dens if 0.0 < dens < math.inf else math.inf
-    slope = dens * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))
-    # A step that leaves the piece fails first, before |delta|^3 can overflow.
-    if lo < x + delta < hi and abs(slope) * abs(delta) ** 3 < _ONE_EVAL_BOUND:
-        correction = e * delta
-    else:
-        x, fx, dens = _crossing(a, b, ln_beta, lo, hi, f_lo, f_hi, c)
+    tol = _ROOT_REL_TOL * (hi - lo)
+    left, right = lo, hi
+    for _ in range(_ROOT_MAX_ITER):
+        fx, dens = _cdf_pdf(a, b, ln_beta, x)
+        if fx < c:
+            left = x
+        elif fx > c:
+            right = x
+        e = c - fx
+        step = e / dens if 0.0 < dens < math.inf else math.inf
+        slope = dens * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))
+        # A step that leaves the piece fails first, before |step|^3 can overflow.
+        if lo < x + step < hi and abs(slope) * abs(step) ** 3 < _ONE_EVAL_BOUND:
+            correction = e * step
+            break
         correction = 0.0
+        if abs(step) <= tol:
+            break
+        if not left < x + step < right:
+            step = 0.5 * (left + right) - x
+            if abs(step) <= tol:
+                break
+        x += step
+    else:
+        raise ConvergenceError(f"F_Z(x) = {c!r} not solved on [{left}, {right}]")
     # G(x) - G(lo); at lo = 0 the x(1-x) f_Z term of G(lo) is 0 whatever f_Z(0).
     lo_term = lo * (1.0 - lo) * d_lo if lo > 0.0 else 0.0
     rise = (x - lo) * fx + (lo - a / (a + b)) * (fx - f_lo)
@@ -207,23 +184,25 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
     one sign contributes +-(G(hi) - G(lo) - c (hi - lo)).  Monotone F_Z
     crosses c at most once; a crossing at x* contributes
     c (2 x* - lo - hi) + G(lo) + G(hi) - 2 G(x*), which is stationary in x*.
-    `_crossing_gain` reads it from one evaluation of F_Z and f_Z at a
-    Hermite start x0 plus the correction e^2/f0, e = c - F_Z(x0), and
-    keeps that estimate when its error term f_Z'(x0) delta^3 / 3,
-    delta = e/f0, has |f_Z'(x0)| |delta|^3 < 2^-60; otherwise the bracketed
-    Newton of `_crossing` solves the root.  One pass over the pieces takes
+    `_crossing_gain` reads it from one Newton loop on F_Z(x) = c that
+    starts at a Hermite point: it stops at the first iterate x whose
+    correction e^2/f, e = c - F_Z(x), f = f_Z(x), leaves an error term
+    f_Z'(x) delta^3 / 3, delta = e/f, with |f_Z'(x)| |delta|^3 < 2^-60,
+    mostly the start itself, or else without the correction once a step is
+    below _ROOT_REL_TOL of the piece width.  One pass over the pieces takes
     each crossing as it comes, and the pieces, each >= 0, are summed by
     `math.fsum`.
 
     The pieces are formed from differences of F_Z and f_Z, so the
     rounding of G does not cancel; what remains is the rounding noise of
     F_Z at the atoms and the crossing points.  Relative error against a
-    30-digit mpmath oracle: 3.5e-12 at n=200, (1/10, 1/10), which the test
+    30-digit mpmath oracle: 9.4e-13 at n=200, (1/10, 1/10), which the test
     suite holds to 1e-11; single measurements, too slow for the suite:
-    2.2e-11 at n=1000, (1/10, 1/10); 2.6e-11 at n=1000, (355/113, 103/37);
-    5.5e-11 at n=2000, 1.4e-11 at n=5000 and 3.5e-9 at n=20000, all
-    (1/2, 3/2).  At n=20000, where W1 is 6.6e-6, that noise is summed over
-    38,446 crossings: Newton on every crossing gave 4.0e-10 there.
+    1.9e-11 at n=1000, (1/10, 1/10); 2.6e-11 at n=1000, (355/113, 103/37);
+    5.5e-11 at n=2000 and 1.4e-11 at n=5000, both (1/2, 3/2).  At n=20000,
+    (1/2, 3/2), where W1 is 6.6e-6, that noise is summed over 38,446
+    crossings: 3.5e-9 (Newton to _ROOT_REL_TOL on every crossing gave
+    4.0e-10).
     """
     m = 2 * pi.n
     fz, dens, g, ln_beta = _atoms(m, beta)

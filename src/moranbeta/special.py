@@ -4,9 +4,10 @@ Deliberately minimal: log-gamma, log-beta, and the regularized incomplete
 beta function are all that the Beta distribution function at the lattice
 atoms and the constants C(a,b) and K(a,b) require.
 
-The incomplete beta function has one implementation, `_reg_inc_beta_interior`,
-a one-value continued fraction on Python floats that the distances call at
-every lattice atom.  It takes ln B(a,b) from its caller, which computes it
+The Beta CDF and density have one evaluator, `_cdf_pdf`: F_Z = I_x(a,b)
+by a one-value continued fraction on Python floats, and f_Z from the same
+logarithms, at one 0 < x < 1.  The distances call it at every lattice atom
+and crossing point; it takes ln B(a,b) from its caller, which computes it
 once per point.
 """
 
@@ -87,17 +88,15 @@ def log_beta(a: float, b: float) -> float:
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
-def _reg_inc_beta_interior(
-    x: float, a: float, b: float, ln_beta: float,
-    logs: tuple[float, float] | None = None,
-) -> float:
-    """I_x(a,b) at 0 < x < 1 for float shapes a, b > 0, given ln B(a,b);
-    `logs` are (ln x, ln(1-x)) when the caller has them already."""
-    log_x, log_1mx = (math.log(x), math.log1p(-x)) if logs is None else logs
+def _cdf_pdf(a: float, b: float, ln_beta: float, x: float) -> tuple[float, float]:
+    """F_Z(x) = I_x(a,b) and f_Z(x) at 0 < x < 1 for float shapes a, b > 0,
+    given ln B(a,b)."""
+    log_x, log_1mx = math.log(x), math.log1p(-x)
+    dens = math.exp((a - 1.0) * log_x + (b - 1.0) * log_1mx - ln_beta)
     front = math.exp(a * log_x + b * log_1mx - ln_beta)
     if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_cont_frac(a, b, x) / a
-    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b
+        return front * _beta_cont_frac(a, b, x) / a, dens
+    return 1.0 - front * _beta_cont_frac(b, a, 1.0 - x) / b, dens
 
 
 # Lentz's guard: a denominator that vanishes becomes this tiny one.
@@ -107,11 +106,13 @@ _TINY = 1e-300
 def _beta_cont_frac(a: float, b: float, x: float) -> float:
     # Modified Lentz iteration for the incomplete-beta continued fraction;
     # stops once a factor is within _CF_EPS of 1.  The step counter m is a
-    # float, which saves an int conversion per operation and changes no bit.
+    # float, which saves an int conversion per operation and changes no bit;
+    # the chained comparisons test |v| < bound without calling abs, and are
+    # the same predicate for every float, -0.0, inf and NaN included.
     qab, qap, qam = a + b, a + 1.0, a - 1.0
     c = 1.0
     d = 1.0 - qab * x / qap
-    d = 1.0 / (_TINY if abs(d) < _TINY else d)
+    d = 1.0 / (_TINY if -_TINY < d < _TINY else d)
     h = d
     m = 0.0
     for _ in range(_CF_MAX_ITER):
@@ -121,19 +122,19 @@ def _beta_cont_frac(a: float, b: float, x: float) -> float:
         # even step
         aa = m * (b - m) * x / ((qam + m2) * am2)
         d = 1.0 + aa * d
-        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        d = 1.0 / (_TINY if -_TINY < d < _TINY else d)
         c = 1.0 + aa / c
-        c = _TINY if abs(c) < _TINY else c
+        c = _TINY if -_TINY < c < _TINY else c
         h *= d * c
         # odd step
         aa = -(a + m) * (qab + m) * x / (am2 * (qap + m2))
         d = 1.0 + aa * d
-        d = 1.0 / (_TINY if abs(d) < _TINY else d)
+        d = 1.0 / (_TINY if -_TINY < d < _TINY else d)
         c = 1.0 + aa / c
-        c = _TINY if abs(c) < _TINY else c
+        c = _TINY if -_TINY < c < _TINY else c
         delta = d * c
         h *= delta
-        if abs(delta - 1.0) < _CF_EPS:
+        if -_CF_EPS < delta - 1.0 < _CF_EPS:
             return h
     raise ConvergenceError(
         f"incomplete beta continued fraction did not converge in {_CF_MAX_ITER} "

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moranbeta import distance
+from moranbeta import distance, special
 from moranbeta.beta import BetaParams, expected_h, variance
 from moranbeta.special import log_beta
 from oracles import beta_moments as moments
@@ -19,7 +19,7 @@ def cdf_pdf(p, xs):
     as two arrays."""
     a, b = float(p.a), float(p.b)
     ln_beta = log_beta(a, b)
-    pairs = [distance._cdf_pdf(a, b, ln_beta, float(x)) for x in xs]
+    pairs = [special._cdf_pdf(a, b, ln_beta, float(x)) for x in xs]
     return np.array([f for f, _ in pairs]), np.array([d for _, d in pairs])
 
 

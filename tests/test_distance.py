@@ -159,8 +159,7 @@ class TestAtomPass:
     def test_non_finite_cdf_raises(self, monkeypatch):
         # A Beta CDF that rounds to NaN: no distance may be printed from it.
         monkeypatch.setattr(
-            distance, "_reg_inc_beta_interior",
-            lambda x, a, b, ln_beta, logs=None: np.nan,
+            distance, "_cdf_pdf", lambda a, b, ln_beta, x: (np.nan, np.nan)
         )
         beta = BetaParams(F("2.3e-308"), F("3e-308"))
         distance._atoms.cache_clear()
@@ -244,7 +243,7 @@ class TestWasserstein:
 def cdf_integral(a, b, x):
     """G(x) = int_0^x F_Z from F_Z(x) and f_Z(x), as W1 computes it."""
     ln_beta = log_beta(a, b)
-    return _cdf_integral(a, b, x, *distance._cdf_pdf(a, b, ln_beta, x))
+    return _cdf_integral(a, b, x, *special._cdf_pdf(a, b, ln_beta, x))
 
 
 class TestCdfIntegral:
@@ -311,7 +310,7 @@ class TestLargeN:
         assert kolmogorov(pi, beta) == pytest.approx(kol, abs=1e-12)
 
     def test_against_30_digit_oracle(self):
-        # The first accuracy figure of the `wasserstein` docstring: 1.8e-12.
+        # The first accuracy figure of the `wasserstein` docstring: 9.4e-13.
         n, a, b = 200, F(1, 10), F(1, 10)
         pi = stationary_ratio_product(ModelParams(n, a, b))
         oracle = wasserstein_mpmath(pi)
@@ -333,13 +332,40 @@ def crossing_count(pi, beta):
 
 @contextmanager
 def newton_only():
-    """Every crossing solved by `_crossing`: the acceptance bound set to 0."""
+    """Every crossing solved by Newton to the root tolerance: the bound for
+    keeping a corrected estimate set to 0."""
     bound = distance._ONE_EVAL_BOUND
     distance._ONE_EVAL_BOUND = 0.0
     try:
         yield
     finally:
         distance._ONE_EVAL_BOUND = bound
+
+
+def record_crossings(monkeypatch):
+    """A list that collects, per crossing W1 solves, the arguments of
+    `_crossing_gain` and the (x, F_Z, f_Z) of each evaluation it makes."""
+    crossings, active = [], []
+    real_gain, real_eval = distance._crossing_gain, distance._cdf_pdf
+
+    def gain(*args):
+        evals = []
+        crossings.append((args, evals))
+        active.append(evals)
+        try:
+            return real_gain(*args)
+        finally:
+            active.pop()
+
+    def evaluate(a, b, ln_beta, x):
+        fz, dens = real_eval(a, b, ln_beta, x)
+        if active:
+            active[-1].append((x, fz, dens))
+        return fz, dens
+
+    monkeypatch.setattr(distance, "_crossing_gain", gain)
+    monkeypatch.setattr(distance, "_cdf_pdf", evaluate)
+    return crossings
 
 
 SMALL_OR_ODD = st.one_of(
@@ -372,21 +398,46 @@ class TestCrossings:
         assert len(calls) - atom_calls <= 1.1 * crossings
 
     def test_zero_bound_sends_every_crossing_to_newton(self, monkeypatch):
-        solved = []
-        real = distance._crossing
-        monkeypatch.setattr(
-            distance, "_crossing", lambda *args: solved.append(args) or real(*args)
-        )
+        # With the bound at 0 no corrected estimate is kept: each crossing
+        # stops only once its Newton step is within the root tolerance.
+        crossings = record_crossings(monkeypatch)
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
             beta = BetaParams(a, b)
             distance._atoms.cache_clear()
             w1 = wasserstein(pi, beta)
-            solved.clear()
+            crossings.clear()
             with newton_only():
                 newton = wasserstein(pi, beta)
-            assert len(solved) == crossing_count(pi, beta) > 0, (n, a, b)
+            assert len(crossings) == crossing_count(pi, beta) > 0, (n, a, b)
+            for (*_, lo, hi, _, _, _, _, c), evals in crossings:
+                _, fz, dens = evals[-1]
+                tol = distance._ROOT_REL_TOL * (hi - lo)
+                assert abs(c - fz) / dens <= tol, (n, a, b)
             assert w1 == pytest.approx(newton, rel=2e-10, abs=0.0), (n, a, b)
+
+    def test_newton_continues_from_the_first_evaluation(self, monkeypatch):
+        # A crossing whose first estimate is not kept goes on from that
+        # evaluation: its second point is the Newton step from the first, or
+        # the bisection of the bracket that evaluation narrowed.
+        crossings = record_crossings(monkeypatch)
+        with newton_only():
+            for n, a, b in SWEEP_GRID:
+                pi = stationary_ratio_product(ModelParams(n, a, b))
+                wasserstein(pi, BetaParams(a, b))
+        continued = 0
+        for (*_, lo, hi, _, _, _, _, c), evals in crossings:
+            if len(evals) < 2:
+                continue
+            (x, fz, dens), (second, _, _) = evals[:2]
+            left = x if fz < c else lo
+            right = x if fz > c else hi
+            step = (c - fz) / dens
+            if not left < x + step < right:
+                step = 0.5 * (left + right) - x
+            assert second == x + step, (lo, hi, c)
+            continued += 1
+        assert continued > len(crossings) / 2 > 0
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 300), SMALL_OR_ODD, SMALL_OR_ODD)

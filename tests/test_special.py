@@ -17,7 +17,7 @@ from oracles import scalar_reg_inc_beta
 def inc_beta(xs, a, b):
     """I_x(a,b) at every 0 < x < 1 of `xs`, one value at a time, as an array."""
     ln_beta = log_beta(a, b)
-    return np.array([special._reg_inc_beta_interior(float(x), a, b, ln_beta) for x in xs])
+    return np.array([special._cdf_pdf(a, b, ln_beta, float(x))[0] for x in xs])
 
 
 def lanczos_log_gamma(t):
