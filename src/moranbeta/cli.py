@@ -4,7 +4,9 @@ Every point passes one gate, `grid_points`, before any point is computed,
 and is computed inside one guard, `_computing`. A `sweep` splits its grid
 into at most `--jobs` shares balanced by lattice states (`_shares`): the
 process computes the first share and a forked child each other one, with
-no process pool, and the rows are the same bytes for every `--jobs`.
+no process pool, and the rows are the same bytes for every `--jobs`. Each
+share runs on its own CPU of the affinity mask: a forked child starts on
+its parent's CPU and stays there, so unplaced shares ran on one core.
 `validate` judges a chain's frequencies by error bars from the kernel
 alone, `ModelParams.iact_bound`, and like `rate` runs on the standard
 library: the package has no runtime dependency.
@@ -397,23 +399,50 @@ def _share_result(
     return [], (share[0], _internal(points[share[0]], what))
 
 
+def _cpus() -> list[int]:
+    """The CPUs this process may run on (its affinity mask), in order; empty
+    where the platform has no `os.sched_getaffinity`."""
+    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
+
+
+def _set_affinity(cpus: Sequence[int]) -> None:
+    """Best effort: set this process's affinity mask to `cpus`; a child
+    forked from now on inherits it. Nothing changes where `cpus` is empty,
+    where there is no `os.sched_setaffinity` or where the kernel refuses."""
+    if cpus and hasattr(os, "sched_setaffinity"):
+        try:
+            os.sched_setaffinity(0, cpus)
+        except OSError:
+            pass
+
+
 def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool]]:
     """Rows of every point in grid order.
 
     The parent computes the first share and a forked child each other one;
-    where there is no `os.fork`, the parent computes the one share. Each
-    pipe is read to EOF before its child is reaped, so no child blocks on
-    a full pipe. A failure is raised as the serial loop would raise it: the
-    one earliest in grid order. If the parent is interrupted, it kills and
-    reaps every child it has not collected.
+    where there is no `os.fork`, the parent computes the one share. Share k
+    runs on CPU `cpus[k % len(cpus)]` of the affinity mask: a forked child
+    starts on its parent's CPU and the scheduler left it there, so on 2
+    vCPU both halves of a fork ran on one core for the whole sweep. The
+    parent narrows its own mask to each child's CPU before that fork (the
+    child inherits it), then to `cpus[0]`, and restores the full mask on
+    the way out, however it leaves. Each pipe is read to EOF before its
+    child is reaped, so no child blocks on a full pipe. A failure is
+    raised as the serial loop would raise it: the one earliest in grid
+    order. If the parent is interrupted, it kills and reaps every child it
+    has not collected.
     """
     shares = _shares(points, jobs if hasattr(os, "fork") else 1)
+    cpus = _cpus() if len(shares) > 1 else []
+    homes = [cpus[k % len(cpus)] for k in range(len(shares))] if cpus else []
     children: dict[int, tuple[BinaryIO, list[int]]] = {}
     try:
-        for share in shares[1:]:
+        for k, share in enumerate(shares[1:], 1):
+            _set_affinity(homes[k:k + 1])
             with _computing(points[share[0]]):
                 pid, pipe = _fork_share(points, share)
             children[pid] = (pipe, share)
+        _set_affinity(homes[:1])
         outcomes = [_run_share(points, shares[0])]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
@@ -422,6 +451,7 @@ def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool
             del children[pid]
             outcomes.append(_share_result(points, share, data, status))
     finally:
+        _set_affinity(cpus)
         if children:
             import signal
 
@@ -601,8 +631,8 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=parse_int_list, required=True, help="comma-separated n values")
     swp.add_argument("--a", type=parse_rational_list, required=True, help="comma-separated a values")
     swp.add_argument("--b", type=parse_rational_list, required=True, help="comma-separated b values")
-    swp.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                     help="parallel workers (rows are independent)")
+    swp.add_argument("--jobs", type=int, default=len(_cpus()) or os.cpu_count() or 1,
+                     help="parallel workers, one per CPU of the affinity mask by default")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--exact", action="store_true", help="append exact p/q columns")
     swp.add_argument("--out", default=None)

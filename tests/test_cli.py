@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
+import errno
 import json
 import os
 import pickle
@@ -395,6 +396,77 @@ class TestSweep:
         argv = ["sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"]
         assert main(argv + ["--out", os.devnull]) == 0
         assert len(forks) == 1
+
+    def test_default_jobs_from_affinity_mask(self, monkeypatch):
+        # The default counts the CPUs the process may use (taskset, a
+        # cpuset), not the machine's; without a mask, the machine's count.
+        argv = ["sweep", "--n", "3", "--a", "1", "--b", "1"]
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {3}, raising=False)
+        assert cli.build_parser().parse_args(argv).jobs == 1
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert cli.build_parser().parse_args(argv).jobs == 64
+
+    def test_unpinnable_sweep_runs_as_before(self, monkeypatch, capsys):
+        # Placing shares on CPUs is best effort: where the kernel refuses,
+        # the sweep prints the same bytes and exit code as a serial one.
+        argv = ["sweep", "--n", "3,4,5", "--a", "1", "--b", "1,2"]
+        serial = run_cli(capsys, *argv, "--jobs", "1")
+        calls = []
+
+        def refusing(pid, cpus):
+            calls.append(set(cpus))
+            raise OSError(errno.EINVAL, "Invalid argument")
+
+        monkeypatch.setattr(os, "sched_setaffinity", refusing, raising=False)
+        assert serial[0] == 0
+        assert run_cli(capsys, *argv, "--jobs", "2") == serial
+        assert bool(calls) == hasattr(os, "sched_getaffinity")
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+        reason="needs an affinity mask of at least 2 CPUs",
+    )
+    @pytest.mark.parametrize("ending", ["rows", "point_error", "failed_fork", "interrupt"])
+    def test_each_share_runs_on_its_own_cpu(self, monkeypatch, ending):
+        # A forked child starts on its parent's CPU and stays there, so
+        # without placement both shares of --jobs 2 share one core. Share k
+        # runs on cpus[k], and the parent's mask is whole again however the
+        # sweep ends.
+        original = os.sched_getaffinity(0)
+        cpus = sorted(original)
+        points = grid_points((F(1),), (F(1), F(2)), (3, 4, 5), certified=True)
+        parent = os.getpid()
+        real = cli._sweep_row
+
+        def recording(params):
+            if ending == "point_error":
+                raise cli.PointError("injected")
+            if ending == "interrupt" and os.getpid() == parent:
+                raise KeyboardInterrupt
+            row, ok = real(params)
+            return {**row, "mask": os.sched_getaffinity(0)}, ok
+
+        def failing_fork():
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(cli, "_sweep_row", recording)
+        if ending == "failed_fork":
+            monkeypatch.setattr(os, "fork", failing_fork)
+        try:
+            if ending == "rows":
+                rows = cli._compute_rows(points, 2)
+                for k, share in enumerate(cli._shares(points, 2)):
+                    assert [rows[i][0]["mask"] for i in share] == [{cpus[k]}] * len(share)
+            else:
+                expected = KeyboardInterrupt if ending == "interrupt" else cli.PointError
+                with pytest.raises(expected):
+                    cli._compute_rows(points, 2)
+            assert os.sched_getaffinity(0) == original
+        finally:
+            os.sched_setaffinity(0, original)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_rejects_shapes_whose_k_overflows(self, capsys):
         code, out, err = run_cli(
