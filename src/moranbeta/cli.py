@@ -69,7 +69,7 @@ COLUMNS = (
     ("lower", float, "cert.lower"),
     ("upper", float, "cert.upper"),
     ("sandwich_ok", bool, "cert.sandwich_ok"),
-    ("e_abs_s_exact", float, "stein.e_abs_s_exact"),
+    ("e_abs_s_exact", float, "stein.e_abs_s_float"),
     ("e_abs_s_bound", float, "stein.e_abs_s_bound"),
     ("wasserstein", float, "wasserstein"),
     ("kolmogorov", float, "kolmogorov"),
@@ -250,8 +250,12 @@ def compute_point(params: ModelParams) -> PointResult:
     )
 
 
-def _row_values(point: PointResult) -> dict:
-    return {name: attrgetter(path)(point) for name, _, path in COLUMNS}
+def _row_values(point: PointResult, exact: bool) -> dict:
+    # Under `exact`, E|S| is the Fraction (pi's exact pass), which renders as the same float.
+    values = {name: attrgetter(path)(point) for name, _, path in COLUMNS}
+    if exact:
+        values["e_abs_s_exact"] = point.stein.e_abs_s_exact
+    return values
 
 
 def _exact_section(values: dict) -> dict:
@@ -277,9 +281,9 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
             "cond2_max_residual": float(rep.cond2_max_abs),
             "conditions_exact": rep.conditions_exact,
             "s_values": list(rep.s_values),
-            "e_abs_s_exact": float(rep.e_abs_s_exact),
+            "e_abs_s_exact": rep.e_abs_s_float,
             "e_abs_s_bound": float(rep.e_abs_s_bound),
-            "e_cubed_over_lambda_exact": float(rep.e_cubed_over_lambda_exact),
+            "e_cubed_over_lambda_exact": rep.e_cubed_over_lambda_float,
             "e_cubed_over_lambda_bound": float(rep.e_cubed_over_lambda_bound),
         },
         "certificate": {
@@ -299,7 +303,7 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
         },
     }
     if exact:
-        payload["exact"] = _exact_section(_row_values(point))
+        payload["exact"] = _exact_section(_row_values(point, exact))
         payload["exact"]["moments"] = {str(r): pq(table[r]) for r in sorted(table)}
     return payload
 
@@ -313,11 +317,11 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0 if point.ok else 1
 
 
-def _sweep_row(params: ModelParams) -> tuple[dict, bool]:
+def _sweep_row(params: ModelParams, exact: bool) -> tuple[dict, bool]:
     """Column values and verdict of one grid point; pi stays in the worker."""
     with _computing(params):
         point = compute_point(params)
-        return _row_values(point), point.ok
+        return _row_values(point, exact), point.ok
 
 
 def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
@@ -338,21 +342,23 @@ def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
-def _run_share(points: list[ModelParams], share: list[int]) -> tuple[list, tuple | None]:
+def _run_share(
+    points: list[ModelParams], share: list[int], exact: bool
+) -> tuple[list, tuple | None]:
     """`(index, row, ok)` records of one share, up to its first failing point,
     and that failure as `(index, message)`, or None. A message, not the
     PointError: a child pickles only plain data."""
     records = []
     for i in share:
         try:
-            row, ok = _sweep_row(points[i])
+            row, ok = _sweep_row(points[i], exact)
         except PointError as exc:
             return records, (i, str(exc))
         records.append((i, row, ok))
     return records, None
 
 
-def _fork_share(points: list[ModelParams], share: list[int]) -> tuple[int, BinaryIO]:
+def _fork_share(points: list[ModelParams], share: list[int], exact: bool) -> tuple[int, BinaryIO]:
     """Compute `share` in a forked child; returns its pid and the read end of
     the pipe that carries `_run_share`'s result as one pickle. The CLI starts
     no threads, so the child inherits no lock held by another thread."""
@@ -372,7 +378,7 @@ def _fork_share(points: list[ModelParams], share: list[int]) -> tuple[int, Binar
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run_share(points, share)))
+                pipe.write(pickle.dumps(_run_share(points, share, exact)))
             code = 0
         finally:
             os._exit(code)
@@ -416,7 +422,7 @@ def _set_affinity(cpus: Sequence[int]) -> None:
             pass
 
 
-def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool]]:
+def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tuple[dict, bool]]:
     """Rows of every point in grid order.
 
     The parent computes the first share and a forked child each other one;
@@ -440,10 +446,10 @@ def _compute_rows(points: list[ModelParams], jobs: int) -> list[tuple[dict, bool
         for k, share in enumerate(shares[1:], 1):
             _set_affinity(homes[k:k + 1])
             with _computing(points[share[0]]):
-                pid, pipe = _fork_share(points, share)
+                pid, pipe = _fork_share(points, share, exact)
             children[pid] = (pipe, share)
         _set_affinity(homes[:1])
-        outcomes = [_run_share(points, shares[0])]
+        outcomes = [_run_share(points, shares[0], exact)]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -500,7 +506,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     points = grid_points(args.a, args.b, args.n, certified=True)
-    results = _compute_rows(points, args.jobs)
+    results = _compute_rows(points, args.jobs, args.exact)
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
     _write_output(render([values for values, _ in results], args.exact), args.out)
     return 0 if all(ok for _, ok in results) else 1

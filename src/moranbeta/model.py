@@ -12,8 +12,8 @@ Parameters are carried in the rescaled form a = 2nv, b = 2nu, the regime in
 which the rescaled count W = I/(2n) under the stationary law approaches a
 Beta(a,b) variable.  This module holds the kernel, as integer rows over one
 common denominator (`ModelParams`), the exact stationary law read off
-those rows (`stationary_ratio_product`: exact sums by binary splitting, a
-float mirror by an interval walk), the bound on the chain's
+those rows (`stationary_ratio_product`: floats and enclosures by one
+interval walk, exact sums only on demand), the bound on the chain's
 autocorrelation time that condition 1 proves (`ModelParams.iact_bound`),
 and seeded sampling from the law and from the chain on the standard
 library's `random`.  Floating values are correctly rounded quotients of the
@@ -182,41 +182,37 @@ def _quadratic(coef: tuple[int, int, int], i: int) -> int:
 class LatticeDistribution(_Frozen):
     """The stationary law of one point on {0,...,2n}: pi(i) = w_i / total.
 
-    The integer weights w_i of `stationary_ratio_product` are not kept.
-    What is kept is everything the certificate and the distances read:
-    three exact sums over the weights,
-
-        total = sum_i w_i,  abs_s_sum = sum_i w_i |S_i|,
-        move_sum = sum_i w_i (D_i + U_i),
-
-    with S_i the entries of `ModelParams.remainder_row` and (D_i, U_i) the
-    kernel rows, and `probs`, the floating mirror used for numerics: a
-    tuple of floats, each the correctly rounded quotient w_i / total.
-    `weights` (walked state by state) and `probs_exact` (the same values as
-    reduced `Fraction`s, all 2n+1 of them) are built on first access and
-    kept.  No command reads them: the tests do, and so does
-    `perfbench/tracer.py`, for the bit length of pi(0)'s reduced
-    denominator.  Instances are immutable and compare by identity.
+    Kept: `probs`, the floats RN(w_i / total), and `enclosures`, bounds
+    (lo, hi) in one unit w_0 2**e, which cancels from every ratio, on the
+    sums total = sum_i w_i, abs_s_sum = sum_i w_i |S_i| and move_sum =
+    sum_i w_i (D_i + U_i), for S_i of `ModelParams.remainder_row` and the
+    kernel rows (D_i, U_i).  Built on first access and kept, for `--exact`,
+    `stein`'s fallback, the tests and `perfbench/tracer.py`: those sums
+    exactly, `weights` and `probs_exact` (reduced `Fraction`s).
+    Immutable; compares by identity.
     """
 
     params: ModelParams
     probs: tuple[float, ...]
-    total: int
-    abs_s_sum: int
-    move_sum: int
+    enclosures: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
 
-    def __init__(
-        self, params: ModelParams, probs: tuple[float, ...],
-        total: int, abs_s_sum: int, move_sum: int,
-    ) -> None:
-        self.__dict__.update(
-            params=params, probs=probs, total=total, abs_s_sum=abs_s_sum,
-            move_sum=move_sum,
-        )
+    def __init__(self, params: ModelParams, probs: tuple[float, ...], enclosures) -> None:
+        self.__dict__.update(params=params, probs=probs, enclosures=enclosures)
 
     @property
     def n(self) -> int:
         return self.params.n
+
+    @cached_property
+    def _roots(self) -> tuple[int, int, int, int]:
+        # m! and the three sums times m!; each sum is divided out when read.
+        down, up = self.params.kernel_rows()
+        _, _, *sums = _split(down, up, self.params.remainder_row, 0, len(down))
+        return (math.factorial(2 * self.n), *sums)
+
+    total = cached_property(lambda self: self._roots[1] // self._roots[0])
+    abs_s_sum = cached_property(lambda self: self._roots[2] // self._roots[0])
+    move_sum = cached_property(lambda self: self._roots[3] // self._roots[0])
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -227,8 +223,8 @@ class LatticeDistribution(_Frozen):
         return tuple(Fraction(w, self.total) for w in self.weights)
 
 
-# Bits of each bound in the float mirror's interval walk.  Wider only makes
-# a fallback to the exact walk rarer; the bounds hold at any width.
+# Bits of each bound in the interval walk.  Wider only makes a fallback to
+# the exact walk rarer; the bounds hold at any width.
 _MIRROR_BITS = 192
 
 
@@ -243,37 +239,53 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
 
         w_0 = prod_{k>=1} D_k / k,   w_{i+1} = w_i U_i / D_{i+1},
 
-    and pi(i) = w_i / total with total = sum_j w_j.  The weights themselves
-    are never built; two passes give what `LatticeDistribution` keeps.
+    and pi(i) = w_i / total with total = sum_j w_j.
 
-    Exact sums by binary splitting (Haible & Papanikolaou 1998).  A segment
-    of states carries (PU, PD, T): the products of its U_k and of its D_k,
-    and the three sums T = sum_i c_i (prod_{k<i} U_k)(prod_{k>i} D_k), the
-    products running over the segment, for the columns c_i = 1, |S_i| and
-    D_i + U_i at once.  Leaf i is (U_i, D_i, c_i), and segments merge as
-    (PU1 PU2, PD1 PD2, T1 PD2 + PU1 T2).  The root's three T, divided
-    exactly by m!, are total, abs_s_sum and move_sum.
-
-    Float mirror by an interval walk.  Bounds lo_i <= w_i <= hi_i, each a
-    `_MIRROR_BITS`-bit integer times a power of two, follow the recursion
-    above, and total is bounded the same way.  Every product and quotient is
-    rounded down for lo and up for hi, a renormalising right shift rounds
-    the same way, and a left shift is exact, so the bounds hold at every
-    state whatever the width: no accumulated-error constant enters.
-    Rounding to nearest is monotone, so where RN(lo_i / total_hi) equals
-    RN(hi_i / total_lo) both equal RN(w_i / total).  Both are int true
-    divisions, which round correctly into the subnormals and to 0.  If the
-    two differ at any state (a near-tie, rare at 192 bits), the whole point
-    falls back to the exact walk and rounds its weights.
+    One interval walk gives what `LatticeDistribution` keeps.  All it keeps
+    are ratios of sums over the weights, so it walks w_i / w_0 from 1:
+    bounds lo_i 2**e_i <= w_i / w_0 <= hi_i 2**e_i, hi_i <= 2**(bits + 1)
+    for bits = `_MIRROR_BITS`, follow the recursion, with products,
+    quotients and renormalising right shifts rounded down for lo and up for
+    hi and exact left shifts, so they hold at any width, with no
+    accumulated-error constant.  Each enclosure adds c_i lo_i 2**(e_i - e)
+    floored and c_i hi_i 2**(e_i - e) ceiled, e = max e_i, for c_i = 1,
+    |S_i| or D_i + U_i.  Rounding to nearest is monotone, so where
+    RN(lo_i / Z_hi) = RN(hi_i / Z_lo), both times 2**(e_i - e), that is
+    RN(w_i / total); int true division rounds correctly into the
+    subnormals and to 0.  A state left undecided (a near-tie, rare at 192
+    bits) sends the point to the exact walk.  The exact sums are built
+    only when read, by `_split`.
     """
+    bits = _MIRROR_BITS
     down, up = params.kernel_rows()
-    _, _, *sums = _split(down, up, params.remainder_row, 0, len(down))
-    factorial = math.factorial(2 * params.n)
-    total, abs_s_sum, move_sum = (t // factorial for t in sums)
-    probs = _interval_mirror(down, up, total)
-    if probs is None:
-        probs = [w / total for w in _exact_walk(params)]
-    return LatticeDistribution(params, tuple(probs), total, abs_s_sum, move_sum)
+    states = [(1 << bits, 1 << bits, -bits)]  # (lo_0, hi_0, e_0): w_0 / w_0
+    for u, d in zip(up, down[1:]):
+        states.append(_scaled(*states[-1], u, d, bits))
+    top = max(e for _, _, e in states)
+    z_lo = z_hi = s_lo = s_hi = m_lo = m_hi = 0
+    for (lo, hi, e), s, d, u in zip(states, params.remainder_row, down, up):
+        k, s, c = top - e, abs(s), d + u
+        z_lo += lo >> k
+        z_hi -= -hi >> k
+        s_lo += lo * s >> k
+        s_hi -= -hi * s >> k
+        m_lo += lo * c >> k
+        m_hi -= -hi * c >> k
+    # Each hi_i <= 2**(bits + 1) and z_lo >= 2**(bits - 2), checked as a
+    # narrow width can lose it, so past a shift of 1100 both quotients are
+    # below 2**-1097 and round to 0: a longer shift need not be built.
+    probs = []
+    for lo, hi, e in states if z_lo >> (bits - 2) else ():
+        k = min(top - e, 1100)
+        p = lo / (z_hi << k)
+        if p != hi / (z_lo << k):
+            break
+        probs.append(p)
+    if len(probs) < len(states):  # an undecided state
+        w = _exact_walk(params)
+        total = sum(w)
+        probs = [x / total for x in w]
+    return LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi), (m_lo, m_hi)))
 
 
 # Segments of at most this many states are folded in one loop.
@@ -281,7 +293,11 @@ _SPLIT_LEAVES = 16
 
 
 def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int, int, int]:
-    # (PU, PD, T for c = 1, |S_i|, D_i + U_i) of the states lo..hi-1.
+    # Binary splitting (Haible & Papanikolaou 1998) over the states lo..hi-1:
+    # the products PU, PD of their U_k and D_k, and for c = 1, |S_i| and
+    # D_i + U_i, T = sum_i c_i (prod_{k<i} U_k)(prod_{k>i} D_k).  Segments
+    # merge as (PU1 PU2, PD1 PD2, T1 PD2 + PU1 T2); the root's T over m! is
+    # the sum of c_i w_i.
     if hi - lo <= _SPLIT_LEAVES:
         pu = pd = 1
         t_one = t_abs = t_move = 0
@@ -299,32 +315,6 @@ def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int, int, int]:
     return (pu1 * pu2, pd1 * pd2, *(x * pd2 + pu1 * y for x, y in zip(t1, t2)))
 
 
-def _interval_mirror(down, up, total: int) -> list[float] | None:
-    # RN(w_i / total) for every state, or None where the bounds leave one
-    # undecided (see `stationary_ratio_product`).
-    bits = _MIRROR_BITS
-    m = len(down) - 1
-    lo = hi = 1
-    exp = 0  # lo and hi are in units of 2**exp
-    for k in range(1, m + 1):
-        lo, hi, exp = _scaled(lo, hi, exp, down[k] // k, 1, bits)
-    z_lo, z_hi, z_exp = _scaled(total, total, 0, 1, 1, bits)
-    # hi < 2**(bits + 1) and z_lo >= 2**(bits - 2), so both quotients are
-    # below 2**(3 + shift): past this shift they round to 0 either way, and
-    # a longer shift need not be built.
-    min_shift = -1100
-    probs = []
-    for i in range(m + 1):
-        shift = max(exp - z_exp, min_shift)
-        p = _quotient(lo, z_hi, shift)
-        if p != _quotient(hi, z_lo, shift):
-            return None
-        probs.append(p)
-        if i < m:
-            lo, hi, exp = _scaled(lo, hi, exp, up[i], down[i + 1], bits)
-    return probs
-
-
 def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
     # Bounds on (lo, hi) * num / den, renormalised so the quotient keeps
     # about `bits` bits: floor for lo, ceil for hi, exact left shifts.
@@ -337,30 +327,13 @@ def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
     return lo // den, -(-hi // den), exp + excess
 
 
-def _quotient(x: int, y: int, shift: int) -> float:
-    # RN(x * 2**shift / y); int true division rounds correctly.
-    return (x << shift) / y if shift >= 0 else x / (y << -shift)
-
-
 def _exact_walk(params: ModelParams) -> list[int]:
-    # The weights w_i themselves: w_0 from a balanced product tree, then one
-    # big-by-small multiply and one exact division by a small integer per
-    # state.
+    # The weights w_i: per state one big-by-small multiply and exact division.
     down, up = params.kernel_rows()
-    m = 2 * params.n
-    w = _product([down[k] // k for k in range(1, m + 1)])
-    weights = [w]
-    for i in range(m):
-        w = w * up[i] // down[i + 1]
-        weights.append(w)
+    weights = [math.prod(down[k] // k for k in range(1, len(down)))]
+    for u, d in zip(up, down[1:]):
+        weights.append(weights[-1] * u // d)
     return weights
-
-
-def _product(xs: list[int]) -> int:
-    # Balanced product tree: multiplies operands of similar size.
-    while len(xs) > 1:
-        xs = [math.prod(xs[i : i + 2]) for i in range(0, len(xs), 2)]
-    return xs[0]
 
 
 # Draws made per call of `Random.choices`, which builds a list of them.

@@ -46,30 +46,34 @@ __all__ = [
 class SteinReport(NamedTuple):
     """Largest condition residuals, the remainder S, and proof-level bounds.
 
-    All rational fields are exact; both residual maxima are expected to be
-    zero (the conditions are identities, not approximations).  `s_values`
-    holds S(i/2n), i = 0..2n, each the correctly rounded float.
+    Both residual maxima are exact and expected to be zero (the conditions
+    are identities, not approximations).  `s_values` holds S(i/2n) for
+    i = 0..2n and the `_float` fields E|S| and E|W'-W|^3/lambda, each
+    correctly rounded; `caps_ok` says if both are within their `_bound`s.
+    The `_exact` properties run pi's exact pass.
     """
 
     cond1_max_abs: Fraction
     cond2_max_abs: Fraction
     s_values: tuple[float, ...]
-    e_abs_s_exact: Fraction
+    e_abs_s_float: float
     e_abs_s_bound: Fraction
-    e_cubed_over_lambda_exact: Fraction
+    e_cubed_over_lambda_float: float
     e_cubed_over_lambda_bound: Fraction
+    caps_ok: bool
+    pi: LatticeDistribution
+
+    @property
+    def e_abs_s_exact(self) -> Fraction:
+        return e_abs_s(self.pi.params, self.pi)[0]
+
+    @property
+    def e_cubed_over_lambda_exact(self) -> Fraction:
+        return third_moment_ratio(self.pi.params, self.pi)
 
     @property
     def conditions_exact(self) -> bool:
         return self.cond1_max_abs == 0 and self.cond2_max_abs == 0
-
-    @property
-    def caps_ok(self) -> bool:
-        """Both exact sums lie within their proof-level caps."""
-        return (
-            self.e_abs_s_exact <= self.e_abs_s_bound
-            and self.e_cubed_over_lambda_exact <= self.e_cubed_over_lambda_bound
-        )
 
 
 class BoundCertificate(NamedTuple):
@@ -155,9 +159,10 @@ def e_abs_s(
 ) -> tuple[Fraction, Fraction]:
     """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n).
 
-    Reads pi's exact sum of w_i |S_i| (`LatticeDistribution.abs_s_sum`,
-    from the binary-splitting pass of `stationary_ratio_product`): with
-    S(i/2n) = S_i / (2 kernel_den), E|S| = abs_s_sum / (2 kernel_den total).
+    With S(i/2n) = S_i / (2 kernel_den), E|S| = abs_s_sum / (2 kernel_den
+    total), from pi's exact sums.  `stein_report` reads E|S| and its cap
+    verdict off pi's enclosures and calls this only where they are
+    undecided (see `_decided`).
     """
     bound = (3 * params.a + 2 * params.b) / (4 * params.n)
     return Fraction(pi.abs_s_sum, 2 * pi.total * params.kernel_den), bound
@@ -168,10 +173,25 @@ def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction
 
     One step moves by at most one site, so |W'-W| is either 0 or 1/(2n);
     the ratio is therefore bounded by 1/(2n), which `SteinReport.caps_ok`
-    checks.  Reads pi's exact sum of w_i (D_i + U_i)
-    (`LatticeDistribution.move_sum`, from the same pass as `e_abs_s`).
+    checks.  Equals move_sum / (2n kernel_den total); read as `e_abs_s`.
     """
     return Fraction(pi.move_sum, 2 * params.n * pi.total * params.kernel_den)
+
+
+def _decided(num, total, scale: int, cap: Fraction, exact) -> tuple[float, bool]:
+    # RN(x) and x <= cap for x = N / (scale total), N and total in the
+    # enclosures `num` and `total`.  Int true division rounds each end
+    # correctly and rounding is monotone, so ends that agree give RN(x);
+    # the cap is compared with each end exactly.  Where either is
+    # undecided, both come from `exact()`, the Fraction x (Ziv 1991).
+    (n_lo, n_hi), (z_lo, z_hi) = num, total
+    x, p, q = n_lo / (scale * z_hi), cap.numerator, cap.denominator
+    if z_lo and x == n_hi / (scale * z_lo):
+        upper_ok, lower_ok = n_hi * q <= p * scale * z_lo, n_lo * q <= p * scale * z_hi
+        if upper_ok == lower_ok:
+            return x, upper_ok
+    x = exact()
+    return float(x), x <= cap
 
 
 def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
@@ -182,8 +202,8 @@ def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
     """
     cab = c_constant(params.a, params.b)
     c11 = c_constant(params.a + 1, params.b + 1)
-    s_term = float(rep.e_abs_s_exact)
-    cubed = float(rep.e_cubed_over_lambda_exact)
+    s_term = rep.e_abs_s_float
+    cubed = rep.e_cubed_over_lambda_float
     sf = float(params.a + params.b)
     return cab * s_term + (c11 + sf * c11 * cab) * cubed / 6.0
 
@@ -198,17 +218,18 @@ def bound_certificate(params: ModelParams) -> BoundCertificate:
 
 
 def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
-    """Full exact verification bundle for one parameter point."""
+    """Verification bundle for one point: the conditions exactly, both sums
+    and caps off pi's enclosures, or where undecided from the exact pass."""
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
     # int true division rounds correctly, so each value is float(Fraction(...))
     s_vals = tuple(s / (2 * params.kernel_den) for s in params.remainder_row)
-    eabs, ebound = e_abs_s(params, pi)
+    (total, abs_s, move), scale = pi.enclosures, 2 * params.kernel_den
+    s_cap, cube_cap = (3 * params.a + 2 * params.b) / (4 * params.n), Fraction(1, 2 * params.n)
+    eabs, s_ok = _decided(abs_s, total, scale, s_cap, lambda: e_abs_s(params, pi)[0])
+    cubed, cube_ok = _decided(
+        move, total, params.n * scale, cube_cap, lambda: third_moment_ratio(params, pi)
+    )
     return SteinReport(
-        cond1_max_abs=Fraction(max(map(abs, res1)), den1),
-        cond2_max_abs=Fraction(max(map(abs, res2)), den2),
-        s_values=s_vals,
-        e_abs_s_exact=eabs,
-        e_abs_s_bound=ebound,
-        e_cubed_over_lambda_exact=third_moment_ratio(params, pi),
-        e_cubed_over_lambda_bound=Fraction(1, 2 * params.n),
+        Fraction(max(map(abs, res1)), den1), Fraction(max(map(abs, res2)), den2),
+        s_vals, eabs, s_cap, cubed, cube_cap, s_ok and cube_ok, pi,
     )

@@ -1,6 +1,8 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
+import csv
 import errno
+import io
 import json
 import os
 import pickle
@@ -15,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import moranbeta
-from moranbeta import cli, distance, special, stein
+from moranbeta import cli, distance, model, special, stein
 from moranbeta.beta import BetaParams
 from moranbeta.cli import (
     SWEEP_COLUMNS,
@@ -25,7 +27,7 @@ from moranbeta.cli import (
     parse_rational_list,
     pq,
 )
-from moranbeta.model import ModelParams, stationary_ratio_product
+from moranbeta.model import LatticeDistribution, ModelParams, stationary_ratio_product
 
 F = Fraction
 
@@ -234,6 +236,51 @@ GATED_COMMANDS = {
 }
 
 
+class TestFloatPath:
+    """Without --exact, every printed float comes from pi's interval walk;
+    --exact adds its p/q fields and changes no other byte."""
+
+    @pytest.mark.parametrize(
+        "argv", [["--n", "600", "--a", "355/113", "--b", "103/37"],
+                 ["--n", "300", "--a", "1/7", "--b", "599/2"]],
+    )
+    def test_report_is_exact_report_without_exact_section(self, capsys, argv):
+        code, plain, _ = run_cli(capsys, "report", *argv)
+        code_exact, exact, _ = run_cli(capsys, "report", *argv, "--exact")
+        assert code == code_exact == 0
+        doc = json.loads(exact)
+        del doc["exact"]
+        assert json.dumps(doc, indent=2) + "\n" == plain
+
+    def test_sweep_csv_is_exact_csv_without_pq_columns(self, capsys):
+        argv = ["sweep", "--n", "5,10", "--a", "1/3,2", "--b", "1/2", "--jobs", "1"]
+        _, plain, _ = run_cli(capsys, *argv)
+        _, exact, _ = run_cli(capsys, *argv, "--exact")
+        rows = list(csv.reader(io.StringIO(exact)))
+        assert len(rows) == 5
+        assert list(csv.reader(io.StringIO(plain))) == [row[: len(SWEEP_COLUMNS)] for row in rows]
+
+    def test_exact_pass_runs_once_per_point_under_exact(self, monkeypatch, capsys):
+        tops = []
+        split = model._split
+
+        def spy(down, up, s, lo, hi):
+            if (lo, hi) == (0, len(down)):
+                tops.append(len(down))
+            return split(down, up, s, lo, hi)
+
+        monkeypatch.setattr(model, "_split", spy)
+        assert run_cli(capsys, "report", "--n", "600", "--a", "355/113", "--b", "103/37")[0] == 0
+        assert tops == []
+        assert run_cli(
+            capsys, "report", "--n", "600", "--a", "355/113", "--b", "103/37", "--exact"
+        )[0] == 0
+        assert tops == [1201]
+        argv = ["sweep", "--n", "5,10", "--a", "1/3,2", "--b", "1/2", "--jobs", "1", "--exact"]
+        assert run_cli(capsys, *argv)[0] == 0
+        assert sorted(tops) == [11, 11, 21, 21, 1201]
+
+
 class TestGate:
     """Every point is checked before any is computed: exit 2, one line."""
 
@@ -345,8 +392,8 @@ class TestSweep:
         rows = {}
         real = cli._sweep_row
 
-        def recording(params):
-            rows[params] = real(params)
+        def recording(params, exact):
+            rows[params] = real(params, exact)
             return rows[params]
 
         monkeypatch.setattr(cli, "_sweep_row", recording)
@@ -388,9 +435,9 @@ class TestSweep:
         forks = []
         real = cli._fork_share
 
-        def counting(points, share):
+        def counting(points, share, exact):
             forks.append(share)
-            return real(points, share)
+            return real(points, share, exact)
 
         monkeypatch.setattr(cli, "_fork_share", counting)
         argv = ["sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"]
@@ -439,12 +486,12 @@ class TestSweep:
         parent = os.getpid()
         real = cli._sweep_row
 
-        def recording(params):
+        def recording(params, exact):
             if ending == "point_error":
                 raise cli.PointError("injected")
             if ending == "interrupt" and os.getpid() == parent:
                 raise KeyboardInterrupt
-            row, ok = real(params)
+            row, ok = real(params, exact)
             return {**row, "mask": os.sched_getaffinity(0)}, ok
 
         def failing_fork():
@@ -455,13 +502,13 @@ class TestSweep:
             monkeypatch.setattr(os, "fork", failing_fork)
         try:
             if ending == "rows":
-                rows = cli._compute_rows(points, 2)
+                rows = cli._compute_rows(points, 2, False)
                 for k, share in enumerate(cli._shares(points, 2)):
                     assert [rows[i][0]["mask"] for i in share] == [{cpus[k]}] * len(share)
             else:
                 expected = KeyboardInterrupt if ending == "interrupt" else cli.PointError
                 with pytest.raises(expected):
-                    cli._compute_rows(points, 2)
+                    cli._compute_rows(points, 2, False)
             assert os.sched_getaffinity(0) == original
         finally:
             os.sched_setaffinity(0, original)
@@ -502,31 +549,89 @@ def _abs_s_above_cap(params, pi):
     return 2 * bound, bound
 
 
+def _walked(real, change):
+    # `real` with pi's enclosures replaced by `change(enclosures)`.
+    def fake(params):
+        pi = real(params)
+        return LatticeDistribution(params, pi.probs, change(pi.enclosures))
+
+    return fake
+
+
+def _undecided(enclosures):
+    # A lower bound of 0 on the total decides nothing: stein_report takes
+    # both sums and both verdicts from the exact hooks.
+    (_, z_hi), *sums = enclosures
+    return ((0, z_hi), *sums)
+
+
+def _inflated(k):
+    # The k-th sum (1: E|S|, 2: E|W'-W|^3/lambda) enclosed 10**6 times too large.
+    def change(enclosures):
+        sums = list(enclosures)
+        sums[k] = tuple(10**6 * x for x in sums[k])
+        return tuple(sums)
+
+    return change
+
+
+CAP_ARGV = [
+    ["report", "--n", "3", "--a", "1", "--b", "2"],
+    ["sweep", "--n", "3,4", "--a", "1", "--b", "2", "--jobs", "1"],
+]
+
+
 class TestProofLevelCaps:
-    """A sum above its proof-level cap is a certificate violation (exit 1)."""
+    """A sum above its proof-level cap is a certificate violation (exit 1),
+    with and without --exact, whether the interval walk decides it or the
+    exact pass does."""
+
+    def assert_exits_1(self, capsys):
+        for exact in ([], ["--exact"]):
+            code, out, _ = run_cli(capsys, *CAP_ARGV[0], *exact)
+            assert code == 1
+            doc = json.loads(out)
+            assert doc["certificate"]["sandwich_ok"] is True
+            assert doc["stein"]["conditions_exact"] is True
+            code, _, _ = run_cli(capsys, *CAP_ARGV[1], *exact)
+            assert code == 1
 
     @pytest.mark.parametrize(
         "name, fake",
         [("third_moment_ratio", _cubed_above_cap), ("e_abs_s", _abs_s_above_cap)],
     )
     def test_cap_violation_exits_1(self, monkeypatch, capsys, name, fake):
+        # The walk leaves every value undecided, so the exact hook decides.
         monkeypatch.setattr(stein, name, fake)
-        code, out, _ = run_cli(capsys, "report", "--n", "3", "--a", "1", "--b", "2")
-        assert code == 1
-        doc = json.loads(out)
-        assert doc["certificate"]["sandwich_ok"] is True
-        assert doc["stein"]["conditions_exact"] is True
-        code, _, _ = run_cli(
-            capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "2", "--jobs", "1"
-        )
-        assert code == 1
+        real = cli.stationary_ratio_product
+        monkeypatch.setattr(cli, "stationary_ratio_product", _walked(real, _undecided))
+        self.assert_exits_1(capsys)
+
+    @pytest.mark.parametrize("k", [1, 2], ids=["abs_s_sum", "move_sum"])
+    def test_walked_sum_above_cap_exits_1(self, monkeypatch, capsys, k):
+        real = cli.stationary_ratio_product
+        monkeypatch.setattr(cli, "stationary_ratio_product", _walked(real, _inflated(k)))
+        self.assert_exits_1(capsys)
 
     def test_cap_check_survives_optimize_flag(self):
+        # Both routes to a failed cap: the exact hook after an undecided
+        # walk, and a walked enclosure above the cap.
         script = textwrap.dedent(
             """
-            import os
+            import os, sys
             from fractions import Fraction
-            from moranbeta import cli, distance, special, stein
+            from moranbeta import cli, stein
+            from moranbeta.model import LatticeDistribution
+            real = cli.stationary_ratio_product
+            def fake(params):
+                pi = real(params)
+                (z_lo, z_hi), abs_s, move = pi.enclosures
+                if sys.argv[1] == "exact_hook":
+                    sums = (0, z_hi), abs_s, move
+                else:
+                    sums = (z_lo, z_hi), abs_s, tuple(10**6 * x for x in move)
+                return LatticeDistribution(params, pi.probs, sums)
+            cli.stationary_ratio_product = fake
             stein.third_moment_ratio = lambda params, pi: Fraction(1, params.n)
             argv = ["report", "--n", "3", "--a", "1", "--b", "2", "--out", os.devnull]
             raise SystemExit(cli.main(argv))
@@ -534,10 +639,11 @@ class TestProofLevelCaps:
         )
         src = str(Path(moranbeta.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        proc = subprocess.run(
-            [sys.executable, "-O", "-c", script], env=env, capture_output=True
-        )
-        assert proc.returncode == 1, proc.stderr.decode()
+        for route in ("exact_hook", "walk"):
+            proc = subprocess.run(
+                [sys.executable, "-O", "-c", script, route], env=env, capture_output=True
+            )
+            assert proc.returncode == 1, proc.stderr.decode()
 
 
 def _raising(exc_type):
@@ -559,7 +665,7 @@ class TestInternalErrors:
     @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError])
     @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=["report", "sweep"])
     def test_point_failure_exits_3(self, monkeypatch, capsys, argv, exc_type):
-        monkeypatch.setattr(stein, "third_moment_ratio", _raising(exc_type))
+        monkeypatch.setattr(cli, "stein_report", _raising(exc_type))
         code, out, err = run_cli(capsys, *argv)
         assert code == 3
         assert out == ""
@@ -569,11 +675,19 @@ class TestInternalErrors:
         )
 
     @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=["report", "sweep"])
+    def test_exact_sum_failure_exits_3(self, monkeypatch, capsys, argv):
+        # Under --exact the p/q of E|S| runs the exact pass, via stein.e_abs_s.
+        monkeypatch.setattr(stein, "e_abs_s", _raising(ZeroDivisionError))
+        code, out, err = run_cli(capsys, *argv, "--exact")
+        assert (code, out) == (3, "")
+        assert err == "error: internal: ZeroDivisionError: injected (point a=1, b=1, n=3)\n"
+
+    @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=["report", "sweep"])
     def test_exception_without_message_is_named_alone(self, monkeypatch, capsys, argv):
         def failing(params, pi):
             raise MemoryError
 
-        monkeypatch.setattr(stein, "third_moment_ratio", failing)
+        monkeypatch.setattr(cli, "stein_report", failing)
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "")
         assert err == "error: internal: MemoryError (point a=1, b=1, n=3)\n"
@@ -594,14 +708,14 @@ class TestInternalErrors:
             # at --jobs 3, a child's failure is earlier than the parent's
             "two_shares": {points[last_of_first], points[first_of_last]},
         }[failing]
-        real = stein.third_moment_ratio
+        real = cli.stein_report
 
         def fake(params, pi):
             if params in targets:
                 raise ZeroDivisionError("injected")
             return real(params, pi)
 
-        monkeypatch.setattr(stein, "third_moment_ratio", fake)
+        monkeypatch.setattr(cli, "stein_report", fake)
         serial = run_cli(capsys, *argv, "--jobs", "1")
         assert serial[0] == 3 and serial[1] == ""
         assert run_cli(capsys, *argv, "--jobs", str(jobs)) == serial
@@ -612,14 +726,14 @@ class TestInternalErrors:
         # A worker killed mid-point (say by the OOM killer) is an internal
         # error naming a point of its share, not a traceback.
         parent = os.getpid()
-        real = stein.third_moment_ratio
+        real = cli.stein_report
 
         def dying(params, pi):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return real(params, pi)
 
-        monkeypatch.setattr(stein, "third_moment_ratio", dying)
+        monkeypatch.setattr(cli, "stein_report", dying)
         code, out, err = run_cli(
             capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "2"
         )
@@ -636,12 +750,12 @@ class TestInternalErrors:
             """
             import os, runpy, sys
             from moranbeta import stein
-            real, parent = stein.third_moment_ratio, os.getpid()
+            real, parent = stein.stein_report, os.getpid()
             def fake(params, pi):
                 if os.getpid() != parent and params.n == 5:
                     raise ZeroDivisionError("injected")
                 return real(params, pi)
-            stein.third_moment_ratio = fake
+            stein.stein_report = fake
             sys.argv = ["moranbeta", "sweep", "--n", "3,4,5,6", "--a", "1", "--b", "1",
                         "--jobs", "2"]
             runpy.run_module("moranbeta.cli", run_name="__main__")
@@ -718,7 +832,7 @@ class TestInternalErrors:
             calls.append(args)
             raise ZeroDivisionError("injected")
 
-        monkeypatch.setattr(stein, "third_moment_ratio", failing)
+        monkeypatch.setattr(cli, "stein_report", failing)
         with pytest.raises(SystemExit) as exc:
             main(["report", "--n", "3", "--a", "1", "--b", "1", "--r-max", "0"])
         assert exc.value.code == 2
@@ -727,7 +841,7 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("command", ["report", "sweep"])
     def test_parameter_error_still_exits_2(self, monkeypatch, capsys, command):
-        monkeypatch.setattr(stein, "third_moment_ratio", _raising(ZeroDivisionError))
+        monkeypatch.setattr(cli, "stein_report", _raising(ZeroDivisionError))
         code, _, err = run_cli(capsys, command, "--n", "1", "--a", "1", "--b", "1")
         assert code == 2
         assert "a + b < 2n" in err

@@ -1,6 +1,7 @@
 """Kernel, stationary law (three routes), sampling, and simulation."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from moranbeta import model
+from moranbeta import cli, model
 from moranbeta.model import (
     ModelParams,
     sample_stationary,
     simulate_chain,
     stationary_ratio_product,
 )
-from moranbeta.stein import stein_report
+from moranbeta.stein import e_abs_s, stein_report, third_moment_ratio
 
 import oracles
 from oracles import (
@@ -211,15 +212,20 @@ def mirror_hex(pi):
     return [x.hex() for x in pi.probs]
 
 
+def stein_floats(rep):
+    return rep.e_abs_s_float, rep.e_cubed_over_lambda_float, rep.caps_ok
+
+
 class TestExactPass:
-    """The binary-splitting sums and the interval float mirror of
-    `stationary_ratio_product` against the exact walk, which `weights`
-    runs on first access."""
+    """The interval walk of `stationary_ratio_product` and its lazy
+    binary-splitting sums against the exact walk, which `weights` runs on
+    first access."""
 
     @given(valid_params())
     # pi(i) rounds to 0 at 21 states and to a subnormal at 11
     @example(ModelParams(300, F(1, 7), F(599, 2)))
     @example(ModelParams(150, F(355, 113), F(103, 37)))
+    @example(ModelParams(10, F(1e-30), 1))
     def test_matches_exact_walk(self, p):
         pi = stationary_ratio_product(p)
         w = pi.weights
@@ -228,6 +234,16 @@ class TestExactPass:
         assert pi.abs_s_sum == sum(x * abs(s) for x, s in zip(w, p.remainder_row))
         assert pi.move_sum == sum(x * (d + u) for x, d, u in zip(w, down, up))
         assert mirror_hex(pi) == [(x / pi.total).hex() for x in w]
+        # Both ends of each walked quotient round to the exact value's float,
+        # and the report's floats and verdict are the exact ones.
+        (z_lo, z_hi), *sums = pi.enclosures
+        e_s, s_cap = e_abs_s(p, pi)
+        e_c = third_moment_ratio(p, pi)
+        scales = 2 * p.kernel_den, 2 * p.n * p.kernel_den
+        for (lo, hi), x, scale in zip(sums, (e_s, e_c), scales):
+            assert lo / (scale * z_hi) == float(x) == hi / (scale * z_lo)
+        rep = stein_report(p, pi)
+        assert stein_floats(rep) == (float(e_s), float(e_c), e_s <= s_cap and e_c <= F(1, 2 * p.n))
 
     @pytest.mark.parametrize(
         "n,a,b", [(150, F(355, 113), F(103, 37)), (300, F(1, 7), F(599, 2))]
@@ -244,9 +260,40 @@ class TestExactPass:
         got = stationary_ratio_product(p)
         assert walks == [p]
         assert mirror_hex(got) == mirror_hex(want)
+        assert stein_floats(stein_report(p, got)) == stein_floats(stein_report(p, want))
         assert (got.total, got.abs_s_sum, got.move_sum) == (
             want.total, want.abs_s_sum, want.move_sum,
         )
+
+    def test_state_undecided_after_decided_ones_falls_back(self, monkeypatch):
+        # At 12 bits the first 21 states of (300, 599/2, 1/7) round to 0 from
+        # both bounds and the 22nd is undecided: the whole point, not the
+        # rest of it, comes from the exact walk.
+        p = ModelParams(300, F(599, 2), F(1, 7))
+        want = stationary_ratio_product(p)
+        walks = []
+        walk = model._exact_walk
+        monkeypatch.setattr(
+            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
+        )
+        monkeypatch.setattr(model, "_MIRROR_BITS", 12)
+        got = stationary_ratio_product(p)
+        assert walks == [p]
+        assert mirror_hex(got) == mirror_hex(want)
+        assert stein_floats(stein_report(p, got)) == stein_floats(stein_report(p, want))
+
+    def test_shift_cap_at_zero_and_subnormal_probabilities(self):
+        # 6032 pi(i) round to 0 and 97 to subnormals.  Some w_i are below
+        # 2**-1110 max w, so their shift against the walked total passes the
+        # 1100 at which the walk stops building it; every state still rounds
+        # as w_i / total does.
+        pi = stationary_ratio_product(ModelParams(5000, 4000, 5000))
+        w = pi.weights
+        assert min(w) << 1110 < max(w)
+        total = sum(w)
+        assert mirror_hex(pi) == [(x / total).hex() for x in w]
+        assert sum(x == 0 for x in pi.probs) == 6032
+        assert sum(0 < x < sys.float_info.min for x in pi.probs) == 97
 
     @given(
         st.integers(1, 2**300),
@@ -267,13 +314,17 @@ class TestExactPass:
         assert bits - 1 <= hi2.bit_length() <= bits + 1
 
     def test_no_fallback_at_benchmark_points(self, monkeypatch):
-        def walk(params):
-            raise AssertionError(f"exact walk ran at {params}")
+        # Without --exact, no point of the benchmark runs the binary
+        # splitting or the exact walk, from pi to the rendered values.
+        def refuse(*args):
+            raise AssertionError("exact pass ran")
 
-        monkeypatch.setattr(model, "_exact_walk", walk)
+        monkeypatch.setattr(model, "_split", refuse)
+        monkeypatch.setattr(model, "_exact_walk", refuse)
         for n, a, b in BENCHMARK_POINTS:
-            pi = stationary_ratio_product(ModelParams(n, a, b))
-            assert len(pi.probs) == 2 * n + 1
+            point = cli.compute_point(ModelParams(n, a, b))
+            assert point.ok
+            assert cli._row_values(point, False)["e_abs_s_exact"] == point.stein.e_abs_s_float
 
 
 class TestStationaryClosedForm:

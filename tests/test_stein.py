@@ -210,6 +210,33 @@ class TestExpectations:
             assert e_abs_s(p, pi)[0] == e_abs
 
 
+class TestDecided:
+    """`stein._decided`: a value and its cap verdict from an enclosure, or
+    from the exact value where the enclosure leaves either undecided."""
+
+    # Both ends of [10**30, 10**30 + 1] round to the float 1e30.
+    NUM, TOTAL = (10**30, 10**30 + 1), (1, 1)
+
+    @pytest.mark.parametrize("x", [F(10**30), F(10**30 + 1)])
+    def test_cap_inside_interval_takes_exact_comparison(self, x):
+        cap = F(2 * 10**30 + 1, 2)
+        calls = []
+        got = stein._decided(self.NUM, self.TOTAL, 1, cap, lambda: calls.append(x) or x)
+        assert calls == [x]
+        assert got == (float(x), x <= cap)
+
+    @pytest.mark.parametrize("cap, ok", [(F(10**30 + 1), True), (F(10**30 - 1), False)])
+    def test_cap_outside_interval_is_decided(self, cap, ok):
+        def exact():
+            raise AssertionError("exact value read")
+
+        assert stein._decided(self.NUM, self.TOTAL, 1, cap, exact) == (1e30, ok)
+
+    def test_ends_rounding_apart_take_exact_value(self):
+        x = F(3, 2)
+        assert stein._decided((1, 2), (1, 1), 1, F(10), lambda: x) == (1.5, True)
+
+
 class TestUpperBound:
     def test_assembled_spot(self):
         p = ModelParams(2, 1, 1)
