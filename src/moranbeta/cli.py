@@ -14,14 +14,21 @@ library: the package has no runtime dependency.
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
 identity or a proof-level cap failed) or a `validate` flag, 2 usage or
 parameter error (a `ValueError` outside the guard: a point the gate
-refuses, a bad option value or an unwritable `--out`), 3 internal error
-while computing a point, whatever its type (one `error: internal:` line on
-stderr names the exception and the point).
+refuses, a bad option value, or an `--out` or stdout that cannot be
+written), 3 internal error while computing a point, whatever its type (one
+`error: internal:` line on stderr names the exception and the point).
+
+`main` returns the exit code.  `run`, behind the console script and
+`python -m moranbeta.cli`, runs the exit handlers, flushes stdout and
+stderr and leaves by `os._exit`: the interpreter's shutdown, which frees
+every module and object and runs their finalizers, no longer runs (see
+`run`).
 """
 
 from __future__ import annotations
 
 import argparse
+import atexit
 import csv
 import io
 import json
@@ -187,7 +194,12 @@ def pq(x: Fraction) -> str:
 
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
-        sys.stdout.write(text)
+        if sys.stdout is None:  # descriptor 1 was closed at start-up
+            raise ValueError("cannot write stdout: it is closed")
+        try:
+            sys.stdout.write(text)
+        except OSError as exc:  # a usage error, like an unwritable --out
+            raise ValueError(f"cannot write stdout: {exc}") from exc
         return
     try:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -681,7 +693,35 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def run() -> None:
-    sys.exit(main())
+    """Entry point of the console script and of `python -m moranbeta.cli`.
+
+    Once `main` has returned its code, the exit handlers registered with
+    `atexit` run, stdout and stderr are flushed, and `os._exit` ends the
+    process.  The interpreter's shutdown, which frees every module and
+    object and runs their finalizers, does not run: it cost about 10 ms of
+    each benchmark invocation (paired runs, 2 vCPU), and in a sweep it
+    wrote to every copy-on-write page still shared with the forked
+    children.  Nothing needs it: `--out` files and the children's pipes are
+    closed by then, and the CLI starts no thread.  A stdout that fails at
+    the final flush is a usage error, as inside `main`: one `error:` line,
+    exit 2.  A `SystemExit` (argparse, `--help`) or an uncaught exception
+    still leaves through the interpreter, and so does every exit under a
+    profiler, tracer or debugger (`sys.getprofile`, `sys.gettrace`), which
+    reports only once the program has returned.
+    """
+    code = main()
+    if sys.getprofile() is not None or sys.gettrace() is not None:
+        sys.exit(code)
+    atexit._run_exitfuncs()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

@@ -71,7 +71,14 @@ class ModelParams(_Frozen):
 
     `down_poly` and `up_poly` hold the coefficients of D and U in powers of
     i.  Construction builds the rows (D_i) and (U_i) once, checks
-    p(i,i) >= 0 in every row and keeps them for `kernel_rows`.
+    p(i,i) >= 0 in every row and keeps them for `kernel_rows`.  The check
+    never fires in the regime: writing m^2 = (i + (m-i))^2,
+
+        p(i,i) kernel_den = (qm - qb) i^2 + (qm - qa)(m-i)^2 + (qa + qb) i(m-i),
+
+    and a + b < 2n gives qm > qa and qm > qb, so every term is nonnegative
+    and one of the first two is positive.  It stays as a guard on the
+    row formulas.
     `remainder_row`, the numerators S_i = 2(qa+qb) i^2 - (3qa+qb) i m + qa m^2
     of the condition 2 remainder S(i/m) over 2 kernel_den (see
     `moranbeta.stein`), is built on first access and kept.  Instances are

@@ -871,6 +871,212 @@ class TestUnwritableOut:
         assert err.count("\n") == 1 and err.endswith("\n")
 
 
+def _python(args, env=None, **kwargs) -> subprocess.CompletedProcess:
+    """`python *args` on this checkout's package, stdout and stderr as text."""
+    src = str(Path(moranbeta.__file__).resolve().parents[1])
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run(
+        [sys.executable, *args], env={**(env or os.environ), "PYTHONPATH": src},
+        text=True, timeout=120, **kwargs,
+    )
+
+
+def _buffered_env() -> dict:
+    # Without PYTHONUNBUFFERED, stdout keeps what it is given until a flush.
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+STDOUT_COMMANDS = {
+    "report": ["report", "--n", "3", "--a", "1", "--b", "1"],
+    # More bytes than stdout buffers, so a buffered stdout fails in the write
+    # itself; the report's bytes fail only at the final flush.
+    "sweep": [
+        "sweep", "--n", "3,4,5,6,7,8", "--a", "1,2", "--b", "1,2", "--jobs", "1",
+        "--exact", "--format", "json",
+    ],
+}
+
+
+class TestUnwritableStdout:
+    """A stdout that cannot be written is a usage error, like an unwritable
+    --out: exit 2 and one line on stderr, no traceback, nothing printed at
+    interpreter exit, whether the write fails or the final flush does."""
+
+    def test_failed_write_exits_2(self, monkeypatch, capsys):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(sys, "stdout", Full())
+        code = main(STDOUT_COMMANDS["report"])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot write stdout: [Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}\n"
+        )
+
+    @pytest.mark.parametrize("target", ["dev_full", "closed_pipe"])
+    @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("command", sorted(STDOUT_COMMANDS))
+    def test_exits_2_with_one_line(self, command, flags, target):
+        if target == "dev_full":
+            if not os.path.exists("/dev/full"):
+                pytest.skip("no /dev/full")
+            stdout, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+        else:
+            read_fd, stdout = os.pipe()
+            os.close(read_fd)
+            code = errno.EPIPE
+        try:
+            proc = _python(
+                [*flags, "-m", "moranbeta.cli", *STDOUT_COMMANDS[command]],
+                env=_buffered_env(), stdout=stdout,
+            )
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n"
+        )
+
+    def test_closed_descriptors(self, tmp_path):
+        # A descriptor closed at start-up leaves sys.stdout or sys.stderr
+        # None: no stdout to write is a usage error, and neither stops an
+        # --out file from being written.
+        argv = ["-m", "moranbeta.cli", *STDOUT_COMMANDS["report"]]
+        out = tmp_path / "report.json"
+        for args, fd, code, err in (
+            (argv, 1, 2, "error: cannot write stdout: it is closed\n"),
+            (argv + ["--out", str(out)], 1, 0, ""),
+            (argv + ["--out", str(out)], 2, 0, None),
+        ):
+            out.unlink(missing_ok=True)
+            proc = _python(
+                args, stdout=None if fd == 1 else subprocess.PIPE,
+                stderr=subprocess.PIPE if fd == 1 else None,
+                preexec_fn=lambda fd=fd: os.close(fd),
+            )
+            assert (proc.returncode, proc.stderr) == (code, err)
+        assert json.loads(out.read_text())["command"] == "report"
+
+
+# Faults injected before the CLI module is imported, so in-process `main`
+# and a run as __main__ (a fresh namespace) both bind the faulty functions.
+FAULTS = {
+    # The walk decides nothing; the exact hook puts E|W'-W|^3/lambda above its cap.
+    "cap": """
+        from fractions import Fraction
+        from moranbeta import model, stein
+        real = model.stationary_ratio_product
+        def undecided(params):
+            pi = real(params)
+            (_, z_hi), *sums = pi.enclosures
+            return model.LatticeDistribution(params, pi.probs, ((0, z_hi), *sums))
+        model.stationary_ratio_product = undecided
+        stein.third_moment_ratio = lambda params, pi: Fraction(1, params.n)
+        """,
+    "internal": """
+        from moranbeta import stein
+        def failing(params, pi):
+            raise ZeroDivisionError("injected")
+        stein.stein_report = failing
+        """,
+}
+
+# name: (argv, fault, exit code); OUT stands for an --out file.
+EXIT_CASES = {
+    "report_exact": (["report", "--n", "7", "--a", "1/2", "--b", "3", "--exact"], None, 0),
+    "sweep_jobs_2": (
+        ["sweep", "--n", "3,4,5", "--a", "1,2", "--b", "1", "--jobs", "2", "--out", "OUT"],
+        None, 0,
+    ),
+    "cap_violation": (["report", "--n", "3", "--a", "1", "--b", "2", "--out", "OUT"], "cap", 1),
+    "gate_refusal": (["report", "--n", "602", "--a", "600", "--b", "601"], None, 2),
+    "argparse_error": (["report", "--n", "3"], None, 2),
+    "help": (["--help"], None, 0),
+    "internal_error": (["report", "--n", "3", "--a", "1", "--b", "1"], "internal", 3),
+}
+
+
+class TestExitPath:
+    """`run()` leaves through `os._exit` once the exit handlers have run and
+    stdout and stderr are flushed; the process must show the same bytes and
+    exit code as `main()` returning into the interpreter."""
+
+    @pytest.mark.parametrize("case", sorted(EXIT_CASES))
+    def test_matches_in_process_main(self, tmp_path, case):
+        argv, fault, code = EXIT_CASES[case]
+        inject = textwrap.dedent(FAULTS[fault]) if fault else ""
+        entries = {
+            "main": ["-c", inject + "import sys\nfrom moranbeta.cli import main\n"
+                     "sys.exit(main(sys.argv[1:]))\n"],
+            "run": ["-c", inject + "import runpy\n"
+                    "runpy.run_module('moranbeta.cli', run_name='__main__')\n"]
+            if fault else ["-m", "moranbeta.cli"],
+        }
+        seen = []
+        for name, entry in entries.items():
+            out = tmp_path / f"{name}.out"
+            proc = _python(
+                [*entry, *(str(out) if arg == "OUT" else arg for arg in argv)],
+                env=_buffered_env(),
+            )
+            seen.append((proc.returncode, proc.stdout, proc.stderr,
+                         out.read_bytes() if out.exists() else None))
+        assert seen[0][0] == code, seen[0][2]
+        assert seen[1] == seen[0]
+        if code in (0, 1):
+            assert seen[0][1] or seen[0][3]
+
+    def test_exit_handlers_run_before_the_final_flush(self):
+        # A handler registered before run() still runs, and what it prints
+        # while stdout buffers is flushed after it.
+        script = textwrap.dedent(
+            """
+            import atexit, runpy
+            atexit.register(print, "exit handler ran")
+            runpy.run_module("moranbeta.cli", run_name="__main__")
+            """
+        )
+        proc = _python(["-c", script, *STDOUT_COMMANDS["report"]], env=_buffered_env())
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.endswith("}\nexit handler ran\n")
+
+    def test_profiler_reports_after_the_program(self):
+        # cProfile prints its table once the program returns, so under a
+        # profiler run() leaves through the interpreter.
+        proc = _python(["-m", "cProfile", "-m", "moranbeta.cli", *STDOUT_COMMANDS["report"]])
+        assert proc.returncode == 0, proc.stderr
+        report, _, table = proc.stdout.partition("\n}\n")
+        assert json.loads(report + "\n}")["command"] == "report"
+        assert "function calls" in table
+
+    def test_no_resource_warning_at_exit(self, tmp_path):
+        # The teardown that os._exit skips would show unclosed files or
+        # unreaped children as ResourceWarnings: the commands leave none.
+        script = textwrap.dedent(
+            """
+            import gc, sys
+            from moranbeta.cli import main
+            for argv in (
+                ["report", "--n", "7", "--a", "1/2", "--b", "3", "--out", sys.argv[1]],
+                ["sweep", "--n", "3,4,5", "--a", "1,2", "--b", "1", "--jobs", "2"],
+                ["validate", "--n", "5", "--a", "1", "--b", "1",
+                 "--samples", "1000", "--steps", "1000"],
+            ):
+                if main(argv) != 0:
+                    sys.exit(f"{argv[0]} failed")
+            gc.collect()
+            """
+        )
+        proc = _python(
+            ["-X", "dev", "-W", "error::ResourceWarning", "-c", script,
+             str(tmp_path / "report.json")]
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+
+
 class TestRate:
     def test_fits_gap_slope(self, capsys):
         code, out, _ = run_cli(

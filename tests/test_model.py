@@ -141,6 +141,19 @@ class TestTransition:
             assert down + stay + up == 1
             assert 0 <= down <= 1 and 0 <= stay <= 1 and 0 <= up <= 1
 
+    @given(valid_params())
+    @example(ModelParams(1, F(1999, 1000), F(1, 10**6)))
+    @example(ModelParams(3, F(1, 10**6), F(5999, 1000)))
+    def test_holding_numerator_identity(self, p):
+        # The identity behind the docstring's claim that the row check in
+        # ModelParams cannot fire: p(i,i) kernel_den is a sum of nonnegative
+        # terms, one of them positive, whenever a + b < 2n.
+        (down, up), m = p.kernel_rows(), 2 * p.n
+        qm = p.q * m
+        for i in range(m + 1):
+            stay = (qm - p.qb) * i * i + (qm - p.qa) * (m - i) ** 2 + (p.qa + p.qb) * i * (m - i)
+            assert p.kernel_den - down[i] - up[i] == stay > 0
+
 
 class TestStationaryRatioProduct:
     def test_reference_point(self):
