@@ -17,8 +17,8 @@ Shape = Union[int, float, Fraction]
 class BetaParams(NamedTuple("BetaParams", [("a", Shape), ("b", Shape)])):
     """Shape pair of the Beta target; exact values for rational shapes.
 
-    Immutable, and equal and hashed by value: `distance._atoms` keys its
-    cache on it.
+    Immutable, and equal and hashed by value: `distance._atoms` compares
+    its slot's shapes with it.
     """
 
     __slots__ = ()

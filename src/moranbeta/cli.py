@@ -31,7 +31,6 @@ import argparse
 import atexit
 import csv
 import io
-import json
 import math
 import os
 import sys
@@ -192,6 +191,14 @@ def pq(x: Fraction) -> str:
     return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
+def _json_text(payload: dict) -> str:
+    """`payload` as the CLI's JSON text: indented by 2, one final newline.
+    `json` is imported here, so a CSV sweep never loads it."""
+    import json
+
+    return json.dumps(payload, indent=2) + "\n"
+
+
 def _write_output(text: str, out: str | None) -> None:
     if out is None:
         if sys.stdout is None:  # descriptor 1 was closed at start-up
@@ -220,13 +227,15 @@ def grid_points(
     The rules, in order, each a usage error: non-empty value lists, the
     model's own (ModelParams), a finite K(a,b) when `certified` (the
     certificate prints and compares it), and shapes of at least MIN_SHAPE.
+    The last two depend on the shapes only and are checked once per shape
+    pair.  No rule reads a point's lattice: its kernel rows are built when
+    it is computed, inside the guard and, in a sweep, in its own share.
     """
     if not (a_values and b_values and n_values):
         raise ValueError("a, b, and n value lists must be non-empty")
     grid = {(a, b, n) for a in a_values for b in b_values for n in n_values}
     points = [ModelParams(n, a, b) for a, b, n in sorted(grid)]
-    for params in points:
-        a, b = params.a, params.b
+    for a, b in dict.fromkeys((params.a, params.b) for params in points):
         if certified and not math.isfinite(k_constant(a, b)):
             raise ValueError(f"K(a,b) is not a finite float at a={float(a)}, b={float(b)}")
         for x in (a, b):
@@ -325,7 +334,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     with _computing(params):
         point = compute_point(params)
         payload = _report_payload(point, args.r_max, args.exact)
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(_json_text(payload), args.out)
     return 0 if point.ok else 1
 
 
@@ -372,10 +381,9 @@ def _run_share(
 
 def _fork_share(points: list[ModelParams], share: list[int], exact: bool) -> tuple[int, BinaryIO]:
     """Compute `share` in a forked child; returns its pid and the read end of
-    the pipe that carries `_run_share`'s result as one pickle. The CLI starts
-    no threads, so the child inherits no lock held by another thread."""
-    import pickle
-
+    the pipe that carries `_run_share`'s result as one pickle, which only
+    the child imports: the forks are on the parent's serial path. The CLI
+    starts no threads, so the child inherits no lock held by another thread."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -388,6 +396,8 @@ def _fork_share(points: list[ModelParams], share: list[int], exact: bool) -> tup
         # caller's code, flushes the parent's stdio or runs its handlers.
         code = 1
         try:
+            import pickle
+
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
                 pipe.write(pickle.dumps(_run_share(points, share, exact)))
@@ -462,6 +472,8 @@ def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tup
             children[pid] = (pipe, share)
         _set_affinity(homes[:1])
         outcomes = [_run_share(points, shares[0], exact)]
+        if children:  # load the unpickler before blocking on the first pipe
+            import pickle  # noqa: F401
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -508,10 +520,7 @@ def _render_sweep_json(rows: list[dict], exact: bool) -> str:
         if exact:
             item["exact"] = _exact_section(row)
         out_rows.append(item)
-    return json.dumps(
-        {"schema_version": SCHEMA_VERSION, "command": "sweep", "rows": out_rows},
-        indent=2,
-    ) + "\n"
+    return _json_text({"schema_version": SCHEMA_VERSION, "command": "sweep", "rows": out_rows})
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -569,7 +578,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
         "fits": fits,
         "ok": all_ok,
     }
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(_json_text(payload), args.out)
     return 0 if all_ok else 1
 
 
@@ -620,7 +629,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             section["burn_in"] = args.burn_in
             section["iact_bound"] = tau
             payload["chain"] = section
-    _write_output(json.dumps(payload, indent=2) + "\n", args.out)
+    _write_output(_json_text(payload), args.out)
     flagged = [payload[k]["flagged_states"] for k in ("iid", "chain") if k in payload]
     return 1 if any(flagged) else 0
 
@@ -702,14 +711,19 @@ def run() -> None:
     each benchmark invocation (paired runs, 2 vCPU), and in a sweep it
     wrote to every copy-on-write page still shared with the forked
     children.  Nothing needs it: `--out` files and the children's pipes are
-    closed by then, and the CLI starts no thread.  A stdout that fails at
-    the final flush is a usage error, as inside `main`: one `error:` line,
-    exit 2.  A `SystemExit` (argparse, `--help`) or an uncaught exception
+    closed by then, and the CLI starts no thread.  argparse's exit, after a
+    usage message or `--help`, takes the same way out with its own code.  A
+    stdout that fails at the final flush is a usage error, as inside
+    `main`: one `error:` line, exit 2, where the interpreter's own flush
+    would print "Exception ignored" and exit 120.  An uncaught exception
     still leaves through the interpreter, and so does every exit under a
     profiler, tracer or debugger (`sys.getprofile`, `sys.gettrace`), which
     reports only once the program has returned.
     """
-    code = main()
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse, its message already written
+        code = exc.code
     if sys.getprofile() is not None or sys.gettrace() is not None:
         sys.exit(code)
     atexit._run_exitfuncs()

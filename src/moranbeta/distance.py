@@ -13,16 +13,17 @@ Three quantities are reported:
   F_W is a step function and F_Z is continuous and monotone.
 
 Both distances read F_Z at the atoms i/(2n) from one pass per point, which
-also yields the antiderivative G for W1.  Each is one loop on Python floats
-over the lattice pieces; W1 solves each crossing of F_W and F_Z by one
-Newton loop that may stop after its first evaluation.
+also yields the antiderivative G for W1; a point of the same shapes on a
+multiple of the last lattice evaluates only its new atoms.  Each distance
+is one loop on Python floats over the lattice pieces; W1 solves each
+crossing of F_W and F_Z by one Newton loop that may stop after its first
+evaluation.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from . import beta as beta_dist
 from .beta import BetaParams
@@ -75,32 +76,63 @@ def _end_density(shape: float, ln_beta: float) -> float:
     return 0.0 if shape > 1.0 else math.inf if shape < 1.0 else math.exp(-ln_beta)
 
 
-@lru_cache(maxsize=1)
+# The atoms of the last lattice `_atoms` served, for the next one of the same
+# shape pair: (beta, m, atoms), or None.  One lattice, one slot per process.
+_slot = None
+
+
+def _reset_atoms() -> None:
+    """Empty the atom slot, so the next `_atoms` call is a cold pass."""
+    global _slot
+    _slot = None
+
+
 def _atoms(
     m: int, beta: BetaParams
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float]:
-    """F_Z, f_Z and G at the atoms i/m, i = 0..m, and ln B(a,b), computed
-    once for the point in progress: both distances read F_Z, and W1 reads
-    G and, for the Hermite start of each crossing's Newton loop, f_Z (see
-    `_crossing_gain`).  They depend on the lattice and the shapes only, so
-    the key holds no lattice law.  f_Z at 0 and 1 is its limit: 0, infinite
-    or 1/B(a,b) as the shape at that end is above, below or equal to 1."""
+    """F_Z, f_Z and G at the atoms i/m, i = 0..m, and ln B(a,b): both
+    distances read F_Z, and W1 reads G and, for the Hermite start of each
+    crossing's Newton loop, f_Z (see `_crossing_gain`).  They depend on the
+    lattice and the shapes only, so no lattice law enters.
+
+    The atoms of the last lattice m0 are kept in one slot.  The same lattice
+    again (W1, then Kolmogorov) is served from it.  A lattice m = k m0 of
+    the same shapes, such as the next n of a doubling sweep, copies atom j
+    of m0 to atom k j and evaluates only the others: k j / (k m0) and j / m0
+    are one rational, correctly rounded to one float, so every value is the
+    one a cold pass gives, bit for bit.  Any other lattice starts from the
+    endpoints, where F_Z is 0 and 1, G is 0 and b/(a+b), and f_Z is its
+    limit: 0, infinite or 1/B(a,b) as the shape at that end is above, below
+    or equal to 1.
+    """
+    global _slot
     a, b = float(beta.a), float(beta.b)
-    ln_beta = log_beta(a, b)
-    fz, dens, g = [0.0], [_end_density(a, ln_beta)], [0.0]
+    if _slot is None or m % _slot[1] or _slot[0] != beta:
+        ln_beta = log_beta(a, b)
+        ends = (
+            (0.0, 1.0),
+            (_end_density(a, ln_beta), _end_density(b, ln_beta)),
+            (0.0, float(beta.b / (beta.a + beta.b))),
+            ln_beta,
+        )
+        _slot = (beta, 1, ends)
+    _, coarse, atoms = _slot
+    if m == coarse:
+        return atoms
+    k = m // coarse
+    *kept, ln_beta = atoms
+    fz, dens, g = [0.0] * (m + 1), [0.0] * (m + 1), [0.0] * (m + 1)
+    fz[::k], dens[::k], g[::k] = kept
     for i in range(1, m):
-        x = i / m
-        f, d = _cdf_pdf(a, b, ln_beta, x)
-        if not math.isfinite(f):
-            raise FloatingPointError(f"Beta{a, b} CDF is not finite at i/{m}")
-        fz.append(f)
-        dens.append(d)
-        g.append(_cdf_integral(a, b, x, f, d))
-    # f_Z is infinite at an endpoint where the adjacent shape is below 1.
-    fz.append(1.0)
-    dens.append(_end_density(b, ln_beta))
-    g.append(float(beta.b / (beta.a + beta.b)))
-    return tuple(fz), tuple(dens), tuple(g), ln_beta
+        if i % k:
+            x = i / m
+            f, d = _cdf_pdf(a, b, ln_beta, x)
+            if not math.isfinite(f):
+                raise FloatingPointError(f"Beta{a, b} CDF is not finite at i/{m}")
+            fz[i], dens[i], g[i] = f, d, _cdf_integral(a, b, x, f, d)
+    atoms = (tuple(fz), tuple(dens), tuple(g), ln_beta)
+    _slot = (beta, m, atoms)
+    return atoms
 
 
 def _crossing_gain(

@@ -70,15 +70,17 @@ class ModelParams(_Frozen):
         p(i,i+1) = U_i / kernel_den,  U_i = i(m-i)(qm - qb) + qa (m-i)^2;
 
     `down_poly` and `up_poly` hold the coefficients of D and U in powers of
-    i.  Construction builds the rows (D_i) and (U_i) once, checks
-    p(i,i) >= 0 in every row and keeps them for `kernel_rows`.  The check
-    never fires in the regime: writing m^2 = (i + (m-i))^2,
+    i.  The rows (D_i) and (U_i) are built on the first `kernel_rows` call,
+    checked for p(i,i) >= 0 in every row and kept, so a gate that only
+    constructs the points does no per-state work.  The check never fires
+    in the regime: writing m^2 = (i + (m-i))^2,
 
         p(i,i) kernel_den = (qm - qb) i^2 + (qm - qa)(m-i)^2 + (qa + qb) i(m-i),
 
     and a + b < 2n gives qm > qa and qm > qb, so every term is nonnegative
     and one of the first two is positive.  It stays as a guard on the
-    row formulas.
+    row formulas; the CLI reads the rows inside its guard, so a failure
+    there would be an internal error (exit 3).
     `remainder_row`, the numerators S_i = 2(qa+qb) i^2 - (3qa+qb) i m + qa m^2
     of the condition 2 remainder S(i/m) over 2 kernel_den (see
     `moranbeta.stein`), is built on first access and kept.  Instances are
@@ -94,7 +96,6 @@ class ModelParams(_Frozen):
     down_poly: tuple[int, int, int]
     up_poly: tuple[int, int, int]
     kernel_den: int
-    _rows: tuple[tuple[int, ...], tuple[int, ...]]
 
     def __init__(self, n: int, a: RationalLike, b: RationalLike) -> None:
         if not isinstance(n, int) or isinstance(n, bool) or n < 1:
@@ -115,20 +116,11 @@ class ModelParams(_Frozen):
         m = 2 * n
         q = math.lcm(a.denominator, b.denominator)
         qa, qb, qm = int(q * a), int(q * b), q * m
-        down_poly = (0, m * (qm - qa), qa + qb - qm)
-        up_poly = (qa * m * m, m * (qm - qb - 2 * qa), qa + qb - qm)
-        down = tuple(_quadratic(down_poly, i) for i in range(m + 1))
-        up = tuple(_quadratic(up_poly, i) for i in range(m + 1))
         self.__dict__.update(  # frozen: set the fields once, past __setattr__
             n=n, a=a, b=b, q=q, qa=qa, qb=qb, kernel_den=qm * m * m,
-            down_poly=down_poly, up_poly=up_poly, _rows=(down, up),
+            down_poly=(0, m * (qm - qa), qa + qb - qm),
+            up_poly=(qa * m * m, m * (qm - qb - 2 * qa), qa + qb - qm),
         )
-        for i, (d, u) in enumerate(zip(down, up)):
-            if d + u > self.kernel_den:
-                raise ValueError(
-                    f"kernel row {i} has negative holding probability p(i,i); "
-                    f"parameters outside the valid regime"
-                )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -173,6 +165,19 @@ class ModelParams(_Frozen):
     def kernel_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
         return self._rows
+
+    @cached_property
+    def _rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        states = range(2 * self.n + 1)
+        down = tuple(_quadratic(self.down_poly, i) for i in states)
+        up = tuple(_quadratic(self.up_poly, i) for i in states)
+        for i, (d, u) in enumerate(zip(down, up)):
+            if d + u > self.kernel_den:
+                raise ValueError(
+                    f"kernel row {i} has negative holding probability p(i,i); "
+                    f"parameters outside the valid regime"
+                )
+        return down, up
 
     @cached_property
     def remainder_row(self) -> tuple[int, ...]:

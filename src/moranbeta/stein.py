@@ -47,21 +47,26 @@ class SteinReport(NamedTuple):
     """Largest condition residuals, the remainder S, and proof-level bounds.
 
     Both residual maxima are exact and expected to be zero (the conditions
-    are identities, not approximations).  `s_values` holds S(i/2n) for
-    i = 0..2n and the `_float` fields E|S| and E|W'-W|^3/lambda, each
-    correctly rounded; `caps_ok` says if both are within their `_bound`s.
-    The `_exact` properties run pi's exact pass.
+    are identities, not approximations).  The `_float` fields hold E|S|
+    and E|W'-W|^3/lambda, each correctly rounded; `caps_ok` says if both
+    are within their `_bound`s.  `s_values`, S(i/2n) for i = 0..2n, is
+    built when read, and the `_exact` properties run pi's exact pass.
     """
 
     cond1_max_abs: Fraction
     cond2_max_abs: Fraction
-    s_values: tuple[float, ...]
     e_abs_s_float: float
     e_abs_s_bound: Fraction
     e_cubed_over_lambda_float: float
     e_cubed_over_lambda_bound: Fraction
     caps_ok: bool
     pi: LatticeDistribution
+
+    @property
+    def s_values(self) -> tuple[float, ...]:
+        # int true division rounds correctly, so each value is float(Fraction(...))
+        params = self.pi.params
+        return tuple(s / (2 * params.kernel_den) for s in params.remainder_row)
 
     @property
     def e_abs_s_exact(self) -> Fraction:
@@ -221,8 +226,6 @@ def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
     """Verification bundle for one point: the conditions exactly, both sums
     and caps off pi's enclosures, or where undecided from the exact pass."""
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
-    # int true division rounds correctly, so each value is float(Fraction(...))
-    s_vals = tuple(s / (2 * params.kernel_den) for s in params.remainder_row)
     (total, abs_s, move), scale = pi.enclosures, 2 * params.kernel_den
     s_cap, cube_cap = (3 * params.a + 2 * params.b) / (4 * params.n), Fraction(1, 2 * params.n)
     eabs, s_ok = _decided(abs_s, total, scale, s_cap, lambda: e_abs_s(params, pi)[0])
@@ -231,5 +234,5 @@ def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
     )
     return SteinReport(
         Fraction(max(map(abs, res1)), den1), Fraction(max(map(abs, res2)), den2),
-        s_vals, eabs, s_cap, cubed, cube_cap, s_ok and cube_ok, pi,
+        eabs, s_cap, cubed, cube_cap, s_ok and cube_ok, pi,
     )

@@ -2,6 +2,7 @@
 
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -108,6 +109,35 @@ def test_parallel_sweep_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
+def test_serial_path_loads_neither_json_nor_pickle():
+    # A CSV sweep writes no JSON, so it never loads json; a parallel sweep's
+    # parent loads pickle only once its own share is done, to read the
+    # children's rows, and a serial one never does.
+    script = textwrap.dedent(
+        """
+        import os, sys
+        from moranbeta import cli
+        loaded = lambda: sorted(m for m in ("json", "pickle") if m in sys.modules)
+        print(loaded())
+        parent, seen = os.getpid(), []
+        real = cli._run_share
+        def spy(points, share, exact):
+            if os.getpid() == parent:
+                seen.append(loaded())
+            return real(points, share, exact)
+        cli._run_share = spy
+        grid = ["sweep", "--n", "5,10", "--a", "1,2", "--b", "1", "--out", os.devnull]
+        assert cli.main(grid + ["--jobs", "1"]) == 0
+        print(seen.pop(), loaded())
+        assert cli.main(grid + ["--jobs", "2"]) == 0
+        print(seen.pop(), loaded())
+        """
+    )
+    proc = _python(["-c", script])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n[] []\n[] ['pickle']\n"
+
+
 def test_log_beta_once_per_point_not_per_atom(monkeypatch):
     # ln B(a,b) is fixed per point: the atom pass computes it once and hands
     # it to every CDF evaluation, the crossings included, at any n.
@@ -125,7 +155,7 @@ def test_log_beta_once_per_point_not_per_atom(monkeypatch):
     counts = []
     for n in ("50", "400"):
         calls.clear()
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         argv = ["report", "--n", n, "--a", "1/10", "--b", "1/10", "--out", os.devnull]
         assert main(argv) == 0
         counts.append(len(calls))
@@ -317,6 +347,72 @@ class TestGate:
         assert code == 2 and out == ""
         assert err == "error: K(a,b) is not a finite float at a=600.0, b=601.0\n"
 
+    def test_gate_builds_no_rows_and_k_once_per_shape_pair(self, monkeypatch):
+        rows, shapes = [], []
+        quadratic, k_constant = model._quadratic, cli.k_constant
+        monkeypatch.setattr(
+            model, "_quadratic", lambda *args: rows.append(args) or quadratic(*args)
+        )
+        monkeypatch.setattr(
+            cli, "k_constant", lambda a, b: shapes.append((a, b)) or k_constant(a, b)
+        )
+        values = (F(1, 2), F(1), F(2))
+        points = grid_points(values, values, (25, 50, 100, 200), certified=True)
+        assert len(points) == 36
+        assert rows == []
+        assert shapes == [(a, b) for a in values for b in values]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_rows_built_once_in_their_own_share(self, monkeypatch, tmp_path, jobs):
+        # Each point's kernel rows are built when it is computed, once, in
+        # the process that computes its share; the log is written with
+        # os.write, so a forked child's records survive its os._exit.
+        log = os.open(tmp_path / "rows.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        real = ModelParams.__dict__["_rows"].func
+
+        def logged(params):
+            os.write(log, f"{os.getpid()} {params.a} {params.b} {params.n}\n".encode())
+            return real(params)
+
+        spy = functools.cached_property(logged)
+        spy.__set_name__(ModelParams, "_rows")
+        monkeypatch.setattr(ModelParams, "_rows", spy)
+        argv = ["sweep", "--n", "25,50,100,200", "--a", "0.5,1,2", "--b", "0.5,1,2"]
+        try:
+            assert main([*argv, "--jobs", str(jobs), "--out", os.devnull]) == 0
+        finally:
+            os.close(log)
+        built = [line.split() for line in (tmp_path / "rows.log").read_text().splitlines()]
+        values = (F(1, 2), F(1), F(2))
+        points = grid_points(values, values, (25, 50, 100, 200), certified=True)
+        keys = [(p.a, p.b, p.n) for p in points]
+        assert sorted((F(a), F(b), int(n)) for _, a, b, n in built) == keys
+        where = {(F(a), F(b), int(n)): int(pid) for pid, a, b, n in built}
+        pids = [{where[keys[i]] for i in share} for share in cli._shares(points, jobs)]
+        assert pids[0] == {os.getpid()}
+        assert all(len(ids) == 1 and os.getpid() not in ids for ids in pids[1:])
+        assert len(set().union(*pids)) == jobs
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["report", "--n", "3", "--a", "1", "--b", "1"],
+            ["sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "1"],
+            ["sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "2"],
+        ],
+        ids=["report", "sweep_jobs_1", "sweep_jobs_2"],
+    )
+    def test_failing_row_check_is_an_internal_error(self, monkeypatch, capsys, argv):
+        # The p(i,i) >= 0 check runs with the rows, inside the guard: rows
+        # that broke it would be a fault of the computation, not of the input.
+        monkeypatch.setattr(model, "_quadratic", lambda coef, i: 10**60)
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 3 and out == ""
+        assert err == (
+            "error: internal: ValueError: kernel row 0 has negative holding probability "
+            "p(i,i); parameters outside the valid regime (point a=1, b=1, n=3)\n"
+        )
+
     def test_k_rule_only_when_certified(self):
         # rate prints no K, so it takes these shapes; report and sweep do not.
         assert grid_points((F(600),), (F(601),), (602,), certified=False) == [
@@ -327,6 +423,22 @@ class TestGate:
 
 
 class TestSweep:
+    def test_nested_lattices_print_the_rows_of_each_point_alone(self, capsys):
+        # The next n of a shape pair reuses the atoms of the last lattice:
+        # the rows are the bytes of each point swept alone from a cold pass.
+        grid = ["sweep", "--a", "1/2,2", "--b", "3/2", "--jobs", "1", "--exact"]
+        code, out, _ = run_cli(capsys, *grid, "--n", "25,50,100,200")
+        assert code == 0
+        header, *rows = out.splitlines(keepends=True)
+        alone = []
+        for a in ("1/2", "2"):
+            for n in ("25", "50", "100", "200"):
+                distance._reset_atoms()
+                code, single, _ = run_cli(capsys, *grid, "--n", n, "--a", a)
+                assert code == 0 and single.startswith(header)
+                alone.append(single[len(header):])
+        assert rows == alone
+
     def test_csv_contract(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -900,6 +1012,17 @@ STDOUT_COMMANDS = {
 }
 
 
+def _unwritable(target: str) -> tuple[int, int]:
+    """A descriptor whose writes fail, and the errno they fail with."""
+    if target == "dev_full":
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        return os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
+    read_fd, write_fd = os.pipe()
+    os.close(read_fd)
+    return write_fd, errno.EPIPE
+
+
 class TestUnwritableStdout:
     """A stdout that cannot be written is a usage error, like an unwritable
     --out: exit 2 and one line on stderr, no traceback, nothing printed at
@@ -921,19 +1044,25 @@ class TestUnwritableStdout:
     @pytest.mark.parametrize("flags", [[], ["-u"]], ids=["buffered", "unbuffered"])
     @pytest.mark.parametrize("command", sorted(STDOUT_COMMANDS))
     def test_exits_2_with_one_line(self, command, flags, target):
-        if target == "dev_full":
-            if not os.path.exists("/dev/full"):
-                pytest.skip("no /dev/full")
-            stdout, code = os.open("/dev/full", os.O_WRONLY), errno.ENOSPC
-        else:
-            read_fd, stdout = os.pipe()
-            os.close(read_fd)
-            code = errno.EPIPE
+        stdout, code = _unwritable(target)
         try:
             proc = _python(
                 [*flags, "-m", "moranbeta.cli", *STDOUT_COMMANDS[command]],
                 env=_buffered_env(), stdout=stdout,
             )
+        finally:
+            os.close(stdout)
+        assert (proc.returncode, proc.stderr) == (
+            2, f"error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n"
+        )
+
+    @pytest.mark.parametrize("target", ["dev_full", "closed_pipe"])
+    def test_help_exits_2_with_one_line(self, target):
+        # argparse's exit takes the same final flush: without it, the
+        # interpreter's flush failed at shutdown and the process exited 120.
+        stdout, code = _unwritable(target)
+        try:
+            proc = _python(["-m", "moranbeta.cli", "--help"], env=_buffered_env(), stdout=stdout)
         finally:
             os.close(stdout)
         assert (proc.returncode, proc.stderr) == (

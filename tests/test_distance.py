@@ -108,6 +108,19 @@ TINY = st.sampled_from([F("1e-30"), F("1e-300")])
 SHAPES = st.one_of(RATIONAL, TINY)
 
 
+def spy_cdf_pdf(monkeypatch):
+    """A list that collects the arguments (a, b, ln_beta, x) of every
+    F_Z evaluation the distances make."""
+    calls, real = [], distance._cdf_pdf
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(distance, "_cdf_pdf", counting)
+    return calls
+
+
 def scalar_atom_cdfs(n, a, b):
     """F_Z at the atoms i/(2n): 0 and 1 at the ends, one scalar Lentz loop
     at each interior atom."""
@@ -135,14 +148,19 @@ class TestAtomPass:
             prev = c
         assert kolmogorov(pi, BetaParams(a, b)) == best
 
-    def test_runs_once_for_both_distances(self):
+    def test_runs_once_for_both_distances(self, monkeypatch):
+        # W1 evaluates each interior atom once (the crossings evaluate
+        # strictly inside their pieces), and Kolmogorov evaluates nothing.
         pi = stationary_ratio_product(ModelParams(30, F(2, 7), F(9, 4)))
         beta = BetaParams(F(2, 7), F(9, 4))
-        distance._atoms.cache_clear()
+        calls = spy_cdf_pdf(monkeypatch)
+        distance._reset_atoms()
         wasserstein(pi, beta)
+        after_w1 = len(calls)
         kolmogorov(pi, beta)
-        info = distance._atoms.cache_info()
-        assert (info.misses, info.hits) == (1, 1)
+        assert len(calls) == after_w1
+        atoms = [x for *_, x in calls if x in {i / 60 for i in range(1, 60)}]
+        assert sorted(atoms) == [i / 60 for i in range(1, 60)]
 
     def test_cached_arrays_are_read_only(self):
         # Immutable: the cached atoms are tuples.
@@ -151,7 +169,7 @@ class TestAtomPass:
 
     def test_continued_fraction_budget_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         pi = stationary_ratio_product(ModelParams(20, F(5, 2), F(7, 3)))
         with pytest.raises(ConvergenceError, match="did not converge in 3"):
             wasserstein(pi, BetaParams(F(5, 2), F(7, 3)))
@@ -162,7 +180,7 @@ class TestAtomPass:
             distance, "_cdf_pdf", lambda a, b, ln_beta, x: (np.nan, np.nan)
         )
         beta = BetaParams(F("2.3e-308"), F("3e-308"))
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         with pytest.raises(FloatingPointError):
             distance._atoms(20, beta)
 
@@ -174,10 +192,90 @@ class TestAtomPass:
         a, b = F("2.3e-308"), F("3e-308")
         pi = stationary_ratio_product(ModelParams(10, a, b))
         beta = BetaParams(a, b)
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         assert np.isfinite(distance._atoms(20, beta)[0]).all()
         assert kolmogorov(pi, beta) == float(b / (a + b))
         assert 0.0 <= wasserstein(pi, beta) <= 1e-12
+
+
+def as_hex(atoms):
+    """The atoms `(F_Z, f_Z, G, ln B)` as hex strings, equal only bit for bit."""
+    *columns, ln_beta = atoms
+    return [[float.hex(x) for x in col] for col in columns], float.hex(ln_beta)
+
+
+def cold_atoms(m, beta):
+    distance._reset_atoms()
+    return distance._atoms(m, beta)
+
+
+REUSE_SHAPES = st.one_of(
+    st.fractions(min_value=F(1, 1000), max_value=50, max_denominator=1000),
+    st.sampled_from([F(1, 10), F(355, 113)]),
+)
+
+
+class TestAtomReuse:
+    """The slot keeps the last lattice's atoms; a multiple k m of it, same
+    shapes, copies the shared atoms and evaluates only the new ones."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 400), st.integers(1, 8), REUSE_SHAPES, REUSE_SHAPES)
+    def test_multiple_lattice_equals_cold_pass_bitwise(self, m, k, a, b):
+        beta = BetaParams(a, b)
+        cold = as_hex(cold_atoms(k * m, beta))
+        cold_atoms(m, beta)
+        with pytest.MonkeyPatch.context() as mp:
+            calls = spy_cdf_pdf(mp)
+            warm = distance._atoms(k * m, beta)
+        assert len(calls) == (k * m - 1) - (m - 1)
+        assert as_hex(warm) == cold
+
+    @pytest.mark.parametrize(
+        "first, then",
+        [
+            ((40, (F(1, 2), F(3, 2))), (60, (F(1, 2), F(3, 2)))),  # not a multiple
+            ((40, (F(1, 2), F(3, 2))), (80, (F(3, 2), F(1, 2)))),  # other shapes
+            ((40, (F(1, 2), F(3, 2))), (20, (F(1, 2), F(3, 2)))),  # a divisor
+        ],
+        ids=["not_a_multiple", "other_shapes", "coarser"],
+    )
+    def test_other_lattices_evaluate_every_atom(self, monkeypatch, first, then):
+        (m0, shapes0), (m, shapes) = first, then
+        cold = as_hex(cold_atoms(m, BetaParams(*shapes)))
+        cold_atoms(m0, BetaParams(*shapes0))
+        calls = spy_cdf_pdf(monkeypatch)
+        assert as_hex(distance._atoms(m, BetaParams(*shapes))) == cold
+        assert len(calls) == m - 1
+
+    def test_slot_holds_one_lattice(self, monkeypatch):
+        # After 40 then 80, the slot holds 80 alone: 40 again is a cold pass.
+        beta = BetaParams(F(2, 7), F(9, 4))
+        calls = spy_cdf_pdf(monkeypatch)
+        distance._reset_atoms()
+        distance._atoms(40, beta)
+        distance._atoms(80, beta)
+        assert len(calls) == 79
+        distance._atoms(40, beta)
+        assert len(calls) == 79 + 39
+
+    def test_same_lattice_is_served_and_reset_is_cold(self, monkeypatch):
+        beta = BetaParams(F(1, 10), F(1, 10))
+        calls = spy_cdf_pdf(monkeypatch)
+        atoms = cold_atoms(50, beta)
+        assert distance._atoms(50, beta) is atoms
+        assert len(calls) == 49
+        assert as_hex(cold_atoms(50, beta)) == as_hex(atoms)
+        assert len(calls) == 98
+
+    def test_doubling_lattices_evaluate_the_finest_once(self, monkeypatch):
+        # The n of a doubling sweep: each atom of the finest lattice once.
+        beta = BetaParams(F(1, 2), F(2))
+        calls = spy_cdf_pdf(monkeypatch)
+        distance._reset_atoms()
+        for m in (50, 100, 200, 400):
+            distance._atoms(m, beta)
+        assert sorted(x for *_, x in calls) == [i / 400 for i in range(1, 400)]
 
 
 def point_mass_at_half():
@@ -378,19 +476,12 @@ class TestCrossings:
     def test_one_evaluation_per_crossing_on_the_sweep_grid(self, monkeypatch):
         # Each crossing is read from one F_Z evaluation at its Hermite start
         # unless that estimate is refused; the atom pass makes 2n - 1.
-        calls = []
-        real = distance._cdf_pdf
-
-        def counting(*args):
-            calls.append(args)
-            return real(*args)
-
-        monkeypatch.setattr(distance, "_cdf_pdf", counting)
+        calls = spy_cdf_pdf(monkeypatch)
         atom_calls = crossings = 0
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
             beta = BetaParams(a, b)
-            distance._atoms.cache_clear()
+            distance._reset_atoms()
             wasserstein(pi, beta)
             atom_calls += 2 * n - 1
             crossings += crossing_count(pi, beta)
@@ -404,7 +495,7 @@ class TestCrossings:
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
             beta = BetaParams(a, b)
-            distance._atoms.cache_clear()
+            distance._reset_atoms()
             w1 = wasserstein(pi, beta)
             crossings.clear()
             with newton_only():
@@ -448,7 +539,7 @@ class TestCrossings:
         assume(a + b < 2 * n)
         pi = stationary_ratio_product(ModelParams(n, a, b))
         beta = BetaParams(a, b)
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         w1 = wasserstein(pi, beta)
         with newton_only():
             newton = wasserstein(pi, beta)

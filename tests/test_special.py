@@ -104,7 +104,7 @@ class TestLogBeta:
         monkeypatch.setattr(special, "log_gamma", counting)
         p = BetaParams(0.3141592653589793, 2.718281828459045)  # used nowhere else
         # The atom pass evaluates I_x at 999 atoms with one ln B(a,b).
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         distance._atoms(1000, p)
         assert len(calls) <= 3
         a, b = p.a, p.b
@@ -193,7 +193,7 @@ class TestRegIncBeta:
         # atom pass lets the error through.
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
         inc_beta([1e-4, 2e-4], 4.0, 4.0)
-        distance._atoms.cache_clear()
+        distance._reset_atoms()
         with pytest.raises(ConvergenceError, match="x=0.5"):
             distance._atoms(2, BetaParams(4.0, 4.0))
 

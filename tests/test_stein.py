@@ -304,14 +304,17 @@ class TestReport:
 
     def test_s_numerators_built_once(self, monkeypatch):
         # The exact pass, the conditions and s_values all read
-        # ModelParams.remainder_row; the kernel rows are built before the spy.
+        # ModelParams.remainder_row; the kernel rows, built on first read,
+        # are built before the spy.
         p = ModelParams(3, 1, 2)
+        p.kernel_rows()
         calls = []
         quadratic = model._quadratic
         monkeypatch.setattr(
             model, "_quadratic", lambda *args: calls.append(args) or quadratic(*args)
         )
         rep = stein_report(p, stationary_ratio_product(p))
+        assert len(rep.s_values) == 7
         assert len(calls) == 7  # one per state
         assert rep.conditions_exact and rep.caps_ok
 
