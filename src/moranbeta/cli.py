@@ -4,9 +4,10 @@ Every point passes one gate, `grid_points`, before any point is computed,
 and is computed inside one guard, `_computing`. A `sweep` splits its grid
 into at most `--jobs` shares balanced by lattice states (`_shares`): the
 process computes the first share and a forked child each other one, with
-no process pool, and the rows are the same bytes for every `--jobs`. Each
-share runs on its own CPU of the affinity mask: a forked child starts on
-its parent's CPU and stays there, so unplaced shares ran on one core.
+no process pool, and the rows are the same bytes for every `--jobs`.
+`_row` builds each point's row once, as plain values that both renderers
+and `report`'s exact section read and a child sends through its pipe by
+`marshal`. Each share places itself on its own CPU of the affinity mask.
 `validate` judges a chain's frequencies by error bars from the kernel
 alone, `ModelParams.iact_bound`, and like `rate` runs on the standard
 library: the package has no runtime dependency.
@@ -31,6 +32,7 @@ import argparse
 import atexit
 import csv
 import io
+import marshal
 import math
 import os
 import sys
@@ -62,32 +64,30 @@ from .stein import (
 
 SCHEMA_VERSION = "1"
 
-# One row per grid point: (column, JSON type, attribute path on PointResult).
-# The JSON type also picks the CSV cell format.
+# One row per grid point: (column, JSON type, attribute path on PointResult,
+# path of the exact Fraction rendered as p/q under --exact, or None).  The JSON
+# type also picks the CSV cell format.  E|S| is exact only under --exact.
 COLUMNS = (
-    ("n", int, "params.n"),
-    ("a", float, "params.a"),
-    ("b", float, "params.b"),
-    ("mean", float, "mean"),
-    ("variance", float, "variance"),
-    ("beta_variance", float, "beta_variance"),
-    ("gap_h", float, "cert.gap"),
-    ("lower", float, "cert.lower"),
-    ("upper", float, "cert.upper"),
-    ("sandwich_ok", bool, "cert.sandwich_ok"),
-    ("e_abs_s_exact", float, "stein.e_abs_s_float"),
-    ("e_abs_s_bound", float, "stein.e_abs_s_bound"),
-    ("wasserstein", float, "wasserstein"),
-    ("kolmogorov", float, "kolmogorov"),
-    ("cond1_max_residual", float, "stein.cond1_max_abs"),
-    ("cond2_max_residual", float, "stein.cond2_max_abs"),
+    ("n", int, "params.n", None),
+    ("a", float, "params.a", "params.a"),
+    ("b", float, "params.b", "params.b"),
+    ("mean", float, "mean", "mean"),
+    ("variance", float, "variance", "variance"),
+    ("beta_variance", float, "beta_variance", None),
+    ("gap_h", float, "cert.gap", "cert.gap"),
+    ("lower", float, "cert.lower", "cert.lower"),
+    ("upper", float, "cert.upper", None),
+    ("sandwich_ok", bool, "cert.sandwich_ok", None),
+    ("e_abs_s_exact", float, "stein.e_abs_s_float", "stein.e_abs_s_exact"),
+    ("e_abs_s_bound", float, "stein.e_abs_s_bound", None),
+    ("wasserstein", float, "wasserstein", None),
+    ("kolmogorov", float, "kolmogorov", None),
+    ("cond1_max_residual", float, "stein.cond1_max_abs", None),
+    ("cond2_max_residual", float, "stein.cond2_max_abs", None),
 )
 
-# Columns also rendered as exact p/q strings under --exact.
-EXACT_FIELDS = ("a", "b", "mean", "variance", "gap_h", "lower", "e_abs_s_exact")
-
-SWEEP_COLUMNS = [name for name, _, _ in COLUMNS]
-EXACT_COLUMNS = [f"{name}_pq" for name in EXACT_FIELDS]
+SWEEP_COLUMNS = [name for name, *_ in COLUMNS]
+EXACT_COLUMNS = [f"{name}_pq" for name, _, _, exact in COLUMNS if exact]
 
 RATE_SLOPE_WINDOW = (-1.05, -0.95)
 
@@ -271,16 +271,14 @@ def compute_point(params: ModelParams) -> PointResult:
     )
 
 
-def _row_values(point: PointResult, exact: bool) -> dict:
-    # Under `exact`, E|S| is the Fraction (pi's exact pass), which renders as the same float.
-    values = {name: attrgetter(path)(point) for name, _, path in COLUMNS}
+def _row(point: PointResult, exact: bool) -> dict:
+    """The point's row, built once: each column's JSON value in COLUMNS order
+    and, under `exact`, an "exact" object of p/q strings. It is the JSON
+    sweep's row as printed, and plain data, so a child sends it by marshal."""
+    row = {name: kind(attrgetter(path)(point)) for name, kind, path, _ in COLUMNS}
     if exact:
-        values["e_abs_s_exact"] = point.stein.e_abs_s_exact
-    return values
-
-
-def _exact_section(values: dict) -> dict:
-    return {name: pq(values[name]) for name in EXACT_FIELDS}
+        row["exact"] = {name: pq(attrgetter(path)(point)) for name, *_, path in COLUMNS if path}
+    return row
 
 
 def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
@@ -324,8 +322,8 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
         },
     }
     if exact:
-        payload["exact"] = _exact_section(_row_values(point, exact))
-        payload["exact"]["moments"] = {str(r): pq(table[r]) for r in sorted(table)}
+        moments = {str(r): pq(table[r]) for r in sorted(table)}
+        payload["exact"] = {**_row(point, exact)["exact"], "moments": moments}
     return payload
 
 
@@ -336,13 +334,6 @@ def cmd_report(args: argparse.Namespace) -> int:
         payload = _report_payload(point, args.r_max, args.exact)
     _write_output(_json_text(payload), args.out)
     return 0 if point.ok else 1
-
-
-def _sweep_row(params: ModelParams, exact: bool) -> tuple[dict, bool]:
-    """Column values and verdict of one grid point; pi stays in the worker."""
-    with _computing(params):
-        point = compute_point(params)
-        return _row_values(point, exact), point.ok
 
 
 def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
@@ -364,26 +355,29 @@ def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
 
 
 def _run_share(
-    points: list[ModelParams], share: list[int], exact: bool
+    points: list[ModelParams], share: list[int], exact: bool, cpus: Sequence[int]
 ) -> tuple[list, tuple | None]:
-    """`(index, row, ok)` records of one share, up to its first failing point,
-    and that failure as `(index, message)`, or None. A message, not the
-    PointError: a child pickles only plain data."""
+    """`(index, row, ok)` records of one share, computed on `cpus`, up to its
+    first failing point, and that failure as `(index, message)`, or None:
+    plain data, which is all that marshal sends."""
+    _set_affinity(cpus)
     records = []
     for i in share:
         try:
-            row, ok = _sweep_row(points[i], exact)
+            with _computing(points[i]):
+                point = compute_point(points[i])
+                records.append((i, _row(point, exact), point.ok))
         except PointError as exc:
             return records, (i, str(exc))
-        records.append((i, row, ok))
     return records, None
 
 
-def _fork_share(points: list[ModelParams], share: list[int], exact: bool) -> tuple[int, BinaryIO]:
-    """Compute `share` in a forked child; returns its pid and the read end of
-    the pipe that carries `_run_share`'s result as one pickle, which only
-    the child imports: the forks are on the parent's serial path. The CLI
-    starts no threads, so the child inherits no lock held by another thread."""
+def _fork_share(
+    points: list[ModelParams], share: list[int], exact: bool, cpus: Sequence[int]
+) -> tuple[int, BinaryIO]:
+    """Run `_run_share` in a forked child; returns its pid and the read end of
+    the pipe that carries the result as one marshal. The CLI starts no
+    threads, so the child inherits no lock held by another thread."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -396,11 +390,9 @@ def _fork_share(points: list[ModelParams], share: list[int], exact: bool) -> tup
         # caller's code, flushes the parent's stdio or runs its handlers.
         code = 1
         try:
-            import pickle
-
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(pickle.dumps(_run_share(points, share, exact)))
+                pipe.write(marshal.dumps(_run_share(points, share, exact, cpus)))
             code = 0
         finally:
             os._exit(code)
@@ -415,11 +407,9 @@ def _share_result(
     wait status. A child exits 0 only once its whole result is written; one
     that died otherwise, its result cut short, fails at the first point of
     its share."""
-    import pickle
-
     code = os.waitstatus_to_exitcode(status)
     if code == 0:
-        return pickle.loads(data)
+        return marshal.loads(data)
     if code < 0:
         what = f"sweep worker killed by signal {-code}"
     else:
@@ -434,9 +424,9 @@ def _cpus() -> list[int]:
 
 
 def _set_affinity(cpus: Sequence[int]) -> None:
-    """Best effort: set this process's affinity mask to `cpus`; a child
-    forked from now on inherits it. Nothing changes where `cpus` is empty,
-    where there is no `os.sched_setaffinity` or where the kernel refuses."""
+    """Best effort: set this process's affinity mask to `cpus`. Nothing
+    changes where `cpus` is empty, where there is no `os.sched_setaffinity`
+    or where the kernel refuses."""
     if cpus and hasattr(os, "sched_setaffinity"):
         try:
             os.sched_setaffinity(0, cpus)
@@ -451,14 +441,14 @@ def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tup
     where there is no `os.fork`, the parent computes the one share. Share k
     runs on CPU `cpus[k % len(cpus)]` of the affinity mask: a forked child
     starts on its parent's CPU and the scheduler left it there, so on 2
-    vCPU both halves of a fork ran on one core for the whole sweep. The
-    parent narrows its own mask to each child's CPU before that fork (the
-    child inherits it), then to `cpus[0]`, and restores the full mask on
-    the way out, however it leaves. Each pipe is read to EOF before its
-    child is reaped, so no child blocks on a full pipe. A failure is
-    raised as the serial loop would raise it: the one earliest in grid
-    order. If the parent is interrupted, it kills and reaps every child it
-    has not collected.
+    vCPU both halves of a fork ran on one core for the whole sweep. Each
+    share sets its own process's mask as it starts, the parent's once the
+    children are forked, and the parent restores the full mask on the way
+    out, however it leaves. Each pipe is read to EOF before its child is
+    reaped, so no child blocks on a full pipe. A failure is raised as the
+    serial loop would raise it: the one earliest in grid order. If the
+    parent is interrupted, it kills and reaps every child it has not
+    collected.
     """
     shares = _shares(points, jobs if hasattr(os, "fork") else 1)
     cpus = _cpus() if len(shares) > 1 else []
@@ -466,14 +456,10 @@ def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tup
     children: dict[int, tuple[BinaryIO, list[int]]] = {}
     try:
         for k, share in enumerate(shares[1:], 1):
-            _set_affinity(homes[k:k + 1])
             with _computing(points[share[0]]):
-                pid, pipe = _fork_share(points, share, exact)
+                pid, pipe = _fork_share(points, share, exact, homes[k:k + 1])
             children[pid] = (pipe, share)
-        _set_affinity(homes[:1])
-        outcomes = [_run_share(points, shares[0], exact)]
-        if children:  # load the unpickler before blocking on the first pipe
-            import pickle  # noqa: F401
+        outcomes = [_run_share(points, shares[0], exact, homes[:1])]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -506,21 +492,15 @@ def _render_sweep_csv(rows: list[dict], exact: bool) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS + (EXACT_COLUMNS if exact else []))
     for row in rows:
-        cells = [_CSV_CELL[kind](row[name]) for name, kind, _ in COLUMNS]
+        cells = [_CSV_CELL[kind](row[name]) for name, kind, *_ in COLUMNS]
         if exact:
-            cells += _exact_section(row).values()
+            cells += row["exact"].values()
         writer.writerow(cells)
     return buf.getvalue()
 
 
 def _render_sweep_json(rows: list[dict], exact: bool) -> str:
-    out_rows = []
-    for row in rows:
-        item = {name: kind(row[name]) for name, kind, _ in COLUMNS}
-        if exact:
-            item["exact"] = _exact_section(row)
-        out_rows.append(item)
-    return _json_text({"schema_version": SCHEMA_VERSION, "command": "sweep", "rows": out_rows})
+    return _json_text({"schema_version": SCHEMA_VERSION, "command": "sweep", "rows": rows})
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -634,8 +614,22 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return 1 if any(flagged) else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser, but help it cannot write to stdout is a usage error
+    (exit 2, one line). argparse ignores a failed write, which a buffered
+    stdout repeats at `run`'s final flush and an unbuffered one does not."""
+
+    def _print_message(self, message, file=None):
+        if not message or file is None or file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except OSError as exc:
+            self.exit(2, f"error: cannot write stdout: {exc}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="moranbeta",
         description=(
             "Exact verification and Beta-approximation error certificates "

@@ -5,8 +5,8 @@ import errno
 import functools
 import io
 import json
+import marshal
 import os
-import pickle
 import re
 import signal
 import subprocess
@@ -109,10 +109,11 @@ def test_parallel_sweep_loads_no_process_pool():
     assert proc.stdout == "[]\n"
 
 
-def test_serial_path_loads_neither_json_nor_pickle():
-    # A CSV sweep writes no JSON, so it never loads json; a parallel sweep's
-    # parent loads pickle only once its own share is done, to read the
-    # children's rows, and a serial one never does.
+def test_serial_path_loads_neither_json_nor_pickle(tmp_path):
+    # A CSV sweep writes no JSON, so it never loads json; the rows cross the
+    # pipe by marshal, so no process of a parallel sweep loads pickle: not
+    # the parent, before or after its own share, and not the child as it
+    # leaves.
     script = textwrap.dedent(
         """
         import os, sys
@@ -120,12 +121,16 @@ def test_serial_path_loads_neither_json_nor_pickle():
         loaded = lambda: sorted(m for m in ("json", "pickle") if m in sys.modules)
         print(loaded())
         parent, seen = os.getpid(), []
-        real = cli._run_share
-        def spy(points, share, exact):
+        log = os.open(sys.argv[1], os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+        real, real_exit = cli._run_share, os._exit
+        def spy(*args):
             if os.getpid() == parent:
                 seen.append(loaded())
-            return real(points, share, exact)
-        cli._run_share = spy
+            return real(*args)
+        def leaving(code):
+            os.write(log, f"{loaded()}\\n".encode())
+            real_exit(code)
+        cli._run_share, os._exit = spy, leaving
         grid = ["sweep", "--n", "5,10", "--a", "1,2", "--b", "1", "--out", os.devnull]
         assert cli.main(grid + ["--jobs", "1"]) == 0
         print(seen.pop(), loaded())
@@ -133,9 +138,11 @@ def test_serial_path_loads_neither_json_nor_pickle():
         print(seen.pop(), loaded())
         """
     )
-    proc = _python(["-c", script])
+    children = tmp_path / "children.log"
+    proc = _python(["-c", script, str(children)])
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n[] []\n[] ['pickle']\n"
+    assert proc.stdout == "[]\n[] []\n[] []\n"
+    assert children.read_text() == "[]\n"
 
 
 def test_log_beta_once_per_point_not_per_atom(monkeypatch):
@@ -502,13 +509,13 @@ class TestSweep:
         n_values = ",".join(str(n) for n in range(2, 31))
         args = ["sweep", "--n", n_values, "--a", shapes, "--b", shapes, "--exact"]
         rows = {}
-        real = cli._sweep_row
+        real = cli._row
 
-        def recording(params, exact):
-            rows[params] = real(params, exact)
-            return rows[params]
+        def recording(point, exact):
+            rows[point.params] = real(point, exact), point.ok
+            return rows[point.params][0]
 
-        monkeypatch.setattr(cli, "_sweep_row", recording)
+        monkeypatch.setattr(cli, "_row", recording)
         serial = tmp_path / "serial.csv"
         parallel = tmp_path / "parallel.csv"
         assert main(args + ["--jobs", "1", "--out", str(serial)]) == 0
@@ -521,8 +528,39 @@ class TestSweep:
         assert serial.read_bytes() == parallel.read_bytes()
         points = list(rows)
         child = cli._shares(points, 2)[1]
-        payload = pickle.dumps(([(i, *rows[points[i]]) for i in child], None))
+        payload = marshal.dumps(([(i, *rows[points[i]]) for i in child], None))
         assert len(payload) > 65536
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["csv", "json_exact"])
+    def test_rows_cross_the_pipe_bit_for_bit(self, tmp_path, exact):
+        # Odd rational shapes, and at (300, 1/7, 599/2) a law with zero and
+        # subnormal pi(i): every share's rows, sent by marshal, are the
+        # serial rows, each value of its type and each float column to the
+        # bit, and print the same bytes.
+        values = (F(355, 113), F(1, 7)), (F(103, 37), F(599, 2)), (160, 300)
+        points = grid_points(*values, certified=True)
+        fmt = ["--format", "json", "--exact"] if exact else []
+        argv = ["sweep", "--n", "160,300", "--a", "355/113,1/7", "--b", "103/37,599/2", *fmt]
+
+        def bits(rows):
+            return [
+                ({k: (type(v), v.hex() if type(v) is float else v) for k, v in row.items()}, ok)
+                for row, ok in rows
+            ]
+
+        serial = cli._compute_rows(points, 1, exact)
+        floats = [name for name, kind, *_ in cli.COLUMNS if kind is float]
+        assert all([k for k, v in row.items() if type(v) is float] == floats for row, _ in serial)
+        serial = bits(serial)
+        outputs = []
+        for jobs in (1, 2, 3):
+            assert bits(cli._compute_rows(points, jobs, exact)) == serial
+            out = tmp_path / f"jobs{jobs}.out"
+            assert main([*argv, "--jobs", str(jobs), "--out", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[1] == outputs[2] == outputs[0]
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
     def test_jobs_capped_at_grid_size(self, monkeypatch):
         cases = [
@@ -547,9 +585,9 @@ class TestSweep:
         forks = []
         real = cli._fork_share
 
-        def counting(points, share, exact):
+        def counting(points, share, *args):
             forks.append(share)
-            return real(points, share, exact)
+            return real(points, share, *args)
 
         monkeypatch.setattr(cli, "_fork_share", counting)
         argv = ["sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "64"]
@@ -590,40 +628,50 @@ class TestSweep:
     def test_each_share_runs_on_its_own_cpu(self, monkeypatch, ending):
         # A forked child starts on its parent's CPU and stays there, so
         # without placement both shares of --jobs 2 share one core. Share k
-        # runs on cpus[k], and the parent's mask is whole again however the
-        # sweep ends.
-        original = os.sched_getaffinity(0)
-        cpus = sorted(original)
+        # runs on cpus[k % len(cpus)]: each child places itself, and the
+        # parent sets its own mask once and restores it once, whole again
+        # however the sweep ends. Three shares on a mask of two CPUs.
+        whole = os.sched_getaffinity(0)
+        cpus = sorted(whole)[:2]
         points = grid_points((F(1),), (F(1), F(2)), (3, 4, 5), certified=True)
         parent = os.getpid()
-        real = cli._sweep_row
+        real_row, real_set = cli._row, os.sched_setaffinity
+        calls = []
 
-        def recording(params, exact):
+        def recording(point, exact):
             if ending == "point_error":
                 raise cli.PointError("injected")
             if ending == "interrupt" and os.getpid() == parent:
                 raise KeyboardInterrupt
-            row, ok = real(params, exact)
-            return {**row, "mask": os.sched_getaffinity(0)}, ok
+            return {**real_row(point, exact), "mask": sorted(os.sched_getaffinity(0))}
+
+        def counting(pid, mask):
+            if os.getpid() == parent:
+                calls.append(set(mask))
+            real_set(pid, mask)
 
         def failing_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli, "_sweep_row", recording)
+        monkeypatch.setattr(cli, "_row", recording)
         if ending == "failed_fork":
             monkeypatch.setattr(os, "fork", failing_fork)
         try:
+            real_set(0, cpus)
+            monkeypatch.setattr(os, "sched_setaffinity", counting)
             if ending == "rows":
-                rows = cli._compute_rows(points, 2, False)
-                for k, share in enumerate(cli._shares(points, 2)):
-                    assert [rows[i][0]["mask"] for i in share] == [{cpus[k]}] * len(share)
+                rows = cli._compute_rows(points, 3, False)
+                for k, share in enumerate(cli._shares(points, 3)):
+                    assert [rows[i][0]["mask"] for i in share] == [[cpus[k % 2]]] * len(share)
+                assert calls == [{cpus[0]}, set(cpus)]
             else:
                 expected = KeyboardInterrupt if ending == "interrupt" else cli.PointError
                 with pytest.raises(expected):
-                    cli._compute_rows(points, 2, False)
-            assert os.sched_getaffinity(0) == original
+                    cli._compute_rows(points, 3, False)
+                assert len(calls) <= 2 and calls[-1] == set(cpus)
+            assert os.sched_getaffinity(0) == set(cpus)
         finally:
-            os.sched_setaffinity(0, original)
+            real_set(0, whole)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1060,14 +1108,18 @@ class TestUnwritableStdout:
     def test_help_exits_2_with_one_line(self, target):
         # argparse's exit takes the same final flush: without it, the
         # interpreter's flush failed at shutdown and the process exited 120.
-        stdout, code = _unwritable(target)
-        try:
-            proc = _python(["-m", "moranbeta.cli", "--help"], env=_buffered_env(), stdout=stdout)
-        finally:
-            os.close(stdout)
-        assert (proc.returncode, proc.stderr) == (
-            2, f"error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n"
-        )
+        # Unbuffered, the help's own write fails, which argparse ignored:
+        # the process exited 0 with nothing on stderr.
+        for env in (_buffered_env(), {**os.environ, "PYTHONUNBUFFERED": "1"}):
+            for argv in (["--help"], ["sweep", "--help"]):
+                stdout, code = _unwritable(target)
+                try:
+                    proc = _python(["-m", "moranbeta.cli", *argv], env=env, stdout=stdout)
+                finally:
+                    os.close(stdout)
+                assert (proc.returncode, proc.stderr) == (
+                    2, f"error: cannot write stdout: [Errno {code}] {os.strerror(code)}\n"
+                ), (env.get("PYTHONUNBUFFERED"), argv)
 
     def test_closed_descriptors(self, tmp_path):
         # A descriptor closed at start-up leaves sys.stdout or sys.stderr

@@ -337,7 +337,7 @@ class TestExactPass:
         for n, a, b in BENCHMARK_POINTS:
             point = cli.compute_point(ModelParams(n, a, b))
             assert point.ok
-            assert cli._row_values(point, False)["e_abs_s_exact"] == point.stein.e_abs_s_float
+            assert cli._row(point, False)["e_abs_s_exact"] == point.stein.e_abs_s_float
 
 
 class TestStationaryClosedForm:
