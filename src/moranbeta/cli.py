@@ -617,13 +617,16 @@ def cmd_validate(args: argparse.Namespace) -> int:
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but help it cannot write to stdout is a usage error
     (exit 2, one line). argparse ignores a failed write, which a buffered
-    stdout repeats at `run`'s final flush and an unbuffered one does not."""
+    stdout repeats at `run`'s final flush and an unbuffered one does not,
+    and sends help meant for a closed stdout to stderr."""
 
-    def _print_message(self, message, file=None):
-        if not message or file is None or file is not sys.stdout:
-            return super()._print_message(message, file)
+    def print_help(self, file=None):
+        if file is not None:
+            return super().print_help(file)
         try:
-            file.write(message)
+            if sys.stdout is None:  # descriptor 1 was closed at start-up
+                raise OSError("it is closed")
+            sys.stdout.write(self.format_help())
         except OSError as exc:
             self.exit(2, f"error: cannot write stdout: {exc}\n")
 

@@ -81,10 +81,10 @@ class ModelParams(_Frozen):
     and one of the first two is positive.  It stays as a guard on the
     row formulas; the CLI reads the rows inside its guard, so a failure
     there would be an internal error (exit 3).
-    `remainder_row`, the numerators S_i = 2(qa+qb) i^2 - (3qa+qb) i m + qa m^2
-    of the condition 2 remainder S(i/m) over 2 kernel_den (see
-    `moranbeta.stein`), is built on first access and kept.  Instances are
-    immutable, and equal, hashed and shown by (n, a, b).
+    `remainder_row`, the numerators S_i = 2((qa+qb) i - qa m)(i - n) of the
+    condition 2 remainder S(i/m) over 2 kernel_den, negative only strictly
+    between m a/(a+b) and n, is built on first access and kept.  Instances
+    are immutable, and equal, hashed and shown by (n, a, b).
     """
 
     n: int
@@ -196,17 +196,16 @@ class LatticeDistribution(_Frozen):
 
     Kept: `probs`, the floats RN(w_i / total), and `enclosures`, bounds
     (lo, hi) in one unit w_0 2**e, which cancels from every ratio, on the
-    sums total = sum_i w_i, abs_s_sum = sum_i w_i |S_i| and move_sum =
-    sum_i w_i (D_i + U_i), for S_i of `ModelParams.remainder_row` and the
-    kernel rows (D_i, U_i).  Built on first access and kept, for `--exact`,
-    `stein`'s fallback, the tests and `perfbench/tracer.py`: those sums
-    exactly, `weights` and `probs_exact` (reduced `Fraction`s).
-    Immutable; compares by identity.
+    sums total = sum_i w_i and neg_s_sum = sum_i w_i S_i^-, where S_i^- =
+    max(-S_i, 0) for S_i of `ModelParams.remainder_row`.  Built on first
+    access and kept, for `--exact`, `stein`'s fallback, the tests and
+    `perfbench/tracer.py`: those two sums exactly, `weights` and
+    `probs_exact` (reduced `Fraction`s).  Immutable; compares by identity.
     """
 
     params: ModelParams
     probs: tuple[float, ...]
-    enclosures: tuple[tuple[int, int], tuple[int, int], tuple[int, int]]
+    enclosures: tuple[tuple[int, int], tuple[int, int]]
 
     def __init__(self, params: ModelParams, probs: tuple[float, ...], enclosures) -> None:
         self.__dict__.update(params=params, probs=probs, enclosures=enclosures)
@@ -216,15 +215,15 @@ class LatticeDistribution(_Frozen):
         return self.params.n
 
     @cached_property
-    def _roots(self) -> tuple[int, int, int, int]:
-        # m! and the three sums times m!; each sum is divided out when read.
+    def _sums(self) -> tuple[int, int]:
+        # The binary-splitting roots over m!, the only big ints kept.
         down, up = self.params.kernel_rows()
-        _, _, *sums = _split(down, up, self.params.remainder_row, 0, len(down))
-        return (math.factorial(2 * self.n), *sums)
+        _, _, *roots = _split(down, up, self.params.remainder_row, 0, len(down))
+        m_factorial = math.factorial(2 * self.n)
+        return tuple(t // m_factorial for t in roots)
 
-    total = cached_property(lambda self: self._roots[1] // self._roots[0])
-    abs_s_sum = cached_property(lambda self: self._roots[2] // self._roots[0])
-    move_sum = cached_property(lambda self: self._roots[3] // self._roots[0])
+    total = property(lambda self: self._sums[0])
+    neg_s_sum = property(lambda self: self._sums[1])
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -260,10 +259,10 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     quotients and renormalising right shifts rounded down for lo and up for
     hi and exact left shifts, so they hold at any width, with no
     accumulated-error constant.  Each enclosure adds c_i lo_i 2**(e_i - e)
-    floored and c_i hi_i 2**(e_i - e) ceiled, e = max e_i, for c_i = 1,
-    |S_i| or D_i + U_i.  Rounding to nearest is monotone, so where
-    RN(lo_i / Z_hi) = RN(hi_i / Z_lo), both times 2**(e_i - e), that is
-    RN(w_i / total); int true division rounds correctly into the
+    floored and c_i hi_i 2**(e_i - e) ceiled, e = max e_i, for c_i = 1 and,
+    only where S_i < 0, c_i = S_i^-.  Rounding to nearest is monotone, so
+    where RN(lo_i / Z_hi) = RN(hi_i / Z_lo), both times 2**(e_i - e), that
+    is RN(w_i / total); int true division rounds correctly into the
     subnormals and to 0.  A state left undecided (a near-tie, rare at 192
     bits) sends the point to the exact walk.  The exact sums are built
     only when read, by `_split`.
@@ -274,15 +273,14 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     for u, d in zip(up, down[1:]):
         states.append(_scaled(*states[-1], u, d, bits))
     top = max(e for _, _, e in states)
-    z_lo = z_hi = s_lo = s_hi = m_lo = m_hi = 0
-    for (lo, hi, e), s, d, u in zip(states, params.remainder_row, down, up):
-        k, s, c = top - e, abs(s), d + u
+    z_lo = z_hi = s_lo = s_hi = 0
+    for (lo, hi, e), s in zip(states, params.remainder_row):
+        k = top - e
         z_lo += lo >> k
         z_hi -= -hi >> k
-        s_lo += lo * s >> k
-        s_hi -= -hi * s >> k
-        m_lo += lo * c >> k
-        m_hi -= -hi * c >> k
+        if s < 0:  # S_i^- = -s
+            s_lo += lo * -s >> k
+            s_hi -= hi * s >> k
     # Each hi_i <= 2**(bits + 1) and z_lo >= 2**(bits - 2), checked as a
     # narrow width can lose it, so past a shift of 1100 both quotients are
     # below 2**-1097 and round to 0: a longer shift need not be built.
@@ -297,30 +295,29 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
         w = _exact_walk(params)
         total = sum(w)
         probs = [x / total for x in w]
-    return LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi), (m_lo, m_hi)))
+    return LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi)))
 
 
 # Segments of at most this many states are folded in one loop.
 _SPLIT_LEAVES = 16
 
 
-def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int, int, int]:
+def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int, int]:
     # Binary splitting (Haible & Papanikolaou 1998) over the states lo..hi-1:
-    # the products PU, PD of their U_k and D_k, and for c = 1, |S_i| and
-    # D_i + U_i, T = sum_i c_i (prod_{k<i} U_k)(prod_{k>i} D_k).  Segments
-    # merge as (PU1 PU2, PD1 PD2, T1 PD2 + PU1 T2); the root's T over m! is
-    # the sum of c_i w_i.
+    # the products PU, PD of their U_k and D_k, and for c = 1 and S_i^-,
+    # T = sum_i c_i (prod_{k<i} U_k)(prod_{k>i} D_k).  Segments merge as
+    # (PU1 PU2, PD1 PD2, T1 PD2 + PU1 T2); the root's T over m! is the sum
+    # of c_i w_i.
     if hi - lo <= _SPLIT_LEAVES:
         pu = pd = 1
-        t_one = t_abs = t_move = 0
+        t_one = t_neg = 0
         for i in range(lo, hi):
-            d, u = down[i], up[i]
+            d = down[i]
             t_one = t_one * d + pu
-            t_abs = t_abs * d + pu * abs(s[i])
-            t_move = t_move * d + pu * (d + u)
-            pu *= u
+            t_neg = t_neg * d + pu * max(-s[i], 0)
+            pu *= up[i]
             pd *= d
-        return pu, pd, t_one, t_abs, t_move
+        return pu, pd, t_one, t_neg
     mid = (lo + hi) // 2
     pu1, pd1, *t1 = _split(down, up, s, lo, mid)
     pu2, pd2, *t2 = _split(down, up, s, mid, hi)

@@ -14,8 +14,12 @@ framework for Beta targets then bounds the smooth-test (d2) distance by
     C(a,b) E|S| + (C(a+1,b+1) + (a+b) C(a+1,b+1) C(a,b)) E|W'-W|^3 / (6 lambda),
 
 which, after bounding E|S| <= (3a+2b)/(4n) and E|W'-W|^3/lambda <= 1/(2n),
-gives the headline K(a,b)/n.  The matching lower bound comes from the test
-function h(x) = x(1-x)/2, whose expectation gap has an exact closed form.
+gives the headline K(a,b)/n.  With s = a+b and mu = a/s, condition 1 gives
+E(W'-W)^2 = 2 lambda s Var W, so E|W'-W|^3/lambda = s Var W / n exactly, and
+S = s (W - mu)(W - 1/2)/(2n) has E S = s Var W / (2n), so E|S| = E S + 2 E S^-
+with S^- = max(-S, 0) nonzero only strictly between mu and 1/2.  The matching
+lower bound comes from the test function h(x) = x(1-x)/2, whose expectation
+gap has an exact closed form.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from typing import NamedTuple
 
 from .distance import gap_h
 from .model import LatticeDistribution, ModelParams
+from .moments import variance
 from .special import log_gamma
 
 __all__ = [
@@ -50,7 +55,7 @@ class SteinReport(NamedTuple):
     are identities, not approximations).  The `_float` fields hold E|S|
     and E|W'-W|^3/lambda, each correctly rounded; `caps_ok` says if both
     are within their `_bound`s.  `s_values`, S(i/2n) for i = 0..2n, is
-    built when read, and the `_exact` properties run pi's exact pass.
+    built when read, and `e_abs_s_exact` runs pi's exact pass.
     """
 
     cond1_max_abs: Fraction
@@ -74,7 +79,7 @@ class SteinReport(NamedTuple):
 
     @property
     def e_cubed_over_lambda_exact(self) -> Fraction:
-        return third_moment_ratio(self.pi.params, self.pi)
+        return third_moment_ratio(self.pi.params)
 
     @property
     def conditions_exact(self) -> bool:
@@ -159,28 +164,22 @@ def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
 
 
-def e_abs_s(
-    params: ModelParams, pi: LatticeDistribution
-) -> tuple[Fraction, Fraction]:
+def e_abs_s(params: ModelParams, pi: LatticeDistribution) -> tuple[Fraction, Fraction]:
     """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n).
 
-    With S(i/2n) = S_i / (2 kernel_den), E|S| = abs_s_sum / (2 kernel_den
-    total), from pi's exact sums.  `stein_report` reads E|S| and its cap
-    verdict off pi's enclosures and calls this only where they are
-    undecided (see `_decided`).
+    E|S| = E S + 2 E S^-, with E S half of `third_moment_ratio` and 2 E S^-
+    = neg_s_sum / (kernel_den total).  `stein_report` calls this only where
+    pi's enclosure leaves E|S| or its cap verdict undecided (see `_decided`).
     """
-    bound = (3 * params.a + 2 * params.b) / (4 * params.n)
-    return Fraction(pi.abs_s_sum, 2 * pi.total * params.kernel_den), bound
+    e_neg = Fraction(pi.neg_s_sum, pi.total * params.kernel_den)
+    return third_moment_ratio(params) / 2 + e_neg, (3 * params.a + 2 * params.b) / (4 * params.n)
 
 
-def third_moment_ratio(params: ModelParams, pi: LatticeDistribution) -> Fraction:
-    """Exact E|W'-W|^3 / lambda = (1/2n) sum_i pi(i)[p(i,i+1)+p(i,i-1)].
-
-    One step moves by at most one site, so |W'-W| is either 0 or 1/(2n);
-    the ratio is therefore bounded by 1/(2n), which `SteinReport.caps_ok`
-    checks.  Equals move_sum / (2n kernel_den total); read as `e_abs_s`.
-    """
-    return Fraction(pi.move_sum, 2 * params.n * pi.total * params.kernel_den)
+def third_moment_ratio(params: ModelParams) -> Fraction:
+    """Exact E|W'-W|^3 / lambda = (a+b) Var W / n, below its cap 1/(2n) as
+    (a+b) Var W < 1/4 whenever a + b < 2n; `SteinReport.caps_ok` still
+    compares the two exactly."""
+    return (params.a + params.b) * variance(params) / params.n
 
 
 def _decided(num, total, scale: int, cap: Fraction, exact) -> tuple[float, bool]:
@@ -207,10 +206,8 @@ def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
     """
     cab = c_constant(params.a, params.b)
     c11 = c_constant(params.a + 1, params.b + 1)
-    s_term = rep.e_abs_s_float
-    cubed = rep.e_cubed_over_lambda_float
     sf = float(params.a + params.b)
-    return cab * s_term + (c11 + sf * c11 * cab) * cubed / 6.0
+    return cab * rep.e_abs_s_float + (c11 + sf * c11 * cab) * rep.e_cubed_over_lambda_float / 6.0
 
 
 def bound_certificate(params: ModelParams) -> BoundCertificate:
@@ -223,16 +220,17 @@ def bound_certificate(params: ModelParams) -> BoundCertificate:
 
 
 def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
-    """Verification bundle for one point: the conditions exactly, both sums
-    and caps off pi's enclosures, or where undecided from the exact pass."""
+    """Verification bundle for one point: the conditions exactly, the cube
+    term in closed form, and E|S| = E S + neg_s_sum / (kernel_den total) and
+    its cap off pi's enclosures, or where undecided from the exact pass."""
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
-    (total, abs_s, move), scale = pi.enclosures, 2 * params.kernel_den
+    ((z_lo, z_hi), (n_lo, n_hi)), kd = pi.enclosures, params.kernel_den
     s_cap, cube_cap = (3 * params.a + 2 * params.b) / (4 * params.n), Fraction(1, 2 * params.n)
-    eabs, s_ok = _decided(abs_s, total, scale, s_cap, lambda: e_abs_s(params, pi)[0])
-    cubed, cube_ok = _decided(
-        move, total, params.n * scale, cube_cap, lambda: third_moment_ratio(params, pi)
-    )
+    cube = third_moment_ratio(params)
+    p, q = (cube / 2).as_integer_ratio()
+    num = (p * kd * z_hi + q * n_lo, p * kd * z_lo + q * n_hi)
+    eabs, s_ok = _decided(num, (z_lo, z_hi), q * kd, s_cap, lambda: e_abs_s(params, pi)[0])
     return SteinReport(
         Fraction(max(map(abs, res1)), den1), Fraction(max(map(abs, res2)), den2),
-        eabs, s_cap, cubed, cube_cap, s_ok and cube_ok, pi,
+        eabs, s_cap, float(cube), cube_cap, s_ok and cube <= cube_cap, pi,
     )

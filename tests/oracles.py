@@ -3,11 +3,11 @@
 None of these is on the certifier's path.  They restate the stationary law
 through the closed Gamma-function formula and through power iteration of
 the float kernel, step the kernel in float and in rational arithmetic, read
-exact residuals and moments off a law's integer weights, give each
-state's exact asymptotic variance in the chain by a closed form and by the
-fundamental matrix, give the Beta moments as rising-factorial products and
-the incomplete beta function as a one-value Lentz loop, and build the
-periodic test function g behind the lower bound.
+exact residuals, moments and the two Stein sums state by state off a law's
+integer weights, give each state's exact asymptotic variance in the chain
+by a closed form and by the fundamental matrix, give the Beta moments as
+rising-factorial products and the incomplete beta function as a one-value
+Lentz loop, and build the periodic test function g behind the lower bound.
 """
 
 from __future__ import annotations
@@ -71,6 +71,18 @@ def moment_exact(pi: LatticeDistribution, r: int) -> Fraction:
     """Exact E[W^r] by brute-force summation over the support."""
     m = 2 * pi.n
     return Fraction(sum(w * i**r for i, w in enumerate(pi.weights)), pi.total * m**r)
+
+
+def abs_s_sum(pi: LatticeDistribution) -> int:
+    """sum_i w_i |S_i| over the exact weights; E|S| is it over 2 kernel_den total."""
+    return sum(w * abs(s) for w, s in zip(pi.weights, pi.params.remainder_row))
+
+
+def move_sum(pi: LatticeDistribution) -> int:
+    """sum_i w_i (D_i + U_i) over the exact weights; E|W'-W|^3/lambda is it
+    over 2n kernel_den total."""
+    down, up = pi.params.kernel_rows()
+    return sum(w * (d + u) for w, d, u in zip(pi.weights, down, up))
 
 
 def beta_moments(p: BetaParams, r: int) -> Shape:

@@ -700,7 +700,7 @@ class TestSweep:
         assert "a + b < 2n" in err
 
 
-def _cubed_above_cap(params, pi):
+def _cubed_above_cap(params):
     return F(1, params.n)
 
 
@@ -720,19 +720,18 @@ def _walked(real, change):
 
 def _undecided(enclosures):
     # A lower bound of 0 on the total decides nothing: stein_report takes
-    # both sums and both verdicts from the exact hooks.
-    (_, z_hi), *sums = enclosures
-    return ((0, z_hi), *sums)
+    # E|S| and its verdict from the exact hook.
+    (_, z_hi), neg_s = enclosures
+    return (0, z_hi), neg_s
 
 
-def _inflated(k):
-    # The k-th sum (1: E|S|, 2: E|W'-W|^3/lambda) enclosed 10**6 times too large.
-    def change(enclosures):
-        sums = list(enclosures)
-        sums[k] = tuple(10**6 * x for x in sums[k])
-        return tuple(sums)
-
-    return change
+def _inflated(enclosures):
+    # The S^- sum enclosed as 10**6 times the total, so E|S| > 10**6 /
+    # kernel_den, far above its cap at the CAP_ARGV points (kernel_den 216
+    # and 512).  Their true S^- sum is 0: no state lies strictly between
+    # mu = 1/3 and 1/2.
+    (z_lo, z_hi), _ = enclosures
+    return (z_lo, z_hi), (10**6 * z_lo, 10**6 * z_hi)
 
 
 CAP_ARGV = [
@@ -761,21 +760,22 @@ class TestProofLevelCaps:
         [("third_moment_ratio", _cubed_above_cap), ("e_abs_s", _abs_s_above_cap)],
     )
     def test_cap_violation_exits_1(self, monkeypatch, capsys, name, fake):
-        # The walk leaves every value undecided, so the exact hook decides.
+        # The walk leaves E|S| undecided, so its exact hook decides; the cube
+        # term is always its closed form.
         monkeypatch.setattr(stein, name, fake)
         real = cli.stationary_ratio_product
         monkeypatch.setattr(cli, "stationary_ratio_product", _walked(real, _undecided))
         self.assert_exits_1(capsys)
 
-    @pytest.mark.parametrize("k", [1, 2], ids=["abs_s_sum", "move_sum"])
-    def test_walked_sum_above_cap_exits_1(self, monkeypatch, capsys, k):
+    def test_walked_sum_above_cap_exits_1(self, monkeypatch, capsys):
         real = cli.stationary_ratio_product
-        monkeypatch.setattr(cli, "stationary_ratio_product", _walked(real, _inflated(k)))
+        monkeypatch.setattr(cli, "stationary_ratio_product", _walked(real, _inflated))
         self.assert_exits_1(capsys)
 
     def test_cap_check_survives_optimize_flag(self):
-        # Both routes to a failed cap: the exact hook after an undecided
-        # walk, and a walked enclosure above the cap.
+        # Every route to a failed cap: E|S| from the exact hook after an
+        # undecided walk, E|S| from a walked enclosure above the cap, and
+        # the cube term's closed form above its cap.
         script = textwrap.dedent(
             """
             import os, sys
@@ -785,21 +785,24 @@ class TestProofLevelCaps:
             real = cli.stationary_ratio_product
             def fake(params):
                 pi = real(params)
-                (z_lo, z_hi), abs_s, move = pi.enclosures
+                (z_lo, z_hi), neg_s = pi.enclosures
                 if sys.argv[1] == "exact_hook":
-                    sums = (0, z_hi), abs_s, move
+                    sums = (0, z_hi), neg_s
+                    stein.e_abs_s = lambda params, pi: (Fraction(params.n), Fraction(1))
+                elif sys.argv[1] == "walk":
+                    sums = (z_lo, z_hi), (10**6 * z_lo, 10**6 * z_hi)
                 else:
-                    sums = (z_lo, z_hi), abs_s, tuple(10**6 * x for x in move)
+                    sums = pi.enclosures
+                    stein.third_moment_ratio = lambda params: Fraction(1, params.n)
                 return LatticeDistribution(params, pi.probs, sums)
             cli.stationary_ratio_product = fake
-            stein.third_moment_ratio = lambda params, pi: Fraction(1, params.n)
             argv = ["report", "--n", "3", "--a", "1", "--b", "2", "--out", os.devnull]
             raise SystemExit(cli.main(argv))
             """
         )
         src = str(Path(moranbeta.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": src}
-        for route in ("exact_hook", "walk"):
+        for route in ("exact_hook", "walk", "cube"):
             proc = subprocess.run(
                 [sys.executable, "-O", "-c", script, route], env=env, capture_output=True
             )
@@ -1141,21 +1144,25 @@ class TestUnwritableStdout:
             assert (proc.returncode, proc.stderr) == (code, err)
         assert json.loads(out.read_text())["command"] == "report"
 
+    def test_help_to_closed_stdout_exits_2(self):
+        # argparse sent help meant for a closed stdout to stderr and exited 0.
+        for argv in (["--help"], ["sweep", "--help"]):
+            proc = _python(
+                ["-m", "moranbeta.cli", *argv], stdout=None, preexec_fn=lambda: os.close(1)
+            )
+            assert (proc.returncode, proc.stderr) == (
+                2, "error: cannot write stdout: it is closed\n"
+            ), argv
+
 
 # Faults injected before the CLI module is imported, so in-process `main`
 # and a run as __main__ (a fresh namespace) both bind the faulty functions.
 FAULTS = {
-    # The walk decides nothing; the exact hook puts E|W'-W|^3/lambda above its cap.
+    # E|W'-W|^3/lambda above its cap.
     "cap": """
         from fractions import Fraction
-        from moranbeta import model, stein
-        real = model.stationary_ratio_product
-        def undecided(params):
-            pi = real(params)
-            (_, z_hi), *sums = pi.enclosures
-            return model.LatticeDistribution(params, pi.probs, ((0, z_hi), *sums))
-        model.stationary_ratio_product = undecided
-        stein.third_moment_ratio = lambda params, pi: Fraction(1, params.n)
+        from moranbeta import stein
+        stein.third_moment_ratio = lambda params: Fraction(1, params.n)
         """,
     "internal": """
         from moranbeta import stein

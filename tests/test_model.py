@@ -242,19 +242,21 @@ class TestExactPass:
     def test_matches_exact_walk(self, p):
         pi = stationary_ratio_product(p)
         w = pi.weights
-        down, up = p.kernel_rows()
         assert pi.total == sum(w)
-        assert pi.abs_s_sum == sum(x * abs(s) for x, s in zip(w, p.remainder_row))
-        assert pi.move_sum == sum(x * (d + u) for x, d, u in zip(w, down, up))
+        # S^- = (|S| - S) / 2
+        signed = sum(x * s for x, s in zip(w, p.remainder_row))
+        assert 2 * pi.neg_s_sum == oracles.abs_s_sum(pi) - signed
         assert mirror_hex(pi) == [(x / pi.total).hex() for x in w]
-        # Both ends of each walked quotient round to the exact value's float,
-        # and the report's floats and verdict are the exact ones.
-        (z_lo, z_hi), *sums = pi.enclosures
+        # The walk encloses neg_s_sum / total, both ends of the E|S| it gives
+        # round to the exact value's float, and the report's floats and
+        # verdict are the exact ones.
+        (z_lo, z_hi), (n_lo, n_hi) = pi.enclosures
+        assert F(n_lo, z_hi) <= F(pi.neg_s_sum, pi.total) <= F(n_hi, z_lo)
         e_s, s_cap = e_abs_s(p, pi)
-        e_c = third_moment_ratio(p, pi)
-        scales = 2 * p.kernel_den, 2 * p.n * p.kernel_den
-        for (lo, hi), x, scale in zip(sums, (e_s, e_c), scales):
-            assert lo / (scale * z_hi) == float(x) == hi / (scale * z_lo)
+        e_c = third_moment_ratio(p)
+        kd = p.kernel_den
+        assert float(e_c / 2 + F(n_lo, kd * z_hi)) == float(e_s)
+        assert float(e_c / 2 + F(n_hi, kd * z_lo)) == float(e_s)
         rep = stein_report(p, pi)
         assert stein_floats(rep) == (float(e_s), float(e_c), e_s <= s_cap and e_c <= F(1, 2 * p.n))
 
@@ -274,9 +276,26 @@ class TestExactPass:
         assert walks == [p]
         assert mirror_hex(got) == mirror_hex(want)
         assert stein_floats(stein_report(p, got)) == stein_floats(stein_report(p, want))
-        assert (got.total, got.abs_s_sum, got.move_sum) == (
-            want.total, want.abs_s_sum, want.move_sum,
-        )
+        assert (got.total, got.neg_s_sum) == (want.total, want.neg_s_sum)
+
+    def test_exact_sums_keep_no_larger_ints(self):
+        # Once read, the two exact sums are the largest ints pi holds: not
+        # (2n)! and not the undivided binary-splitting roots.
+        pi = stationary_ratio_product(ModelParams(150, F(355, 113), F(103, 37)))
+        bits = max(pi.total.bit_length(), pi.neg_s_sum.bit_length())
+        seen, todo, widest = set(), list(vars(pi).values()), 0
+        while todo:
+            x = todo.pop()
+            if id(x) in seen:
+                continue
+            seen.add(id(x))
+            if isinstance(x, int):
+                widest = max(widest, x.bit_length())
+            elif isinstance(x, (tuple, list)):
+                todo += x
+            elif hasattr(x, "__dict__"):
+                todo += vars(x).values()
+        assert 0 < widest <= bits
 
     def test_state_undecided_after_decided_ones_falls_back(self, monkeypatch):
         # At 12 bits the first 21 states of (300, 599/2, 1/7) round to 0 from

@@ -4,11 +4,12 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from moranbeta import model, stein
 from moranbeta.model import ModelParams, stationary_ratio_product
+from moranbeta.moments import variance
 from moranbeta.special import log_gamma
 from moranbeta.stein import (
     bound_certificate,
@@ -20,6 +21,7 @@ from moranbeta.stein import (
     third_moment_ratio,
     upper_bound_assembled,
 )
+import oracles
 from oracles import detailed_balance_residuals, moment_exact
 
 F = Fraction
@@ -188,9 +190,7 @@ class TestExpectations:
             assert value <= bound
 
     def test_third_moment_spot(self):
-        p = ModelParams(2, 1, 1)
-        pi = stationary_ratio_product(p)
-        assert third_moment_ratio(p, pi) == F(1, 10)
+        assert third_moment_ratio(ModelParams(2, 1, 1)) == F(1, 10)
 
     def test_third_moment_bound_and_identity(self):
         # The grid, plus one point whose q = lcm(113, 37) is odd and large.
@@ -198,7 +198,7 @@ class TestExpectations:
         for n, a, b in points + [(150, F(355, 113), F(103, 37))]:
             p = ModelParams(n, a, b)
             pi = stationary_ratio_product(p)
-            tmr = third_moment_ratio(p, pi)
+            tmr = third_moment_ratio(p)
             assert 0 <= tmr <= F(1, 2 * n)
             # quadratic identity route: tmr = (1/n) E[W(1-W) + S]
             e_w1w = moment_exact(pi, 1) - moment_exact(pi, 2)
@@ -208,6 +208,41 @@ class TestExpectations:
             # E|S| as a Fraction sum over probs_exact
             e_abs = sum((pr * abs(si) for pr, si in zip(pi.probs_exact, s)), F(0))
             assert e_abs_s(p, pi)[0] == e_abs
+
+
+class TestClosedForms:
+    """Both Stein sums from the paper's identities against the state-by-state
+    sums over the exact weights: E|W'-W|^3/lambda = (a+b) Var W / n, and
+    E|S| = E S + 2 E S^- with E S half of it."""
+
+    @given(valid_params())
+    @example(ModelParams(1, F(1, 3), F(1, 2)))  # n = 1
+    @example(ModelParams(1, F(7, 10), F(7, 10)))  # n = 1, a = b
+    @example(ModelParams(5, F(3, 7), 1))  # 2n mu = 3; S < 0 at state 4 only
+    @example(ModelParams(5, 1, F(3, 7)))  # 2n mu = 7; S < 0 at state 6 only
+    @example(ModelParams(6, F(5, 2), F(7, 2)))  # 2n mu = 5; S < 0 nowhere
+    @example(ModelParams(150, F(355, 113), F(103, 37)))
+    def test_match_state_sums(self, p):
+        pi = stationary_ratio_product(p)
+        kd, total = p.kernel_den, pi.total
+        assert third_moment_ratio(p) == F(oracles.move_sum(pi), 2 * p.n * kd * total)
+        assert e_abs_s(p, pi)[0] == F(oracles.abs_s_sum(pi), 2 * kd * total)
+
+    @given(
+        st.integers(1, 15),
+        st.fractions(min_value=F(1, 10**4), max_value=15, max_denominator=10**4),
+    )
+    @example(1, F(1, 2))
+    @example(4, F(7, 3))
+    def test_symmetric_has_no_negative_part(self, n, a):
+        assume(a < n)
+        p = ModelParams(n, a, a)
+        pi = stationary_ratio_product(p)
+        assert pi.enclosures[1] == (0, 0)
+        assert pi.neg_s_sum == 0
+        e_s = e_abs_s(p, pi)[0]
+        assert e_s == 2 * a * variance(p) / (2 * n)
+        assert e_s == F(oracles.abs_s_sum(pi), 2 * p.kernel_den * pi.total)
 
 
 class TestDecided:
