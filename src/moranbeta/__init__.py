@@ -3,13 +3,7 @@ of the two-allele Moran model's stationary law."""
 
 from .beta import BetaParams
 from .distance import gap_h, kolmogorov, wasserstein
-from .model import (
-    LatticeDistribution,
-    ModelParams,
-    sample_stationary,
-    simulate_chain,
-    stationary_ratio_product,
-)
+from .model import LatticeDistribution, ModelParams, stationary_ratio_product
 from .moments import moment_recursion
 from .special import ConvergenceError, log_beta, log_gamma
 from .stein import (
@@ -44,8 +38,6 @@ __all__ = [
     "log_gamma",
     "lower_bound",
     "moment_recursion",
-    "sample_stationary",
-    "simulate_chain",
     "stationary_ratio_product",
     "stein_report",
     "third_moment_ratio",

@@ -1,4 +1,4 @@
-"""Command-line front end: reports, parameter sweeps, rate fits, MC checks.
+"""Command-line front end: certificate reports, parameter sweeps, rate fits.
 
 Every point passes one gate, `grid_points`, before any point is computed,
 and is computed inside one guard, `_computing`. A `sweep` splits its grid
@@ -8,16 +8,19 @@ no process pool, and the rows are the same bytes for every `--jobs`.
 `_row` builds each point's row once, as plain values that both renderers
 and `report`'s exact section read and a child sends through its pipe by
 `marshal`. Each share places itself on its own CPU of the affinity mask.
-`validate` judges a chain's frequencies by error bars from the kernel
-alone, `ModelParams.iact_bound`, and like `rate` runs on the standard
-library: the package has no runtime dependency.
+Every command runs on the standard library: the package has no runtime
+dependency. The Monte Carlo `validate` command was removed, a deliberate
+break of the CLI that argparse now refuses (exit 2): pi is exact by
+construction and the tests compare it exactly with three independent
+routes, so a check with 5-SE error bars could catch nothing they miss.
+Its sampler and chain live on as a test oracle.
 
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
-identity or a proof-level cap failed) or a `validate` flag, 2 usage or
-parameter error (a `ValueError` outside the guard: a point the gate
-refuses, a bad option value, or an `--out` or stdout that cannot be
-written), 3 internal error while computing a point, whatever its type (one
-`error: internal:` line on stderr names the exception and the point).
+identity or a proof-level cap failed), 2 usage or parameter error (a
+`ValueError` outside the guard: a point the gate refuses, a bad option
+value, or an `--out` or stdout that cannot be written), 3 internal error
+while computing a point, whatever its type (one `error: internal:` line
+on stderr names the exception and the point).
 
 `main` returns the exit code.  `run`, behind the console script and
 `python -m moranbeta.cli`, runs the exit handlers, flushes stdout and
@@ -30,7 +33,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import csv
 import io
 import marshal
 import math
@@ -45,13 +47,7 @@ from typing import BinaryIO, NamedTuple, Sequence
 from . import beta as beta_dist
 from .beta import BetaParams
 from .distance import gap_h, kolmogorov, wasserstein
-from .model import (
-    LatticeDistribution,
-    ModelParams,
-    sample_stationary,
-    simulate_chain,
-    stationary_ratio_product,
-)
+from .model import LatticeDistribution, ModelParams, stationary_ratio_product
 from .moments import mean, moment_recursion, variance
 from .stein import (
     BoundCertificate,
@@ -488,6 +484,8 @@ def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tup
 
 
 def _render_sweep_csv(rows: list[dict], exact: bool) -> str:
+    import csv  # here, as `json` in `_json_text`, so only a CSV sweep loads it
+
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SWEEP_COLUMNS + (EXACT_COLUMNS if exact else []))
@@ -562,58 +560,6 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0 if all_ok else 1
 
 
-def _freq_section(states: Sequence[int], exact: tuple[float, ...], tau: float) -> dict:
-    """Frequencies of `states` against the law `exact`, each state flagged
-    beyond 5 SE, SE_i = sqrt(tau pi_i (1 - pi_i) / count): `tau` is 1 for
-    i.i.d. draws and bounds the integrated autocorrelation time of a chain."""
-    from collections import Counter
-
-    total = len(states)
-    counts = Counter(states)
-    freqs = [counts[i] / total for i in range(len(exact))]
-    devs = [abs(f - p) for f, p in zip(freqs, exact)]
-    units = []
-    for dev, p in zip(devs, exact):
-        se = math.sqrt(tau * p * (1.0 - p) / total)
-        units.append(dev / se if se > 0 else math.inf if dev > 0 else 0.0)
-    return {
-        "count": total,
-        "frequencies": freqs,
-        "tv_to_exact": 0.5 * math.fsum(devs),
-        "max_se_units": max(units),
-        "flagged_states": [i for i, u in enumerate(units) if u > 5.0],
-    }
-
-
-def cmd_validate(args: argparse.Namespace) -> int:
-    params = ModelParams(args.n, args.a, args.b)
-    if min(args.samples, args.steps, args.burn_in, args.seed) < 0:
-        raise ValueError("--samples, --steps, --burn-in and --seed must be nonnegative")
-    payload: dict = {
-        "schema_version": SCHEMA_VERSION,
-        "command": "validate",
-        "params": {"n": params.n, "a": float(params.a), "b": float(params.b)},
-        "seed": args.seed,
-    }
-    with _computing(params):
-        pi = stationary_ratio_product(params)
-        payload["exact_probs"] = list(pi.probs)
-        if args.samples > 0:
-            draws = sample_stationary(pi, seed=args.seed, count=args.samples)
-            payload["iid"] = _freq_section(draws, pi.probs, 1.0)
-        if args.steps > 0:
-            steps = args.burn_in + args.steps
-            path = simulate_chain(params, start=params.n, steps=steps, seed=args.seed + 1)
-            tau = params.iact_bound
-            section = _freq_section(path[args.burn_in + 1 :], pi.probs, tau)
-            section["burn_in"] = args.burn_in
-            section["iact_bound"] = tau
-            payload["chain"] = section
-    _write_output(_json_text(payload), args.out)
-    flagged = [payload[k]["flagged_states"] for k in ("iid", "chain") if k in payload]
-    return 1 if any(flagged) else 0
-
-
 class _Parser(argparse.ArgumentParser):
     """argparse's parser, but help it cannot write to stdout is a usage error
     (exit 2, one line). argparse ignores a failed write, which a buffered
@@ -670,18 +616,6 @@ def build_parser() -> argparse.ArgumentParser:
     rate.add_argument("--out", default=None)
     rate.set_defaults(func=cmd_rate)
 
-    val = sub.add_parser("validate", help="Monte Carlo cross-check of pi")
-    val.add_argument("--n", type=int, required=True)
-    val.add_argument("--a", type=parse_rational, required=True)
-    val.add_argument("--b", type=parse_rational, required=True)
-    val.add_argument("--samples", type=int, default=1_000_000,
-                     help="i.i.d. draws from exact pi (0 skips)")
-    val.add_argument("--steps", type=int, default=1_000_000,
-                     help="chain steps after burn-in (0 skips)")
-    val.add_argument("--burn-in", type=int, default=10_000)
-    val.add_argument("--seed", type=int, default=0)
-    val.add_argument("--out", default=None)
-    val.set_defaults(func=cmd_validate)
     return parser
 
 

@@ -13,12 +13,12 @@ which the rescaled count W = I/(2n) under the stationary law approaches a
 Beta(a,b) variable.  This module holds the kernel, as integer rows over one
 common denominator (`ModelParams`), the exact stationary law read off
 those rows (`stationary_ratio_product`: floats and enclosures by one
-interval walk, exact sums only on demand), the bound on the chain's
-autocorrelation time that condition 1 proves (`ModelParams.iact_bound`),
-and seeded sampling from the law and from the chain on the standard
-library's `random`.  Floating values are correctly rounded quotients of the
-integers, never the other way around.  The independent oracles the test
-suite checks the law against live with the tests.
+interval walk, exact sums only on demand).  Floating values are correctly
+rounded quotients of the integers, never the other way around.  The
+independent oracles the test suite checks the law against live with the
+tests.  So do the seeded sampler and chain of its Monte Carlo check: the
+public `sample_stationary`, `simulate_chain` and `ModelParams.iact_bound`
+were removed with the `validate` command.
 """
 
 from __future__ import annotations
@@ -34,8 +34,6 @@ __all__ = [
     "ModelParams",
     "LatticeDistribution",
     "stationary_ratio_product",
-    "sample_stationary",
-    "simulate_chain",
 ]
 
 RationalLike = Union[int, str, Fraction, float]
@@ -145,22 +143,6 @@ class ModelParams(_Frozen):
     def lam(self) -> Fraction:
         """The exchangeable-pair scaling constant 1/(4n^2)."""
         return Fraction(1, 4 * self.n * self.n)
-
-    @property
-    def iact_bound(self) -> float:
-        """tau = 8n^2/(a+b) - 1, a bound on the integrated autocorrelation
-        time of every function of the stationary chain (inf past the float
-        range).
-
-        Condition 1 says W - a/(a+b) is an eigenfunction of the kernel with
-        eigenvalue lambda_2 = 1 - (a+b)/(4n^2).  It changes sign once, so by
-        the oscillation theorem for Jacobi matrices (Gantmacher & Krein 1950)
-        lambda_2 is the second largest eigenvalue, and for a reversible chain
-        the asymptotic variance of an average is at most
-        (1 + lambda_2)/(1 - lambda_2) = tau times its i.i.d. variance
-        (Geyer 1992).
-        """
-        return 8 * self.n**2 / float(self.a + self.b) - 1
 
     def kernel_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
@@ -343,73 +325,3 @@ def _exact_walk(params: ModelParams) -> list[int]:
     for u, d in zip(up, down[1:]):
         weights.append(weights[-1] * u // d)
     return weights
-
-
-# Draws made per call of `Random.choices`, which builds a list of them.
-_CHUNK = 1 << 16
-
-
-def _zeros(count: int, what: str) -> array:
-    # `count` zeros as an array('q'), allocated at once; a count that cannot
-    # be allocated fails with a message that names it.
-    from array import array
-
-    try:
-        return array("q", [0]) * count
-    except MemoryError:
-        raise MemoryError(f"cannot allocate {count} {what} ({8 * count} bytes)") from None
-
-
-def sample_stationary(dist: LatticeDistribution, seed: int, count: int) -> array:
-    """`count` i.i.d. state indices by inverse-CDF lookup, as an `array('q')`.
-
-    Reproducible from `seed`: `random.Random(seed).choices` locates one
-    `random()` per draw in the running sums of `probs`.  The array is
-    allocated before any draw, so an impossible count fails at once.
-    """
-    import random
-    from array import array
-    from itertools import accumulate
-
-    if count < 0:
-        raise ValueError("count must be nonnegative")
-    draws = _zeros(count, "draws")
-    choices = random.Random(seed).choices
-    states = range(2 * dist.n + 1)
-    cum = list(accumulate(dist.probs))
-    for lo in range(0, count, _CHUNK):
-        k = min(_CHUNK, count - lo)
-        draws[lo : lo + k] = array("q", choices(states, cum_weights=cum, k=k))
-    return draws
-
-
-def simulate_chain(params: ModelParams, start: int, steps: int, seed: int) -> array:
-    """Trajectory of `steps` kernel steps from `start`, as an `array('q')`
-    of length steps + 1, allocated before the first step.
-
-    Each step draws one u = `random()` of `random.Random(seed)` and moves
-    down if u < D_i / kernel_den, up if u >= (kernel_den - U_i) / kernel_den,
-    and stays otherwise; both thresholds are correctly rounded quotients of
-    the kernel rows.
-    """
-    import random
-
-    if not 0 <= start <= 2 * params.n:
-        raise IndexError(f"start state {start} outside {{0,...,{2 * params.n}}}")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
-    path = _zeros(steps + 1, "chain states")
-    down, up = params.kernel_rows()
-    den = params.kernel_den
-    t_down = [d / den for d in down]
-    t_up = [(den - u) / den for u in up]
-    uniform = random.Random(seed).random
-    path[0] = i = start
-    for k in range(1, steps + 1):
-        u = uniform()
-        if u < t_down[i]:
-            i -= 1
-        elif u >= t_up[i]:
-            i += 1
-        path[k] = i
-    return path

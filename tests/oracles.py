@@ -8,12 +8,17 @@ integer weights, give each state's exact asymptotic variance in the chain
 by a closed form and by the fundamental matrix, give the Beta moments as
 rising-factorial products and the incomplete beta function as a one-value
 Lentz loop, and build the periodic test function g behind the lower bound.
+The Monte Carlo check of pi draws from two seeded samplers on the standard
+library's `random`: `sample_stationary`, i.i.d. draws from the law, and
+`simulate_chain`, a path of the chain itself.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -359,6 +364,45 @@ def power_iteration_oracle(params: ModelParams) -> np.ndarray:
     raise ConvergenceError(
         f"power iteration did not converge in {_POWER_MAX_SWEEPS} sweeps"
     )
+
+
+def sample_stationary(dist: LatticeDistribution, seed: int, count: int) -> array:
+    """`count` i.i.d. state indices by inverse-CDF lookup, as an `array('q')`.
+
+    Reproducible from `seed`: `random.Random(seed).choices` locates one
+    `random()` per draw in the running sums of `probs`.
+    """
+    cum = list(itertools.accumulate(dist.probs))
+    states = range(2 * dist.n + 1)
+    return array("q", random.Random(seed).choices(states, cum_weights=cum, k=count))
+
+
+def simulate_chain(params: ModelParams, start: int, steps: int, seed: int) -> array:
+    """Trajectory of `steps` kernel steps from `start`, as an `array('q')`
+    of length steps + 1.
+
+    Each step draws one u = `random()` of `random.Random(seed)` and moves
+    down if u < D_i / kernel_den, up if u >= (kernel_den - U_i) / kernel_den,
+    and stays otherwise; both thresholds are correctly rounded quotients of
+    the kernel rows.
+    """
+    if not 0 <= start <= 2 * params.n:
+        raise IndexError(f"start state {start} outside {{0,...,{2 * params.n}}}")
+    path = array("q", [0]) * (steps + 1)
+    down, up = params.kernel_rows()
+    den = params.kernel_den
+    t_down = [d / den for d in down]
+    t_up = [(den - u) / den for u in up]
+    uniform = random.Random(seed).random
+    path[0] = i = start
+    for k in range(1, steps + 1):
+        u = uniform()
+        if u < t_down[i]:
+            i -= 1
+        elif u >= t_up[i]:
+            i += 1
+        path[k] = i
+    return path
 
 
 def periodic_extension_g(x: float) -> float:

@@ -15,12 +15,7 @@ import pytest
 from moranbeta.beta import BetaParams
 from moranbeta.beta import variance as beta_variance
 from moranbeta.distance import gap_h
-from moranbeta.model import (
-    ModelParams,
-    sample_stationary,
-    simulate_chain,
-    stationary_ratio_product,
-)
+from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import mean, moment_recursion, variance
 from moranbeta.special import _cdf_pdf, log_beta
 from moranbeta.stein import (
@@ -35,6 +30,8 @@ from oracles import (
     apply_kernel_exact,
     detailed_balance_residuals,
     moment_exact,
+    sample_stationary,
+    simulate_chain,
     stationary_closed_form,
     tv,
 )

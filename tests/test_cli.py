@@ -42,12 +42,13 @@ def run_cli(capsys, *argv):
 def test_cli_import_skips_scipy_and_mpmath():
     # Start-up cost is part of every invocation; scipy, mpmath and numpy are
     # test-only oracles, no command loads multiprocessing (a parallel sweep
-    # forks its workers directly), and the record classes are built without
-    # dataclasses, which would load inspect and its imports.
+    # forks its workers directly), the record classes are built without
+    # dataclasses, which would load inspect and its imports, and only a CSV
+    # sweep loads csv.
     script = (
         "import sys, moranbeta.cli; "
         "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing', "
-        "'dataclasses', 'inspect') if m in sys.modules))"
+        "'dataclasses', 'inspect', 'csv') if m in sys.modules))"
     )
     src = str(Path(moranbeta.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
@@ -60,9 +61,8 @@ def test_cli_import_skips_scipy_and_mpmath():
 
 def test_report_and_sweep_run_without_numpy():
     # The package has no runtime dependency: the certifier and its
-    # distances are exact integers and plain floats, and the rate fit,
-    # sampling and chain statistics use the standard library, so no
-    # command loads numpy.
+    # distances are exact integers and plain floats, and the rate fit uses
+    # the standard library, so no command loads numpy.
     script = textwrap.dedent(
         """
         import os, sys
@@ -71,8 +71,6 @@ def test_report_and_sweep_run_without_numpy():
             ["report", "--n", "7", "--a", "1/2", "--b", "3", "--exact"],
             ["sweep", "--n", "5,10", "--a", "1", "--b", "1", "--jobs", "1"],
             ["rate", "--n", "5,10,20,40", "--a", "1", "--b", "1"],
-            ["validate", "--n", "5", "--a", "1", "--b", "1",
-             "--samples", "1000", "--steps", "1000"],
         ):
             assert cli.main(argv + ["--out", os.devnull]) == 0, argv
         print("numpy" in sys.modules)
@@ -170,6 +168,9 @@ def test_log_beta_once_per_point_not_per_atom(monkeypatch):
 
 
 class TestParsing:
+    def test_commands_are_report_sweep_rate(self):
+        assert "{report,sweep,rate}" in cli.build_parser().format_usage()
+
     def test_rational_forms(self):
         assert parse_rational("1/3") == F(1, 3)
         assert parse_rational("0.5") == F(1, 2)
@@ -261,9 +262,15 @@ class TestReport:
         assert err.count("\n") == 1
 
     def test_unknown_command_exits_2(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["frobnicate"])
-        assert exc.value.code == 2
+        # `validate`, the removed Monte Carlo check, is refused like any
+        # other unknown command, before any work.
+        for argv in (["frobnicate"], ["validate", "--n", "5", "--a", "1", "--b", "1"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"invalid choice: '{argv[0]}'" in captured.err
 
 
 GATED_COMMANDS = {
@@ -955,21 +962,6 @@ class TestInternalErrors:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    @pytest.mark.parametrize("exc_type", [ZeroDivisionError, ValueError])
-    def test_validate_failure_exits_3(self, monkeypatch, capsys, exc_type):
-        monkeypatch.setattr(cli, "sample_stationary", _raising(exc_type))
-        code, out, err = run_cli(
-            capsys,
-            "validate", "--n", "3", "--a", "1", "--b", "1",
-            "--samples", "10", "--steps", "0",
-        )
-        assert code == 3
-        assert out == ""
-        assert err == (
-            f"error: internal: {exc_type.__name__}: injected "
-            "(point a=1, b=1, n=3)\n"
-        )
-
     @pytest.mark.parametrize("exc_type", [ArithmeticError, IndexError])
     def test_report_moment_failure_exits_3(self, monkeypatch, capsys, exc_type):
         monkeypatch.setattr(cli, "moment_recursion", _raising(exc_type))
@@ -1014,9 +1006,6 @@ OUT_COMMANDS = {
     "report": ["report", "--n", "3", "--a", "1", "--b", "1"],
     "sweep": ["sweep", "--n", "3", "--a", "1", "--b", "1", "--jobs", "1"],
     "rate": ["rate", "--n", "5,10,20,40", "--a", "1", "--b", "1"],
-    "validate": [
-        "validate", "--n", "3", "--a", "1", "--b", "1", "--samples", "10", "--steps", "0"
-    ],
 }
 
 
@@ -1250,8 +1239,7 @@ class TestExitPath:
             for argv in (
                 ["report", "--n", "7", "--a", "1/2", "--b", "3", "--out", sys.argv[1]],
                 ["sweep", "--n", "3,4,5", "--a", "1,2", "--b", "1", "--jobs", "2"],
-                ["validate", "--n", "5", "--a", "1", "--b", "1",
-                 "--samples", "1000", "--steps", "1000"],
+                ["rate", "--n", "5,10,20,40", "--a", "1", "--b", "1"],
             ):
                 if main(argv) != 0:
                     sys.exit(f"{argv[0]} failed")
@@ -1288,147 +1276,6 @@ class TestRate:
         )
         assert code == 2
         assert "factor of 8" in err
-
-
-class TestValidate:
-    def test_no_flags_and_deterministic(self, tmp_path, capsys):
-        args = [
-            "validate", "--n", "5", "--a", "1", "--b", "1",
-            "--samples", "50000", "--steps", "50000", "--burn-in", "500",
-            "--seed", "3",
-        ]
-        out_a = tmp_path / "a.json"
-        out_b = tmp_path / "b.json"
-        assert main(args + ["--out", str(out_a)]) == 0
-        assert main(args + ["--out", str(out_b)]) == 0
-        capsys.readouterr()
-        assert out_a.read_bytes() == out_b.read_bytes()
-        doc = json.loads(out_a.read_text())
-        assert doc["iid"]["flagged_states"] == []
-        assert doc["chain"]["flagged_states"] == []
-        assert doc["iid"]["count"] == 50000
-
-    def test_unvisited_states_are_not_flagged(self, capsys):
-        # pi puts mass up to 1e-3 on states 85-89 that this run never visits:
-        # the chain reaches that tail only in rare excursions.
-        code, out, _ = run_cli(
-            capsys,
-            "validate", "--n", "50", "--a", "20", "--b", "1/10",
-            "--samples", "0", "--steps", "100000",
-        )
-        assert code == 0
-        assert "Infinity" not in out and "NaN" not in out
-        chain = json.loads(out)["chain"]
-        assert chain["flagged_states"] == []
-        assert min(chain["frequencies"][85:90]) == 0.0
-
-    def test_wrong_law_is_flagged(self, monkeypatch, capsys):
-        # The mirrored law puts its mass at 0 while the chain sits near 2n.
-        monkeypatch.setattr(
-            cli, "stationary_ratio_product",
-            lambda p: stationary_ratio_product(ModelParams(p.n, p.b, p.a)),
-        )
-        code, out, _ = run_cli(
-            capsys,
-            "validate", "--n", "50", "--a", "20", "--b", "1/10",
-            "--samples", "0", "--steps", "100000",
-        )
-        assert code == 1
-        assert "Infinity" not in out and "NaN" not in out
-        assert {0, 100} <= set(json.loads(out)["chain"]["flagged_states"])
-
-    @pytest.mark.parametrize(
-        "counts",
-        [
-            ["--samples", "-1", "--steps", "0"],
-            ["--samples", "0", "--steps", "-1"],
-            ["--samples", "0", "--steps", "100", "--burn-in", "-50"],
-            # A negative count is refused even for the section it would feed
-            # being skipped: no chain here, no i.i.d. draws in the next case.
-            ["--samples", "10", "--steps", "0", "--burn-in", "-1"],
-            ["--samples", "-5", "--steps", "100"],
-            ["--samples", "10", "--steps", "10", "--seed", "-1"],
-            # Only the chain draws here, seeded with seed + 1: -1 would pass.
-            ["--samples", "0", "--steps", "100", "--seed", "-2"],
-        ],
-    )
-    def test_rejects_unusable_counts(self, capsys, counts):
-        code, out, err = run_cli(
-            capsys, "validate", "--n", "3", "--a", "1", "--b", "2", *counts
-        )
-        assert code == 2
-        assert out == ""
-        assert err.startswith("error: --")
-        assert err.count("\n") == 1 and err.endswith("\n")
-
-    def test_one_step_is_judged_by_the_iact_bound(self, capsys):
-        # No --steps minimum: the error bars come from the kernel alone, and
-        # one step leaves every state within 5 SE of pi at this point.
-        code, out, _ = run_cli(
-            capsys,
-            "validate", "--n", "3", "--a", "1", "--b", "2",
-            "--samples", "0", "--steps", "1", "--burn-in", "0",
-        )
-        assert code == 0
-        chain = json.loads(out)["chain"]
-        assert chain["count"] == 1 and chain["burn_in"] == 0
-        assert chain["iact_bound"] == 8 * 3**2 / 3 - 1
-        assert chain["flagged_states"] == []
-        assert "batches" not in chain
-
-    @pytest.mark.parametrize("seed", range(5))
-    def test_exact_law_not_flagged_below_the_mixing_time(self, capsys, seed):
-        # A bimodal law whose relaxation time, 4n^2/(a+b) = 18,000 steps, is
-        # a fifth of the run: the chain crosses between the modes only a few
-        # times, so error bars measured from the path come out too small.
-        # The bound comes from the kernel and holds at any run length.
-        code, out, _ = run_cli(
-            capsys,
-            "validate", "--n", "30", "--a", "1/10", "--b", "1/10",
-            "--samples", "0", "--steps", "100000", "--seed", str(seed),
-        )
-        chain = json.loads(out)["chain"]
-        assert chain["iact_bound"] == 35999.0
-        assert chain["flagged_states"] == []
-        assert code == 0
-
-    @pytest.mark.parametrize("count", ["--samples", "--steps"])
-    def test_impossible_count_fails_at_once(self, capsys, count):
-        # Both arrays are allocated before the first draw: 10^14 entries
-        # of 8 bytes fail there rather than after a run without end.
-        argv = ["--samples", "0", "--steps", "0", count, str(10**14)]
-        code, out, err = run_cli(
-            capsys, "validate", "--n", "3", "--a", "1", "--b", "2", *argv
-        )
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: internal: MemoryError")
-
-    @pytest.mark.parametrize(
-        "count,what", [("--samples", "draws"), ("--steps", "chain states")]
-    )
-    def test_impossible_count_is_named(self, capsys, count, what):
-        argv = ["--samples", "0", "--steps", "0", "--burn-in", "0", count, str(10**14)]
-        code, _, err = run_cli(
-            capsys, "validate", "--n", "3", "--a", "1", "--b", "2", *argv
-        )
-        assert code == 3
-        size = 10**14 + (count == "--steps")
-        assert err == (
-            f"error: internal: MemoryError: cannot allocate {size} {what} "
-            f"({8 * size} bytes) (point a=1, b=2, n=3)\n"
-        )
-
-    def test_zero_samples_keeps_exact_section(self, capsys):
-        code, out, _ = run_cli(
-            capsys,
-            "validate", "--n", "3", "--a", "1", "--b", "2",
-            "--samples", "0", "--steps", "0",
-        )
-        assert code == 0
-        doc = json.loads(out)
-        assert "iid" not in doc and "chain" not in doc
-        assert len(doc["exact_probs"]) == 7
 
 
 def test_records_reject_assignment():

@@ -1,4 +1,4 @@
-"""Kernel, stationary law (three routes), sampling, and simulation."""
+"""Kernel, stationary law (three routes), and the oracles' sampler and chain."""
 
 import math
 import sys
@@ -10,12 +10,7 @@ from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from moranbeta import cli, model
-from moranbeta.model import (
-    ModelParams,
-    sample_stationary,
-    simulate_chain,
-    stationary_ratio_product,
-)
+from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.stein import e_abs_s, stein_report, third_moment_ratio
 
 import oracles
@@ -29,6 +24,8 @@ from oracles import (
     from_exact,
     moment_exact,
     power_iteration_oracle,
+    sample_stationary,
+    simulate_chain,
     stationary_closed_form,
     tv,
 )
@@ -501,8 +498,8 @@ MIXING_SHAPES = [
 
 
 class TestIactBound:
-    """The chain error bars of `validate`: tau = 8n^2/(a+b) - 1 bounds every
-    state's asymptotic variance by tau pi_i (1 - pi_i)."""
+    """Error bars for the chain's occupation frequencies: tau = 8n^2/(a+b) - 1
+    bounds every state's asymptotic variance by tau pi_i (1 - pi_i)."""
 
     @pytest.mark.parametrize("a, b", MIXING_SHAPES)
     @pytest.mark.parametrize("n", [3, 7, 20])
@@ -516,7 +513,7 @@ class TestIactBound:
         lam2 = 1 - (a + b) / (4 * n * n)
         assert eigs[-1] == pytest.approx(1.0, abs=1e-12)
         assert eigs[-2] == pytest.approx(float(lam2), abs=1e-12)
-        assert p.iact_bound == pytest.approx(float((1 + lam2) / (1 - lam2)), rel=1e-15)
+        assert (1 + lam2) / (1 - lam2) == 8 * F(n) ** 2 / (a + b) - 1
 
     @pytest.mark.parametrize(
         "n, a, b",
