@@ -1,19 +1,17 @@
 """Command-line front end: certificate reports, parameter sweeps, rate fits.
 
 Every point passes one gate, `grid_points`, before any point is computed,
-and is computed inside one guard, `_computing`. A `sweep` splits its grid
-into at most `--jobs` shares balanced by lattice states (`_shares`): the
-process computes the first share and a forked child each other one, with
-no process pool, and the rows are the same bytes for every `--jobs`.
-`_row` builds each point's row once, as plain values that both renderers
-and `report`'s exact section read and a child sends through its pipe by
-`marshal`. Each share places itself on its own CPU of the affinity mask.
+and every command computes its points along one path, `_compute_rows`,
+each inside one guard, `_computing`: a `sweep` in at most `--jobs` shares
+balanced by lattice states (`_shares`), `rate` in as many as the sweep's
+default, `report` in one. The process computes the first share and a
+forked child each other one, with no process pool, and the output is the
+same bytes for any number of shares. A point's record, `_row` or
+`report`'s `_report_payload`, is built once as plain values, which a child
+sends through its pipe by `marshal`. Each share places itself on its own
+CPU of the affinity mask.
 Every command runs on the standard library: the package has no runtime
-dependency. The Monte Carlo `validate` command was removed, a deliberate
-break of the CLI that argparse now refuses (exit 2): pi is exact by
-construction and the tests compare it exactly with three independent
-routes, so a check with 5-SE error bars could catch nothing they miss.
-Its sampler and chain live on as a test oracle.
+dependency.
 
 Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
 identity or a proof-level cap failed), 2 usage or parameter error (a
@@ -42,12 +40,12 @@ from contextlib import contextmanager
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import BinaryIO, NamedTuple, Sequence
+from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from . import beta as beta_dist
 from .beta import BetaParams
-from .distance import gap_h, kolmogorov, wasserstein
-from .model import LatticeDistribution, ModelParams, stationary_ratio_product
+from .distance import kolmogorov, wasserstein
+from .model import ModelParams, stationary_ratio_product
 from .moments import mean, moment_recursion, variance
 from .stein import (
     BoundCertificate,
@@ -141,9 +139,17 @@ def _computing(params: ModelParams):
         raise PointError(_internal(params, what)) from exc
 
 
+# `Fraction` builds 10**|exp| before any check.  No admissible shape needs
+# more: they are normal floats, and a + b < 2n with n below 10**4300.
+MAX_EXPONENT = 10_000
+
+
 def parse_rational(text: str) -> Fraction:
-    """Accept 'p/q' or decimal notation."""
+    """Accept 'p/q' or decimal notation, exponent at most MAX_EXPONENT."""
+    _, e, exponent = text.lower().partition("e")
     try:
+        if e and abs(int(exponent)) > MAX_EXPONENT:
+            raise ValueError("exponent out of range")
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}") from exc
@@ -158,16 +164,6 @@ def parse_int_list(text: str) -> tuple[int, ...]:
         return tuple(int(part) for part in text.split(",") if part)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"not an integer list: {text!r}") from exc
-
-
-def parse_positive_int(text: str) -> int:
-    try:
-        value = int(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from exc
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
 
 
 def fmt(x: float) -> str:
@@ -243,17 +239,12 @@ def grid_points(
     return points
 
 
-def _distances(params: ModelParams, pi: LatticeDistribution) -> tuple[float, float]:
-    """W1 and Kolmogorov distances of the lattice law to Beta(a, b)."""
-    beta = BetaParams(params.a, params.b)
-    return wasserstein(pi, beta), kolmogorov(pi, beta)
-
-
 def compute_point(params: ModelParams) -> PointResult:
     """The point pipeline: exact pi, Stein sums, certificate, distances."""
     pi = stationary_ratio_product(params)
     rep = stein_report(params, pi)
-    w1, kd = _distances(params, pi)
+    beta = BetaParams(params.a, params.b)
+    w1, kd = wasserstein(pi, beta), kolmogorov(pi, beta)
     return PointResult(
         params=params,
         stein=rep,
@@ -261,7 +252,7 @@ def compute_point(params: ModelParams) -> PointResult:
         upper_assembled=upper_bound_assembled(params, rep),
         mean=mean(params),
         variance=variance(params),
-        beta_variance=beta_dist.variance(BetaParams(params.a, params.b)),
+        beta_variance=beta_dist.variance(beta),
         wasserstein=w1,
         kolmogorov=kd,
     )
@@ -277,9 +268,10 @@ def _row(point: PointResult, exact: bool) -> dict:
     return row
 
 
-def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
+def _report_payload(point: PointResult, exact: bool) -> dict:
+    """`report`'s JSON document of its one point, moments 1..8 included."""
     params, rep, cert = point.params, point.stein, point.cert
-    table = moment_recursion(params, r_max)
+    table = moment_recursion(params)
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "report",
@@ -324,12 +316,10 @@ def _report_payload(point: PointResult, r_max: int, exact: bool) -> dict:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    (params,) = grid_points((args.a,), (args.b,), (args.n,), certified=True)
-    with _computing(params):
-        point = compute_point(params)
-        payload = _report_payload(point, args.r_max, args.exact)
+    points = grid_points((args.a,), (args.b,), (args.n,), certified=True)
+    ((payload, ok),) = _compute_rows(points, 1, lambda point: _report_payload(point, args.exact))
     _write_output(_json_text(payload), args.out)
-    return 0 if point.ok else 1
+    return 0 if ok else 1
 
 
 def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
@@ -350,26 +340,29 @@ def _shares(points: list[ModelParams], jobs: int) -> list[list[int]]:
     return [sorted(share) for share in shares]
 
 
+Record = Callable[[PointResult], dict]
+
+
 def _run_share(
-    points: list[ModelParams], share: list[int], exact: bool, cpus: Sequence[int]
+    points: list[ModelParams], share: list[int], record: Record, cpus: Sequence[int]
 ) -> tuple[list, tuple | None]:
-    """`(index, row, ok)` records of one share, computed on `cpus`, up to its
-    first failing point, and that failure as `(index, message)`, or None:
-    plain data, which is all that marshal sends."""
+    """`(index, record(point), ok)` of each point of one share, computed on
+    `cpus`, up to its first failing point, and that failure as `(index,
+    message)`, or None: plain data, which is all that marshal sends."""
     _set_affinity(cpus)
     records = []
     for i in share:
         try:
             with _computing(points[i]):
                 point = compute_point(points[i])
-                records.append((i, _row(point, exact), point.ok))
+                records.append((i, record(point), point.ok))
         except PointError as exc:
             return records, (i, str(exc))
     return records, None
 
 
 def _fork_share(
-    points: list[ModelParams], share: list[int], exact: bool, cpus: Sequence[int]
+    points: list[ModelParams], share: list[int], record: Record, cpus: Sequence[int]
 ) -> tuple[int, BinaryIO]:
     """Run `_run_share` in a forked child; returns its pid and the read end of
     the pipe that carries the result as one marshal. The CLI starts no
@@ -388,7 +381,7 @@ def _fork_share(
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(_run_share(points, share, exact, cpus)))
+                pipe.write(marshal.dumps(_run_share(points, share, record, cpus)))
             code = 0
         finally:
             os._exit(code)
@@ -419,6 +412,11 @@ def _cpus() -> list[int]:
     return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
 
 
+def _default_jobs() -> int:
+    """One share per CPU of the affinity mask, else per CPU of the machine."""
+    return len(_cpus()) or os.cpu_count() or 1
+
+
 def _set_affinity(cpus: Sequence[int]) -> None:
     """Best effort: set this process's affinity mask to `cpus`. Nothing
     changes where `cpus` is empty, where there is no `os.sched_setaffinity`
@@ -430,8 +428,8 @@ def _set_affinity(cpus: Sequence[int]) -> None:
             pass
 
 
-def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tuple[dict, bool]]:
-    """Rows of every point in grid order.
+def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[tuple[dict, bool]]:
+    """`(record(point), ok)` of every point in grid order.
 
     The parent computes the first share and a forked child each other one;
     where there is no `os.fork`, the parent computes the one share. Share k
@@ -453,9 +451,9 @@ def _compute_rows(points: list[ModelParams], jobs: int, exact: bool) -> list[tup
     try:
         for k, share in enumerate(shares[1:], 1):
             with _computing(points[share[0]]):
-                pid, pipe = _fork_share(points, share, exact, homes[k:k + 1])
+                pid, pipe = _fork_share(points, share, record, homes[k:k + 1])
             children[pid] = (pipe, share)
-        outcomes = [_run_share(points, shares[0], exact, homes[:1])]
+        outcomes = [_run_share(points, shares[0], record, homes[:1])]
         for pid, (pipe, share) in list(children.items()):
             with pipe:
                 data = pipe.read()
@@ -505,7 +503,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     points = grid_points(args.a, args.b, args.n, certified=True)
-    results = _compute_rows(points, args.jobs, args.exact)
+    results = _compute_rows(points, args.jobs, lambda point: _row(point, args.exact))
     render = _render_sweep_csv if args.format == "csv" else _render_sweep_json
     _write_output(render([values for values, _ in results], args.exact), args.out)
     return 0 if all(ok for _, ok in results) else 1
@@ -528,19 +526,18 @@ def cmd_rate(args: argparse.Namespace) -> int:
     if max(ns) < 8 * min(ns):
         raise ValueError("rate fitting needs n values spanning a factor of 8")
     points = grid_points(args.a, args.b, args.n, certified=False)
+    rows = [row for row, _ in _compute_rows(points, _default_jobs(), lambda p: _row(p, False))]
     fits = []
-    for start in range(0, len(points), len(ns)):
-        run = points[start : start + len(ns)]
-        values = []
-        for params in run:
-            with _computing(params):
-                gap = float(gap_h(params))
-                values.append((gap, *_distances(params, stationary_ratio_product(params))))
-        slope_gap, slope_w1, slope_kd = (_fit_slope(ns, col) for col in zip(*values))
+    for start in range(0, len(rows), len(ns)):
+        run = rows[start : start + len(ns)]
+        slope_gap, slope_w1, slope_kd = (
+            _fit_slope(ns, [row[name] for row in run])
+            for name in ("gap_h", "wasserstein", "kolmogorov")
+        )
         fits.append(
             {
-                "a": float(run[0].a),
-                "b": float(run[0].b),
+                "a": run[0]["a"],
+                "b": run[0]["b"],
                 "slope_gap_h": slope_gap,
                 "slope_wasserstein": slope_w1,
                 "slope_kolmogorov": slope_kd,
@@ -591,8 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
     rep.add_argument("--n", type=int, required=True, help="population scale n")
     rep.add_argument("--a", type=parse_rational, required=True, help="a = 2nv, 'p/q' or decimal")
     rep.add_argument("--b", type=parse_rational, required=True, help="b = 2nu, 'p/q' or decimal")
-    rep.add_argument("--r-max", type=parse_positive_int, default=8,
-                     help="highest moment order (at least 1)")
     rep.add_argument("--exact", action="store_true", help="include exact p/q fields")
     rep.add_argument("--out", default=None, help="write to FILE instead of stdout")
     rep.set_defaults(func=cmd_report)
@@ -601,7 +596,7 @@ def build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--n", type=parse_int_list, required=True, help="comma-separated n values")
     swp.add_argument("--a", type=parse_rational_list, required=True, help="comma-separated a values")
     swp.add_argument("--b", type=parse_rational_list, required=True, help="comma-separated b values")
-    swp.add_argument("--jobs", type=int, default=len(_cpus()) or os.cpu_count() or 1,
+    swp.add_argument("--jobs", type=int, default=_default_jobs(),
                      help="parallel workers, one per CPU of the affinity mask by default")
     swp.add_argument("--format", choices=("csv", "json"), default="csv")
     swp.add_argument("--exact", action="store_true", help="append exact p/q columns")

@@ -16,9 +16,7 @@ those rows (`stationary_ratio_product`: floats and enclosures by one
 interval walk, exact sums only on demand).  Floating values are correctly
 rounded quotients of the integers, never the other way around.  The
 independent oracles the test suite checks the law against live with the
-tests.  So do the seeded sampler and chain of its Monte Carlo check: the
-public `sample_stationary`, `simulate_chain` and `ModelParams.iact_bound`
-were removed with the `validate` command.
+tests.
 """
 
 from __future__ import annotations

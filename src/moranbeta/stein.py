@@ -75,11 +75,7 @@ class SteinReport(NamedTuple):
 
     @property
     def e_abs_s_exact(self) -> Fraction:
-        return e_abs_s(self.pi.params, self.pi)[0]
-
-    @property
-    def e_cubed_over_lambda_exact(self) -> Fraction:
-        return third_moment_ratio(self.pi.params)
+        return e_abs_s(self.pi.params, self.pi)
 
     @property
     def conditions_exact(self) -> bool:
@@ -164,15 +160,16 @@ def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
 
 
-def e_abs_s(params: ModelParams, pi: LatticeDistribution) -> tuple[Fraction, Fraction]:
-    """Exact E|S| under pi, together with its a-priori bound (3a+2b)/(4n).
+def e_abs_s(params: ModelParams, pi: LatticeDistribution) -> Fraction:
+    """Exact E|S| under pi; its a-priori cap (3a+2b)/(4n) is
+    `SteinReport.e_abs_s_bound`.
 
     E|S| = E S + 2 E S^-, with E S half of `third_moment_ratio` and 2 E S^-
     = neg_s_sum / (kernel_den total).  `stein_report` calls this only where
     pi's enclosure leaves E|S| or its cap verdict undecided (see `_decided`).
     """
     e_neg = Fraction(pi.neg_s_sum, pi.total * params.kernel_den)
-    return third_moment_ratio(params) / 2 + e_neg, (3 * params.a + 2 * params.b) / (4 * params.n)
+    return third_moment_ratio(params) / 2 + e_neg
 
 
 def third_moment_ratio(params: ModelParams) -> Fraction:
@@ -229,7 +226,7 @@ def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
     cube = third_moment_ratio(params)
     p, q = (cube / 2).as_integer_ratio()
     num = (p * kd * z_hi + q * n_lo, p * kd * z_lo + q * n_hi)
-    eabs, s_ok = _decided(num, (z_lo, z_hi), q * kd, s_cap, lambda: e_abs_s(params, pi)[0])
+    eabs, s_ok = _decided(num, (z_lo, z_hi), q * kd, s_cap, lambda: e_abs_s(params, pi))
     return SteinReport(
         Fraction(max(map(abs, res1)), den1), Fraction(max(map(abs, res2)), den2),
         eabs, s_cap, float(cube), cube_cap, s_ok and cube <= cube_cap, pi,

@@ -120,8 +120,7 @@ def test_criterion_07_proof_level_inequalities():
     for n, a, b in EXACT_GRID:
         p = ModelParams(n, a, b)
         pi = stationary_ratio_product(p)
-        value, bound = e_abs_s(p, pi)
-        assert value <= bound == (3 * a + 2 * b) / (4 * n), (n, a, b)
+        assert e_abs_s(p, pi) <= (3 * a + 2 * b) / (4 * n), (n, a, b)
         tmr = third_moment_ratio(p)
         assert tmr <= F(1, 2 * n), (n, a, b)
     report(7, "E|S| <= (3a+2b)/(4n) and E|W'-W|^3/lambda <= 1/(2n) exactly on the grid")

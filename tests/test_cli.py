@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, determinism, output formats."""
 
+import argparse
 import csv
 import errno
 import functools
@@ -12,6 +13,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -175,6 +177,26 @@ class TestParsing:
         assert parse_rational("1/3") == F(1, 3)
         assert parse_rational("0.5") == F(1, 2)
         assert parse_rational("2") == F(2)
+
+    def test_rational_exponent_bounded(self):
+        # Fraction builds 10**|exp| before any check: an exponent past
+        # MAX_EXPONENT is refused at once, not after seconds of work.
+        assert parse_rational("1e-300") == F(1, 10**300)
+        assert parse_rational("2.5E+3") == F(2500)
+        assert parse_rational(f"1e-{cli.MAX_EXPONENT}") == F(1, 10**cli.MAX_EXPONENT)
+        for text in ("1e-10000000", f"1e{cli.MAX_EXPONENT + 1}", "1e", "1e5e5"):
+            with pytest.raises(argparse.ArgumentTypeError, match="not a rational number"):
+                parse_rational(text)
+
+    def test_huge_exponent_exits_2_at_once(self, capsys):
+        start = time.perf_counter()
+        with pytest.raises(argparse.ArgumentTypeError):
+            parse_rational("1e-10000000")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--n", "3", "--a", "1e-100000000", "--b", "1"])
+        assert time.perf_counter() - start < 0.5
+        assert exc.value.code == 2
+        assert "--a: not a rational number: '1e-100000000'" in capsys.readouterr().err
 
     def test_rational_list(self):
         assert parse_rational_list("0.5,1,2") == (F(1, 2), F(1), F(2))
@@ -555,13 +577,16 @@ class TestSweep:
                 for row, ok in rows
             ]
 
-        serial = cli._compute_rows(points, 1, exact)
+        def record(point):
+            return cli._row(point, exact)
+
+        serial = cli._compute_rows(points, 1, record)
         floats = [name for name, kind, *_ in cli.COLUMNS if kind is float]
         assert all([k for k, v in row.items() if type(v) is float] == floats for row, _ in serial)
         serial = bits(serial)
         outputs = []
         for jobs in (1, 2, 3):
-            assert bits(cli._compute_rows(points, jobs, exact)) == serial
+            assert bits(cli._compute_rows(points, jobs, record)) == serial
             out = tmp_path / f"jobs{jobs}.out"
             assert main([*argv, "--jobs", str(jobs), "--out", str(out)]) == 0
             outputs.append(out.read_bytes())
@@ -642,15 +667,15 @@ class TestSweep:
         cpus = sorted(whole)[:2]
         points = grid_points((F(1),), (F(1), F(2)), (3, 4, 5), certified=True)
         parent = os.getpid()
-        real_row, real_set = cli._row, os.sched_setaffinity
+        real_set = os.sched_setaffinity
         calls = []
 
-        def recording(point, exact):
+        def recording(point):
             if ending == "point_error":
                 raise cli.PointError("injected")
             if ending == "interrupt" and os.getpid() == parent:
                 raise KeyboardInterrupt
-            return {**real_row(point, exact), "mask": sorted(os.sched_getaffinity(0))}
+            return {**cli._row(point, False), "mask": sorted(os.sched_getaffinity(0))}
 
         def counting(pid, mask):
             if os.getpid() == parent:
@@ -660,21 +685,20 @@ class TestSweep:
         def failing_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
-        monkeypatch.setattr(cli, "_row", recording)
         if ending == "failed_fork":
             monkeypatch.setattr(os, "fork", failing_fork)
         try:
             real_set(0, cpus)
             monkeypatch.setattr(os, "sched_setaffinity", counting)
             if ending == "rows":
-                rows = cli._compute_rows(points, 3, False)
+                rows = cli._compute_rows(points, 3, recording)
                 for k, share in enumerate(cli._shares(points, 3)):
                     assert [rows[i][0]["mask"] for i in share] == [[cpus[k % 2]]] * len(share)
                 assert calls == [{cpus[0]}, set(cpus)]
             else:
                 expected = KeyboardInterrupt if ending == "interrupt" else cli.PointError
                 with pytest.raises(expected):
-                    cli._compute_rows(points, 3, False)
+                    cli._compute_rows(points, 3, recording)
                 assert len(calls) <= 2 and calls[-1] == set(cpus)
             assert os.sched_getaffinity(0) == set(cpus)
         finally:
@@ -712,8 +736,7 @@ def _cubed_above_cap(params):
 
 
 def _abs_s_above_cap(params, pi):
-    bound = (3 * params.a + 2 * params.b) / (4 * params.n)
-    return 2 * bound, bound
+    return (3 * params.a + 2 * params.b) / (2 * params.n)
 
 
 def _walked(real, change):
@@ -795,7 +818,7 @@ class TestProofLevelCaps:
                 (z_lo, z_hi), neg_s = pi.enclosures
                 if sys.argv[1] == "exact_hook":
                     sums = (0, z_hi), neg_s
-                    stein.e_abs_s = lambda params, pi: (Fraction(params.n), Fraction(1))
+                    stein.e_abs_s = lambda params, pi: Fraction(params.n)
                 elif sys.argv[1] == "walk":
                     sums = (z_lo, z_hi), (10**6 * z_lo, 10**6 * z_hi)
                 else:
@@ -980,7 +1003,9 @@ class TestInternalErrors:
         assert code == 3
         assert err.startswith("error: internal: ValueError: injected (point a=1")
 
-    def test_bad_r_max_exits_2_before_any_work(self, monkeypatch, capsys):
+    def test_removed_r_max_exits_2_before_any_work(self, monkeypatch, capsys):
+        # report prints moments 1..8; the --r-max knob is gone, and argparse
+        # refuses it before any point is computed, even at its old default.
         calls = []
 
         def failing(*args):
@@ -989,10 +1014,10 @@ class TestInternalErrors:
 
         monkeypatch.setattr(cli, "stein_report", failing)
         with pytest.raises(SystemExit) as exc:
-            main(["report", "--n", "3", "--a", "1", "--b", "1", "--r-max", "0"])
+            main(["report", "--n", "3", "--a", "1", "--b", "1", "--r-max", "8"])
         assert exc.value.code == 2
         assert calls == []
-        assert "--r-max: must be at least 1" in capsys.readouterr().err
+        assert "unrecognized arguments: --r-max 8" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["report", "sweep"])
     def test_parameter_error_still_exits_2(self, monkeypatch, capsys, command):
@@ -1254,6 +1279,44 @@ class TestExitPath:
 
 
 class TestRate:
+    GRID = ["rate", "--n", "5,10,20,40", "--a", "1/2,1,2", "--b", "3/2"]
+
+    @staticmethod
+    def run_on(monkeypatch, capsys, count):
+        # rate with `count` CPUs in the mask, each share on a real one.
+        real = cli._cpus()
+        monkeypatch.setattr(cli, "_cpus", lambda: (real * count)[:count])
+        try:
+            return run_cli(capsys, *TestRate.GRID)
+        finally:
+            if real:
+                os.sched_setaffinity(0, real)
+
+    def test_same_bytes_for_any_cpu_count(self, monkeypatch, capsys):
+        # rate computes its grid in the sweep's shares, one per CPU of the
+        # mask: one share or three print the same bytes.
+        serial = self.run_on(monkeypatch, capsys, 1)
+        assert serial[0] == 0
+        assert self.run_on(monkeypatch, capsys, 3) == serial
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_failure_in_later_share_names_earliest_point(self, monkeypatch, capsys):
+        # Every point with a >= 1 fails; in three shares the parent's share
+        # (a = 1/2) succeeds and two children fail. The one line printed is
+        # the serial one: the earliest failing point in grid order.
+        real = cli.kolmogorov
+
+        def failing(pi, beta):
+            if beta.a >= 1:
+                raise ValueError("injected")
+            return real(pi, beta)
+
+        monkeypatch.setattr(cli, "kolmogorov", failing)
+        serial = self.run_on(monkeypatch, capsys, 1)
+        assert serial == (3, "", "error: internal: ValueError: injected (point a=1, b=3/2, n=5)\n")
+        assert self.run_on(monkeypatch, capsys, 3) == serial
+
     def test_fits_gap_slope(self, capsys):
         code, out, _ = run_cli(
             capsys, "rate", "--n", "5,10,20,40,80", "--a", "1", "--b", "1"

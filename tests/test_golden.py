@@ -1,6 +1,7 @@
-"""Golden CLI outputs: report and sweep render the same bytes as the files
-under tests/data, except W1 and Kolmogorov, which only need to agree to
-1e-8 relative so that a different (equally accurate) quadrature passes."""
+"""Golden CLI outputs: report, sweep and rate render the same bytes as the
+files under tests/data, except W1 and Kolmogorov and rate's slopes of them,
+which only need to agree to 1e-8 relative so that a different (equally
+accurate) quadrature passes."""
 
 import re
 from pathlib import Path
@@ -23,9 +24,12 @@ CASES = {
     ],
     "sweep_small.csv": SWEEP_GRID,
     "sweep_small_exact.json": SWEEP_GRID + ["--format", "json", "--exact"],
+    "rate_n25-400_a1-2_1_2_b3-2.json": [
+        "rate", "--n", "25,50,100,200,400", "--a", "1/2,1,2", "--b", "3/2"
+    ],
 }
 
-_JSON_DISTANCE = re.compile(r'("(?:wasserstein|kolmogorov)": )([^,\n]+)')
+_JSON_DISTANCE = re.compile(r'("(?:slope_)?(?:wasserstein|kolmogorov)": )([^,\n]+)')
 
 
 def split_distances(text: str, csv: bool) -> tuple[str, list[float]]:

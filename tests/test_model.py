@@ -249,7 +249,7 @@ class TestExactPass:
         # verdict are the exact ones.
         (z_lo, z_hi), (n_lo, n_hi) = pi.enclosures
         assert F(n_lo, z_hi) <= F(pi.neg_s_sum, pi.total) <= F(n_hi, z_lo)
-        e_s, s_cap = e_abs_s(p, pi)
+        e_s, s_cap = e_abs_s(p, pi), (3 * p.a + 2 * p.b) / (4 * p.n)
         e_c = third_moment_ratio(p)
         kd = p.kernel_den
         assert float(e_c / 2 + F(n_lo, kd * z_hi)) == float(e_s)

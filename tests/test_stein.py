@@ -178,16 +178,13 @@ class TestExpectations:
     def test_e_abs_s_spot(self):
         p = ModelParams(2, 1, 1)
         pi = stationary_ratio_product(p)
-        value, bound = e_abs_s(p, pi)
-        assert value == F(1, 20)
-        assert bound == F(5, 8)
+        assert e_abs_s(p, pi) == F(1, 20)
 
     def test_e_abs_s_bound_on_grid(self):
         for n, a, b in EXACT_GRID:
             p = ModelParams(n, a, b)
             pi = stationary_ratio_product(p)
-            value, bound = e_abs_s(p, pi)
-            assert value <= bound
+            assert e_abs_s(p, pi) <= (3 * a + 2 * b) / (4 * n)
 
     def test_third_moment_spot(self):
         assert third_moment_ratio(ModelParams(2, 1, 1)) == F(1, 10)
@@ -207,7 +204,7 @@ class TestExpectations:
             assert tmr == (e_w1w + e_s) / n
             # E|S| as a Fraction sum over probs_exact
             e_abs = sum((pr * abs(si) for pr, si in zip(pi.probs_exact, s)), F(0))
-            assert e_abs_s(p, pi)[0] == e_abs
+            assert e_abs_s(p, pi) == e_abs
 
 
 class TestClosedForms:
@@ -226,7 +223,7 @@ class TestClosedForms:
         pi = stationary_ratio_product(p)
         kd, total = p.kernel_den, pi.total
         assert third_moment_ratio(p) == F(oracles.move_sum(pi), 2 * p.n * kd * total)
-        assert e_abs_s(p, pi)[0] == F(oracles.abs_s_sum(pi), 2 * kd * total)
+        assert e_abs_s(p, pi) == F(oracles.abs_s_sum(pi), 2 * kd * total)
 
     @given(
         st.integers(1, 15),
@@ -240,7 +237,7 @@ class TestClosedForms:
         pi = stationary_ratio_product(p)
         assert pi.enclosures[1] == (0, 0)
         assert pi.neg_s_sum == 0
-        e_s = e_abs_s(p, pi)[0]
+        e_s = e_abs_s(p, pi)
         assert e_s == 2 * a * variance(p) / (2 * n)
         assert e_s == F(oracles.abs_s_sum(pi), 2 * p.kernel_den * pi.total)
 
@@ -333,7 +330,7 @@ class TestReport:
         assert rep.s_values == (F(1, 8), F(1, 32), F(0), F(1, 32), F(1, 8))
         assert rep.e_abs_s_exact == F(1, 20)
         assert rep.e_abs_s_bound == F(5, 8)
-        assert rep.e_cubed_over_lambda_exact == F(1, 10)
+        assert third_moment_ratio(p) == F(1, 10)
         assert rep.e_cubed_over_lambda_bound == F(1, 4)
         assert rep.cond1_max_abs == 0 and rep.cond2_max_abs == 0
 
