@@ -509,10 +509,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0 if all(ok for _, ok in results) else 1
 
 
-def _fit_slope(ns: list[int], values: list[float]) -> float:
-    """Least-squares slope of log(values) against log(ns)."""
+def _fit_slope(ns: list[int], run: list[dict], name: str) -> float:
+    """Least-squares slope of log(row[name]) against log(ns) over one run."""
+    for row in run:
+        if not row[name] > 0:  # NaN too: no logarithm
+            where = f"n={row['n']}, a={row['a']!r}, b={row['b']!r}"
+            raise ValueError(f"cannot fit a rate: {name} is {row[name]!r} at {where}")
     xs = [math.log(n) for n in ns]
-    ys = [math.log(v) for v in values]
+    ys = [math.log(row[name]) for row in run]
     x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
     dxs = [x - x_bar for x in xs]
     num = math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys))
@@ -531,7 +535,7 @@ def cmd_rate(args: argparse.Namespace) -> int:
     for start in range(0, len(rows), len(ns)):
         run = rows[start : start + len(ns)]
         slope_gap, slope_w1, slope_kd = (
-            _fit_slope(ns, [row[name] for row in run])
+            _fit_slope(ns, run, name)
             for name in ("gap_h", "wasserstein", "kolmogorov")
         )
         fits.append(

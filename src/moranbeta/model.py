@@ -60,13 +60,13 @@ class ModelParams(_Frozen):
     constants of the stationary law stay finite and positive; a and b must
     also be at least the smallest normal float, so the float shapes of the
     Beta target are normal positive numbers.  With
-    q = lcm(den a, den b), qa = q a, qb = q b, m = 2n and kernel_den = q m^3,
+    q = lcm(den a, den b), qa = q a, qb = q b, m = 2n, kernel_den = q m^3
+    and c = qm - qa - qb = q(m - a - b) > 0,
 
-        p(i,i-1) = D_i / kernel_den,  D_i = i(m-i)(qm - qa) + qb i^2,
-        p(i,i+1) = U_i / kernel_den,  U_i = i(m-i)(qm - qb) + qa (m-i)^2;
+        p(i,i-1) = D_i / kernel_den,  D_i = i(c(m-i) + qb m),
+        p(i,i+1) = U_i / kernel_den,  U_i = (m-i)(c i + qa m).
 
-    `down_poly` and `up_poly` hold the coefficients of D and U in powers of
-    i.  The rows (D_i) and (U_i) are built on the first `kernel_rows` call,
+    The rows (D_i) and (U_i) are built on the first `kernel_rows` call,
     checked for p(i,i) >= 0 in every row and kept, so a gate that only
     constructs the points does no per-state work.  The check never fires
     in the regime: writing m^2 = (i + (m-i))^2,
@@ -89,8 +89,6 @@ class ModelParams(_Frozen):
     q: int
     qa: int
     qb: int
-    down_poly: tuple[int, int, int]
-    up_poly: tuple[int, int, int]
     kernel_den: int
 
     def __init__(self, n: int, a: RationalLike, b: RationalLike) -> None:
@@ -111,12 +109,9 @@ class ModelParams(_Frozen):
             )
         m = 2 * n
         q = math.lcm(a.denominator, b.denominator)
-        qa, qb, qm = int(q * a), int(q * b), q * m
-        self.__dict__.update(  # frozen: set the fields once, past __setattr__
-            n=n, a=a, b=b, q=q, qa=qa, qb=qb, kernel_den=qm * m * m,
-            down_poly=(0, m * (qm - qa), qa + qb - qm),
-            up_poly=(qa * m * m, m * (qm - qb - 2 * qa), qa + qb - qm),
-        )
+        qa, qb = int(q * a), int(q * b)
+        # frozen: set the fields once, past __setattr__
+        self.__dict__.update(n=n, a=a, b=b, q=q, qa=qa, qb=qb, kernel_den=q * m**3)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -148,9 +143,10 @@ class ModelParams(_Frozen):
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        states = range(2 * self.n + 1)
-        down = tuple(_quadratic(self.down_poly, i) for i in states)
-        up = tuple(_quadratic(self.up_poly, i) for i in states)
+        m, qa, qb = 2 * self.n, self.qa, self.qb
+        c = self.q * m - qa - qb  # the docstring's D_i and U_i, in powers of i
+        down = tuple(_quadratic((0, m * (c + qb), -c), i) for i in range(m + 1))
+        up = tuple(_quadratic((qa * m * m, m * (c - qa), -c), i) for i in range(m + 1))
         for i, (d, u) in enumerate(zip(down, up)):
             if d + u > self.kernel_den:
                 raise ValueError(
@@ -179,8 +175,9 @@ class LatticeDistribution(_Frozen):
     sums total = sum_i w_i and neg_s_sum = sum_i w_i S_i^-, where S_i^- =
     max(-S_i, 0) for S_i of `ModelParams.remainder_row`.  Built on first
     access and kept, for `--exact`, `stein`'s fallback, the tests and
-    `perfbench/tracer.py`: those two sums exactly, `weights` and
-    `probs_exact` (reduced `Fraction`s).  Immutable; compares by identity.
+    `perfbench/tracer.py`: those two sums exactly (total in closed form),
+    `weights` and `probs_exact` (reduced `Fraction`s).  Immutable; compares
+    by identity.
     """
 
     params: ModelParams
@@ -195,15 +192,16 @@ class LatticeDistribution(_Frozen):
         return self.params.n
 
     @cached_property
-    def _sums(self) -> tuple[int, int]:
-        # The binary-splitting roots over m!, the only big ints kept.
-        down, up = self.params.kernel_rows()
-        _, _, *roots = _split(down, up, self.params.remainder_row, 0, len(down))
-        m_factorial = math.factorial(2 * self.n)
-        return tuple(t // m_factorial for t in roots)
+    def total(self) -> int:
+        p, m = self.params, 2 * self.n
+        c, qs = p.q * m - p.qa - p.qb, p.qa + p.qb
+        return _product([c * j + qs * m for j in range(m)])
 
-    total = property(lambda self: self._sums[0])
-    neg_s_sum = property(lambda self: self._sums[1])
+    @cached_property
+    def neg_s_sum(self) -> int:
+        down, up = self.params.kernel_rows()
+        root = _split(down, up, self.params.remainder_row, 0, len(down))[2]
+        return root // math.factorial(2 * self.n)
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -230,7 +228,10 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
 
         w_0 = prod_{k>=1} D_k / k,   w_{i+1} = w_i U_i / D_{i+1},
 
-    and pi(i) = w_i / total with total = sum_j w_j.
+    and pi(i) = w_i / total.  This is Beta-Binomial(m, alpha, beta) with
+    alpha = m a/(m-a-b), beta = m b/(m-a-b) (Ewens 2004), so for the c of
+    `ModelParams`, total = sum_j w_j = prod_{j<m} (c j + (qa+qb) m), which
+    is c^m times the rising factorial (alpha+beta)^(m).
 
     One interval walk gives what `LatticeDistribution` keeps.  All it keeps
     are ratios of sums over the weights, so it walks w_i / w_0 from 1:
@@ -245,7 +246,7 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     is RN(w_i / total); int true division rounds correctly into the
     subnormals and to 0.  A state left undecided (a near-tie, rare at 192
     bits) sends the point to the exact walk.  The exact sums are built
-    only when read, by `_split`.
+    only when read: total as that product, neg_s_sum by `_split`.
     """
     bits = _MIRROR_BITS
     down, up = params.kernel_rows()
@@ -282,26 +283,30 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
 _SPLIT_LEAVES = 16
 
 
-def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int, int]:
+def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int]:
     # Binary splitting (Haible & Papanikolaou 1998) over the states lo..hi-1:
-    # the products PU, PD of their U_k and D_k, and for c = 1 and S_i^-,
-    # T = sum_i c_i (prod_{k<i} U_k)(prod_{k>i} D_k).  Segments merge as
-    # (PU1 PU2, PD1 PD2, T1 PD2 + PU1 T2); the root's T over m! is the sum
-    # of c_i w_i.
+    # the products PU, PD of their U_k and D_k, and T = sum_i S_i^-
+    # (prod_{k<i} U_k)(prod_{k>i} D_k).  Segments merge as (PU1 PU2,
+    # PD1 PD2, T1 PD2 + PU1 T2); the root's T over m! is neg_s_sum.
     if hi - lo <= _SPLIT_LEAVES:
-        pu = pd = 1
-        t_one = t_neg = 0
+        pu, pd, t = 1, 1, 0
         for i in range(lo, hi):
             d = down[i]
-            t_one = t_one * d + pu
-            t_neg = t_neg * d + pu * max(-s[i], 0)
+            t = t * d + pu * max(-s[i], 0)
             pu *= up[i]
             pd *= d
-        return pu, pd, t_one, t_neg
+        return pu, pd, t
     mid = (lo + hi) // 2
-    pu1, pd1, *t1 = _split(down, up, s, lo, mid)
-    pu2, pd2, *t2 = _split(down, up, s, mid, hi)
-    return (pu1 * pu2, pd1 * pd2, *(x * pd2 + pu1 * y for x, y in zip(t1, t2)))
+    pu1, pd1, t1 = _split(down, up, s, lo, mid)
+    pu2, pd2, t2 = _split(down, up, s, mid, hi)
+    return pu1 * pu2, pd1 * pd2, t1 * pd2 + pu1 * t2
+
+
+def _product(factors: list[int]) -> int:
+    # Pairwise, so Karatsuba pays: at 2n = 20000, a quarter of math.prod's time.
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0]
 
 
 def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):

@@ -1,16 +1,15 @@
 """Exact moments of the rescaled stationary count W = I/(2n).
 
-The mean and variance have closed forms; higher moments come from a
-recursion exploiting exchangeability of one chain step under the
-stationary law: E[(I')^r - I^r | I] is a polynomial of degree r in I
-(the degree r+1 terms cancel), and its stationary expectation vanishes,
-so E[W^r] is a rational function of the lower moments.  Everything here
-is exact rational arithmetic.
+The stationary count I is Beta-Binomial(m, alpha, beta) with m = 2n,
+alpha = m a/(m - a - b) and beta = m b/(m - a - b) (Ewens 2004), so its
+factorial moments are products, E[(I)_k] = (m)_k alpha^(k) / (alpha+beta)^(k)
+with rising factorials ^(k), and the power moments follow through the
+Stirling numbers of the second kind.  The mean and variance also have
+closed forms.  Everything here is exact rational arithmetic.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 
 from .model import ModelParams
@@ -34,41 +33,29 @@ def variance(params: ModelParams) -> Fraction:
 
 
 def moment_recursion(params: ModelParams, r_max: int = 8) -> dict[int, Fraction]:
-    """Exact E[W^r], keyed by r = 1..r_max, via the one-step expectation identity.
+    """Exact E[W^r], keyed by r = 1..r_max, from the factorial moments.
 
-    For each r, expands
+    With c = q(m - a - b), alpha + j = (qa m + c j)/c and alpha + beta + j
+    = ((qa+qb) m + c j)/c, so
 
-        E[(I')^r - I^r | I = i]
-            = p(i,i+1)((i+1)^r - i^r) + p(i,i-1)((i-1)^r - i^r)
+        E[(I)_k] = prod_{j<k} (m-j)(qa m + c j) / prod_{j<k} ((qa+qb) m + c j),
 
-    symbolically through binomial coefficients into a polynomial in i whose
-    leading (degree r) coefficient is nonzero, sets the stationary
-    expectation to zero, and solves for E[W^r] in terms of lower moments.
+    integer products over a denominator that divides the next one.  Then
+    E[W^r] = m^-r sum_k S(r,k) E[(I)_k], with S(r,k) = k S(r-1,k) +
+    S(r-1,k-1), as one Fraction per moment.
     """
     if not isinstance(r_max, int) or r_max < 1:
         raise ValueError(f"r_max must be a positive integer, got {r_max!r}")
-    m = 2 * params.n
-    # The kernel's integer quadratics; their common denominator cancels.
-    down, up = params.down_poly, params.up_poly
-    values: dict[int, Fraction] = {0: Fraction(1)}
+    m, qa, qs = 2 * params.n, params.qa, params.qa + params.qb
+    c = params.q * m - qs
+    num, den = [1], [1]  # E[(I)_k] = num[k] / den[k]
+    for j in range(r_max):
+        num.append(num[-1] * (m - j) * (qa * m + c * j))
+        den.append(den[-1] * (qs * m + c * j))
+    values: dict[int, Fraction] = {}
+    stirling = [1]  # S(r, k) for k = 0..r
     for r in range(1, r_max + 1):
-        coef = [0] * (r + 2)
-        for k in range(r):
-            binom = math.comb(r, k)
-            sign = -1 if (r - k) % 2 else 1
-            for d in range(3):
-                coef[k + d] += binom * (up[d] + sign * down[d])
-        if coef[r + 1] != 0:
-            raise ArithmeticError(
-                f"degree {r + 1} terms failed to cancel at order {r}"
-            )
-        lead = coef[r]
-        if lead == 0:
-            raise ArithmeticError(f"vanishing leading coefficient at order {r}")
-        # sum_j coef[j] E[I^j] = 0 with E[I^j] = (2n)^j E[W^j]
-        acc = sum(
-            (coef[j] * m**j * values[j] for j in range(r)), Fraction(0)
-        )
-        values[r] = -acc / (lead * m**r)
-    del values[0]
+        stirling = [k * x + y for k, (x, y) in enumerate(zip(stirling + [0], [0] + stirling))]
+        top = sum(s * x * (den[r] // d) for s, x, d in zip(stirling, num, den))
+        values[r] = Fraction(top, den[r] * m**r)
     return values

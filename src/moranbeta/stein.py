@@ -85,9 +85,9 @@ class SteinReport(NamedTuple):
 class BoundCertificate(NamedTuple):
     """lower <= |E h(W) - E h(Z)| <= K(a,b)/n.
 
-    lower and gap are exact rationals and the left inequality is checked
-    exactly; upper involves Gamma values and is compared in floating point
-    with 1e-12 slack.
+    lower and gap are exact rationals; upper involves Gamma values and is
+    a float.  Both inequalities are checked exactly, with no slack: a
+    Fraction compares with a float by the float's exact binary value.
     """
 
     lower: Fraction
@@ -165,8 +165,9 @@ def e_abs_s(params: ModelParams, pi: LatticeDistribution) -> Fraction:
     `SteinReport.e_abs_s_bound`.
 
     E|S| = E S + 2 E S^-, with E S half of `third_moment_ratio` and 2 E S^-
-    = neg_s_sum / (kernel_den total).  `stein_report` calls this only where
-    pi's enclosure leaves E|S| or its cap verdict undecided (see `_decided`).
+    = neg_s_sum / (kernel_den total), pi's closed-form total and its one
+    binary-splitting sum.  `stein_report` calls this only where pi's
+    enclosure leaves E|S| or its cap verdict undecided (see `_decided`).
     """
     e_neg = Fraction(pi.neg_s_sum, pi.total * params.kernel_den)
     return third_moment_ratio(params) / 2 + e_neg
@@ -212,7 +213,7 @@ def bound_certificate(params: ModelParams) -> BoundCertificate:
     lo = lower_bound(params)
     gap = gap_h(params)
     upper = k_constant(params.a, params.b) / params.n
-    ok = lo <= gap and float(gap) <= upper + 1e-12
+    ok = lo <= gap <= upper
     return BoundCertificate(lower=lo, gap=gap, upper=upper, sandwich_ok=ok)
 
 

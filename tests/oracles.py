@@ -75,7 +75,8 @@ def from_floats(n: int, probs: Sequence[float]) -> ExactLaw:
 def moment_exact(pi: LatticeDistribution, r: int) -> Fraction:
     """Exact E[W^r] by brute-force summation over the support."""
     m = 2 * pi.n
-    return Fraction(sum(w * i**r for i, w in enumerate(pi.weights)), pi.total * m**r)
+    weights = pi.weights
+    return Fraction(sum(w * i**r for i, w in enumerate(weights)), sum(weights) * m**r)
 
 
 def abs_s_sum(pi: LatticeDistribution) -> int:

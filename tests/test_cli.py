@@ -7,6 +7,7 @@ import functools
 import io
 import json
 import marshal
+import math
 import os
 import re
 import signal
@@ -802,6 +803,17 @@ class TestProofLevelCaps:
         monkeypatch.setattr(cli, "stationary_ratio_product", _walked(real, _inflated))
         self.assert_exits_1(capsys)
 
+    def test_upper_side_compared_exactly(self, monkeypatch, capsys):
+        # K/n one float below the exact gap, closer than any float slack
+        # would forgive; n = 8 makes the division K/n exact.
+        gap = stein.gap_h(ModelParams(8, F(1, 2), 3))
+        upper = float(gap) if F(float(gap)) < gap else math.nextafter(float(gap), 0)
+        monkeypatch.setattr(stein, "k_constant", lambda a, b: 8 * upper)
+        code, out, _ = run_cli(capsys, "report", "--n", "8", "--a", "1/2", "--b", "3")
+        assert code == 1
+        cert = json.loads(out)["certificate"]
+        assert (cert["upper"], cert["sandwich_ok"]) == (upper, False)
+
     def test_cap_check_survives_optimize_flag(self):
         # Every route to a failed cap: E|S| from the exact hook after an
         # undecided walk, E|S| from a walked enclosure above the cap, and
@@ -1327,6 +1339,20 @@ class TestRate:
         assert -1.05 <= fit["slope_gap_h"] <= -0.95
         assert "slope_wasserstein" in fit and "slope_kolmogorov" in fit
         assert doc["ok"] is True
+
+    def test_zero_distance_is_a_usage_error(self, capsys):
+        # W1 is 0.0 at n = 1, which has no logarithm: one line naming the
+        # distance and the point, exit 2.
+        code, out, err = run_cli(capsys, "rate", "--n", "1,2,4,8", "--a", "1e-300", "--b", "1")
+        assert (code, out) == (2, "")
+        assert err == "error: cannot fit a rate: wasserstein is 0.0 at n=1, a=1e-300, b=1.0\n"
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan])
+    def test_fit_refuses_values_without_a_log(self, bad):
+        run = [{"n": n, "a": 1.0, "b": 1.0, "kolmogorov": 1 / n} for n in (1, 2, 4, 8)]
+        run[2]["kolmogorov"] = bad
+        with pytest.raises(ValueError, match=f"kolmogorov is {bad!r} at n=4, a=1.0, b=1.0"):
+            cli._fit_slope([1, 2, 4, 8], run, "kolmogorov")
 
     def test_needs_four_points(self, capsys):
         code, _, err = run_cli(capsys, "rate", "--n", "5,10,40", "--a", "1", "--b", "1")

@@ -275,6 +275,20 @@ class TestExactPass:
         assert stein_floats(stein_report(p, got)) == stein_floats(stein_report(p, want))
         assert (got.total, got.neg_s_sum) == (want.total, want.neg_s_sum)
 
+    def test_total_is_read_without_binary_splitting(self, monkeypatch):
+        # total is the closed-form product; only neg_s_sum splits.
+        ranges = []
+        split = model._split
+        monkeypatch.setattr(
+            model, "_split", lambda *args: ranges.append(args[3:]) or split(*args)
+        )
+        p = ModelParams(150, F(355, 113), F(103, 37))
+        pi = stationary_ratio_product(p)
+        assert pi.total == sum(pi.weights)
+        assert ranges == []
+        assert pi.neg_s_sum > 0
+        assert ranges[0] == (0, 301)
+
     def test_exact_sums_keep_no_larger_ints(self):
         # Once read, the two exact sums are the largest ints pi holds: not
         # (2n)! and not the undivided binary-splitting roots.

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from moranbeta.beta import BetaParams
@@ -85,10 +85,13 @@ class TestMomentRecursion:
                 assert table[r] == moment_exact(pi, r)
 
     @given(valid_params())
+    # r above m = 2, where the factorial moments (I)_k with k > m vanish
+    @example(ModelParams(1, F(1, 2), F(1, 3)))
+    @example(ModelParams(6, F(7, 3), F(7, 3)))
     def test_matches_brute_force_property(self, p):
         pi = stationary_ratio_product(p)
-        table = moment_recursion(p, 3)
-        for r in range(1, 4):
+        table = moment_recursion(p, 8)
+        for r in range(1, 9):
             assert table[r] == moment_exact(pi, r)
 
     def test_monotone_and_bounded(self):

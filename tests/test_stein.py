@@ -314,11 +314,10 @@ class TestCertificate:
         assert bound_certificate(p).sandwich_ok is False
 
     def test_invariant_matches_fields(self):
-        # The lower side is exact rationals, compared with no float slack.
+        # Both sides compared exactly, with no float slack: the Fraction gap
+        # against the float upper's exact binary value.
         cert = bound_certificate(ModelParams(7, F(1, 2), 3))
-        assert cert.sandwich_ok == (
-            cert.lower <= cert.gap and cert.gap <= cert.upper + 1e-12
-        )
+        assert cert.sandwich_ok == (cert.lower <= cert.gap <= F(cert.upper))
 
 
 class TestReport:
