@@ -1,7 +1,6 @@
 """Exact verification and error certificates for the Beta approximation
 of the two-allele Moran model's stationary law."""
 
-from .beta import BetaParams
 from .distance import gap_h, kolmogorov, wasserstein
 from .model import LatticeDistribution, ModelParams, stationary_ratio_product
 from .moments import moment_recursion
@@ -22,7 +21,6 @@ from .stein import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BetaParams",
     "BoundCertificate",
     "ConvergenceError",
     "LatticeDistribution",

@@ -43,7 +43,7 @@ from operator import attrgetter
 from typing import BinaryIO, Callable, NamedTuple, Sequence
 
 from . import beta as beta_dist
-from .beta import BetaParams
+from . import distance
 from .distance import kolmogorov, wasserstein
 from .model import ModelParams, stationary_ratio_product
 from .moments import mean, moment_recursion, variance
@@ -242,17 +242,16 @@ def grid_points(
 def compute_point(params: ModelParams) -> PointResult:
     """The point pipeline: exact pi, Stein sums, certificate, distances."""
     pi = stationary_ratio_product(params)
-    rep = stein_report(params, pi)
-    beta = BetaParams(params.a, params.b)
-    w1, kd = wasserstein(pi, beta), kolmogorov(pi, beta)
+    rep = stein_report(pi)
+    w1, kd = wasserstein(pi), kolmogorov(pi)
     return PointResult(
         params=params,
         stein=rep,
         cert=bound_certificate(params),
-        upper_assembled=upper_bound_assembled(params, rep),
+        upper_assembled=upper_bound_assembled(rep),
         mean=mean(params),
         variance=variance(params),
-        beta_variance=beta_dist.variance(beta),
+        beta_variance=beta_dist.variance(params),
         wasserstein=w1,
         kolmogorov=kd,
     )
@@ -348,8 +347,11 @@ def _run_share(
 ) -> tuple[list, tuple | None]:
     """`(index, record(point), ok)` of each point of one share, computed on
     `cpus`, up to its first failing point, and that failure as `(index,
-    message)`, or None: plain data, which is all that marshal sends."""
+    message)`, or None: plain data, which is all that marshal sends. The
+    share starts from an empty atom slot, so a command never reads atoms
+    an earlier one left in the process; its own nested lattices still do."""
     _set_affinity(cpus)
+    distance._reset_atoms()
     records = []
     for i in share:
         try:

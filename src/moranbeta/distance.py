@@ -12,12 +12,13 @@ Three quantities are reported:
 * the Kolmogorov distance sup |F_W - F_Z|, attained at the atoms because
   F_W is a step function and F_Z is continuous and monotone.
 
-Both distances read F_Z at the atoms i/(2n) from one pass per point, which
-also yields the antiderivative G for W1; a point of the same shapes on a
-multiple of the last lattice evaluates only its new atoms.  Each distance
-is one loop on Python floats over the lattice pieces; W1 solves each
-crossing of F_W and F_Z by one Newton loop that may stop after its first
-evaluation.
+The target is Beta(a, b) for the law's own point, `pi.params`, so each
+distance takes the law alone.  Both read F_Z at the atoms i/(2n) from one
+pass per point, which also yields the antiderivative G for W1; a point of
+the same shapes on a multiple of the last lattice evaluates only its new
+atoms.  Each distance is one loop on Python floats over the lattice
+pieces; W1 solves each crossing of F_W and F_Z by one Newton loop that may
+stop after its first evaluation.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import math
 from fractions import Fraction
 
 from . import beta as beta_dist
-from .beta import BetaParams
 from .model import LatticeDistribution, ModelParams
 from .special import ConvergenceError, _cdf_pdf, log_beta
 
@@ -59,7 +59,7 @@ def gap_h(params: ModelParams) -> Fraction:
     dominates the lattice side for finite n.  As |h'| <= 1/2 on [0, 1],
     Kantorovich-Rubinstein gives 2 gap_h <= W1.
     """
-    ehz = beta_dist.expected_h(BetaParams(params.a, params.b))
+    ehz = beta_dist.expected_h(params)
     ehw = expected_h_lattice(params)
     return abs(ehz - ehw)
 
@@ -77,7 +77,8 @@ def _end_density(shape: float, ln_beta: float) -> float:
 
 
 # The atoms of the last lattice `_atoms` served, for the next one of the same
-# shape pair: (beta, m, atoms), or None.  One lattice, one slot per process.
+# shape pair: ((a, b), m, atoms), or None.  One lattice, one slot, which the
+# CLI empties as each command starts computing (`cli._run_share`).
 _slot = None
 
 
@@ -88,34 +89,36 @@ def _reset_atoms() -> None:
 
 
 def _atoms(
-    m: int, beta: BetaParams
+    m: int, shapes: tuple
 ) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float]:
-    """F_Z, f_Z and G at the atoms i/m, i = 0..m, and ln B(a,b): both
-    distances read F_Z, and W1 reads G and, for the Hermite start of each
-    crossing's Newton loop, f_Z (see `_crossing_gain`).  They depend on the
-    lattice and the shapes only, so no lattice law enters.
+    """F_Z, f_Z and G at the atoms i/m, i = 0..m, and ln B(a,b) for the
+    shape pair `shapes` = (a, b), rational or float: both distances read
+    F_Z, and W1 reads G and, for the Hermite start of each crossing's
+    Newton loop, f_Z (see `_crossing_gain`).  They depend on the lattice
+    and the shapes only, so no lattice law enters.
 
-    The atoms of the last lattice m0 are kept in one slot.  The same lattice
-    again (W1, then Kolmogorov) is served from it.  A lattice m = k m0 of
-    the same shapes, such as the next n of a doubling sweep, copies atom j
-    of m0 to atom k j and evaluates only the others: k j / (k m0) and j / m0
-    are one rational, correctly rounded to one float, so every value is the
-    one a cold pass gives, bit for bit.  Any other lattice starts from the
-    endpoints, where F_Z is 0 and 1, G is 0 and b/(a+b), and f_Z is its
-    limit: 0, infinite or 1/B(a,b) as the shape at that end is above, below
-    or equal to 1.
+    The atoms of the last lattice m0 are kept in one slot, keyed on the
+    pair, which compares by value: (1/2, 2) and (0.5, 2.0) are one key.
+    The same lattice again (W1, then Kolmogorov) is served from it.  A
+    lattice m = k m0 of the same shapes, such as the next n of a doubling
+    sweep, copies atom j of m0 to atom k j and evaluates only the others:
+    k j / (k m0) and j / m0 are one rational, correctly rounded to one
+    float, so every value is the one a cold pass gives, bit for bit.  Any
+    other lattice starts from the endpoints, where F_Z is 0 and 1, G is 0
+    and b/(a+b), and f_Z is its limit: 0, infinite or 1/B(a,b) as the shape
+    at that end is above, below or equal to 1.
     """
     global _slot
-    a, b = float(beta.a), float(beta.b)
-    if _slot is None or m % _slot[1] or _slot[0] != beta:
+    a, b = map(float, shapes)
+    if _slot is None or m % _slot[1] or _slot[0] != shapes:
         ln_beta = log_beta(a, b)
         ends = (
             (0.0, 1.0),
             (_end_density(a, ln_beta), _end_density(b, ln_beta)),
-            (0.0, float(beta.b / (beta.a + beta.b))),
+            (0.0, float(shapes[1] / (shapes[0] + shapes[1]))),
             ln_beta,
         )
-        _slot = (beta, 1, ends)
+        _slot = (shapes, 1, ends)
     _, coarse, atoms = _slot
     if m == coarse:
         return atoms
@@ -131,7 +134,7 @@ def _atoms(
                 raise FloatingPointError(f"Beta{a, b} CDF is not finite at i/{m}")
             fz[i], dens[i], g[i] = f, d, _cdf_integral(a, b, x, f, d)
     atoms = (tuple(fz), tuple(dens), tuple(g), ln_beta)
-    _slot = (beta, m, atoms)
+    _slot = (shapes, m, atoms)
     return atoms
 
 
@@ -207,8 +210,9 @@ def _crossing_gain(
     return 2.0 * (c * (x - lo) - rise) + correction
 
 
-def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
-    """Wasserstein distance: integral of |F_W - F_Z| over [0,1], in closed form.
+def wasserstein(pi: LatticeDistribution) -> float:
+    """Wasserstein distance: integral of |F_W - F_Z| over [0,1], in closed
+    form, for Z ~ Beta(a, b) with the shapes of `pi.params`.
 
     On each piece [lo, hi] = [i/m, (i+1)/m], m = 2n, F_W is a constant c.
     With G(x) = int_0^x F_Z = (x - mu) F_Z(x) + x(1-x) f_Z(x)/(a+b),
@@ -236,9 +240,9 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
     crossings: 3.5e-9 (Newton to _ROOT_REL_TOL on every crossing gave
     4.0e-10).
     """
-    m = 2 * pi.n
-    fz, dens, g, ln_beta = _atoms(m, beta)
-    a, b = float(beta.a), float(beta.b)
+    m, shapes = 2 * pi.n, (pi.params.a, pi.params.b)
+    fz, dens, g, ln_beta = _atoms(m, shapes)
+    a, b = map(float, shapes)
     pieces = []
     c = 0.0
     for i in range(m):
@@ -260,13 +264,14 @@ def wasserstein(pi: LatticeDistribution, beta: BetaParams) -> float:
     return math.fsum(pieces)
 
 
-def kolmogorov(pi: LatticeDistribution, beta: BetaParams) -> float:
-    """Kolmogorov distance sup_x |F_W(x) - F_Z(x)|.
+def kolmogorov(pi: LatticeDistribution) -> float:
+    """Kolmogorov distance sup_x |F_W(x) - F_Z(x)|, for Z ~ Beta(a, b) with
+    the shapes of `pi.params`.
 
     F_W is constant between atoms and F_Z is monotone, so the supremum is
     attained at an atom, approached from the left or from the right.
     """
-    fz = _atoms(2 * pi.n, beta)[0]
+    fz = _atoms(2 * pi.n, (pi.params.a, pi.params.b))[0]
     worst = prev = 0.0
     for p, f in zip(pi.probs, fz):
         cum = prev + p

@@ -175,9 +175,9 @@ class LatticeDistribution(_Frozen):
     sums total = sum_i w_i and neg_s_sum = sum_i w_i S_i^-, where S_i^- =
     max(-S_i, 0) for S_i of `ModelParams.remainder_row`.  Built on first
     access and kept, for `--exact`, `stein`'s fallback, the tests and
-    `perfbench/tracer.py`: those two sums exactly (total in closed form),
-    `weights` and `probs_exact` (reduced `Fraction`s).  Immutable; compares
-    by identity.
+    `perfbench/tracer.py`: those two sums exactly (total in closed form,
+    neg_s_sum 0 with no split where no S_i < 0), `weights` and
+    `probs_exact` (reduced `Fraction`s).  Immutable; compares by identity.
     """
 
     params: ModelParams
@@ -199,9 +199,11 @@ class LatticeDistribution(_Frozen):
 
     @cached_property
     def neg_s_sum(self) -> int:
+        s = self.params.remainder_row
+        if min(s) >= 0:  # no S_i < 0 (a = b, say): nothing to split
+            return 0
         down, up = self.params.kernel_rows()
-        root = _split(down, up, self.params.remainder_row, 0, len(down))[2]
-        return root // math.factorial(2 * self.n)
+        return _split(down, up, s, 0, len(down))[2] // math.factorial(2 * self.n)
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -246,7 +248,8 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     is RN(w_i / total); int true division rounds correctly into the
     subnormals and to 0.  A state left undecided (a near-tie, rare at 192
     bits) sends the point to the exact walk.  The exact sums are built
-    only when read: total as that product, neg_s_sum by `_split`.
+    only when read: total as that product, neg_s_sum by `_split` where
+    some S_i < 0.
     """
     bits = _MIRROR_BITS
     down, up = params.kernel_rows()

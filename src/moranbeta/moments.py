@@ -32,8 +32,9 @@ def variance(params: ModelParams) -> Fraction:
     return 2 * a * b * n / (s * s * (2 * n + s * (2 * n - 1)))
 
 
-def moment_recursion(params: ModelParams, r_max: int = 8) -> dict[int, Fraction]:
-    """Exact E[W^r], keyed by r = 1..r_max, from the factorial moments.
+def moment_recursion(params: ModelParams) -> dict[int, Fraction]:
+    """Exact E[W^r], keyed by r = 1..8, the moments `report` prints, from
+    the factorial moments.
 
     With c = q(m - a - b), alpha + j = (qa m + c j)/c and alpha + beta + j
     = ((qa+qb) m + c j)/c, so
@@ -44,17 +45,15 @@ def moment_recursion(params: ModelParams, r_max: int = 8) -> dict[int, Fraction]
     E[W^r] = m^-r sum_k S(r,k) E[(I)_k], with S(r,k) = k S(r-1,k) +
     S(r-1,k-1), as one Fraction per moment.
     """
-    if not isinstance(r_max, int) or r_max < 1:
-        raise ValueError(f"r_max must be a positive integer, got {r_max!r}")
     m, qa, qs = 2 * params.n, params.qa, params.qa + params.qb
     c = params.q * m - qs
     num, den = [1], [1]  # E[(I)_k] = num[k] / den[k]
-    for j in range(r_max):
+    for j in range(8):
         num.append(num[-1] * (m - j) * (qa * m + c * j))
         den.append(den[-1] * (qs * m + c * j))
     values: dict[int, Fraction] = {}
     stirling = [1]  # S(r, k) for k = 0..r
-    for r in range(1, r_max + 1):
+    for r in range(1, len(num)):
         stirling = [k * x + y for k, (x, y) in enumerate(zip(stirling + [0], [0] + stirling))]
         top = sum(s * x * (den[r] // d) for s, x, d in zip(stirling, num, den))
         values[r] = Fraction(top, den[r] * m**r)

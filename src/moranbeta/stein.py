@@ -49,7 +49,8 @@ __all__ = [
 
 
 class SteinReport(NamedTuple):
-    """Largest condition residuals, the remainder S, and proof-level bounds.
+    """Largest condition residuals, the remainder S, and proof-level bounds
+    of the point `pi.params`, whose law `pi` it keeps.
 
     Both residual maxima are exact and expected to be zero (the conditions
     are identities, not approximations).  The `_float` fields hold E|S|
@@ -75,7 +76,7 @@ class SteinReport(NamedTuple):
 
     @property
     def e_abs_s_exact(self) -> Fraction:
-        return e_abs_s(self.pi.params, self.pi)
+        return e_abs_s(self.pi)
 
     @property
     def conditions_exact(self) -> bool:
@@ -160,17 +161,17 @@ def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
 
 
-def e_abs_s(params: ModelParams, pi: LatticeDistribution) -> Fraction:
-    """Exact E|S| under pi; its a-priori cap (3a+2b)/(4n) is
-    `SteinReport.e_abs_s_bound`.
+def e_abs_s(pi: LatticeDistribution) -> Fraction:
+    """Exact E|S| under pi, at its point `pi.params`; its a-priori cap
+    (3a+2b)/(4n) is `SteinReport.e_abs_s_bound`.
 
     E|S| = E S + 2 E S^-, with E S half of `third_moment_ratio` and 2 E S^-
     = neg_s_sum / (kernel_den total), pi's closed-form total and its one
     binary-splitting sum.  `stein_report` calls this only where pi's
     enclosure leaves E|S| or its cap verdict undecided (see `_decided`).
     """
-    e_neg = Fraction(pi.neg_s_sum, pi.total * params.kernel_den)
-    return third_moment_ratio(params) / 2 + e_neg
+    e_neg = Fraction(pi.neg_s_sum, pi.total * pi.params.kernel_den)
+    return third_moment_ratio(pi.params) / 2 + e_neg
 
 
 def third_moment_ratio(params: ModelParams) -> Fraction:
@@ -196,12 +197,13 @@ def _decided(num, total, scale: int, cap: Fraction, exact) -> tuple[float, bool]
     return float(x), x <= cap
 
 
-def upper_bound_assembled(params: ModelParams, rep: SteinReport) -> float:
+def upper_bound_assembled(rep: SteinReport) -> float:
     """The pair bound assembled from exact E|S| and E|W'-W|^3, not their caps.
 
-    Reads both sums from `rep`.  Always at most k_constant(a,b)/n, since the
-    caps only loosen it.
+    Reads both sums from `rep` and the point from `rep.pi.params`.  Always
+    at most k_constant(a,b)/n, since the caps only loosen it.
     """
+    params = rep.pi.params
     cab = c_constant(params.a, params.b)
     c11 = c_constant(params.a + 1, params.b + 1)
     sf = float(params.a + params.b)
@@ -217,17 +219,19 @@ def bound_certificate(params: ModelParams) -> BoundCertificate:
     return BoundCertificate(lower=lo, gap=gap, upper=upper, sandwich_ok=ok)
 
 
-def stein_report(params: ModelParams, pi: LatticeDistribution) -> SteinReport:
-    """Verification bundle for one point: the conditions exactly, the cube
-    term in closed form, and E|S| = E S + neg_s_sum / (kernel_den total) and
-    its cap off pi's enclosures, or where undecided from the exact pass."""
+def stein_report(pi: LatticeDistribution) -> SteinReport:
+    """Verification bundle for the point `pi.params`: the conditions exactly,
+    the cube term in closed form, and E|S| = E S + neg_s_sum / (kernel_den
+    total) and its cap off pi's enclosures, or where undecided from the
+    exact pass."""
+    params = pi.params
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
     ((z_lo, z_hi), (n_lo, n_hi)), kd = pi.enclosures, params.kernel_den
     s_cap, cube_cap = (3 * params.a + 2 * params.b) / (4 * params.n), Fraction(1, 2 * params.n)
     cube = third_moment_ratio(params)
     p, q = (cube / 2).as_integer_ratio()
     num = (p * kd * z_hi + q * n_lo, p * kd * z_lo + q * n_hi)
-    eabs, s_ok = _decided(num, (z_lo, z_hi), q * kd, s_cap, lambda: e_abs_s(params, pi))
+    eabs, s_ok = _decided(num, (z_lo, z_hi), q * kd, s_cap, lambda: e_abs_s(pi))
     return SteinReport(
         Fraction(max(map(abs, res1)), den1), Fraction(max(map(abs, res2)), den2),
         eabs, s_cap, float(cube), cube_cap, s_ok and cube <= cube_cap, pi,

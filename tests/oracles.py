@@ -21,11 +21,10 @@ import random
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from moranbeta.beta import BetaParams, Shape
 from moranbeta.model import LatticeDistribution, ModelParams
 from moranbeta.special import ConvergenceError, log_beta, log_gamma
 
@@ -40,17 +39,27 @@ def tv(p: np.ndarray, q: np.ndarray) -> float:
     return 0.5 * float(np.abs(np.asarray(p) - np.asarray(q)).sum())
 
 
+class Shapes(NamedTuple):
+    """The shapes of a Beta target that is not a model point's."""
+
+    a: Fraction | float
+    b: Fraction | float
+
+
 @dataclass(frozen=True, eq=False)
 class ExactLaw:
     """A law on {0,...,2n} that is not the stationary law of a model point,
-    as the distances read a `LatticeDistribution`: `n` and `probs`."""
+    as the distances read a `LatticeDistribution`: `n`, `probs` and
+    `params`, here the `Shapes` of the Beta target it is measured against."""
 
     n: int
     probs: tuple[float, ...]
+    params: Shapes
 
 
-def from_exact(n: int, probs: Sequence[Fraction]) -> ExactLaw:
-    """Exact law from rational probabilities, which must sum to 1."""
+def from_exact(n: int, probs: Sequence[Fraction], a, b) -> ExactLaw:
+    """Exact law from rational probabilities, which must sum to 1, against
+    the target Beta(a, b)."""
     probs = [Fraction(p) for p in probs]
     if len(probs) != 2 * n + 1:
         raise ValueError(f"expected {2 * n + 1} probabilities, got {len(probs)}")
@@ -61,15 +70,15 @@ def from_exact(n: int, probs: Sequence[Fraction]) -> ExactLaw:
     if sum(weights) != total:
         raise ValueError("exact probabilities must sum to 1")
     # int true division rounds correctly
-    return ExactLaw(n, tuple(w / total for w in weights))
+    return ExactLaw(n, tuple(w / total for w in weights), Shapes(a, b))
 
 
-def from_floats(n: int, probs: Sequence[float]) -> ExactLaw:
+def from_floats(n: int, probs: Sequence[float], a, b) -> ExactLaw:
     """Exact law of nonnegative floats, each read as its exact binary value,
-    renormalised in rational arithmetic."""
+    renormalised in rational arithmetic, against the target Beta(a, b)."""
     exact = [Fraction(float(p)) for p in probs]
     mass = sum(exact)
-    return from_exact(n, [p / mass for p in exact])
+    return from_exact(n, [p / mass for p in exact], a, b)
 
 
 def moment_exact(pi: LatticeDistribution, r: int) -> Fraction:
@@ -91,14 +100,14 @@ def move_sum(pi: LatticeDistribution) -> int:
     return sum(w * (d + u) for w, d, u in zip(pi.weights, down, up))
 
 
-def beta_moments(p: BetaParams, r: int) -> Shape:
-    """E[Z^r] as the rising-factorial product prod_{k<r} (a+k)/(a+b+k).
+def beta_moments(a, b, r: int):
+    """E[Z^r] for Z ~ Beta(a, b), r >= 1, as the rising-factorial product
+    prod_{k<r} (a+k)/(a+b+k).
 
     Exact (Fraction in, Fraction out) for rational shapes; overflow-free.
     """
     if not isinstance(r, int) or r < 1:
         raise ValueError(f"moment order must be a positive integer, got {r!r}")
-    a, b = p.a, p.b
     out = a / (a + b)
     for k in range(1, r):
         out *= (a + k) / (a + b + k)

@@ -12,7 +12,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from moranbeta.beta import BetaParams
 from moranbeta.beta import variance as beta_variance
 from moranbeta.distance import gap_h
 from moranbeta.model import ModelParams, stationary_ratio_product
@@ -26,6 +25,7 @@ from moranbeta.stein import (
     third_moment_ratio,
 )
 from oracles import (
+    Shapes,
     apply_kernel,
     apply_kernel_exact,
     detailed_balance_residuals,
@@ -94,7 +94,7 @@ def test_criterion_05_moment_recursion_vs_brute_force():
     for n, a, b in points:
         p = ModelParams(n, a, b)
         pi = stationary_ratio_product(p)
-        table = moment_recursion(p, 6)
+        table = moment_recursion(p)
         for r in range(1, 7):
             assert table[r] == moment_exact(pi, r), (n, a, b, r)
         assert table[1] == mean(p)
@@ -120,7 +120,7 @@ def test_criterion_07_proof_level_inequalities():
     for n, a, b in EXACT_GRID:
         p = ModelParams(n, a, b)
         pi = stationary_ratio_product(p)
-        assert e_abs_s(p, pi) <= (3 * a + 2 * b) / (4 * n), (n, a, b)
+        assert e_abs_s(pi) <= (3 * a + 2 * b) / (4 * n), (n, a, b)
         tmr = third_moment_ratio(p)
         assert tmr <= F(1, 2 * n), (n, a, b)
     report(7, "E|S| <= (3a+2b)/(4n) and E|W'-W|^3/lambda <= 1/(2n) exactly on the grid")
@@ -162,7 +162,7 @@ def test_criterion_09_closed_form_pi_validation():
 def test_criterion_10_variance_converges_to_beta():
     for a in SHAPES:
         for b in SHAPES:
-            limit = beta_variance(BetaParams(a, b))
+            limit = beta_variance(Shapes(a, b))
             diffs = [abs(variance(ModelParams(n, a, b)) - limit) for n in SWEEP_NS]
             assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:])), (a, b)
             fitted_c = max(n * d for n, d in zip(SWEEP_NS, diffs))

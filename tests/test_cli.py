@@ -21,8 +21,7 @@ from pathlib import Path
 import pytest
 
 import moranbeta
-from moranbeta import cli, distance, model, special, stein
-from moranbeta.beta import BetaParams
+from moranbeta import cli, model, special, stein
 from moranbeta.cli import (
     SWEEP_COLUMNS,
     grid_points,
@@ -148,7 +147,9 @@ def test_serial_path_loads_neither_json_nor_pickle(tmp_path):
 
 def test_log_beta_once_per_point_not_per_atom(monkeypatch):
     # ln B(a,b) is fixed per point: the atom pass computes it once and hands
-    # it to every CDF evaluation, the crossings included, at any n.
+    # it to every CDF evaluation, the crossings included, at any n.  Each
+    # command starts from an empty atom slot, so the second `main`, on a
+    # multiple of the first one's lattice, runs its own atom pass.
     real = special.log_beta
     calls = []
 
@@ -163,7 +164,6 @@ def test_log_beta_once_per_point_not_per_atom(monkeypatch):
     counts = []
     for n in ("50", "400"):
         calls.clear()
-        distance._reset_atoms()
         argv = ["report", "--n", n, "--a", "1/10", "--b", "1/10", "--out", os.devnull]
         assert main(argv) == 0
         counts.append(len(calls))
@@ -343,9 +343,11 @@ class TestFloatPath:
             capsys, "report", "--n", "600", "--a", "355/113", "--b", "103/37", "--exact"
         )[0] == 0
         assert tops == [1201]
+        # At (5; 1/3, 1/2) no S_i is negative (m a/(a+b) = 4 and n = 5), so
+        # that point splits nothing.
         argv = ["sweep", "--n", "5,10", "--a", "1/3,2", "--b", "1/2", "--jobs", "1", "--exact"]
         assert run_cli(capsys, *argv)[0] == 0
-        assert sorted(tops) == [11, 11, 21, 21, 1201]
+        assert sorted(tops) == [11, 21, 21, 1201]
 
 
 class TestGate:
@@ -470,7 +472,6 @@ class TestSweep:
         alone = []
         for a in ("1/2", "2"):
             for n in ("25", "50", "100", "200"):
-                distance._reset_atoms()
                 code, single, _ = run_cli(capsys, *grid, "--n", n, "--a", a)
                 assert code == 0 and single.startswith(header)
                 alone.append(single[len(header):])
@@ -736,7 +737,8 @@ def _cubed_above_cap(params):
     return F(1, params.n)
 
 
-def _abs_s_above_cap(params, pi):
+def _abs_s_above_cap(pi):
+    params = pi.params
     return (3 * params.a + 2 * params.b) / (2 * params.n)
 
 
@@ -830,7 +832,7 @@ class TestProofLevelCaps:
                 (z_lo, z_hi), neg_s = pi.enclosures
                 if sys.argv[1] == "exact_hook":
                     sums = (0, z_hi), neg_s
-                    stein.e_abs_s = lambda params, pi: Fraction(params.n)
+                    stein.e_abs_s = lambda pi: Fraction(pi.params.n)
                 elif sys.argv[1] == "walk":
                     sums = (z_lo, z_hi), (10**6 * z_lo, 10**6 * z_hi)
                 else:
@@ -889,7 +891,7 @@ class TestInternalErrors:
 
     @pytest.mark.parametrize("argv", POINT_COMMANDS, ids=["report", "sweep"])
     def test_exception_without_message_is_named_alone(self, monkeypatch, capsys, argv):
-        def failing(params, pi):
+        def failing(pi):
             raise MemoryError
 
         monkeypatch.setattr(cli, "stein_report", failing)
@@ -915,10 +917,10 @@ class TestInternalErrors:
         }[failing]
         real = cli.stein_report
 
-        def fake(params, pi):
-            if params in targets:
+        def fake(pi):
+            if pi.params in targets:
                 raise ZeroDivisionError("injected")
-            return real(params, pi)
+            return real(pi)
 
         monkeypatch.setattr(cli, "stein_report", fake)
         serial = run_cli(capsys, *argv, "--jobs", "1")
@@ -933,10 +935,10 @@ class TestInternalErrors:
         parent = os.getpid()
         real = cli.stein_report
 
-        def dying(params, pi):
+        def dying(pi):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return real(params, pi)
+            return real(pi)
 
         monkeypatch.setattr(cli, "stein_report", dying)
         code, out, err = run_cli(
@@ -956,10 +958,10 @@ class TestInternalErrors:
             import os, runpy, sys
             from moranbeta import stein
             real, parent = stein.stein_report, os.getpid()
-            def fake(params, pi):
-                if os.getpid() != parent and params.n == 5:
+            def fake(pi):
+                if os.getpid() != parent and pi.n == 5:
                     raise ZeroDivisionError("injected")
-                return real(params, pi)
+                return real(pi)
             stein.stein_report = fake
             sys.argv = ["moranbeta", "sweep", "--n", "3,4,5,6", "--a", "1", "--b", "1",
                         "--jobs", "2"]
@@ -1192,7 +1194,7 @@ FAULTS = {
         """,
     "internal": """
         from moranbeta import stein
-        def failing(params, pi):
+        def failing(pi):
             raise ZeroDivisionError("injected")
         stein.stein_report = failing
         """,
@@ -1319,10 +1321,10 @@ class TestRate:
         # the serial one: the earliest failing point in grid order.
         real = cli.kolmogorov
 
-        def failing(pi, beta):
-            if beta.a >= 1:
+        def failing(pi):
+            if pi.params.a >= 1:
                 raise ValueError("injected")
-            return real(pi, beta)
+            return real(pi)
 
         monkeypatch.setattr(cli, "kolmogorov", failing)
         serial = self.run_on(monkeypatch, capsys, 1)
@@ -1368,12 +1370,11 @@ class TestRate:
 
 
 def test_records_reject_assignment():
-    # The six record classes are immutable, though none is a dataclass.
+    # The five record classes are immutable, though none is a dataclass.
     params = ModelParams(3, 1, 2)
     point = cli.compute_point(params)
     records = [
-        BetaParams(1, 2), params, stationary_ratio_product(params),
-        point.stein, point.cert, point,
+        params, stationary_ratio_product(params), point.stein, point.cert, point,
     ]
     for record in records:
         with pytest.raises(AttributeError):

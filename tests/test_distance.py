@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranbeta import distance, special
-from moranbeta.beta import BetaParams, expected_h
+from moranbeta.beta import expected_h
 from moranbeta.distance import (
     _cdf_integral,
     expected_h_lattice,
@@ -23,6 +23,8 @@ from moranbeta.moments import moment_recursion
 from moranbeta.special import ConvergenceError, log_beta
 from moranbeta.stein import lower_bound
 from oracles import (
+    ExactLaw,
+    Shapes,
     from_exact,
     from_floats,
     membership_check_g,
@@ -49,10 +51,10 @@ class TestGapH:
     def test_cross_check_via_moments(self):
         for n, a, b in [(2, 1, 1), (6, F(3, 2), F(5, 2)), (11, 4, 1)]:
             p = ModelParams(n, a, b)
-            t = moment_recursion(p, 2)
+            t = moment_recursion(p)
             e_h_w = (t[1] - t[2]) / 2
             assert expected_h_lattice(p) == e_h_w
-            gap = expected_h(BetaParams(p.a, p.b)) - e_h_w
+            gap = expected_h(p) - e_h_w
             assert gap_h(p) == gap  # Beta side dominates, so gap > 0
 
     def test_strictly_above_lower_bound(self):
@@ -132,7 +134,7 @@ class TestAtomPass:
     @settings(max_examples=25)
     @given(st.integers(1, 300), SHAPES, SHAPES)
     def test_atom_cdfs_match_scalar_cdf_bitwise(self, n, a, b):
-        fz = distance._atoms(2 * n, BetaParams(a, b))[0]
+        fz = distance._atoms(2 * n, (a, b))[0]
         assert list(fz) == scalar_atom_cdfs(n, a, b)
 
     @settings(max_examples=25)
@@ -146,25 +148,24 @@ class TestAtomPass:
         for c, fz in zip(np.cumsum(pi.probs), scalar_atom_cdfs(n, a, b)):
             best = max(best, abs(c - fz), abs(prev - fz))
             prev = c
-        assert kolmogorov(pi, BetaParams(a, b)) == best
+        assert kolmogorov(ExactLaw(n, pi.probs, Shapes(a, b))) == best
 
     def test_runs_once_for_both_distances(self, monkeypatch):
         # W1 evaluates each interior atom once (the crossings evaluate
         # strictly inside their pieces), and Kolmogorov evaluates nothing.
         pi = stationary_ratio_product(ModelParams(30, F(2, 7), F(9, 4)))
-        beta = BetaParams(F(2, 7), F(9, 4))
         calls = spy_cdf_pdf(monkeypatch)
         distance._reset_atoms()
-        wasserstein(pi, beta)
+        wasserstein(pi)
         after_w1 = len(calls)
-        kolmogorov(pi, beta)
+        kolmogorov(pi)
         assert len(calls) == after_w1
         atoms = [x for *_, x in calls if x in {i / 60 for i in range(1, 60)}]
         assert sorted(atoms) == [i / 60 for i in range(1, 60)]
 
     def test_cached_arrays_are_read_only(self):
         # Immutable: the cached atoms are tuples.
-        fz, _, g, _ = distance._atoms(10, BetaParams(1, 2))
+        fz, _, g, _ = distance._atoms(10, (1, 2))
         assert type(fz) is tuple and type(g) is tuple
 
     def test_continued_fraction_budget_raises(self, monkeypatch):
@@ -172,17 +173,17 @@ class TestAtomPass:
         distance._reset_atoms()
         pi = stationary_ratio_product(ModelParams(20, F(5, 2), F(7, 3)))
         with pytest.raises(ConvergenceError, match="did not converge in 3"):
-            wasserstein(pi, BetaParams(F(5, 2), F(7, 3)))
+            wasserstein(pi)
 
     def test_non_finite_cdf_raises(self, monkeypatch):
         # A Beta CDF that rounds to NaN: no distance may be printed from it.
         monkeypatch.setattr(
             distance, "_cdf_pdf", lambda a, b, ln_beta, x: (np.nan, np.nan)
         )
-        beta = BetaParams(F("2.3e-308"), F("3e-308"))
+        shapes = (F("2.3e-308"), F("3e-308"))
         distance._reset_atoms()
         with pytest.raises(FloatingPointError):
-            distance._atoms(20, beta)
+            distance._atoms(20, shapes)
 
     def test_tiny_shapes_leave_only_rounding_noise(self):
         # Both laws sit on the endpoints, P(0) = b/(a+b) up to O(a), so the
@@ -191,11 +192,10 @@ class TestAtomPass:
         # shapes below 1e-300.
         a, b = F("2.3e-308"), F("3e-308")
         pi = stationary_ratio_product(ModelParams(10, a, b))
-        beta = BetaParams(a, b)
         distance._reset_atoms()
-        assert np.isfinite(distance._atoms(20, beta)[0]).all()
-        assert kolmogorov(pi, beta) == float(b / (a + b))
-        assert 0.0 <= wasserstein(pi, beta) <= 1e-12
+        assert np.isfinite(distance._atoms(20, (a, b))[0]).all()
+        assert kolmogorov(pi) == float(b / (a + b))
+        assert 0.0 <= wasserstein(pi) <= 1e-12
 
 
 def as_hex(atoms):
@@ -204,9 +204,9 @@ def as_hex(atoms):
     return [[float.hex(x) for x in col] for col in columns], float.hex(ln_beta)
 
 
-def cold_atoms(m, beta):
+def cold_atoms(m, shapes):
     distance._reset_atoms()
-    return distance._atoms(m, beta)
+    return distance._atoms(m, shapes)
 
 
 REUSE_SHAPES = st.one_of(
@@ -222,12 +222,12 @@ class TestAtomReuse:
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 400), st.integers(1, 8), REUSE_SHAPES, REUSE_SHAPES)
     def test_multiple_lattice_equals_cold_pass_bitwise(self, m, k, a, b):
-        beta = BetaParams(a, b)
-        cold = as_hex(cold_atoms(k * m, beta))
-        cold_atoms(m, beta)
+        shapes = (a, b)
+        cold = as_hex(cold_atoms(k * m, shapes))
+        cold_atoms(m, shapes)
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_cdf_pdf(mp)
-            warm = distance._atoms(k * m, beta)
+            warm = distance._atoms(k * m, shapes)
         assert len(calls) == (k * m - 1) - (m - 1)
         assert as_hex(warm) == cold
 
@@ -242,49 +242,60 @@ class TestAtomReuse:
     )
     def test_other_lattices_evaluate_every_atom(self, monkeypatch, first, then):
         (m0, shapes0), (m, shapes) = first, then
-        cold = as_hex(cold_atoms(m, BetaParams(*shapes)))
-        cold_atoms(m0, BetaParams(*shapes0))
+        cold = as_hex(cold_atoms(m, shapes))
+        cold_atoms(m0, shapes0)
         calls = spy_cdf_pdf(monkeypatch)
-        assert as_hex(distance._atoms(m, BetaParams(*shapes))) == cold
+        assert as_hex(distance._atoms(m, shapes)) == cold
         assert len(calls) == m - 1
 
     def test_slot_holds_one_lattice(self, monkeypatch):
         # After 40 then 80, the slot holds 80 alone: 40 again is a cold pass.
-        beta = BetaParams(F(2, 7), F(9, 4))
+        shapes = (F(2, 7), F(9, 4))
         calls = spy_cdf_pdf(monkeypatch)
         distance._reset_atoms()
-        distance._atoms(40, beta)
-        distance._atoms(80, beta)
+        distance._atoms(40, shapes)
+        distance._atoms(80, shapes)
         assert len(calls) == 79
-        distance._atoms(40, beta)
+        distance._atoms(40, shapes)
         assert len(calls) == 79 + 39
 
-    def test_same_lattice_is_served_and_reset_is_cold(self, monkeypatch):
-        beta = BetaParams(F(1, 10), F(1, 10))
+    def test_slot_key_compares_shapes_by_value(self, monkeypatch):
+        # The slot is keyed on the shape pair as given: (1/2, 2), (1/2, 2/1)
+        # and (0.5, 2.0) are one key, and the swapped pair is another.
         calls = spy_cdf_pdf(monkeypatch)
-        atoms = cold_atoms(50, beta)
-        assert distance._atoms(50, beta) is atoms
+        atoms = cold_atoms(40, (F(1, 2), 2))
+        assert distance._atoms(40, (F(1, 2), F(2))) is atoms
+        assert distance._atoms(40, (0.5, 2.0)) is atoms
+        assert len(calls) == 39
+        distance._atoms(40, (2, F(1, 2)))
+        assert len(calls) == 78
+
+    def test_same_lattice_is_served_and_reset_is_cold(self, monkeypatch):
+        shapes = (F(1, 10), F(1, 10))
+        calls = spy_cdf_pdf(monkeypatch)
+        atoms = cold_atoms(50, shapes)
+        assert distance._atoms(50, shapes) is atoms
         assert len(calls) == 49
-        assert as_hex(cold_atoms(50, beta)) == as_hex(atoms)
+        assert as_hex(cold_atoms(50, shapes)) == as_hex(atoms)
         assert len(calls) == 98
 
     def test_doubling_lattices_evaluate_the_finest_once(self, monkeypatch):
         # The n of a doubling sweep: each atom of the finest lattice once.
-        beta = BetaParams(F(1, 2), F(2))
+        shapes = (F(1, 2), F(2))
         calls = spy_cdf_pdf(monkeypatch)
         distance._reset_atoms()
         for m in (50, 100, 200, 400):
-            distance._atoms(m, beta)
+            distance._atoms(m, shapes)
         assert sorted(x for *_, x in calls) == [i / 400 for i in range(1, 400)]
 
 
 def point_mass_at_half():
-    return from_exact(1, (F(0), F(1), F(0)))
+    return from_exact(1, (F(0), F(1), F(0)), 1, 1)
 
 
 class TestWasserstein:
     def test_point_mass_against_uniform(self):
-        w1 = wasserstein(point_mass_at_half(), BetaParams(1, 1))
+        w1 = wasserstein(point_mass_at_half())
         assert w1 == pytest.approx(0.25, abs=1e-12)
 
     @pytest.mark.filterwarnings("ignore::UserWarning", "ignore:.*maximum number.*")
@@ -294,7 +305,7 @@ class TestWasserstein:
 
         p = ModelParams(n, a, b)
         pi = stationary_ratio_product(p)
-        mine = wasserstein(pi, BetaParams(a, b))
+        mine = wasserstein(pi)
         cum = np.cumsum(pi.probs)
         m = 2 * n
 
@@ -317,8 +328,8 @@ class TestWasserstein:
         m = 2 * n
         edges = np.clip((np.arange(m + 1 + 1) - 0.5) / m, 0.0, 1.0)
         cell = np.diff(stats.beta.cdf(edges, a, b))
-        lattice = from_floats(n, cell)
-        w1 = wasserstein(lattice, BetaParams(a, b))
+        lattice = from_floats(n, cell, a, b)
+        w1 = wasserstein(lattice)
         assert 0.0 <= w1 <= 1.0 / (2 * n) + 1e-9
 
     @pytest.mark.parametrize("a,b", [(F("1e-30"), 1), (1, F("1e-30"))])
@@ -326,13 +337,13 @@ class TestWasserstein:
         # Both laws sit almost entirely on one endpoint, so every piece is
         # rounding noise around 0; none may pull the sum below it.
         pi = stationary_ratio_product(ModelParams(10, a, b))
-        assert 0.0 <= wasserstein(pi, BetaParams(a, b)) <= 1e-13
+        assert 0.0 <= wasserstein(pi) <= 1e-13
 
     def test_dominates_mean_difference(self):
         # both laws share the mean a/(a+b); consistency, not tightness
         p = ModelParams(5, 2, 3)
         pi = stationary_ratio_product(p)
-        w1 = wasserstein(pi, BetaParams(2, 3))
+        w1 = wasserstein(pi)
         support = np.arange(11) / 10
         mean_gap = abs(float(np.asarray(pi.probs) @ support) - 2.0 / 5.0)
         assert w1 >= mean_gap - 1e-12
@@ -403,16 +414,15 @@ class TestLargeN:
     def test_against_scipy_oracle(self, n, a, b):
         pi = stationary_ratio_product(ModelParams(n, a, b))
         w1, kol = oracle_distances(pi, a, b)
-        beta = BetaParams(a, b)
-        assert wasserstein(pi, beta) == pytest.approx(w1, rel=1e-9)
-        assert kolmogorov(pi, beta) == pytest.approx(kol, abs=1e-12)
+        assert wasserstein(pi) == pytest.approx(w1, rel=1e-9)
+        assert kolmogorov(pi) == pytest.approx(kol, abs=1e-12)
 
     def test_against_30_digit_oracle(self):
         # The first accuracy figure of the `wasserstein` docstring: 9.4e-13.
         n, a, b = 200, F(1, 10), F(1, 10)
         pi = stationary_ratio_product(ModelParams(n, a, b))
         oracle = wasserstein_mpmath(pi)
-        assert wasserstein(pi, BetaParams(a, b)) == pytest.approx(oracle, rel=1e-11)
+        assert wasserstein(pi) == pytest.approx(oracle, rel=1e-11)
 
 
 SWEEP_GRID = [
@@ -421,9 +431,9 @@ SWEEP_GRID = [
 ]
 
 
-def crossing_count(pi, beta):
+def crossing_count(pi):
     """Pieces where F_W = c lies strictly between F_Z at the piece's ends."""
-    fz = distance._atoms(2 * pi.n, beta)[0]
+    fz = distance._atoms(2 * pi.n, (pi.params.a, pi.params.b))[0]
     cum = accumulate(pi.probs)
     return sum(f_lo < c < f_hi for c, f_lo, f_hi in zip(cum, fz, fz[1:]))
 
@@ -480,11 +490,10 @@ class TestCrossings:
         atom_calls = crossings = 0
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            beta = BetaParams(a, b)
             distance._reset_atoms()
-            wasserstein(pi, beta)
+            wasserstein(pi)
             atom_calls += 2 * n - 1
-            crossings += crossing_count(pi, beta)
+            crossings += crossing_count(pi)
         assert len(calls) <= 14_000
         assert len(calls) - atom_calls <= 1.1 * crossings
 
@@ -494,13 +503,12 @@ class TestCrossings:
         crossings = record_crossings(monkeypatch)
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            beta = BetaParams(a, b)
             distance._reset_atoms()
-            w1 = wasserstein(pi, beta)
+            w1 = wasserstein(pi)
             crossings.clear()
             with newton_only():
-                newton = wasserstein(pi, beta)
-            assert len(crossings) == crossing_count(pi, beta) > 0, (n, a, b)
+                newton = wasserstein(pi)
+            assert len(crossings) == crossing_count(pi) > 0, (n, a, b)
             for (*_, lo, hi, _, _, _, _, c), evals in crossings:
                 _, fz, dens = evals[-1]
                 tol = distance._ROOT_REL_TOL * (hi - lo)
@@ -515,7 +523,7 @@ class TestCrossings:
         with newton_only():
             for n, a, b in SWEEP_GRID:
                 pi = stationary_ratio_product(ModelParams(n, a, b))
-                wasserstein(pi, BetaParams(a, b))
+                wasserstein(pi)
         continued = 0
         for (*_, lo, hi, _, _, _, _, c), evals in crossings:
             if len(evals) < 2:
@@ -538,11 +546,10 @@ class TestCrossings:
         # itself near 2e-10 of it.
         assume(a + b < 2 * n)
         pi = stationary_ratio_product(ModelParams(n, a, b))
-        beta = BetaParams(a, b)
         distance._reset_atoms()
-        w1 = wasserstein(pi, beta)
+        w1 = wasserstein(pi)
         with newton_only():
-            newton = wasserstein(pi, beta)
+            newton = wasserstein(pi)
         assert w1 == pytest.approx(newton, rel=2e-10, abs=0.0)
 
 
@@ -559,20 +566,20 @@ def test_twice_gap_h_at_most_w1():
     assert len(points) == 216
     for n, a, b in points:
         p = ModelParams(n, a, b)
-        w1 = wasserstein(stationary_ratio_product(p), BetaParams(a, b))
+        w1 = wasserstein(stationary_ratio_product(p))
         assert 2 * float(gap_h(p)) <= w1, (n, a, b)
 
 
 class TestKolmogorov:
     def test_point_mass_against_uniform(self):
-        assert kolmogorov(point_mass_at_half(), BetaParams(1, 1)) == pytest.approx(
+        assert kolmogorov(point_mass_at_half()) == pytest.approx(
             0.5, abs=1e-12
         )
 
     def test_in_unit_interval(self):
         for n, a, b in [(2, 1, 1), (8, F(1, 2), 5)]:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            val = kolmogorov(pi, BetaParams(a, b))
+            val = kolmogorov(pi)
             assert 0.0 <= val <= 1.0
 
     def test_matches_dense_grid_supremum(self):
@@ -580,7 +587,7 @@ class TestKolmogorov:
 
         n, a, b = 6, 2.0, 5.0
         pi = stationary_ratio_product(ModelParams(n, 2, 5))
-        mine = kolmogorov(pi, BetaParams(2, 5))
+        mine = kolmogorov(pi)
         xs = np.linspace(1e-9, 1 - 1e-9, 400001)
         cum = np.cumsum(pi.probs)
         idx = np.minimum((xs * 2 * n).astype(int), 2 * n)
@@ -591,7 +598,7 @@ class TestKolmogorov:
     def test_nonincreasing_in_n(self):
         a, b = 2, 3
         vals = [
-            kolmogorov(stationary_ratio_product(ModelParams(n, a, b)), BetaParams(a, b))
+            kolmogorov(stationary_ratio_product(ModelParams(n, a, b)))
             for n in (5, 10, 20, 40)
         ]
         assert all(v2 <= v1 * 1.1 for v1, v2 in zip(vals, vals[1:]))

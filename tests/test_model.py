@@ -201,7 +201,7 @@ class TestStationaryRatioProduct:
         # sum_i pi(i) = 1 exactly, read off the integers: reducing 4001
         # Fractions of about 10^5 bits would take minutes.
         assert sum(w) == pi.total
-        assert stein_report(p, pi).caps_ok
+        assert stein_report(pi).caps_ok
 
 
 # The points the benchmark certifies: report_singular, report_exact_large
@@ -249,12 +249,12 @@ class TestExactPass:
         # verdict are the exact ones.
         (z_lo, z_hi), (n_lo, n_hi) = pi.enclosures
         assert F(n_lo, z_hi) <= F(pi.neg_s_sum, pi.total) <= F(n_hi, z_lo)
-        e_s, s_cap = e_abs_s(p, pi), (3 * p.a + 2 * p.b) / (4 * p.n)
+        e_s, s_cap = e_abs_s(pi), (3 * p.a + 2 * p.b) / (4 * p.n)
         e_c = third_moment_ratio(p)
         kd = p.kernel_den
         assert float(e_c / 2 + F(n_lo, kd * z_hi)) == float(e_s)
         assert float(e_c / 2 + F(n_hi, kd * z_lo)) == float(e_s)
-        rep = stein_report(p, pi)
+        rep = stein_report(pi)
         assert stein_floats(rep) == (float(e_s), float(e_c), e_s <= s_cap and e_c <= F(1, 2 * p.n))
 
     @pytest.mark.parametrize(
@@ -272,7 +272,7 @@ class TestExactPass:
         got = stationary_ratio_product(p)
         assert walks == [p]
         assert mirror_hex(got) == mirror_hex(want)
-        assert stein_floats(stein_report(p, got)) == stein_floats(stein_report(p, want))
+        assert stein_floats(stein_report(got)) == stein_floats(stein_report(want))
         assert (got.total, got.neg_s_sum) == (want.total, want.neg_s_sum)
 
     def test_total_is_read_without_binary_splitting(self, monkeypatch):
@@ -288,6 +288,22 @@ class TestExactPass:
         assert ranges == []
         assert pi.neg_s_sum > 0
         assert ranges[0] == (0, 301)
+
+    @pytest.mark.parametrize("n,a,b", [(40, F(2), F(2)), (3, F(1), F(6, 5))])
+    def test_no_negative_remainder_is_not_split(self, monkeypatch, n, a, b):
+        # S_i < 0 only strictly between m a/(a+b) and n: at a = b, and at
+        # (3, 1, 6/5), where no integer lies in (2.73, 3), there is nothing
+        # to split, and neg_s_sum is the oracle's 0 with no call.
+        ranges = []
+        split = model._split
+        monkeypatch.setattr(
+            model, "_split", lambda *args: ranges.append(args[3:]) or split(*args)
+        )
+        p = ModelParams(n, a, b)
+        pi = stationary_ratio_product(p)
+        signed = sum(x * s for x, s in zip(pi.weights, p.remainder_row))
+        assert pi.neg_s_sum == 0 == oracles.abs_s_sum(pi) - signed
+        assert ranges == []
 
     def test_exact_sums_keep_no_larger_ints(self):
         # Once read, the two exact sums are the largest ints pi holds: not
@@ -323,7 +339,7 @@ class TestExactPass:
         got = stationary_ratio_product(p)
         assert walks == [p]
         assert mirror_hex(got) == mirror_hex(want)
-        assert stein_floats(stein_report(p, got)) == stein_floats(stein_report(p, want))
+        assert stein_floats(stein_report(got)) == stein_floats(stein_report(want))
 
     def test_shift_cap_at_zero_and_subnormal_probabilities(self):
         # 6032 pi(i) round to 0 and 97 to subnormals.  Some w_i are below
@@ -433,9 +449,9 @@ class TestPowerIteration:
 class TestLatticeDistribution:
     def test_from_exact_validates(self):
         with pytest.raises(ValueError):
-            from_exact(1, (F(1, 2), F(1, 4), F(1, 8)))
+            from_exact(1, (F(1, 2), F(1, 4), F(1, 8)), 1, 1)
         with pytest.raises(ValueError):
-            from_exact(1, (F(1, 2), F(1, 2)))
+            from_exact(1, (F(1, 2), F(1, 2)), 1, 1)
 
     def test_moment_exact(self):
         pi = stationary_ratio_product(ModelParams(2, 1, 1))

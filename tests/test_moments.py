@@ -2,15 +2,13 @@
 
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from moranbeta.beta import BetaParams
 from moranbeta.beta import variance as beta_variance
 from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import mean, moment_recursion, variance
-from oracles import beta_moments, moment_exact
+from oracles import Shapes, beta_moments, moment_exact
 
 F = Fraction
 
@@ -57,11 +55,11 @@ class TestClosedForms:
         # the lattice variance approaches the Beta variance from above
         for n, a, b in DESK_GRID:
             p = ModelParams(n, a, b)
-            assert variance(p) > beta_variance(BetaParams(a, b))
+            assert variance(p) > beta_variance(p)
 
     def test_variance_converges_to_beta_limit(self):
         a, b = F(1, 2), F(3)
-        limit = beta_variance(BetaParams(a, b))
+        limit = beta_variance(Shapes(a, b))
         diffs = [abs(variance(ModelParams(n, a, b)) - limit) for n in (5, 10, 20, 40, 80)]
         assert all(d2 < d1 for d1, d2 in zip(diffs, diffs[1:]))
         scaled = [n * d for n, d in zip((5, 10, 20, 40, 80), diffs)]
@@ -72,7 +70,7 @@ class TestMomentRecursion:
     def test_reproduces_mean_and_variance(self):
         for n, a, b in DESK_GRID:
             p = ModelParams(n, a, b)
-            table = moment_recursion(p, 2)
+            table = moment_recursion(p)
             assert table[1] == mean(p)
             assert table[2] == variance(p) + mean(p) ** 2
 
@@ -80,7 +78,7 @@ class TestMomentRecursion:
         for n, a, b in DESK_GRID:
             p = ModelParams(n, a, b)
             pi = stationary_ratio_product(p)
-            table = moment_recursion(p, 6)
+            table = moment_recursion(p)
             for r in range(1, 7):
                 assert table[r] == moment_exact(pi, r)
 
@@ -90,13 +88,13 @@ class TestMomentRecursion:
     @example(ModelParams(6, F(7, 3), F(7, 3)))
     def test_matches_brute_force_property(self, p):
         pi = stationary_ratio_product(p)
-        table = moment_recursion(p, 8)
+        table = moment_recursion(p)
         for r in range(1, 9):
             assert table[r] == moment_exact(pi, r)
 
     def test_monotone_and_bounded(self):
         p = ModelParams(6, F(5, 2), F(7, 3))
-        table = moment_recursion(p, 8)
+        table = moment_recursion(p)
         vals = [table[r] for r in range(1, 9)]
         assert all(0 <= v <= 1 for v in vals)
         assert all(v2 <= v1 for v1, v2 in zip(vals, vals[1:]))
@@ -104,7 +102,7 @@ class TestMomentRecursion:
     def test_hankel_psd(self):
         # [E W^{i+j}]_{0<=i,j<=2} must be PSD for a genuine distribution
         p = ModelParams(7, 2, 3)
-        t = moment_recursion(p, 4)
+        t = moment_recursion(p)
         m = {0: F(1), 1: t[1], 2: t[2], 3: t[3], 4: t[4]}
         det1 = m[0]
         det2 = m[0] * m[2] - m[1] ** 2
@@ -117,11 +115,10 @@ class TestMomentRecursion:
 
     def test_converges_to_beta_moments(self):
         a, b = F(1), F(2)
-        beta = BetaParams(a, b)
         for r in (1, 2, 3, 4):
-            limit = beta_moments(beta, r)
+            limit = beta_moments(a, b, r)
             diffs = [
-                abs(moment_recursion(ModelParams(n, a, b), r)[r] - limit)
+                abs(moment_recursion(ModelParams(n, a, b))[r] - limit)
                 for n in (5, 10, 20, 40, 80)
             ]
             assert all(d2 <= d1 for d1, d2 in zip(diffs, diffs[1:]))
@@ -130,11 +127,7 @@ class TestMomentRecursion:
 
     def test_table_interface(self):
         p = ModelParams(3, 1, 1)
-        t = moment_recursion(p, 4)
+        t = moment_recursion(p)
         assert type(t) is dict
-        assert list(t) == [1, 2, 3, 4]
+        assert list(t) == [1, 2, 3, 4, 5, 6, 7, 8]
         assert all(isinstance(v, F) for v in t.values())
-
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            moment_recursion(ModelParams(3, 1, 1), 0)

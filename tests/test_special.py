@@ -9,7 +9,6 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from moranbeta import distance, special
-from moranbeta.beta import BetaParams
 from moranbeta.special import ConvergenceError, log_beta, log_gamma
 from oracles import scalar_reg_inc_beta
 
@@ -102,12 +101,11 @@ class TestLogBeta:
             return log_gamma(t)
 
         monkeypatch.setattr(special, "log_gamma", counting)
-        p = BetaParams(0.3141592653589793, 2.718281828459045)  # used nowhere else
+        a, b = 0.3141592653589793, 2.718281828459045  # used nowhere else
         # The atom pass evaluates I_x at 999 atoms with one ln B(a,b).
         distance._reset_atoms()
-        distance._atoms(1000, p)
+        distance._atoms(1000, (a, b))
         assert len(calls) <= 3
-        a, b = p.a, p.b
         assert log_beta(a, b) == log_gamma(a) + log_gamma(b) - log_gamma(a + b)
 
 
@@ -129,7 +127,7 @@ class TestRegIncBeta:
     def test_endpoints(self):
         # The distances never evaluate I_x at x = 0 or 1: the atom pass
         # sets F_Z to exactly 0 and 1 there.
-        fz = distance._atoms(4, BetaParams(3.2, 0.7))[0]
+        fz = distance._atoms(4, (3.2, 0.7))[0]
         assert fz[0] == 0.0
         assert fz[-1] == 1.0
 
@@ -195,7 +193,7 @@ class TestRegIncBeta:
         inc_beta([1e-4, 2e-4], 4.0, 4.0)
         distance._reset_atoms()
         with pytest.raises(ConvergenceError, match="x=0.5"):
-            distance._atoms(2, BetaParams(4.0, 4.0))
+            distance._atoms(2, (4.0, 4.0))
 
     def test_non_convergence_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CF_EPS", 1e-30)

@@ -178,13 +178,13 @@ class TestExpectations:
     def test_e_abs_s_spot(self):
         p = ModelParams(2, 1, 1)
         pi = stationary_ratio_product(p)
-        assert e_abs_s(p, pi) == F(1, 20)
+        assert e_abs_s(pi) == F(1, 20)
 
     def test_e_abs_s_bound_on_grid(self):
         for n, a, b in EXACT_GRID:
             p = ModelParams(n, a, b)
             pi = stationary_ratio_product(p)
-            assert e_abs_s(p, pi) <= (3 * a + 2 * b) / (4 * n)
+            assert e_abs_s(pi) <= (3 * a + 2 * b) / (4 * n)
 
     def test_third_moment_spot(self):
         assert third_moment_ratio(ModelParams(2, 1, 1)) == F(1, 10)
@@ -204,7 +204,7 @@ class TestExpectations:
             assert tmr == (e_w1w + e_s) / n
             # E|S| as a Fraction sum over probs_exact
             e_abs = sum((pr * abs(si) for pr, si in zip(pi.probs_exact, s)), F(0))
-            assert e_abs_s(p, pi) == e_abs
+            assert e_abs_s(pi) == e_abs
 
 
 class TestClosedForms:
@@ -223,7 +223,7 @@ class TestClosedForms:
         pi = stationary_ratio_product(p)
         kd, total = p.kernel_den, pi.total
         assert third_moment_ratio(p) == F(oracles.move_sum(pi), 2 * p.n * kd * total)
-        assert e_abs_s(p, pi) == F(oracles.abs_s_sum(pi), 2 * kd * total)
+        assert e_abs_s(pi) == F(oracles.abs_s_sum(pi), 2 * kd * total)
 
     @given(
         st.integers(1, 15),
@@ -237,7 +237,7 @@ class TestClosedForms:
         pi = stationary_ratio_product(p)
         assert pi.enclosures[1] == (0, 0)
         assert pi.neg_s_sum == 0
-        e_s = e_abs_s(p, pi)
+        e_s = e_abs_s(pi)
         assert e_s == 2 * a * variance(p) / (2 * n)
         assert e_s == F(oracles.abs_s_sum(pi), 2 * p.kernel_den * pi.total)
 
@@ -272,23 +272,23 @@ class TestDecided:
 class TestUpperBound:
     def test_assembled_spot(self):
         p = ModelParams(2, 1, 1)
-        rep = stein_report(p, stationary_ratio_product(p))
-        assert upper_bound_assembled(p, rep) == pytest.approx(1.0, abs=1e-12)
+        rep = stein_report(stationary_ratio_product(p))
+        assert upper_bound_assembled(rep) == pytest.approx(1.0, abs=1e-12)
 
     def test_assembled_below_headline(self):
         for n, a, b in EXACT_GRID:
             if n > 10:
                 continue
             p = ModelParams(n, a, b)
-            rep = stein_report(p, stationary_ratio_product(p))
-            assert upper_bound_assembled(p, rep) <= k_constant(a, b) / n + 1e-12
+            rep = stein_report(stationary_ratio_product(p))
+            assert upper_bound_assembled(rep) <= k_constant(a, b) / n + 1e-12
 
     def test_assembled_improves_with_n(self):
         for a, b in [(F(1, 2), F(1, 2)), (1, 1), (2, 5)]:
             prev = None
             for n in (5, 10, 20, 40):
                 p = ModelParams(n, a, b)
-                cur = upper_bound_assembled(p, stein_report(p, stationary_ratio_product(p)))
+                cur = upper_bound_assembled(stein_report(stationary_ratio_product(p)))
                 if prev is not None:
                     assert cur <= prev + 1e-12
                 prev = cur
@@ -323,7 +323,7 @@ class TestCertificate:
 class TestReport:
     def test_bundle(self):
         p = ModelParams(2, 1, 1)
-        rep = stein_report(p, stationary_ratio_product(p))
+        rep = stein_report(stationary_ratio_product(p))
         assert p.lam == F(1, 16)
         assert rep.conditions_exact
         assert rep.s_values == (F(1, 8), F(1, 32), F(0), F(1, 32), F(1, 8))
@@ -344,14 +344,14 @@ class TestReport:
         monkeypatch.setattr(
             model, "_quadratic", lambda *args: calls.append(args) or quadratic(*args)
         )
-        rep = stein_report(p, stationary_ratio_product(p))
+        rep = stein_report(stationary_ratio_product(p))
         assert len(rep.s_values) == 7
         assert len(calls) == 7  # one per state
         assert rep.conditions_exact and rep.caps_ok
 
     @given(valid_params())
     def test_s_values_are_correctly_rounded_floats(self, p):
-        rep = stein_report(p, stationary_ratio_product(p))
+        rep = stein_report(stationary_ratio_product(p))
         nums = p.remainder_row
         assert len(rep.s_values) == len(nums) == 2 * p.n + 1
         for value, num in zip(rep.s_values, nums):
