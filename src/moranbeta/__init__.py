@@ -6,27 +6,22 @@ from .model import LatticeDistribution, ModelParams, stationary_ratio_product
 from .moments import moment_recursion
 from .special import ConvergenceError, log_beta, log_gamma
 from .stein import (
-    BoundCertificate,
     SteinReport,
-    bound_certificate,
     c_constant,
     e_abs_s,
     k_constant,
     lower_bound,
     stein_report,
     third_moment_ratio,
-    upper_bound_assembled,
 )
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BoundCertificate",
     "ConvergenceError",
     "LatticeDistribution",
     "ModelParams",
     "SteinReport",
-    "bound_certificate",
     "c_constant",
     "e_abs_s",
     "gap_h",
@@ -39,6 +34,5 @@ __all__ = [
     "stationary_ratio_product",
     "stein_report",
     "third_moment_ratio",
-    "upper_bound_assembled",
     "wasserstein",
 ]

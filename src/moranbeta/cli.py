@@ -13,8 +13,9 @@ CPU of the affinity mask.
 Every command runs on the standard library: the package has no runtime
 dependency.
 
-Exit codes: 0 success, 1 certificate violation (the sandwich, an exact
-identity or a proof-level cap failed), 2 usage or parameter error (a
+Exit codes: 0 success, 1 certificate violation (`SteinReport.ok` is false
+at some point: an exact identity, a proof-level cap or the sandwich
+failed), 2 usage or parameter error (a
 `ValueError` outside the guard: a point the gate refuses, a bad option
 value, or an `--out` or stdout that cannot be written), 3 internal error
 while computing a point, whatever its type (one `error: internal:` line
@@ -47,14 +48,7 @@ from . import distance
 from .distance import kolmogorov, wasserstein
 from .model import ModelParams, stationary_ratio_product
 from .moments import mean, moment_recursion, variance
-from .stein import (
-    BoundCertificate,
-    SteinReport,
-    bound_certificate,
-    k_constant,
-    stein_report,
-    upper_bound_assembled,
-)
+from .stein import SteinReport, k_constant, stein_report
 
 SCHEMA_VERSION = "1"
 
@@ -68,10 +62,10 @@ COLUMNS = (
     ("mean", float, "mean", "mean"),
     ("variance", float, "variance", "variance"),
     ("beta_variance", float, "beta_variance", None),
-    ("gap_h", float, "cert.gap", "cert.gap"),
-    ("lower", float, "cert.lower", "cert.lower"),
-    ("upper", float, "cert.upper", None),
-    ("sandwich_ok", bool, "cert.sandwich_ok", None),
+    ("gap_h", float, "stein.gap", "stein.gap"),
+    ("lower", float, "stein.lower", "stein.lower"),
+    ("upper", float, "stein.upper", None),
+    ("sandwich_ok", bool, "stein.sandwich_ok", None),
     ("e_abs_s_exact", float, "stein.e_abs_s_float", "stein.e_abs_s_exact"),
     ("e_abs_s_bound", float, "stein.e_abs_s_bound", None),
     ("wasserstein", float, "wasserstein", None),
@@ -99,20 +93,11 @@ class PointResult(NamedTuple):
 
     params: ModelParams
     stein: SteinReport
-    cert: BoundCertificate
-    upper_assembled: float
     mean: Fraction
     variance: Fraction
     beta_variance: Fraction
     wasserstein: float
     kolmogorov: float
-
-    @property
-    def ok(self) -> bool:
-        """The verdict behind exit code 1 of `report` and `sweep`: the
-        sandwich, both exact identities and both proof-level caps hold."""
-        rep = self.stein
-        return self.cert.sandwich_ok and rep.conditions_exact and rep.caps_ok
 
 
 class PointError(Exception):
@@ -240,15 +225,13 @@ def grid_points(
 
 
 def compute_point(params: ModelParams) -> PointResult:
-    """The point pipeline: exact pi, Stein sums, certificate, distances."""
+    """The point pipeline: exact pi, its certificate, distances."""
     pi = stationary_ratio_product(params)
     rep = stein_report(pi)
     w1, kd = wasserstein(pi), kolmogorov(pi)
     return PointResult(
         params=params,
         stein=rep,
-        cert=bound_certificate(params),
-        upper_assembled=upper_bound_assembled(rep),
         mean=mean(params),
         variance=variance(params),
         beta_variance=beta_dist.variance(params),
@@ -269,7 +252,7 @@ def _row(point: PointResult, exact: bool) -> dict:
 
 def _report_payload(point: PointResult, exact: bool) -> dict:
     """`report`'s JSON document of its one point, moments 1..8 included."""
-    params, rep, cert = point.params, point.stein, point.cert
+    params, rep = point.params, point.stein
     table = moment_recursion(params)
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
@@ -293,17 +276,17 @@ def _report_payload(point: PointResult, exact: bool) -> dict:
             "e_cubed_over_lambda_bound": float(rep.e_cubed_over_lambda_bound),
         },
         "certificate": {
-            "lower": float(cert.lower),
-            "gap_h": float(cert.gap),
-            "upper": cert.upper,
-            "upper_assembled": point.upper_assembled,
-            "sandwich_ok": cert.sandwich_ok,
+            "lower": float(rep.lower),
+            "gap_h": float(rep.gap),
+            "upper": rep.upper,
+            "upper_assembled": rep.upper_assembled,
+            "sandwich_ok": rep.sandwich_ok,
         },
         "moments": {str(r): float(table[r]) for r in sorted(table)},
         "variance": float(point.variance),
         "beta_variance": float(point.beta_variance),
         "distance": {
-            "gap_h": float(cert.gap),
+            "gap_h": float(rep.gap),
             "wasserstein": point.wasserstein,
             "kolmogorov": point.kolmogorov,
         },
@@ -357,7 +340,7 @@ def _run_share(
         try:
             with _computing(points[i]):
                 point = compute_point(points[i])
-                records.append((i, record(point), point.ok))
+                records.append((i, record(point), point.stein.ok))
         except PointError as exc:
             return records, (i, str(exc))
     return records, None

@@ -28,11 +28,11 @@ from fractions import Fraction
 
 from . import beta as beta_dist
 from .model import LatticeDistribution, ModelParams
+from .moments import variance
 from .special import ConvergenceError, _cdf_pdf, log_beta
 
 __all__ = [
     "gap_h",
-    "expected_h_lattice",
     "wasserstein",
     "kolmogorov",
 ]
@@ -45,23 +45,15 @@ _ROOT_MAX_ITER = 100
 _ONE_EVAL_BOUND = 2.0**-60
 
 
-def expected_h_lattice(params: ModelParams) -> Fraction:
-    """E[h(W)] = ab(2n-1) / (2(a+b)(2n + (a+b)(2n-1))), exact."""
-    a, b, n = params.a, params.b, params.n
-    s = a + b
-    return a * b * (2 * n - 1) / (2 * s * (2 * n + s * (2 * n - 1)))
-
-
 def gap_h(params: ModelParams) -> Fraction:
     """Exact |E h(W) - E h(Z)| for h(x) = x(1-x)/2.
 
-    Equals ab / (2(a+b)(1+a+b)(2n + (2n-1)(a+b))); the Beta side always
+    As E W = E Z = a/(a+b), E h(Z) - E h(W) = (Var W - Var Z)/2, which is
+    ab / (2(a+b)(1+a+b)(2n + (2n-1)(a+b))) > 0: the Beta side always
     dominates the lattice side for finite n.  As |h'| <= 1/2 on [0, 1],
     Kantorovich-Rubinstein gives 2 gap_h <= W1.
     """
-    ehz = beta_dist.expected_h(params)
-    ehw = expected_h_lattice(params)
-    return abs(ehz - ehw)
+    return (variance(params) - beta_dist.variance(params)) / 2
 
 
 def _cdf_integral(a: float, b: float, x: float, fz: float, dens: float) -> float:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Context, Decimal
 from functools import cached_property
 from fractions import Fraction
 from typing import Union
@@ -42,6 +43,15 @@ def as_fraction(x: RationalLike) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
+def _decimal_text(x: RationalLike) -> str:
+    """x to 17 significant digits, for a message: `Decimal` converts an int
+    of any size, past the interpreter's cap on int-to-str digits."""
+    if not isinstance(x, float):
+        x = as_fraction(x)
+        x = Context(prec=17).divide(Decimal(x.numerator), Decimal(x.denominator))
+    return format(x, ".17g")
+
+
 class _Frozen:
     """Rejects attribute assignment and deletion on instances.  Constructors
     set their fields through `__dict__`, as `cached_property` does."""
@@ -56,12 +66,14 @@ class _Frozen:
 class ModelParams(_Frozen):
     """Population scale n and rescaled mutation rates (a, b) = (2nv, 2nu).
 
-    Requires a > 0, b > 0 and a + b < 2n, so u + v < 1 and the closed-form
+    Requires a > 0, b > 0 and a + b < 2n (a refusal shows each value to 17
+    significant digits, whatever its size), so u + v < 1 and the closed-form
     constants of the stationary law stay finite and positive; a and b must
     also be at least the smallest normal float, so the float shapes of the
     Beta target are normal positive numbers.  With
     q = lcm(den a, den b), qa = q a, qb = q b, m = 2n, kernel_den = q m^3
-    and c = qm - qa - qb = q(m - a - b) > 0,
+    and c = qm - qa - qb = q(m - a - b) > 0, each kept as a field (the law's
+    `total` and `moment_recursion` read c from here too),
 
         p(i,i-1) = D_i / kernel_den,  D_i = i(c(m-i) + qb m),
         p(i,i+1) = U_i / kernel_den,  U_i = (m-i)(c i + qa m).
@@ -89,6 +101,7 @@ class ModelParams(_Frozen):
     q: int
     qa: int
     qb: int
+    c: int
     kernel_den: int
 
     def __init__(self, n: int, a: RationalLike, b: RationalLike) -> None:
@@ -96,11 +109,14 @@ class ModelParams(_Frozen):
             raise ValueError(f"n must be a positive integer, got {n!r}")
         a, b = as_fraction(a), as_fraction(b)
         if a <= 0 or b <= 0:
-            raise ValueError(f"mutation parameters must be positive, got a={a}, b={b}")
+            raise ValueError(
+                f"mutation parameters must be positive, "
+                f"got a={_decimal_text(a)}, b={_decimal_text(b)}"
+            )
         if a + b >= 2 * n:
             raise ValueError(
                 f"need a + b < 2n for a valid mutation regime, got "
-                f"a + b = {a + b} with 2n = {2 * n}"
+                f"a + b = {_decimal_text(a + b)} with 2n = {2 * n}"
             )
         if min(float(a), float(b)) < sys.float_info.min:
             raise ValueError(
@@ -111,7 +127,9 @@ class ModelParams(_Frozen):
         q = math.lcm(a.denominator, b.denominator)
         qa, qb = int(q * a), int(q * b)
         # frozen: set the fields once, past __setattr__
-        self.__dict__.update(n=n, a=a, b=b, q=q, qa=qa, qb=qb, kernel_den=q * m**3)
+        self.__dict__.update(
+            n=n, a=a, b=b, q=q, qa=qa, qb=qb, c=q * m - qa - qb, kernel_den=q * m**3
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -143,8 +161,7 @@ class ModelParams(_Frozen):
 
     @cached_property
     def _rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        m, qa, qb = 2 * self.n, self.qa, self.qb
-        c = self.q * m - qa - qb  # the docstring's D_i and U_i, in powers of i
+        m, qa, qb, c = 2 * self.n, self.qa, self.qb, self.c  # D_i, U_i in powers of i
         down = tuple(_quadratic((0, m * (c + qb), -c), i) for i in range(m + 1))
         up = tuple(_quadratic((qa * m * m, m * (c - qa), -c), i) for i in range(m + 1))
         for i, (d, u) in enumerate(zip(down, up)):
@@ -194,8 +211,7 @@ class LatticeDistribution(_Frozen):
     @cached_property
     def total(self) -> int:
         p, m = self.params, 2 * self.n
-        c, qs = p.q * m - p.qa - p.qb, p.qa + p.qb
-        return _product([c * j + qs * m for j in range(m)])
+        return _product([p.c * j + (p.qa + p.qb) * m for j in range(m)])
 
     @cached_property
     def neg_s_sum(self) -> int:

@@ -36,8 +36,8 @@ def moment_recursion(params: ModelParams) -> dict[int, Fraction]:
     """Exact E[W^r], keyed by r = 1..8, the moments `report` prints, from
     the factorial moments.
 
-    With c = q(m - a - b), alpha + j = (qa m + c j)/c and alpha + beta + j
-    = ((qa+qb) m + c j)/c, so
+    With c = `params.c` = q(m - a - b), alpha + j = (qa m + c j)/c and
+    alpha + beta + j = ((qa+qb) m + c j)/c, so
 
         E[(I)_k] = prod_{j<k} (m-j)(qa m + c j) / prod_{j<k} ((qa+qb) m + c j),
 
@@ -45,8 +45,7 @@ def moment_recursion(params: ModelParams) -> dict[int, Fraction]:
     E[W^r] = m^-r sum_k S(r,k) E[(I)_k], with S(r,k) = k S(r-1,k) +
     S(r-1,k-1), as one Fraction per moment.
     """
-    m, qa, qs = 2 * params.n, params.qa, params.qa + params.qb
-    c = params.q * m - qs
+    m, qa, qs, c = 2 * params.n, params.qa, params.qa + params.qb, params.c
     num, den = [1], [1]  # E[(I)_k] = num[k] / den[k]
     for j in range(8):
         num.append(num[-1] * (m - j) * (qa * m + c * j))

@@ -19,7 +19,10 @@ E(W'-W)^2 = 2 lambda s Var W, so E|W'-W|^3/lambda = s Var W / n exactly, and
 S = s (W - mu)(W - 1/2)/(2n) has E S = s Var W / (2n), so E|S| = E S + 2 E S^-
 with S^- = max(-S, 0) nonzero only strictly between mu and 1/2.  The matching
 lower bound comes from the test function h(x) = x(1-x)/2, whose expectation
-gap has an exact closed form.
+gap has an exact closed form.  One record, `stein_report`'s `SteinReport`,
+holds the whole certificate of a point: the identities, the caps, the
+sandwich lower <= gap <= K(a,b)/n, the pair bound assembled from the exact
+sums, and the verdict `ok` that the CLI's exit code 1 reads.
 """
 
 from __future__ import annotations
@@ -30,33 +33,33 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distance import gap_h
-from .model import LatticeDistribution, ModelParams
+from .model import LatticeDistribution, ModelParams, _decimal_text
 from .moments import variance
 from .special import log_gamma
 
 __all__ = [
     "SteinReport",
-    "BoundCertificate",
     "c_constant",
     "k_constant",
     "lower_bound",
     "e_abs_s",
     "third_moment_ratio",
-    "upper_bound_assembled",
-    "bound_certificate",
     "stein_report",
 ]
 
 
 class SteinReport(NamedTuple):
-    """Largest condition residuals, the remainder S, and proof-level bounds
-    of the point `pi.params`, whose law `pi` it keeps.
+    """The certificate of the point `pi.params`, whose law `pi` it keeps,
+    and its verdict `ok`.
 
     Both residual maxima are exact and expected to be zero (the conditions
     are identities, not approximations).  The `_float` fields hold E|S|
     and E|W'-W|^3/lambda, each correctly rounded; `caps_ok` says if both
-    are within their `_bound`s.  `s_values`, S(i/2n) for i = 0..2n, is
-    built when read, and `e_abs_s_exact` runs pi's exact pass.
+    are within their `_bound`s, and `upper_assembled` is the pair bound
+    from those sums, not their caps.  `sandwich_ok` compares the exact
+    `lower` <= `gap` <= `upper` = K(a,b)/n with no slack: a Fraction compares
+    with a float by the float's exact binary value.  `s_values`, S(i/2n) for
+    i = 0..2n, is built when read, and `e_abs_s_exact` runs pi's exact pass.
     """
 
     cond1_max_abs: Fraction
@@ -66,6 +69,11 @@ class SteinReport(NamedTuple):
     e_cubed_over_lambda_float: float
     e_cubed_over_lambda_bound: Fraction
     caps_ok: bool
+    lower: Fraction
+    gap: Fraction
+    upper: float
+    upper_assembled: float
+    sandwich_ok: bool
     pi: LatticeDistribution
 
     @property
@@ -82,19 +90,11 @@ class SteinReport(NamedTuple):
     def conditions_exact(self) -> bool:
         return self.cond1_max_abs == 0 and self.cond2_max_abs == 0
 
-
-class BoundCertificate(NamedTuple):
-    """lower <= |E h(W) - E h(Z)| <= K(a,b)/n.
-
-    lower and gap are exact rationals; upper involves Gamma values and is
-    a float.  Both inequalities are checked exactly, with no slack: a
-    Fraction compares with a float by the float's exact binary value.
-    """
-
-    lower: Fraction
-    gap: Fraction
-    upper: float
-    sandwich_ok: bool
+    @property
+    def ok(self) -> bool:
+        """The verdict behind exit code 1 of `report` and `sweep`: both
+        exact identities, both proof-level caps and the sandwich hold."""
+        return self.conditions_exact and self.caps_ok and self.sandwich_ok
 
 
 def _exp_or_inf(x: float) -> float:
@@ -114,7 +114,8 @@ def c_constant(a, b) -> float:
     A Gamma ratio past the largest float makes C inf.
     """
     if a <= 0 or b <= 0:
-        raise ValueError(f"c_constant requires positive arguments, got ({a}, {b})")
+        shown = ", ".join(map(_decimal_text, (a, b)))
+        raise ValueError(f"c_constant requires positive arguments, got ({shown})")
     af, bf = float(a), float(b)
     if a == b:
         if af < 1.0:
@@ -197,42 +198,27 @@ def _decided(num, total, scale: int, cap: Fraction, exact) -> tuple[float, bool]
     return float(x), x <= cap
 
 
-def upper_bound_assembled(rep: SteinReport) -> float:
-    """The pair bound assembled from exact E|S| and E|W'-W|^3, not their caps.
-
-    Reads both sums from `rep` and the point from `rep.pi.params`.  Always
-    at most k_constant(a,b)/n, since the caps only loosen it.
-    """
-    params = rep.pi.params
-    cab = c_constant(params.a, params.b)
-    c11 = c_constant(params.a + 1, params.b + 1)
-    sf = float(params.a + params.b)
-    return cab * rep.e_abs_s_float + (c11 + sf * c11 * cab) * rep.e_cubed_over_lambda_float / 6.0
-
-
-def bound_certificate(params: ModelParams) -> BoundCertificate:
-    """Certified sandwich for one parameter point (see `BoundCertificate`)."""
-    lo = lower_bound(params)
-    gap = gap_h(params)
-    upper = k_constant(params.a, params.b) / params.n
-    ok = lo <= gap <= upper
-    return BoundCertificate(lower=lo, gap=gap, upper=upper, sandwich_ok=ok)
-
-
 def stein_report(pi: LatticeDistribution) -> SteinReport:
-    """Verification bundle for the point `pi.params`: the conditions exactly,
-    the cube term in closed form, and E|S| = E S + neg_s_sum / (kernel_den
+    """The certificate of the point `pi.params`: the conditions exactly,
+    the cube term in closed form, E|S| = E S + neg_s_sum / (kernel_den
     total) and its cap off pi's enclosures, or where undecided from the
-    exact pass."""
+    exact pass, and the sandwich from `lower_bound`, `gap_h` and
+    `k_constant`, read from this module's globals when called."""
     params = pi.params
+    a, b, n = params.a, params.b, params.n
     (res1, den1), (res2, den2) = _cond1_residuals(params), _cond2_residuals(params)
     ((z_lo, z_hi), (n_lo, n_hi)), kd = pi.enclosures, params.kernel_den
-    s_cap, cube_cap = (3 * params.a + 2 * params.b) / (4 * params.n), Fraction(1, 2 * params.n)
+    s_cap, cube_cap = (3 * a + 2 * b) / (4 * n), Fraction(1, 2 * n)
     cube = third_moment_ratio(params)
     p, q = (cube / 2).as_integer_ratio()
     num = (p * kd * z_hi + q * n_lo, p * kd * z_lo + q * n_hi)
     eabs, s_ok = _decided(num, (z_lo, z_hi), q * kd, s_cap, lambda: e_abs_s(pi))
+    cube_float = float(cube)
+    cab, c11 = c_constant(a, b), c_constant(a + 1, b + 1)
+    assembled = cab * eabs + (c11 + float(a + b) * c11 * cab) * cube_float / 6.0
+    lower, gap, upper = lower_bound(params), gap_h(params), k_constant(a, b) / n
     return SteinReport(
         Fraction(max(map(abs, res1)), den1), Fraction(max(map(abs, res2)), den2),
-        eabs, s_cap, float(cube), cube_cap, s_ok and cube <= cube_cap, pi,
+        eabs, s_cap, cube_float, cube_cap, s_ok and cube <= cube_cap,
+        lower, gap, upper, assembled, lower <= gap <= upper, pi,
     )

@@ -20,8 +20,10 @@ from moranbeta.special import _cdf_pdf, log_beta
 from moranbeta.stein import (
     _cond1_residuals,
     _cond2_residuals,
-    bound_certificate,
     e_abs_s,
+    k_constant,
+    lower_bound,
+    stein_report,
     third_moment_ratio,
 )
 from oracles import (
@@ -105,15 +107,20 @@ def test_criterion_05_moment_recursion_vs_brute_force():
 def test_criterion_06_distance_sandwich():
     assert len(SWEEP_GRID) >= 100
     for n, a, b in SWEEP_GRID:
-        cert = bound_certificate(ModelParams(n, a, b))
-        assert cert.sandwich_ok, (n, a, b, cert)
-        assert cert.lower <= cert.gap + 1e-12
-        assert cert.gap <= cert.upper + 1e-12
-    spot = bound_certificate(ModelParams(2, 1, 1))
+        p = ModelParams(n, a, b)
+        assert lower_bound(p) <= gap_h(p) <= k_constant(a, b) / n, (n, a, b)
+    for n, a, b in EXACT_GRID:
+        rep = stein_report(stationary_ratio_product(ModelParams(n, a, b)))
+        assert rep.sandwich_ok, (n, a, b, rep.lower, rep.gap, rep.upper)
+    spot = stein_report(stationary_ratio_product(ModelParams(2, 1, 1)))
     assert spot.lower == pytest.approx(1 / 144, rel=1e-15)
     assert spot.gap == pytest.approx(1 / 120, rel=1e-15)
     assert spot.upper == pytest.approx(4.5, rel=1e-13)
-    report(6, f"lower <= gap <= K/n on {len(SWEEP_GRID)} grid points; spot values match")
+    report(
+        6,
+        f"lower <= gap <= K/n on {len(SWEEP_GRID)} grid points, certified by "
+        f"stein_report on {len(EXACT_GRID)}; spot values match",
+    )
 
 
 def test_criterion_07_proof_level_inequalities():

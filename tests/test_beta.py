@@ -1,5 +1,5 @@
 """Beta target: density and CDF as the distances evaluate them, the moment
-reference, variance and bump-function expectation."""
+reference and the variance."""
 
 from fractions import Fraction
 
@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from moranbeta import distance, special
-from moranbeta.beta import expected_h, variance
-from moranbeta.model import ModelParams
+from moranbeta.beta import variance
 from moranbeta.special import log_beta
 from oracles import Shapes
 from oracles import beta_moments as moments
@@ -98,19 +97,3 @@ class TestMoments:
         with pytest.raises(ValueError):
             moments(1, 1, 0)
 
-
-class TestExpectedH:
-    def test_uniform(self):
-        assert expected_h(Shapes(F(1), F(1))) == F(1, 12)
-
-    def test_two_three(self):
-        assert expected_h(ModelParams(3, F(2), F(3))) == F(1, 10)
-
-    def test_moment_identity(self):
-        # E[h(Z)] = (E Z - E Z^2)/2, exactly for rational shapes
-        a, b = F(3, 4), F(9, 2)
-        assert expected_h(Shapes(a, b)) == (moments(a, b, 1) - moments(a, b, 2)) / 2
-        a, b = 1.3, 4.1
-        assert expected_h(Shapes(a, b)) == pytest.approx(
-            (moments(a, b, 1) - moments(a, b, 2)) / 2, abs=1e-14
-        )

@@ -365,6 +365,33 @@ class TestGate:
         assert code == 2 and out == ""
         assert err == "error: mutation parameters must be positive, got a=-1, b=1\n"
 
+    @pytest.mark.parametrize(
+        "argv, line",
+        [
+            (
+                ["report", "--n", "10", "--a", "1e300", "--b", "1"],
+                "need a + b < 2n for a valid mutation regime, "
+                "got a + b = 1.0000000000000000e+300 with 2n = 20",
+            ),
+            (
+                ["sweep", "--n", "10", "--a", "1", "--b", "1e4500", "--jobs", "1"],
+                "need a + b < 2n for a valid mutation regime, "
+                "got a + b = 1.0000000000000000e+4500 with 2n = 20",
+            ),
+            (
+                ["report", "--n", "10", "--a=-1e5000", "--b", "1"],
+                "mutation parameters must be positive, got a=-1.0000000000000000e+5000, b=1",
+            ),
+        ],
+        ids=["a_1e300", "b_1e4500", "a_minus_1e5000"],
+    )
+    def test_huge_shape_refused_in_one_short_line(self, capsys, argv, line):
+        # The refusal shows each value to 17 significant digits, never the
+        # exact integer: not 301 digits, nor the interpreter's int-to-str cap.
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {line}\n")
+        assert len(err.encode()) < 200
+
     def test_rate_checks_every_point_first(self, monkeypatch, capsys):
         calls = []
 
@@ -543,7 +570,7 @@ class TestSweep:
         real = cli._row
 
         def recording(point, exact):
-            rows[point.params] = real(point, exact), point.ok
+            rows[point.params] = real(point, exact), point.stein.ok
             return rows[point.params][0]
 
         monkeypatch.setattr(cli, "_row", recording)
@@ -815,6 +842,20 @@ class TestProofLevelCaps:
         assert code == 1
         cert = json.loads(out)["certificate"]
         assert (cert["upper"], cert["sandwich_ok"]) == (upper, False)
+
+    def test_lower_side_compared_exactly(self, monkeypatch, capsys):
+        # The lower bound patched above the gap by less than any float slack
+        # would forgive: the report's own sandwich fails, and so does the
+        # exit code, which reads that one verdict.
+        gap = stein.gap_h(ModelParams(7, F(1, 2), 3))
+        monkeypatch.setattr(stein, "lower_bound", lambda params: gap + F(1, 10**13))
+        code, out, _ = run_cli(capsys, "report", "--n", "7", "--a", "1/2", "--b", "3")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["certificate"]["sandwich_ok"] is False
+        assert doc["stein"]["conditions_exact"] is True
+        argv = ["sweep", "--n", "7", "--a", "1/2", "--b", "3", "--jobs", "1"]
+        assert run_cli(capsys, *argv)[0] == 1
 
     def test_cap_check_survives_optimize_flag(self):
         # Every route to a failed cap: E|S| from the exact hook after an
@@ -1370,12 +1411,10 @@ class TestRate:
 
 
 def test_records_reject_assignment():
-    # The five record classes are immutable, though none is a dataclass.
+    # The four record classes are immutable, though none is a dataclass.
     params = ModelParams(3, 1, 2)
     point = cli.compute_point(params)
-    records = [
-        params, stationary_ratio_product(params), point.stein, point.cert, point,
-    ]
+    records = [params, stationary_ratio_product(params), point.stein, point]
     for record in records:
         with pytest.raises(AttributeError):
             record.n = 4

@@ -10,10 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moranbeta import distance, special
-from moranbeta.beta import expected_h
 from moranbeta.distance import (
     _cdf_integral,
-    expected_h_lattice,
     gap_h,
     kolmogorov,
     wasserstein,
@@ -25,6 +23,7 @@ from moranbeta.stein import lower_bound
 from oracles import (
     ExactLaw,
     Shapes,
+    beta_moments,
     from_exact,
     from_floats,
     membership_check_g,
@@ -49,13 +48,15 @@ class TestGapH:
             assert gap_h(ModelParams(n, a, b)) == closed_form_gap(n, F(a), F(b))
 
     def test_cross_check_via_moments(self):
+        # E h = (E X - E X^2)/2 on each side, from the lattice's factorial
+        # moments and the Beta's rising-factorial moments, not from the
+        # variance identity gap_h reads.
         for n, a, b in [(2, 1, 1), (6, F(3, 2), F(5, 2)), (11, 4, 1)]:
             p = ModelParams(n, a, b)
             t = moment_recursion(p)
             e_h_w = (t[1] - t[2]) / 2
-            assert expected_h_lattice(p) == e_h_w
-            gap = expected_h(p) - e_h_w
-            assert gap_h(p) == gap  # Beta side dominates, so gap > 0
+            e_h_z = (beta_moments(p.a, p.b, 1) - beta_moments(p.a, p.b, 2)) / 2
+            assert gap_h(p) == e_h_z - e_h_w > 0  # Beta side dominates
 
     def test_strictly_above_lower_bound(self):
         for n in (3, 10, 100, 1000):

@@ -75,6 +75,15 @@ class TestModelParams:
         with pytest.raises(AttributeError):
             del p.n
 
+    def test_beta_binomial_integers(self):
+        # c = q(2n - a - b), one field read by the kernel rows, the law's
+        # total and the moments alike.
+        p = ModelParams(5, F(1, 3), F(5, 2))
+        assert (p.q, p.qa, p.qb) == (6, 2, 15)
+        assert p.c == p.q * (10 - p.a - p.b) == 43
+        with pytest.raises(AttributeError):
+            p.c = 0
+
     def test_accepts_strings_and_decimals(self):
         p = ModelParams(4, "1/2", "0.25")
         assert p.a == F(1, 2) and p.b == F(1, 4)
@@ -382,7 +391,7 @@ class TestExactPass:
         monkeypatch.setattr(model, "_exact_walk", refuse)
         for n, a, b in BENCHMARK_POINTS:
             point = cli.compute_point(ModelParams(n, a, b))
-            assert point.ok
+            assert point.stein.ok
             assert cli._row(point, False)["e_abs_s_exact"] == point.stein.e_abs_s_float
 
 

@@ -35,10 +35,9 @@ def test_per_point_functions_take_one_argument():
         moranbeta.kolmogorov,
         moranbeta.stein_report,
         moranbeta.e_abs_s,
-        moranbeta.upper_bound_assembled,
         moranbeta.moment_recursion,
     )
     for fn in one:
         assert len(inspect.signature(fn).parameters) == 1, fn.__name__
-    assert len(moranbeta.__all__) == 20
-    assert importlib.import_module("moranbeta.beta").__all__ == ["variance", "expected_h"]
+    assert len(moranbeta.__all__) == 17
+    assert importlib.import_module("moranbeta.beta").__all__ == ["variance"]

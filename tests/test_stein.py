@@ -12,14 +12,12 @@ from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import variance
 from moranbeta.special import log_gamma
 from moranbeta.stein import (
-    bound_certificate,
     c_constant,
     e_abs_s,
     k_constant,
     lower_bound,
     stein_report,
     third_moment_ratio,
-    upper_bound_assembled,
 )
 import oracles
 from oracles import detailed_balance_residuals, moment_exact
@@ -103,6 +101,8 @@ class TestCConstant:
             c_constant(0, 1)
         with pytest.raises(ValueError):
             c_constant(1, -1)
+        with pytest.raises(ValueError, match=r"got \(-1\.0{16}e\+5000, 0\.5\)$"):
+            c_constant(-F(10) ** 5000, F(1, 2))
 
 
 class TestKConstant:
@@ -269,26 +269,27 @@ class TestDecided:
         assert stein._decided((1, 2), (1, 1), 1, F(10), lambda: x) == (1.5, True)
 
 
+def report_at(n, a, b):
+    return stein_report(stationary_ratio_product(ModelParams(n, a, b)))
+
+
 class TestUpperBound:
     def test_assembled_spot(self):
-        p = ModelParams(2, 1, 1)
-        rep = stein_report(stationary_ratio_product(p))
-        assert upper_bound_assembled(rep) == pytest.approx(1.0, abs=1e-12)
+        assert report_at(2, 1, 1).upper_assembled == pytest.approx(1.0, abs=1e-12)
 
     def test_assembled_below_headline(self):
         for n, a, b in EXACT_GRID:
             if n > 10:
                 continue
-            p = ModelParams(n, a, b)
-            rep = stein_report(stationary_ratio_product(p))
-            assert upper_bound_assembled(rep) <= k_constant(a, b) / n + 1e-12
+            rep = report_at(n, a, b)
+            assert rep.upper_assembled <= k_constant(a, b) / n + 1e-12
+            assert rep.upper == k_constant(a, b) / n
 
     def test_assembled_improves_with_n(self):
         for a, b in [(F(1, 2), F(1, 2)), (1, 1), (2, 5)]:
             prev = None
             for n in (5, 10, 20, 40):
-                p = ModelParams(n, a, b)
-                cur = upper_bound_assembled(stein_report(stationary_ratio_product(p)))
+                cur = report_at(n, a, b).upper_assembled
                 if prev is not None:
                     assert cur <= prev + 1e-12
                 prev = cur
@@ -296,28 +297,34 @@ class TestUpperBound:
 
 class TestCertificate:
     def test_spot(self):
-        cert = bound_certificate(ModelParams(2, 1, 1))
-        assert cert.lower == pytest.approx(1.0 / 144.0, rel=1e-15)
-        assert cert.gap == pytest.approx(1.0 / 120.0, rel=1e-15)
-        assert cert.upper == pytest.approx(4.5, rel=1e-13)
-        assert cert.sandwich_ok
+        rep = report_at(2, 1, 1)
+        assert rep.lower == pytest.approx(1.0 / 144.0, rel=1e-15)
+        assert rep.gap == pytest.approx(1.0 / 120.0, rel=1e-15)
+        assert rep.upper == pytest.approx(4.5, rel=1e-13)
+        assert rep.sandwich_ok and rep.ok
 
     def test_sandwich_on_grid(self):
         for n, a, b in EXACT_GRID:
-            assert bound_certificate(ModelParams(n, a, b)).sandwich_ok
+            rep = report_at(n, a, b)
+            assert rep.sandwich_ok and rep.ok, (n, a, b)
+            assert rep.lower == lower_bound(rep.pi.params)
+            assert rep.gap == stein.gap_h(rep.pi.params)
 
     def test_lower_side_compared_exactly(self, monkeypatch):
         # Above the gap by less than any float slack would forgive.
         p = ModelParams(7, F(1, 2), 3)
         gap = stein.gap_h(p)
         monkeypatch.setattr(stein, "lower_bound", lambda params: gap + F(1, 10**13))
-        assert bound_certificate(p).sandwich_ok is False
+        rep = stein_report(stationary_ratio_product(p))
+        assert rep.sandwich_ok is False and rep.ok is False
+        assert rep.conditions_exact and rep.caps_ok
 
     def test_invariant_matches_fields(self):
         # Both sides compared exactly, with no float slack: the Fraction gap
         # against the float upper's exact binary value.
-        cert = bound_certificate(ModelParams(7, F(1, 2), 3))
-        assert cert.sandwich_ok == (cert.lower <= cert.gap <= F(cert.upper))
+        rep = report_at(7, F(1, 2), 3)
+        assert rep.sandwich_ok == (rep.lower <= rep.gap <= F(rep.upper))
+        assert rep.ok == (rep.conditions_exact and rep.caps_ok and rep.sandwich_ok)
 
 
 class TestReport:
