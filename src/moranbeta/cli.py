@@ -427,9 +427,18 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
     reaped, so no child blocks on a full pipe. A failure is raised as the
     serial loop would raise it: the one earliest in grid order. If the
     parent is interrupted, it kills and reaps every child it has not
-    collected.
+    collected. While children run, SIGCHLD has its default disposition: an
+    ignored one, inherited across exec, reaps them before `os.waitpid`.
     """
     shares = _shares(points, jobs if hasattr(os, "fork") else 1)
+    reaping = False
+    if len(shares) > 1:
+        import signal
+        if reaping := signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN:
+            try:
+                signal.signal(signal.SIGCHLD, signal.SIG_DFL)
+            except ValueError:  # set only in the main thread: compute in one share
+                shares, reaping = _shares(points, 1), False
     cpus = _cpus() if len(shares) > 1 else []
     homes = [cpus[k % len(cpus)] for k in range(len(shares))] if cpus else []
     children: dict[int, tuple[BinaryIO, list[int]]] = {}
@@ -447,13 +456,12 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
             outcomes.append(_share_result(points, share, data, status))
     finally:
         _set_affinity(cpus)
-        if children:
-            import signal
-
-            for pid, (pipe, _) in children.items():
-                pipe.close()
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
+        for pid, (pipe, _) in children.items():
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        if reaping:
+            signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     rows: list = [None] * len(points)
     failures = []
     for records, failure in outcomes:

@@ -11,7 +11,7 @@ kernel
 Parameters are carried in the rescaled form a = 2nv, b = 2nu, the regime in
 which the rescaled count W = I/(2n) under the stationary law approaches a
 Beta(a,b) variable.  This module holds the kernel, as integer rows over one
-common denominator (`ModelParams`), the exact stationary law read off
+common denominator (`ModelParams.rows`), the exact stationary law read off
 those rows (`stationary_ratio_product`: floats and enclosures by one
 interval walk, exact sums only on demand).  Floating values are correctly
 rounded quotients of the integers, never the other way around.  The
@@ -76,23 +76,22 @@ class ModelParams(_Frozen):
     `total` and `moment_recursion` read c from here too),
 
         p(i,i-1) = D_i / kernel_den,  D_i = i(c(m-i) + qb m),
-        p(i,i+1) = U_i / kernel_den,  U_i = (m-i)(c i + qa m).
+        p(i,i+1) = U_i / kernel_den,  U_i = (m-i)(c i + qa m),
 
-    The rows (D_i) and (U_i) are built on the first `kernel_rows` call,
-    checked for p(i,i) >= 0 in every row and kept, so a gate that only
-    constructs the points does no per-state work.  The check never fires
-    in the regime: writing m^2 = (i + (m-i))^2,
+    and S_i = 2((qa+qb) i - qa m)(i - n), the numerators of the condition 2
+    remainder S(i/m) over 2 kernel_den, negative only strictly between
+    m a/(a+b) and n.  `rows`, the table (D_i), (U_i), (S_i), is built on
+    first read, checked for p(i,i) >= 0 in every row and kept, so a gate
+    that only constructs the points does no per-state work.  The check
+    never fires in the regime: writing m^2 = (i + (m-i))^2,
 
         p(i,i) kernel_den = (qm - qb) i^2 + (qm - qa)(m-i)^2 + (qa + qb) i(m-i),
 
     and a + b < 2n gives qm > qa and qm > qb, so every term is nonnegative
     and one of the first two is positive.  It stays as a guard on the
     row formulas; the CLI reads the rows inside its guard, so a failure
-    there would be an internal error (exit 3).
-    `remainder_row`, the numerators S_i = 2((qa+qb) i - qa m)(i - n) of the
-    condition 2 remainder S(i/m) over 2 kernel_den, negative only strictly
-    between m a/(a+b) and n, is built on first access and kept.  Instances
-    are immutable, and equal, hashed and shown by (n, a, b).
+    there would be an internal error (exit 3).  Instances are immutable,
+    and equal, hashed and shown by (n, a, b).
     """
 
     n: int
@@ -155,33 +154,20 @@ class ModelParams(_Frozen):
         """The exchangeable-pair scaling constant 1/(4n^2)."""
         return Fraction(1, 4 * self.n * self.n)
 
-    def kernel_rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        """Numerators (D_i, U_i) of p(i,i-1) and p(i,i+1), i = 0..2n."""
-        return self._rows
-
     @cached_property
-    def _rows(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
-        m, qa, qb, c = 2 * self.n, self.qa, self.qb, self.c  # D_i, U_i in powers of i
-        down = tuple(_quadratic((0, m * (c + qb), -c), i) for i in range(m + 1))
-        up = tuple(_quadratic((qa * m * m, m * (c - qa), -c), i) for i in range(m + 1))
+    def rows(self) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+        """Numerators (D_i), (U_i) and (S_i), i = 0..2n."""
+        n, qa, qb, c = self.n, self.qa, self.qb, self.c
+        m, states = 2 * n, range(2 * n + 1)
+        down = tuple(i * (c * (m - i) + qb * m) for i in states)
+        up = tuple((m - i) * (c * i + qa * m) for i in states)
         for i, (d, u) in enumerate(zip(down, up)):
             if d + u > self.kernel_den:
                 raise ValueError(
                     f"kernel row {i} has negative holding probability p(i,i); "
                     f"parameters outside the valid regime"
                 )
-        return down, up
-
-    @cached_property
-    def remainder_row(self) -> tuple[int, ...]:
-        """Numerators S_i of the remainder S(i/2n) over 2 kernel_den, i = 0..2n."""
-        m, qa, qb = 2 * self.n, self.qa, self.qb
-        coef = (qa * m * m, -(3 * qa + qb) * m, 2 * (qa + qb))
-        return tuple(_quadratic(coef, i) for i in range(m + 1))
-
-
-def _quadratic(coef: tuple[int, int, int], i: int) -> int:
-    return coef[0] + i * (coef[1] + i * coef[2])
+        return down, up, tuple(2 * ((qa + qb) * i - qa * m) * (i - n) for i in states)
 
 
 class LatticeDistribution(_Frozen):
@@ -190,7 +176,7 @@ class LatticeDistribution(_Frozen):
     Kept: `probs`, the floats RN(w_i / total), and `enclosures`, bounds
     (lo, hi) in one unit w_0 2**e, which cancels from every ratio, on the
     sums total = sum_i w_i and neg_s_sum = sum_i w_i S_i^-, where S_i^- =
-    max(-S_i, 0) for S_i of `ModelParams.remainder_row`.  Built on first
+    max(-S_i, 0) for S_i of `ModelParams.rows`.  Built on first
     access and kept, for `--exact`, `stein`'s fallback, the tests and
     `perfbench/tracer.py`: those two sums exactly (total in closed form,
     neg_s_sum 0 with no split where no S_i < 0), `weights` and
@@ -215,10 +201,9 @@ class LatticeDistribution(_Frozen):
 
     @cached_property
     def neg_s_sum(self) -> int:
-        s = self.params.remainder_row
+        down, up, s = self.params.rows
         if min(s) >= 0:  # no S_i < 0 (a = b, say): nothing to split
             return 0
-        down, up = self.params.kernel_rows()
         return _split(down, up, s, 0, len(down))[2] // math.factorial(2 * self.n)
 
     @cached_property
@@ -237,7 +222,7 @@ _MIRROR_BITS = 192
 
 def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     """Stationary law via exact detailed-balance ratios along the kernel
-    rows (D_i, U_i) of `ModelParams.kernel_rows`.
+    rows (D_i, U_i) of the table `ModelParams.rows`.
 
     For a birth-death chain, pi(i+1)/pi(i) = p(i,i+1)/p(i+1,i) = U_i/D_{i+1},
     so pi(i) is proportional to (prod_{k<i} U_k)(prod_{k>i} D_k).  With
@@ -268,13 +253,13 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     some S_i < 0.
     """
     bits = _MIRROR_BITS
-    down, up = params.kernel_rows()
+    down, up, s_row = params.rows
     states = [(1 << bits, 1 << bits, -bits)]  # (lo_0, hi_0, e_0): w_0 / w_0
     for u, d in zip(up, down[1:]):
         states.append(_scaled(*states[-1], u, d, bits))
     top = max(e for _, _, e in states)
     z_lo = z_hi = s_lo = s_hi = 0
-    for (lo, hi, e), s in zip(states, params.remainder_row):
+    for (lo, hi, e), s in zip(states, s_row):
         k = top - e
         z_lo += lo >> k
         z_hi -= -hi >> k
@@ -342,7 +327,7 @@ def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
 
 def _exact_walk(params: ModelParams) -> list[int]:
     # The weights w_i: per state one big-by-small multiply and exact division.
-    down, up = params.kernel_rows()
+    down, up, _ = params.rows
     weights = [math.prod(down[k] // k for k in range(1, len(down)))]
     for u, d in zip(up, down[1:]):
         weights.append(weights[-1] * u // d)

@@ -80,7 +80,7 @@ class SteinReport(NamedTuple):
     def s_values(self) -> tuple[float, ...]:
         # int true division rounds correctly, so each value is float(Fraction(...))
         params = self.pi.params
-        return tuple(s / (2 * params.kernel_den) for s in params.remainder_row)
+        return tuple(s / (2 * params.kernel_den) for s in params.rows[2])
 
     @property
     def e_abs_s_exact(self) -> Fraction:
@@ -151,14 +151,14 @@ def lower_bound(params: ModelParams) -> Fraction:
 def _cond1_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     # Numerators of the condition 1 residuals over their one denominator.
     m, qa, qb = 2 * params.n, params.qa, params.qb
-    rows = enumerate(zip(*params.kernel_rows()))
+    rows = enumerate(zip(*params.rows[:2]))
     return (u - d - m * (qa * m - (qa + qb) * i) for i, (d, u) in rows), params.q * m * m
 
 
 def _cond2_residuals(params: ModelParams) -> tuple[Iterator[int], int]:
     # Numerators of the condition 2 residuals over their one denominator.
     m, q = 2 * params.n, params.q
-    rows = enumerate(zip(*params.kernel_rows(), params.remainder_row))
+    rows = enumerate(zip(*params.rows))
     return (u + d - 2 * q * m * i * (m - i) - s for i, (d, u, s) in rows), 2 * params.kernel_den
 
 

@@ -90,13 +90,13 @@ def moment_exact(pi: LatticeDistribution, r: int) -> Fraction:
 
 def abs_s_sum(pi: LatticeDistribution) -> int:
     """sum_i w_i |S_i| over the exact weights; E|S| is it over 2 kernel_den total."""
-    return sum(w * abs(s) for w, s in zip(pi.weights, pi.params.remainder_row))
+    return sum(w * abs(s) for w, s in zip(pi.weights, pi.params.rows[2]))
 
 
 def move_sum(pi: LatticeDistribution) -> int:
     """sum_i w_i (D_i + U_i) over the exact weights; E|W'-W|^3/lambda is it
     over 2n kernel_den total."""
-    down, up = pi.params.kernel_rows()
+    down, up, _ = pi.params.rows
     return sum(w * (d + u) for w, d, u in zip(pi.weights, down, up))
 
 
@@ -204,7 +204,7 @@ def stationary_closed_form(params: ModelParams) -> np.ndarray:
 
 def float_kernel(params: ModelParams) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Rows (down, stay, up) of the kernel as correctly rounded floats."""
-    down, up = params.kernel_rows()
+    down, up, _ = params.rows
     den = params.kernel_den
     stay = [den - d - u for d, u in zip(down, up)]
     return tuple(np.array([x / den for x in row]) for row in (down, stay, up))
@@ -228,7 +228,7 @@ def apply_kernel_exact(
     params: ModelParams, probs: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
     """One exact step: returns probs @ P in rational arithmetic."""
-    down, up = params.kernel_rows()
+    down, up, _ = params.rows
     den = params.kernel_den
     out = [p * (den - d - u) for p, d, u in zip(probs, down, up)]
     for i in range(2 * params.n):
@@ -242,7 +242,7 @@ def detailed_balance_residuals(
 ) -> tuple[Fraction, ...]:
     """Exact residuals pi(i)p(i,i+1) - pi(i+1)p(i+1,i) along every edge."""
     weights, total = pi.weights, pi.total
-    down, up = params.kernel_rows()
+    down, up, _ = params.rows
     den = total * params.kernel_den
     return tuple(
         Fraction(weights[i] * up[i] - weights[i + 1] * down[i + 1], den)
@@ -265,7 +265,7 @@ def asymptotic_variances(pi: LatticeDistribution) -> tuple[Fraction, ...]:
     """
     probs = pi.probs_exact
     params = pi.params
-    _, up = params.kernel_rows()
+    _, up, _ = params.rows
     m = 2 * pi.n
     cum = list(itertools.accumulate(probs))
     flux = [probs[k] * Fraction(up[k], params.kernel_den) for k in range(m)]
@@ -284,7 +284,7 @@ def asymptotic_variances_dense(pi: LatticeDistribution) -> tuple[Fraction, ...]:
     elimination in rational arithmetic, for small n only."""
     probs = pi.probs_exact
     params = pi.params
-    down, up = params.kernel_rows()
+    down, up, _ = params.rows
     den = params.kernel_den
     size = len(probs)
     a = [[probs[j] + (i == j) for j in range(size)] for i in range(size)]
@@ -399,7 +399,7 @@ def simulate_chain(params: ModelParams, start: int, steps: int, seed: int) -> ar
     if not 0 <= start <= 2 * params.n:
         raise IndexError(f"start state {start} outside {{0,...,{2 * params.n}}}")
     path = array("q", [0]) * (steps + 1)
-    down, up = params.kernel_rows()
+    down, up, _ = params.rows
     den = params.kernel_den
     t_down = [d / den for d in down]
     t_up = [(den - u) / den for u in up]

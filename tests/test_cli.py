@@ -14,6 +14,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -414,18 +415,14 @@ class TestGate:
         assert err == "error: K(a,b) is not a finite float at a=600.0, b=601.0\n"
 
     def test_gate_builds_no_rows_and_k_once_per_shape_pair(self, monkeypatch):
-        rows, shapes = [], []
-        quadratic, k_constant = model._quadratic, cli.k_constant
-        monkeypatch.setattr(
-            model, "_quadratic", lambda *args: rows.append(args) or quadratic(*args)
-        )
+        shapes, k_constant = [], cli.k_constant
         monkeypatch.setattr(
             cli, "k_constant", lambda a, b: shapes.append((a, b)) or k_constant(a, b)
         )
         values = (F(1, 2), F(1), F(2))
         points = grid_points(values, values, (25, 50, 100, 200), certified=True)
         assert len(points) == 36
-        assert rows == []
+        assert not any("rows" in p.__dict__ for p in points)
         assert shapes == [(a, b) for a in values for b in values]
 
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -434,15 +431,15 @@ class TestGate:
         # the process that computes its share; the log is written with
         # os.write, so a forked child's records survive its os._exit.
         log = os.open(tmp_path / "rows.log", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        real = ModelParams.__dict__["_rows"].func
+        real = ModelParams.__dict__["rows"].func
 
         def logged(params):
             os.write(log, f"{os.getpid()} {params.a} {params.b} {params.n}\n".encode())
             return real(params)
 
         spy = functools.cached_property(logged)
-        spy.__set_name__(ModelParams, "_rows")
-        monkeypatch.setattr(ModelParams, "_rows", spy)
+        spy.__set_name__(ModelParams, "rows")
+        monkeypatch.setattr(ModelParams, "rows", spy)
         argv = ["sweep", "--n", "25,50,100,200", "--a", "0.5,1,2", "--b", "0.5,1,2"]
         try:
             assert main([*argv, "--jobs", str(jobs), "--out", os.devnull]) == 0
@@ -471,7 +468,14 @@ class TestGate:
     def test_failing_row_check_is_an_internal_error(self, monkeypatch, capsys, argv):
         # The p(i,i) >= 0 check runs with the rows, inside the guard: rows
         # that broke it would be a fault of the computation, not of the input.
-        monkeypatch.setattr(model, "_quadratic", lambda coef, i: 10**60)
+        # A zero kernel_den makes row 0, whose U_0 > 0, break it.
+        init = ModelParams.__init__
+
+        def broken(self, *args):
+            init(self, *args)
+            self.__dict__["kernel_den"] = 0
+
+        monkeypatch.setattr(ModelParams, "__init__", broken)
         code, out, err = run_cli(capsys, *argv)
         assert code == 3 and out == ""
         assert err == (
@@ -588,6 +592,47 @@ class TestSweep:
         child = cli._shares(points, 2)[1]
         payload = marshal.dumps(([(i, *rows[points[i]]) for i in child], None))
         assert len(payload) > 65536
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--n", "25,50", "--a", "1", "--b", "1,2", "--jobs", "2"],
+            ["rate", "--n", "25,50,100,200", "--a", "1", "--b", "1"],
+        ],
+        ids=["sweep", "rate"],
+    )
+    def test_parallel_run_with_sigchld_ignored(self, argv):
+        # An ignored SIGCHLD is inherited across exec, and the kernel would
+        # then reap each forked child before the parent's os.waitpid.
+        plain = _python(["-m", "moranbeta.cli", *argv])
+        ignoring = _python(
+            ["-m", "moranbeta.cli", *argv],
+            preexec_fn=lambda: signal.signal(signal.SIGCHLD, signal.SIG_IGN),
+        )
+        assert plain.returncode == 0 and plain.stdout
+        assert (ignoring.returncode, ignoring.stderr) == (0, "")
+        assert ignoring.stdout == plain.stdout
+
+    def test_ignored_sigchld_is_restored_and_kept_off_the_main_thread(self, monkeypatch):
+        points = grid_points((F(1),), (F(1), F(2)), (3, 4), certified=True)
+        record = functools.partial(cli._row, exact=False)
+        serial = cli._compute_rows(points, 1, record)
+        previous = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            assert cli._compute_rows(points, 2, record) == serial
+            assert signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+            # Only the main thread may set it: elsewhere one share, no fork.
+            monkeypatch.setattr(os, "fork", lambda: pytest.fail("forked"))
+            rows = []
+            thread = threading.Thread(
+                target=lambda: rows.append(cli._compute_rows(points, 2, record))
+            )
+            thread.start()
+            thread.join()
+            assert rows == [serial]
+            assert signal.getsignal(signal.SIGCHLD) == signal.SIG_IGN
+        finally:
+            signal.signal(signal.SIGCHLD, previous)
 
     @pytest.mark.parametrize("exact", [False, True], ids=["csv", "json_exact"])
     def test_rows_cross_the_pipe_bit_for_bit(self, tmp_path, exact):

@@ -37,7 +37,7 @@ PI_N2_UNIFORM = (F(1, 7), F(8, 35), F(9, 35), F(8, 35), F(1, 7))
 
 def transition(p, i):
     """Exact kernel row (down, stay, up) at state i, from the integer rows."""
-    (down, up), den = p.kernel_rows(), p.kernel_den
+    (down, up, _), den = p.rows, p.kernel_den
     return tuple(F(x, den) for x in (down[i], den - down[i] - up[i], up[i]))
 
 
@@ -70,8 +70,8 @@ class TestModelParams:
     def test_cached_row_built_on_an_immutable_instance(self):
         p = ModelParams(3, F(1, 2), 2)
         with pytest.raises(AttributeError):
-            p.remainder_row = ()
-        assert p.remainder_row is p.remainder_row
+            p.rows = ()
+        assert p.rows is p.rows
         with pytest.raises(AttributeError):
             del p.n
 
@@ -114,11 +114,18 @@ class TestModelParams:
         p = ModelParams(10, "1e-300", 1)
         assert p.a == F(1, 10**300)
 
-    def test_kernel_rows_built_once(self):
+    def test_rows_table_built_once(self):
         p = ModelParams(3, F(1, 2), 2)
-        down, up = p.kernel_rows()
-        assert p.kernel_rows() is p.kernel_rows()
-        assert isinstance(down, tuple) and isinstance(up, tuple)
+        assert "rows" not in p.__dict__
+        down, up, s = p.rows
+        assert p.__dict__["rows"] is p.rows
+        assert all(type(row) is tuple and len(row) == 7 for row in (down, up, s))
+        # Each factored row is its quadratic in i, expanded.
+        m, qa, qb, c = 6, p.qa, p.qb, p.c
+        for i in range(m + 1):
+            assert down[i] == m * (c + qb) * i - c * i * i
+            assert up[i] == qa * m * m + m * (c - qa) * i - c * i * i
+            assert s[i] == qa * m * m - (3 * qa + qb) * m * i + 2 * (qa + qb) * i * i
         assert p == ModelParams(3, F(1, 2), 2)
         assert repr(p) == "ModelParams(n=3, a=Fraction(1, 2), b=Fraction(2, 1))"
 
@@ -154,7 +161,7 @@ class TestTransition:
         # The identity behind the docstring's claim that the row check in
         # ModelParams cannot fire: p(i,i) kernel_den is a sum of nonnegative
         # terms, one of them positive, whenever a + b < 2n.
-        (down, up), m = p.kernel_rows(), 2 * p.n
+        (down, up, _), m = p.rows, 2 * p.n
         qm = p.q * m
         for i in range(m + 1):
             stay = (qm - p.qb) * i * i + (qm - p.qa) * (m - i) ** 2 + (p.qa + p.qb) * i * (m - i)
@@ -191,7 +198,7 @@ class TestStationaryRatioProduct:
     def test_walk_matches_ratio_product_definition(self, p):
         # pi(i) proportional to prod_{k<i} U_k prod_{k>i} D_k, built the
         # slow way from the kernel rows and compared as reduced fractions.
-        down, up = p.kernel_rows()
+        down, up, _ = p.rows
         size = 2 * p.n + 1
         brute = [
             math.prod(up[:i]) * math.prod(down[i + 1 :]) for i in range(size)
@@ -204,7 +211,7 @@ class TestStationaryRatioProduct:
     def test_large_n_stays_exact(self):
         p = ModelParams(2000, F(7, 3), F(11, 5))
         pi = stationary_ratio_product(p)
-        down, up = p.kernel_rows()
+        down, up, _ = p.rows
         w = pi.weights
         assert all(w[i] * up[i] == w[i + 1] * down[i + 1] for i in range(2 * p.n))
         # sum_i pi(i) = 1 exactly, read off the integers: reducing 4001
@@ -250,7 +257,7 @@ class TestExactPass:
         w = pi.weights
         assert pi.total == sum(w)
         # S^- = (|S| - S) / 2
-        signed = sum(x * s for x, s in zip(w, p.remainder_row))
+        signed = sum(x * s for x, s in zip(w, p.rows[2]))
         assert 2 * pi.neg_s_sum == oracles.abs_s_sum(pi) - signed
         assert mirror_hex(pi) == [(x / pi.total).hex() for x in w]
         # The walk encloses neg_s_sum / total, both ends of the E|S| it gives
@@ -284,6 +291,23 @@ class TestExactPass:
         assert stein_floats(stein_report(got)) == stein_floats(stein_report(want))
         assert (got.total, got.neg_s_sum) == (want.total, want.neg_s_sum)
 
+    def test_exact_tie_falls_back_at_default_width(self, monkeypatch, capsys):
+        # At n = 1 and a = b = (2**53 + 1)/(3 2**53 - 1), pi(1) = a/(1 + a) =
+        # 1/4 + 2**-55 exactly, the midpoint of 0.25 and the next float: no
+        # width of the walk decides it, so the point takes the exact walk.
+        a = F(2**53 + 1, 3 * 2**53 - 1)
+        p = ModelParams(1, a, a)
+        walks = []
+        walk = model._exact_walk
+        monkeypatch.setattr(
+            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
+        )
+        pi = stationary_ratio_product(p)
+        assert walks == [p]
+        assert pi.probs == (0.375, 0.25, 0.375)  # the tie goes to even
+        assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55)
+        assert cli.main(["report", "--n", "1", "--a", str(a), "--b", str(a)]) == 0
+
     def test_total_is_read_without_binary_splitting(self, monkeypatch):
         # total is the closed-form product; only neg_s_sum splits.
         ranges = []
@@ -310,7 +334,7 @@ class TestExactPass:
         )
         p = ModelParams(n, a, b)
         pi = stationary_ratio_product(p)
-        signed = sum(x * s for x, s in zip(pi.weights, p.remainder_row))
+        signed = sum(x * s for x, s in zip(pi.weights, p.rows[2]))
         assert pi.neg_s_sum == 0 == oracles.abs_s_sum(pi) - signed
         assert ranges == []
 

@@ -1,5 +1,6 @@
 """Exchangeable-pair conditions, constants, and bound certificates."""
 
+import functools
 import math
 from fractions import Fraction
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from moranbeta import model, stein
+from moranbeta import stein
 from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import variance
 from moranbeta.special import log_gamma
@@ -54,7 +55,7 @@ def residuals(generator, p):
 
 def s_exact(p):
     """S(i/2n), i = 0..2n, as exact Fractions."""
-    return [F(s, 2 * p.kernel_den) for s in p.remainder_row]
+    return [F(s, 2 * p.kernel_den) for s in p.rows[2]]
 
 
 class TestCConstant:
@@ -341,25 +342,27 @@ class TestReport:
         assert rep.cond1_max_abs == 0 and rep.cond2_max_abs == 0
 
     def test_s_numerators_built_once(self, monkeypatch):
-        # The exact pass, the conditions and s_values all read
-        # ModelParams.remainder_row; the kernel rows, built on first read,
-        # are built before the spy.
-        p = ModelParams(3, 1, 2)
-        p.kernel_rows()
-        calls = []
-        quadratic = model._quadratic
-        monkeypatch.setattr(
-            model, "_quadratic", lambda *args: calls.append(args) or quadratic(*args)
-        )
+        # The walk, the exact pass, the conditions and s_values all read the
+        # one table ModelParams.rows, built on first read and kept.
+        built = []
+        real = ModelParams.__dict__["rows"].func
+        spy = functools.cached_property(lambda params: built.append(params) or real(params))
+        spy.__set_name__(ModelParams, "rows")
+        monkeypatch.setattr(ModelParams, "rows", spy)
+        p = ModelParams(5, 1, 2)
         rep = stein_report(stationary_ratio_product(p))
-        assert len(rep.s_values) == 7
-        assert len(calls) == 7  # one per state
+        assert len(rep.s_values) == 11 and rep.e_abs_s_exact > 0
+        assert rep.pi.neg_s_sum > 0  # some S_i < 0: the split read the table too
+        assert built == [p]
+        assert p.rows is p.rows
+        with pytest.raises(AttributeError):
+            p.rows = p.rows
         assert rep.conditions_exact and rep.caps_ok
 
     @given(valid_params())
     def test_s_values_are_correctly_rounded_floats(self, p):
         rep = stein_report(stationary_ratio_product(p))
-        nums = p.remainder_row
+        nums = p.rows[2]
         assert len(rep.s_values) == len(nums) == 2 * p.n + 1
         for value, num in zip(rep.s_values, nums):
             assert type(value) is float
