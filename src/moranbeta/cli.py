@@ -15,7 +15,8 @@ dependency.
 
 Exit codes: 0 success, 1 certificate violation (`SteinReport.ok` is false
 at some point: an exact identity, a proof-level cap or the sandwich
-failed), 2 usage or parameter error (a
+failed; in `rate`, a gap slope outside RATE_SLOPE_WINDOW), 2 usage or
+parameter error (a
 `ValueError` outside the guard: a point the gate refuses, a bad option
 value, or an `--out` or stdout that cannot be written), 3 internal error
 while computing a point, whatever its type (one `error: internal:` line
@@ -37,7 +38,7 @@ import marshal
 import math
 import os
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
@@ -79,14 +80,6 @@ EXACT_COLUMNS = [f"{name}_pq" for name, _, _, exact in COLUMNS if exact]
 
 RATE_SLOPE_WINDOW = (-1.05, -0.95)
 
-# Smallest shape whose distances are reported.  W1 is accurate to about
-# 1e-13 absolute, while at a tiny shape the true distance is of the order of
-# the shape: at n=10, a=2.3e-308, b=3e-308 it came out 1.1e-13 where a
-# 30-digit mpmath oracle gives below 1e-31.  Below 1e-300, where ln Gamma of
-# a shape needs its recurrence (see special.log_gamma), such points are
-# refused as a usage error rather than reported.
-MIN_SHAPE = 1e-300
-
 
 class PointResult(NamedTuple):
     """Every certificate quantity of one parameter point, each computed once."""
@@ -125,7 +118,8 @@ def _computing(params: ModelParams):
 
 
 # `Fraction` builds 10**|exp| before any check.  No admissible shape needs
-# more: they are normal floats, and a + b < 2n with n below 10**4300.
+# more: they are at least 1e-300 (ModelParams), and a + b < 2n with n below
+# 10**4300.
 MAX_EXPONENT = 10_000
 
 
@@ -202,11 +196,11 @@ def grid_points(
     order, repeats dropped, all checked before any point is computed.
 
     The rules, in order, each a usage error: non-empty value lists, the
-    model's own (ModelParams), a finite K(a,b) when `certified` (the
-    certificate prints and compares it), and shapes of at least MIN_SHAPE.
-    The last two depend on the shapes only and are checked once per shape
-    pair.  No rule reads a point's lattice: its kernel rows are built when
-    it is computed, inside the guard and, in a sweep, in its own share.
+    model's own (ModelParams, its shape floor included), and a finite K(a,b)
+    when `certified` (the certificate prints and compares it), checked once
+    per shape pair.  No rule reads a point's lattice: its kernel rows are
+    built when it is computed, inside the guard and, in a sweep, in its own
+    share.
     """
     if not (a_values and b_values and n_values):
         raise ValueError("a, b, and n value lists must be non-empty")
@@ -215,12 +209,6 @@ def grid_points(
     for a, b in dict.fromkeys((params.a, params.b) for params in points):
         if certified and not math.isfinite(k_constant(a, b)):
             raise ValueError(f"K(a,b) is not a finite float at a={float(a)}, b={float(b)}")
-        for x in (a, b):
-            if float(x) < MIN_SHAPE:
-                raise ValueError(
-                    f"shapes below {MIN_SHAPE} are not supported, got {float(x)!r}: "
-                    f"the distances there are rounding noise"
-                )
     return points
 
 
@@ -425,10 +413,13 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
     children are forked, and the parent restores the full mask on the way
     out, however it leaves. Each pipe is read to EOF before its child is
     reaped, so no child blocks on a full pipe. A failure is raised as the
-    serial loop would raise it: the one earliest in grid order. If the
-    parent is interrupted, it kills and reaps every child it has not
-    collected. While children run, SIGCHLD has its default disposition: an
-    ignored one, inherited across exec, reaps them before `os.waitpid`.
+    serial loop would raise it: the one earliest in grid order. A child is
+    collected inside the guard of its share's first point, so a failed read
+    or wait is an internal error too. If the parent fails or is interrupted,
+    it kills and reaps every child it has not collected and can still reap,
+    and lets the failure through. While children run, SIGCHLD has its
+    default disposition: an ignored one, inherited across exec, reaps them
+    before `os.waitpid`.
     """
     shares = _shares(points, jobs if hasattr(os, "fork") else 1)
     reaping = False
@@ -449,17 +440,20 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
             children[pid] = (pipe, share)
         outcomes = [_run_share(points, shares[0], record, homes[:1])]
         for pid, (pipe, share) in list(children.items()):
-            with pipe:
-                data = pipe.read()
-            _, status = os.waitpid(pid, 0)
-            del children[pid]
-            outcomes.append(_share_result(points, share, data, status))
+            with _computing(points[share[0]]):
+                with pipe:
+                    data = pipe.read()
+                _, status = os.waitpid(pid, 0)
+                del children[pid]
+                outcomes.append(_share_result(points, share, data, status))
     finally:
         _set_affinity(cpus)
-        for pid, (pipe, _) in children.items():
+        for pid, (pipe, _) in children.items():  # left only by a failure
             pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+            with suppress(OSError):
+                if os.waitpid(pid, os.WNOHANG)[0] == 0:  # unreaped: ours to kill
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
         if reaping:
             signal.signal(signal.SIGCHLD, signal.SIG_IGN)
     rows: list = [None] * len(points)
@@ -508,12 +502,10 @@ def _fit_slope(ns: list[int], run: list[dict], name: str) -> float:
         if not row[name] > 0:  # NaN too: no logarithm
             where = f"n={row['n']}, a={row['a']!r}, b={row['b']!r}"
             raise ValueError(f"cannot fit a rate: {name} is {row[name]!r} at {where}")
+    import statistics  # here, as `json` in `_json_text`, so only `rate` loads it
+
     xs = [math.log(n) for n in ns]
-    ys = [math.log(row[name]) for row in run]
-    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
-    dxs = [x - x_bar for x in xs]
-    num = math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys))
-    return num / math.fsum(dx * dx for dx in dxs)
+    return statistics.linear_regression(xs, [math.log(row[name]) for row in run]).slope
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
@@ -564,11 +556,9 @@ class _Parser(argparse.ArgumentParser):
         if file is not None:
             return super().print_help(file)
         try:
-            if sys.stdout is None:  # descriptor 1 was closed at start-up
-                raise OSError("it is closed")
-            sys.stdout.write(self.format_help())
-        except OSError as exc:
-            self.exit(2, f"error: cannot write stdout: {exc}\n")
+            _write_output(self.format_help(), None)
+        except ValueError as exc:
+            self.exit(2, f"error: {exc}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -22,7 +22,6 @@ tests.
 from __future__ import annotations
 
 import math
-import sys
 from decimal import Context, Decimal
 from functools import cached_property
 from fractions import Fraction
@@ -68,9 +67,12 @@ class ModelParams(_Frozen):
 
     Requires a > 0, b > 0 and a + b < 2n (a refusal shows each value to 17
     significant digits, whatever its size), so u + v < 1 and the closed-form
-    constants of the stationary law stay finite and positive; a and b must
-    also be at least the smallest normal float, so the float shapes of the
-    Beta target are normal positive numbers.  With
+    constants of the stationary law stay finite and positive.  a and b must
+    also be at least 1e-300, the one shape floor of the package: below it
+    ln Gamma of a shape needs its recurrence (`special.log_gamma`), and both
+    laws sit so close to the endpoints that the float W1 is rounding noise
+    (1.1e-13 at n=10, a=2.3e-308, b=3e-308, where a 30-digit oracle gives
+    below 1e-31).  With
     q = lcm(den a, den b), qa = q a, qb = q b, m = 2n, kernel_den = q m^3
     and c = qm - qa - qb = q(m - a - b) > 0, each kept as a field (the law's
     `total` and `moment_recursion` read c from here too),
@@ -117,10 +119,10 @@ class ModelParams(_Frozen):
                 f"need a + b < 2n for a valid mutation regime, got "
                 f"a + b = {_decimal_text(a + b)} with 2n = {2 * n}"
             )
-        if min(float(a), float(b)) < sys.float_info.min:
+        if min(float(a), float(b)) < 1e-300:
             raise ValueError(
-                f"mutation parameters must be at least {sys.float_info.min!r} "
-                f"(the smallest normal float), got a={float(a)!r}, b={float(b)!r}"
+                f"mutation parameters must be at least 1e-300 (below it ln Gamma needs "
+                f"its recurrence and W1 is rounding noise), got a={float(a)!r}, b={float(b)!r}"
             )
         m = 2 * n
         q = math.lcm(a.denominator, b.denominator)
@@ -179,8 +181,9 @@ class LatticeDistribution(_Frozen):
     max(-S_i, 0) for S_i of `ModelParams.rows`.  Built on first
     access and kept, for `--exact`, `stein`'s fallback, the tests and
     `perfbench/tracer.py`: those two sums exactly (total in closed form,
-    neg_s_sum 0 with no split where no S_i < 0), `weights` and
-    `probs_exact` (reduced `Fraction`s).  Immutable; compares by identity.
+    neg_s_sum 0 with no split where no S_i < 0), `weights` (already set
+    where the law came from the exact walk) and `probs_exact` (reduced
+    `Fraction`s).  Immutable; compares by identity.
     """
 
     params: ModelParams
@@ -248,7 +251,8 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     where RN(lo_i / Z_hi) = RN(hi_i / Z_lo), both times 2**(e_i - e), that
     is RN(w_i / total); int true division rounds correctly into the
     subnormals and to 0.  A state left undecided (a near-tie, rare at 192
-    bits) sends the point to the exact walk.  The exact sums are built
+    bits) sends the point to the exact walk, whose weights the law keeps
+    as its `weights`.  The exact sums are built
     only when read: total as that product, neg_s_sum by `_split` where
     some S_i < 0.
     """
@@ -276,11 +280,15 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
         if p != hi / (z_lo << k):
             break
         probs.append(p)
+    weights = None
     if len(probs) < len(states):  # an undecided state
-        w = _exact_walk(params)
-        total = sum(w)
-        probs = [x / total for x in w]
-    return LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi)))
+        weights = tuple(_exact_walk(params))
+        total = sum(weights)
+        probs = [x / total for x in weights]
+    pi = LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi)))
+    if weights:  # kept, so a later read of `weights` does not walk again
+        pi.__dict__["weights"] = weights
+    return pi
 
 
 # Segments of at most this many states are folded in one loop.

@@ -249,7 +249,7 @@ class TestReport:
     def test_rejects_shapes_below_normal_float(self, capsys, a):
         code, out, err = run_cli(capsys, "report", "--n", "10", "--a", a, "--b", "1")
         assert code == 2 and out == ""
-        assert err.startswith("error: mutation parameters must be at least")
+        assert err.startswith("error: mutation parameters must be at least 1e-300 ")
         assert err.count("\n") == 1
 
     def test_tiny_normal_shape_prints_valid_json(self, capsys):
@@ -260,10 +260,10 @@ class TestReport:
         assert code == 0
         assert json.loads(out, parse_constant=reject)["distance"]["wasserstein"] >= 0.0
 
-    @pytest.mark.parametrize("a,b", [("1e-307", "1"), ("3e-308", "1"), ("1", "1e-307")])
+    @pytest.mark.parametrize("a,b", [("600", "601"), ("601", "600"), ("300", "900")])
     def test_rejects_shapes_whose_k_overflows(self, capsys, a, b):
         # K(a,b) = inf would print "upper": Infinity, which is not JSON.
-        code, out, err = run_cli(capsys, "report", "--n", "10", "--a", a, "--b", b)
+        code, out, err = run_cli(capsys, "report", "--n", "602", "--a", a, "--b", b)
         assert code == 2 and out == ""
         assert err.startswith("error: K(a,b) is not a finite float")
         assert err.count("\n") == 1
@@ -278,12 +278,13 @@ class TestReport:
         ids=["report", "sweep", "rate"],
     )
     def test_rejects_shapes_below_resolved_distances(self, capsys, argv):
-        # K(a,b) and the Beta CDF are finite here, but W1 would be rounding
-        # noise: 1.1e-13 where the exact distance is below 1e-31.
+        # W1 would be rounding noise here: 1.1e-13 where the exact distance
+        # is below 1e-31. Every command refuses with the model's one line.
         code, out, err = run_cli(capsys, *argv, "--a", "2.3e-308", "--b", "3e-308")
-        assert code == 2 and out == ""
-        assert err.startswith("error: shapes below 1e-300 are not supported")
-        assert err.count("\n") == 1
+        with pytest.raises(ValueError) as refusal:
+            ModelParams(10, F("2.3e-308"), F("3e-308"))
+        assert (code, out, err) == (2, "", f"error: {refusal.value}\n")
+        assert "at least 1e-300 (below it ln Gamma needs its recurrence" in err
 
     def test_unknown_command_exits_2(self, capsys):
         # `validate`, the removed Monte Carlo check, is refused like any
@@ -357,8 +358,8 @@ class TestGate:
     def test_sweep_rejects_subnormal_shape(self, capsys):
         code, out, err = run_cli(capsys, *GATED_COMMANDS["sweep"], "--a", "1e-310", "--b", "1")
         assert code == 2 and out == ""
-        assert err.startswith("error: mutation parameters must be at least")
-        assert "(the smallest normal float)" in err and err.count("\n") == 1
+        assert err.startswith("error: mutation parameters must be at least 1e-300 ")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize("command", sorted(GATED_COMMANDS))
     def test_negative_shape_same_line(self, capsys, command):
@@ -782,11 +783,10 @@ class TestSweep:
 
     def test_rejects_shapes_whose_k_overflows(self, capsys):
         code, out, err = run_cli(
-            capsys, "sweep", "--n", "10", "--a", "1,1e-307", "--b", "1", "--jobs", "1"
+            capsys, "sweep", "--n", "602", "--a", "1,600", "--b", "601", "--jobs", "1"
         )
         assert code == 2 and out == ""
-        assert err.startswith("error: K(a,b) is not a finite float")
-        assert err.count("\n") == 1
+        assert err == "error: K(a,b) is not a finite float at a=600.0, b=601.0\n"
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exits_2(self, capsys, jobs):
@@ -1082,6 +1082,39 @@ class TestInternalErrors:
             r"unavailable \(point a=1, b=1, n=[345]\)\n",
             err,
         )
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("reaped", [False, True], ids=["unreaped", "reaped"])
+    def test_failed_collection_exits_3_and_reaps(self, monkeypatch, capsys, reaped):
+        # A wait that fails as the parent collects a child is an internal
+        # error at the child's first point, not a traceback (exit 1). The
+        # cleanup lets it through, signals no child already reaped, and
+        # leaves none behind.
+        real_wait, real_kill, failed, kills = os.waitpid, os.kill, [], []
+
+        def wait_fails_once(pid, options):
+            if failed:
+                return real_wait(pid, options)
+            failed.append(pid)
+            if reaped:
+                real_wait(pid, options)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        monkeypatch.setattr(os, "waitpid", wait_fails_once)
+        monkeypatch.setattr(os, "kill", lambda pid, sig: kills.append(pid) or real_kill(pid, sig))
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "3,4", "--a", "1", "--b", "1", "--jobs", "2"
+        )
+        monkeypatch.undo()
+        assert code == 3 and out == ""
+        assert re.fullmatch(
+            r"error: internal: OSError: \[Errno 5\] Input/output error "
+            r"\(point a=1, b=1, n=[34]\)\n",
+            err,
+        )
+        if reaped:
+            assert kills == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1427,6 +1460,18 @@ class TestRate:
         assert -1.05 <= fit["slope_gap_h"] <= -0.95
         assert "slope_wasserstein" in fit and "slope_kolmogorov" in fit
         assert doc["ok"] is True
+
+    def test_gap_slope_outside_window_exits_1(self, monkeypatch, capsys):
+        # The gap decays as 1/n: a window that leaves out -1 fails the fit,
+        # which is printed with "ok": false and exits 1.
+        monkeypatch.setattr(cli, "RATE_SLOPE_WINDOW", (-0.5, -0.4))
+        code, out, err = run_cli(
+            capsys, "rate", "--n", "5,10,20,40,80", "--a", "1", "--b", "1"
+        )
+        assert (code, err) == (1, "")
+        doc = json.loads(out)
+        assert doc["gap_h_slope_window"] == [-0.5, -0.4]
+        assert doc["fits"][0]["gap_h_slope_ok"] is False and doc["ok"] is False
 
     def test_zero_distance_is_a_usage_error(self, capsys):
         # W1 is 0.0 at n = 1, which has no logarithm: one line naming the

@@ -186,17 +186,12 @@ class TestAtomPass:
         with pytest.raises(FloatingPointError):
             distance._atoms(20, shapes)
 
-    def test_tiny_shapes_leave_only_rounding_noise(self):
+    def test_tiny_shapes_are_refused(self):
         # Both laws sit on the endpoints, P(0) = b/(a+b) up to O(a), so the
-        # exact W1 is below 1e-31 (30-digit mpmath).  The atoms are finite,
-        # but W1 comes out as rounding noise, which is why the CLI refuses
-        # shapes below 1e-300.
-        a, b = F("2.3e-308"), F("3e-308")
-        pi = stationary_ratio_product(ModelParams(10, a, b))
-        distance._reset_atoms()
-        assert np.isfinite(distance._atoms(20, (a, b))[0]).all()
-        assert kolmogorov(pi) == float(b / (a + b))
-        assert 0.0 <= wasserstein(pi) <= 1e-12
+        # exact W1 is below 1e-31 (30-digit mpmath), where the float W1 came
+        # out 1.1e-13, rounding noise: the model refuses such shapes.
+        with pytest.raises(ValueError, match="must be at least 1e-300 "):
+            ModelParams(10, F("2.3e-308"), F("3e-308"))
 
 
 def as_hex(atoms):

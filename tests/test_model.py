@@ -105,14 +105,27 @@ class TestModelParams:
         "a,b", [("1e-400", 1), (1, "1e-400"), ("1e-310", 1), (1, "1e-310")]
     )
     def test_rejects_shapes_below_normal_float(self, a, b):
-        # Zero or subnormal as floats: the Beta target and its constants
-        # would see a zero shape or overflow.
-        with pytest.raises(ValueError, match="smallest normal float"):
+        # Zero or subnormal as floats, so below the floor: the Beta target
+        # and its constants would see a zero shape or overflow.
+        with pytest.raises(ValueError, match="must be at least 1e-300 "):
             ModelParams(10, a, b)
 
     def test_accepts_tiny_normal_shapes(self):
         p = ModelParams(10, "1e-300", 1)
         assert p.a == F(1, 10**300)
+
+    def test_shape_floor_is_1e_300_as_a_float(self):
+        # The one floor of the package, compared as floats: 1e-300 itself is
+        # taken, the float below it refused in one line naming the floor.
+        below = math.nextafter(1e-300, 0)
+        for a, b in [(below, 1), (1, below)]:
+            with pytest.raises(ValueError) as refusal:
+                ModelParams(10, a, b)
+            assert str(refusal.value) == (
+                "mutation parameters must be at least 1e-300 (below it ln Gamma needs "
+                f"its recurrence and W1 is rounding noise), got a={float(a)!r}, b={float(b)!r}"
+            )
+        assert ModelParams(10, 1e-300, 1e-300).b == F(1e-300)
 
     def test_rows_table_built_once(self):
         p = ModelParams(3, F(1, 2), 2)
@@ -307,6 +320,22 @@ class TestExactPass:
         assert pi.probs == (0.375, 0.25, 0.375)  # the tie goes to even
         assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55)
         assert cli.main(["report", "--n", "1", "--a", str(a), "--b", str(a)]) == 0
+
+    def test_fallback_keeps_the_walked_weights(self, monkeypatch):
+        # The law keeps the weights its fallback walked: reading weights and
+        # probs_exact walks no second time. A decided law walks on first read.
+        a = F(2**53 + 1, 3 * 2**53 - 1)
+        walks = []
+        walk = model._exact_walk
+        monkeypatch.setattr(
+            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
+        )
+        pi = stationary_ratio_product(ModelParams(1, a, a))
+        assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55)
+        assert pi.weights == tuple(walk(pi.params)) and len(walks) == 1
+        decided = stationary_ratio_product(ModelParams(3, 1, 2))
+        assert len(walks) == 1
+        assert decided.weights == tuple(walk(decided.params)) and len(walks) == 2
 
     def test_total_is_read_without_binary_splitting(self, monkeypatch):
         # total is the closed-form product; only neg_s_sum splits.
