@@ -16,11 +16,10 @@ dependency.
 Exit codes: 0 success, 1 certificate violation (`SteinReport.ok` is false
 at some point: an exact identity, a proof-level cap or the sandwich
 failed; in `rate`, a gap slope outside RATE_SLOPE_WINDOW), 2 usage or
-parameter error (a
-`ValueError` outside the guard: a point the gate refuses, a bad option
-value, or an `--out` or stdout that cannot be written), 3 internal error
-while computing a point, whatever its type (one `error: internal:` line
-on stderr names the exception and the point).
+parameter error (a `ValueError` outside the guard: a point the gate
+refuses, a bad option value, or an `--out` or stdout that cannot be
+written), 3 internal error while computing a point, whatever its type
+(one `error: internal:` line on stderr names the exception and the point).
 
 `main` returns the exit code.  `run`, behind the console script and
 `python -m moranbeta.cli`, runs the exit handlers, flushes stdout and
@@ -372,11 +371,8 @@ def _share_result(
     code = os.waitstatus_to_exitcode(status)
     if code == 0:
         return marshal.loads(data)
-    if code < 0:
-        what = f"sweep worker killed by signal {-code}"
-    else:
-        what = f"sweep worker exited with status {code}"
-    return [], (share[0], _internal(points[share[0]], what))
+    what = f"killed by signal {-code}" if code < 0 else f"exited with status {code}"
+    return [], (share[0], _internal(points[share[0]], f"sweep worker {what}"))
 
 
 def _cpus() -> list[int]:
@@ -415,7 +411,7 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
     reaped, so no child blocks on a full pipe. A failure is raised as the
     serial loop would raise it: the one earliest in grid order. A child is
     collected inside the guard of its share's first point, so a failed read
-    or wait is an internal error too. If the parent fails or is interrupted,
+    or wait is a failure there, ranked with the rest. If the parent fails or is interrupted,
     it kills and reaps every child it has not collected and can still reap,
     and lets the failure through. While children run, SIGCHLD has its
     default disposition: an ignored one, inherited across exec, reaps them
@@ -440,12 +436,14 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
             children[pid] = (pipe, share)
         outcomes = [_run_share(points, shares[0], record, homes[:1])]
         for pid, (pipe, share) in list(children.items()):
-            with _computing(points[share[0]]):
-                with pipe:
+            try:
+                with _computing(points[share[0]]), pipe:
                     data = pipe.read()
-                _, status = os.waitpid(pid, 0)
-                del children[pid]
-                outcomes.append(_share_result(points, share, data, status))
+                    _, status = os.waitpid(pid, 0)
+                    del children[pid]
+                    outcomes.append(_share_result(points, share, data, status))
+            except PointError as exc:  # a failed read or wait, ranked with the rest
+                outcomes.append(([], (share[0], str(exc))))
     finally:
         _set_affinity(cpus)
         for pid, (pipe, _) in children.items():  # left only by a failure
@@ -502,10 +500,12 @@ def _fit_slope(ns: list[int], run: list[dict], name: str) -> float:
         if not row[name] > 0:  # NaN too: no logarithm
             where = f"n={row['n']}, a={row['a']!r}, b={row['b']!r}"
             raise ValueError(f"cannot fit a rate: {name} is {row[name]!r} at {where}")
-    import statistics  # here, as `json` in `_json_text`, so only `rate` loads it
-
     xs = [math.log(n) for n in ns]
-    return statistics.linear_regression(xs, [math.log(row[name]) for row in run]).slope
+    ys = [math.log(row[name]) for row in run]
+    x_bar, y_bar = math.fsum(xs) / len(xs), math.fsum(ys) / len(ys)
+    dxs = [x - x_bar for x in xs]
+    num = math.fsum(dx * (y - y_bar) for dx, y in zip(dxs, ys))
+    return num / math.fsum(dx * dx for dx in dxs)
 
 
 def cmd_rate(args: argparse.Namespace) -> int:
@@ -606,12 +606,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PointError as exc:
+    except (PointError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, PointError) else 2
 
 
 def run() -> None:

@@ -27,6 +27,8 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
+from .special import _LANCZOS_MIN_T
+
 __all__ = [
     "RationalLike",
     "ModelParams",
@@ -68,8 +70,8 @@ class ModelParams(_Frozen):
     Requires a > 0, b > 0 and a + b < 2n (a refusal shows each value to 17
     significant digits, whatever its size), so u + v < 1 and the closed-form
     constants of the stationary law stay finite and positive.  a and b must
-    also be at least 1e-300, the one shape floor of the package: below it
-    ln Gamma of a shape needs its recurrence (`special.log_gamma`), and both
+    also be at least 1e-300 (`special._LANCZOS_MIN_T`), the one shape floor
+    of the package: below it ln Gamma of a shape needs its recurrence, and both
     laws sit so close to the endpoints that the float W1 is rounding noise
     (1.1e-13 at n=10, a=2.3e-308, b=3e-308, where a 30-digit oracle gives
     below 1e-31).  With
@@ -119,9 +121,9 @@ class ModelParams(_Frozen):
                 f"need a + b < 2n for a valid mutation regime, got "
                 f"a + b = {_decimal_text(a + b)} with 2n = {2 * n}"
             )
-        if min(float(a), float(b)) < 1e-300:
+        if min(float(a), float(b)) < _LANCZOS_MIN_T:
             raise ValueError(
-                f"mutation parameters must be at least 1e-300 (below it ln Gamma needs "
+                f"mutation parameters must be at least {_LANCZOS_MIN_T!r} (below it ln Gamma needs "
                 f"its recurrence and W1 is rounding noise), got a={float(a)!r}, b={float(b)!r}"
             )
         m = 2 * n

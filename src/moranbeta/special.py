@@ -36,7 +36,8 @@ _SQRT_2PI = 2.5066282746310005
 # Lanczos rational approximation, g = 607/128, 14 correction terms.
 # Good to ~1e-15 relative over the whole positive axis.
 # Its ser / t overflows below about 4.6e-307, so below this argument
-# log_gamma steps up by the recurrence instead.
+# log_gamma steps up by the recurrence instead.  ModelParams refuses
+# shapes below it: it is the package's one shape floor.
 _LANCZOS_MIN_T = 1e-300
 _LANCZOS_SHIFT = 5.24218750000000000  # g + 1/2
 _LANCZOS_SER0 = 0.999999999999997092

@@ -1118,6 +1118,34 @@ class TestInternalErrors:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
+    def test_failed_collection_ranks_with_the_earliest_failure(self, monkeypatch, capsys):
+        # Three shares, one point each: the parent n=5, the first child n=4,
+        # the second n=3. The first child's wait fails, and n=3 fails in the
+        # second child; n=3 is earlier in grid order, so it is reported.
+        real_wait, real_compute, failed = os.waitpid, cli.compute_point, []
+
+        def wait_fails_once(pid, options):
+            if failed:
+                return real_wait(pid, options)
+            failed.append(pid)
+            raise OSError(errno.EIO, os.strerror(errno.EIO))
+
+        def fails_at_3(params):
+            if params.n == 3:
+                raise ArithmeticError("injected")
+            return real_compute(params)
+
+        monkeypatch.setattr(os, "waitpid", wait_fails_once)
+        monkeypatch.setattr(cli, "compute_point", fails_at_3)
+        code, out, err = run_cli(
+            capsys, "sweep", "--n", "3,4,5", "--a", "1", "--b", "1", "--jobs", "3"
+        )
+        monkeypatch.undo()
+        assert failed and code == 3 and out == ""
+        assert err == "error: internal: ArithmeticError: injected (point a=1, b=1, n=3)\n"
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.parametrize("exc_type", [ArithmeticError, IndexError])
     def test_report_moment_failure_exits_3(self, monkeypatch, capsys, exc_type):
         monkeypatch.setattr(cli, "moment_recursion", _raising(exc_type))
