@@ -1,5 +1,6 @@
 """Test-function gap, the periodic extension, Wasserstein, Kolmogorov."""
 
+import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
@@ -410,15 +411,25 @@ class TestLargeN:
     def test_against_scipy_oracle(self, n, a, b):
         pi = stationary_ratio_product(ModelParams(n, a, b))
         w1, kol = oracle_distances(pi, a, b)
-        assert wasserstein(pi) == pytest.approx(w1, rel=1e-9)
+        assert wasserstein(pi) == pytest.approx(w1, rel=1e-9, abs=0.0)
         assert kolmogorov(pi) == pytest.approx(kol, abs=1e-12)
 
     def test_against_30_digit_oracle(self):
-        # The first accuracy figure of the `wasserstein` docstring: 9.4e-13.
+        # The first accuracy figure of the `wasserstein` docstring: 5.3e-12,
+        # nearly all of it from the crossings inside the endpoint margin.
         n, a, b = 200, F(1, 10), F(1, 10)
         pi = stationary_ratio_product(ModelParams(n, a, b))
         oracle = wasserstein_mpmath(pi)
-        assert wasserstein(pi) == pytest.approx(oracle, rel=1e-11)
+        assert wasserstein(pi) == pytest.approx(oracle, rel=1e-11, abs=0.0)
+
+    def test_interior_crossings_against_30_digit_oracle(self):
+        # Read from the left atom, an interior crossing no longer carries the
+        # difference of the F_Z noise at the crossing and at the atom: 8.0e-13
+        # here, where a second F_Z evaluation per crossing gave 4.9e-12.
+        n, a, b = 400, F(1, 2), F(3, 2)
+        pi = stationary_ratio_product(ModelParams(n, a, b))
+        oracle = wasserstein_mpmath(pi)
+        assert wasserstein(pi) == pytest.approx(oracle, rel=2e-12, abs=0.0)
 
 
 SWEEP_GRID = [
@@ -427,11 +438,12 @@ SWEEP_GRID = [
 ]
 
 
-def crossing_count(pi):
-    """Pieces where F_W = c lies strictly between F_Z at the piece's ends."""
+def crossing_pieces(pi):
+    """The indices i of the pieces [i/m, (i+1)/m] where F_W = c lies strictly
+    between F_Z at the piece's ends."""
     fz = distance._atoms(2 * pi.n, (pi.params.a, pi.params.b))[0]
     cum = accumulate(pi.probs)
-    return sum(f_lo < c < f_hi for c, f_lo, f_hi in zip(cum, fz, fz[1:]))
+    return [i for i, (c, f_lo, f_hi) in enumerate(zip(cum, fz, fz[1:])) if f_lo < c < f_hi]
 
 
 @contextmanager
@@ -489,9 +501,31 @@ class TestCrossings:
             distance._reset_atoms()
             wasserstein(pi)
             atom_calls += 2 * n - 1
-            crossings += crossing_count(pi)
+            crossings += len(crossing_pieces(pi))
         assert len(calls) <= 14_000
         assert len(calls) - atom_calls <= 1.1 * crossings
+
+    def test_only_margin_crossings_evaluate_the_cdf(self, monkeypatch):
+        # An interior crossing is read from the moments of f_Z on its piece:
+        # F_Z is evaluated at the atoms and, through `_crossing_gain`, at the
+        # crossings within the endpoint margin alone.
+        solved = record_crossings(monkeypatch)
+        calls = spy_cdf_pdf(monkeypatch)
+        atom_calls = margin = interior = 0
+        for n, a, b in SWEEP_GRID:
+            pi = stationary_ratio_product(ModelParams(n, a, b))
+            distance._reset_atoms()
+            wasserstein(pi)
+            m, j = 2 * n, distance._interior_margin(float(a), float(b))
+            atom_calls += m - 1
+            for i in crossing_pieces(pi):
+                if j <= i < m - j:
+                    interior += 1
+                else:
+                    margin += 1
+        assert interior > 4 * margin > 0
+        assert len(solved) == margin
+        assert len(calls) == atom_calls + sum(len(evals) for _, evals in solved)
 
     def test_zero_bound_sends_every_crossing_to_newton(self, monkeypatch):
         # With the bound at 0 no corrected estimate is kept: each crossing
@@ -504,7 +538,7 @@ class TestCrossings:
             crossings.clear()
             with newton_only():
                 newton = wasserstein(pi)
-            assert len(crossings) == crossing_count(pi) > 0, (n, a, b)
+            assert len(crossings) == len(crossing_pieces(pi)) > 0, (n, a, b)
             for (*_, lo, hi, _, _, _, _, c), evals in crossings:
                 _, fz, dens = evals[-1]
                 tol = distance._ROOT_REL_TOL * (hi - lo)
@@ -547,6 +581,62 @@ class TestCrossings:
         with newton_only():
             newton = wasserstein(pi)
         assert w1 == pytest.approx(newton, rel=2e-10, abs=0.0)
+
+
+class TestInteriorMoments:
+    """The 6-point Gauss-Legendre rule behind each interior crossing."""
+
+    def test_rule_matches_numpy_to_one_ulp(self):
+        nodes, weights = np.polynomial.legendre.leggauss(len(distance._GL_NODES))
+        pairs = [*zip(distance._GL_NODES, nodes), *zip(distance._GL_WEIGHTS, weights)]
+        for mine, ref in pairs:
+            assert abs(mine - float(ref)) <= math.ulp(float(ref))
+
+    def test_margin_grows_with_the_shapes(self):
+        # The bound's margin at the shapes its docstring names.
+        margin = distance._interior_margin
+        assert [margin(1 + s / 2, 1 + s / 2) for s in (0, 1, 2, 4, 100)] == [13, 17, 20, 26, 302]
+        assert margin(0.5, 1.5) == margin(1.5, 0.5) == 17
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.fractions(min_value=F(1, 20), max_value=50, max_denominator=100),
+        st.fractions(min_value=F(1, 20), max_value=50, max_denominator=100),
+        st.integers(1, 20_000),
+        st.floats(0.0, 1.0),
+        st.floats(0.0, 1.0, exclude_min=True),
+    )
+    def test_moments_match_mpmath(self, a, b, m, where, frac):
+        # I0 = int_lo^x f_Z and I1 = int_lo^x (u - lo) f_Z on interior
+        # pieces, against mpmath at 40 digits on the same float inputs: the
+        # rule's bound, 2^-60 relative, plus a few ulps of rounding.
+        import mpmath
+
+        a, b = float(a), float(b)
+        j = distance._interior_margin(a, b)
+        assume(m > 2 * j)
+        i = j + int(where * (m - 2 * j - 1))
+        lo, hi = i / m, (i + 1) / m
+        x = lo + frac * (hi - lo)
+        assume(lo < x < hi)
+        d_lo = special._cdf_pdf(a, b, log_beta(a, b), lo)[1]
+        i0, i1, f = distance._moments(a - 1.0, b - 1.0, lo, x, d_lo)
+        with mpmath.workdps(40):
+            ma, mb, mlo, mx, md = map(mpmath.mpf, (a, b, lo, x, d_lo))
+            w = mx - mlo
+
+            def ratio(s):
+                # f_Z(lo + w s) / f_Z(lo)
+                return (1 + w * s / mlo) ** (ma - 1) * (1 - w * s / (1 - mlo)) ** (mb - 1)
+
+            want = (
+                w * md * mpmath.quad(ratio, [0, 1]),
+                w * w * md * mpmath.quad(lambda s: s * ratio(s), [0, 1]),
+                md * ratio(1),
+            )
+            tol = distance._MOMENT_REL_BOUND + 8 * 2.0**-53
+            for got, ref in zip((i0, i1, f), want):
+                assert abs(float((got - ref) / ref)) <= tol, (a, b, m, i, x)
 
 
 GAP_SHAPES = (F(1, 10), F(1, 2), F(1), F(2), F(5), F(20), F(355, 113), F(103, 37))
