@@ -256,7 +256,6 @@ def _report_payload(point: PointResult, exact: bool) -> dict:
             "cond1_max_residual": float(rep.cond1_max_abs),
             "cond2_max_residual": float(rep.cond2_max_abs),
             "conditions_exact": rep.conditions_exact,
-            "s_values": list(rep.s_values),
             "e_abs_s_exact": rep.e_abs_s_float,
             "e_abs_s_bound": float(rep.e_abs_s_bound),
             "e_cubed_over_lambda_exact": rep.e_cubed_over_lambda_float,

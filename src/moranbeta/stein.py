@@ -58,8 +58,8 @@ class SteinReport(NamedTuple):
     are within their `_bound`s, and `upper_assembled` is the pair bound
     from those sums, not their caps.  `sandwich_ok` compares the exact
     `lower` <= `gap` <= `upper` = K(a,b)/n with no slack: a Fraction compares
-    with a float by the float's exact binary value.  `s_values`, S(i/2n) for
-    i = 0..2n, is built when read, and `e_abs_s_exact` runs pi's exact pass.
+    with a float by the float's exact binary value.  `e_abs_s_exact` runs
+    pi's exact pass.
     """
 
     cond1_max_abs: Fraction
@@ -75,12 +75,6 @@ class SteinReport(NamedTuple):
     upper_assembled: float
     sandwich_ok: bool
     pi: LatticeDistribution
-
-    @property
-    def s_values(self) -> tuple[float, ...]:
-        # int true division rounds correctly, so each value is float(Fraction(...))
-        params = self.pi.params
-        return tuple(s / (2 * params.kernel_den) for s in params.rows[2])
 
     @property
     def e_abs_s_exact(self) -> Fraction:

@@ -113,8 +113,8 @@ def test_criterion_06_distance_sandwich():
         rep = stein_report(stationary_ratio_product(ModelParams(n, a, b)))
         assert rep.sandwich_ok, (n, a, b, rep.lower, rep.gap, rep.upper)
     spot = stein_report(stationary_ratio_product(ModelParams(2, 1, 1)))
-    assert spot.lower == pytest.approx(1 / 144, rel=1e-15)
-    assert spot.gap == pytest.approx(1 / 120, rel=1e-15)
+    assert spot.lower == Fraction(1, 144)
+    assert spot.gap == Fraction(1, 120)
     assert spot.upper == pytest.approx(4.5, rel=1e-13)
     report(
         6,

@@ -231,14 +231,29 @@ class TestReport:
         assert code == 0
         doc = json.loads(out)
         assert doc["schema_version"] == "1"
-        assert doc["certificate"]["gap_h"] == pytest.approx(1 / 120)
-        assert doc["certificate"]["lower"] == pytest.approx(1 / 144)
+        assert doc["certificate"]["gap_h"] == float(Fraction(1, 120))
+        assert doc["certificate"]["lower"] == float(Fraction(1, 144))
         assert doc["certificate"]["upper"] == pytest.approx(4.5, rel=1e-13)
         assert doc["certificate"]["sandwich_ok"] is True
-        assert doc["variance"] == pytest.approx(0.1)
+        assert doc["variance"] == float(Fraction(1, 10))
         assert doc["stein"]["cond1_max_residual"] == 0.0
         assert doc["exact"]["gap_h"] == "1/120"
         assert doc["exact"]["variance"] == "1/10"
+
+    def test_document_size_does_not_grow_with_n(self, capsys):
+        # No field holds one value per state: the remainder S is a closed-form
+        # quadratic of the point, so the document has no list at any depth.
+        def lists(node):
+            if isinstance(node, list):
+                return 1
+            if isinstance(node, dict):
+                return sum(lists(value) for value in node.values())
+            return 0
+
+        code, out, _ = run_cli(capsys, "report", "--n", "2000", "--a", "1/2", "--b", "3/2")
+        assert code == 0
+        assert lists(json.loads(out)) == 0
+        assert len(out.encode()) < 2048
 
     def test_rejects_boundary_params(self, capsys):
         code, _, err = run_cli(capsys, "report", "--n", "2", "--a", "1", "--b", "3")

@@ -299,8 +299,8 @@ class TestUpperBound:
 class TestCertificate:
     def test_spot(self):
         rep = report_at(2, 1, 1)
-        assert rep.lower == pytest.approx(1.0 / 144.0, rel=1e-15)
-        assert rep.gap == pytest.approx(1.0 / 120.0, rel=1e-15)
+        assert rep.lower == F(1, 144)
+        assert rep.gap == F(1, 120)
         assert rep.upper == pytest.approx(4.5, rel=1e-13)
         assert rep.sandwich_ok and rep.ok
 
@@ -334,7 +334,7 @@ class TestReport:
         rep = stein_report(stationary_ratio_product(p))
         assert p.lam == F(1, 16)
         assert rep.conditions_exact
-        assert rep.s_values == (F(1, 8), F(1, 32), F(0), F(1, 32), F(1, 8))
+        assert tuple(s_exact(p)) == (F(1, 8), F(1, 32), F(0), F(1, 32), F(1, 8))
         assert rep.e_abs_s_exact == F(1, 20)
         assert rep.e_abs_s_bound == F(5, 8)
         assert third_moment_ratio(p) == F(1, 10)
@@ -342,8 +342,8 @@ class TestReport:
         assert rep.cond1_max_abs == 0 and rep.cond2_max_abs == 0
 
     def test_s_numerators_built_once(self, monkeypatch):
-        # The walk, the exact pass, the conditions and s_values all read the
-        # one table ModelParams.rows, built on first read and kept.
+        # The walk, the exact pass and the conditions all read the one table
+        # ModelParams.rows, built on first read and kept.
         built = []
         real = ModelParams.__dict__["rows"].func
         spy = functools.cached_property(lambda params: built.append(params) or real(params))
@@ -351,7 +351,7 @@ class TestReport:
         monkeypatch.setattr(ModelParams, "rows", spy)
         p = ModelParams(5, 1, 2)
         rep = stein_report(stationary_ratio_product(p))
-        assert len(rep.s_values) == 11 and rep.e_abs_s_exact > 0
+        assert rep.e_abs_s_exact > 0
         assert rep.pi.neg_s_sum > 0  # some S_i < 0: the split read the table too
         assert built == [p]
         assert p.rows is p.rows
@@ -360,10 +360,13 @@ class TestReport:
         assert rep.conditions_exact and rep.caps_ok
 
     @given(valid_params())
-    def test_s_values_are_correctly_rounded_floats(self, p):
-        rep = stein_report(stationary_ratio_product(p))
-        nums = p.rows[2]
-        assert len(rep.s_values) == len(nums) == 2 * p.n + 1
-        for value, num in zip(rep.s_values, nums):
-            assert type(value) is float
-            assert value == float(F(num, 2 * p.kernel_den))
+    def test_s_numerators_are_the_closed_form(self, p):
+        # The table against the paper's quadratic, computed independently:
+        # S(W) = s (W - mu)(W - 1/2)/(2n), with s = a + b and mu = a/s.
+        s, m = p.a + p.b, 2 * p.n
+        mu = p.a / s
+        values = s_exact(p)
+        assert len(values) == m + 1
+        for i, value in enumerate(values):
+            w = F(i, m)
+            assert value == s * (w - mu) * (w - F(1, 2)) / m
