@@ -180,12 +180,11 @@ class LatticeDistribution(_Frozen):
     Kept: `probs`, the floats RN(w_i / total), and `enclosures`, bounds
     (lo, hi) in one unit w_0 2**e, which cancels from every ratio, on the
     sums total = sum_i w_i and neg_s_sum = sum_i w_i S_i^-, where S_i^- =
-    max(-S_i, 0) for S_i of `ModelParams.rows`.  Built on first
-    access and kept, for `--exact`, `stein`'s fallback, the tests and
-    `perfbench/tracer.py`: those two sums exactly (total in closed form,
-    neg_s_sum 0 with no split where no S_i < 0), `weights` (already set
-    where the law came from the exact walk) and `probs_exact` (reduced
-    `Fraction`s).  Immutable; compares by identity.
+    max(-S_i, 0) for S_i of `ModelParams.rows`.  Built on first access and
+    kept, for `--exact`, `stein`'s fallback, the tests and `perfbench/tracer.py`:
+    those two sums exactly (total in closed form, neg_s_sum 0 with no split
+    where no S_i < 0), `weights` (by the exact walk) and `probs_exact`
+    (reduced `Fraction`s).  Immutable; compares by identity.
     """
 
     params: ModelParams
@@ -202,7 +201,7 @@ class LatticeDistribution(_Frozen):
     @cached_property
     def total(self) -> int:
         p, m = self.params, 2 * self.n
-        return _product([p.c * j + (p.qa + p.qb) * m for j in range(m)])
+        return _rising((p.qa + p.qb) * m, p.c, m)
 
     @cached_property
     def neg_s_sum(self) -> int:
@@ -220,8 +219,8 @@ class LatticeDistribution(_Frozen):
         return tuple(Fraction(w, self.total) for w in self.weights)
 
 
-# Bits of each bound in the interval walk.  Wider only makes a fallback to
-# the exact walk rarer; the bounds hold at any width.
+# Bits of each bound in the interval walk.  Wider only makes a state left
+# to its own exact weight rarer; the bounds hold at any width.
 _MIRROR_BITS = 192
 
 
@@ -253,8 +252,9 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     where RN(lo_i / Z_hi) = RN(hi_i / Z_lo), both times 2**(e_i - e), that
     is RN(w_i / total); int true division rounds correctly into the
     subnormals and to 0.  A state left undecided (a near-tie, rare at 192
-    bits) sends the point to the exact walk, whose weights the law keeps
-    as its `weights`.  The exact sums are built
+    bits), and every state where a narrow width loses the bound on z_lo
+    below, is RN(w_i / total) from its own weight alone (`_weight`), with
+    total built at most once and not kept.  The law builds its exact sums
     only when read: total as that product, neg_s_sum by `_split` where
     some S_i < 0.
     """
@@ -275,22 +275,15 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     # Each hi_i <= 2**(bits + 1) and z_lo >= 2**(bits - 2), checked as a
     # narrow width can lose it, so past a shift of 1100 both quotients are
     # below 2**-1097 and round to 0: a longer shift need not be built.
-    probs = []
-    for lo, hi, e in states if z_lo >> (bits - 2) else ():
+    m, total, probs = 2 * params.n, 0, []
+    for i, (lo, hi, e) in enumerate(states):
         k = min(top - e, 1100)
-        p = lo / (z_hi << k)
-        if p != hi / (z_lo << k):
-            break
-        probs.append(p)
-    weights = None
-    if len(probs) < len(states):  # an undecided state
-        weights = tuple(_exact_walk(params))
-        total = sum(weights)
-        probs = [x / total for x in weights]
-    pi = LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi)))
-    if weights:  # kept, so a later read of `weights` does not walk again
-        pi.__dict__["weights"] = weights
-    return pi
+        if z_lo >> (bits - 2) and (p := lo / (z_hi << k)) == hi / (z_lo << k):
+            probs.append(p)
+        else:  # undecided: RN(w_i / total) from the state's own weight
+            total = total or _rising((params.qa + params.qb) * m, params.c, m)
+            probs.append(_weight(params, i) / total)
+    return LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi)))
 
 
 # Segments of at most this many states are folded in one loop.
@@ -316,11 +309,18 @@ def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int]:
     return pu1 * pu2, pd1 * pd2, t1 * pd2 + pu1 * t2
 
 
-def _product(factors: list[int]) -> int:
-    # Pairwise, so Karatsuba pays: at 2n = 20000, a quarter of math.prod's time.
+def _rising(base: int, c: int, k: int) -> int:
+    # prod_{j<k} (base + c j), pairwise so Karatsuba pays: at k = 20000, 1/4 of math.prod's time.
+    factors = [base + c * j for j in range(k)] or [1]
     while len(factors) > 1:
         factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
     return factors[0]
+
+
+def _weight(params: ModelParams, i: int) -> int:
+    # The exact walk's w_i alone: C(m,i) prod_{j<i} (qa m + c j) prod_{j<m-i} (qb m + c j).
+    m, c = 2 * params.n, params.c
+    return math.comb(m, i) * _rising(params.qa * m, c, i) * _rising(params.qb * m, c, m - i)
 
 
 def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
@@ -337,8 +337,8 @@ def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
 
 def _exact_walk(params: ModelParams) -> list[int]:
     # The weights w_i: per state one big-by-small multiply and exact division.
-    down, up, _ = params.rows
-    weights = [math.prod(down[k] // k for k in range(1, len(down)))]
+    (down, up, _), m = params.rows, 2 * params.n
+    weights = [_rising(params.qb * m, params.c, m)]
     for u, d in zip(up, down[1:]):
         weights.append(weights[-1] * u // d)
     return weights

@@ -115,7 +115,7 @@ def test_criterion_06_distance_sandwich():
     spot = stein_report(stationary_ratio_product(ModelParams(2, 1, 1)))
     assert spot.lower == Fraction(1, 144)
     assert spot.gap == Fraction(1, 120)
-    assert spot.upper == pytest.approx(4.5, rel=1e-13)
+    assert spot.upper == pytest.approx(4.5, rel=1e-13, abs=0)
     report(
         6,
         f"lower <= gap <= K/n on {len(SWEEP_GRID)} grid points, certified by "

@@ -34,10 +34,10 @@ def cdf(shapes, x):
 
 class TestPdf:
     def test_uniform(self):
-        assert pdf((1, 1), 0.3) == pytest.approx(1.0, rel=1e-14)
+        assert pdf((1, 1), 0.3) == pytest.approx(1.0, rel=1e-14, abs=0)
 
     def test_symmetric_peak(self):
-        assert pdf((2, 2), 0.5) == pytest.approx(1.5, rel=1e-14)
+        assert pdf((2, 2), 0.5) == pytest.approx(1.5, rel=1e-14, abs=0)
 
     def test_integrates_to_one(self):
         from scipy import integrate
@@ -82,7 +82,7 @@ class TestMoments:
 
     def test_general_mean(self):
         for a, b in [(0.5, 2.0), (3.0, 4.0), (7.7, 0.1)]:
-            assert moments(a, b, 1) == pytest.approx(a / (a + b), rel=1e-14)
+            assert moments(a, b, 1) == pytest.approx(a / (a + b), rel=1e-14, abs=0)
 
     def test_exact_for_rational_shapes(self):
         m3 = moments(F(1, 2), F(3, 2), 3)

@@ -233,7 +233,7 @@ class TestReport:
         assert doc["schema_version"] == "1"
         assert doc["certificate"]["gap_h"] == float(Fraction(1, 120))
         assert doc["certificate"]["lower"] == float(Fraction(1, 144))
-        assert doc["certificate"]["upper"] == pytest.approx(4.5, rel=1e-13)
+        assert doc["certificate"]["upper"] == pytest.approx(4.5, rel=1e-13, abs=0)
         assert doc["certificate"]["sandwich_ok"] is True
         assert doc["variance"] == float(Fraction(1, 10))
         assert doc["stein"]["cond1_max_residual"] == 0.0
@@ -254,6 +254,35 @@ class TestReport:
         assert code == 0
         assert lists(json.loads(out)) == 0
         assert len(out.encode()) < 2048
+
+    def test_narrow_walk_prints_the_same_bytes_in_bounded_memory(self, capsys):
+        # At 76 bits the walk leaves states of (4000; 1/2, 3/2) undecided:
+        # each is divided from its own weight, never by the exact walk of
+        # all 8001 weights, whose ints grew as n^2 (a 235 MB peak here).  The
+        # peak is the child's VmHWM: its ru_maxrss would keep the forking
+        # test process's own peak across the exec.
+        script = textwrap.dedent(
+            """
+            import sys
+            from moranbeta import cli, model
+            def refuse(params):
+                raise AssertionError("exact walk ran")
+            alone, weight = [], model._weight
+            model._exact_walk, model._MIRROR_BITS = refuse, 76
+            model._weight = lambda params, i: alone.append(i) or weight(params, i)
+            code = cli.main(["report", "--n", "4000", "--a", "1/2", "--b", "3/2"])
+            with open("/proc/self/status") as status:
+                peak = status.read().split("VmHWM:")[1].split()[0]  # kB
+            print(len(alone), peak, file=sys.stderr)
+            sys.exit(code)
+            """
+        )
+        proc = _python(["-c", script])
+        assert proc.returncode == 0, proc.stderr
+        alone, peak_kb = map(int, proc.stderr.split())
+        assert alone > 0 and peak_kb < 100 * 1024
+        code, out, _ = run_cli(capsys, "report", "--n", "4000", "--a", "1/2", "--b", "3/2")
+        assert code == 0 and proc.stdout == out
 
     def test_rejects_boundary_params(self, capsys):
         code, _, err = run_cli(capsys, "report", "--n", "2", "--a", "1", "--b", "3")

@@ -65,4 +65,4 @@ def test_matches_golden(name, tmp_path):
     assert got == want
     assert len(got_d) == len(want_d) > 0
     for g, w in zip(got_d, want_d):
-        assert g == pytest.approx(w, rel=REL_TOL)
+        assert g == pytest.approx(w, rel=REL_TOL, abs=0)

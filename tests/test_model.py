@@ -255,6 +255,13 @@ def stein_floats(rep):
     return rep.e_abs_s_float, rep.e_cubed_over_lambda_float, rep.caps_ok
 
 
+def spy(monkeypatch, name):
+    """The argument tuples of each call to model.<name>, which still runs."""
+    calls, real = [], getattr(model, name)
+    monkeypatch.setattr(model, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 class TestExactPass:
     """The interval walk of `stationary_ratio_product` and its lazy
     binary-splitting sums against the exact walk, which `weights` runs on
@@ -289,17 +296,19 @@ class TestExactPass:
     @pytest.mark.parametrize(
         "n,a,b", [(150, F(355, 113), F(103, 37)), (300, F(1, 7), F(599, 2))]
     )
-    def test_narrow_mirror_falls_back_to_exact_walk(self, monkeypatch, n, a, b):
+    def test_narrow_mirror_decides_each_state_alone(self, monkeypatch, n, a, b):
+        # At 8 bits states are left undecided: each one is divided from its
+        # own weight, over a total built once and not kept, with no exact walk.
         p = ModelParams(n, a, b)
         want = stationary_ratio_product(p)
-        walks = []
-        walk = model._exact_walk
-        monkeypatch.setattr(
-            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
-        )
+        walks, alone = spy(monkeypatch, "_exact_walk"), spy(monkeypatch, "_weight")
+        products = spy(monkeypatch, "_rising")
         monkeypatch.setattr(model, "_MIRROR_BITS", 8)
         got = stationary_ratio_product(p)
-        assert walks == [p]
+        assert walks == [] and alone and all(args[0] == p for args in alone)
+        m = 2 * n
+        assert products.count(((p.qa + p.qb) * m, p.c, m)) == 1
+        assert "total" not in vars(got)
         assert mirror_hex(got) == mirror_hex(want)
         assert stein_floats(stein_report(got)) == stein_floats(stein_report(want))
         assert (got.total, got.neg_s_sum) == (want.total, want.neg_s_sum)
@@ -307,35 +316,39 @@ class TestExactPass:
     def test_exact_tie_falls_back_at_default_width(self, monkeypatch, capsys):
         # At n = 1 and a = b = (2**53 + 1)/(3 2**53 - 1), pi(1) = a/(1 + a) =
         # 1/4 + 2**-55 exactly, the midpoint of 0.25 and the next float: no
-        # width of the walk decides it, so the point takes the exact walk.
+        # width of the walk decides it, so that state alone is divided exactly.
         a = F(2**53 + 1, 3 * 2**53 - 1)
         p = ModelParams(1, a, a)
-        walks = []
-        walk = model._exact_walk
-        monkeypatch.setattr(
-            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
-        )
+        walks, alone = spy(monkeypatch, "_exact_walk"), spy(monkeypatch, "_weight")
         pi = stationary_ratio_product(p)
-        assert walks == [p]
+        assert walks == [] and alone == [(p, 1)]
         assert pi.probs == (0.375, 0.25, 0.375)  # the tie goes to even
         assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55)
         assert cli.main(["report", "--n", "1", "--a", str(a), "--b", str(a)]) == 0
 
-    def test_fallback_keeps_the_walked_weights(self, monkeypatch):
-        # The law keeps the weights its fallback walked: reading weights and
-        # probs_exact walks no second time. A decided law walks on first read.
+    def test_fallback_walks_nothing(self, monkeypatch):
+        # The tie's law keeps no weights from its fallback: `weights` walks
+        # once, on first read, and probs_exact reads what it kept.
         a = F(2**53 + 1, 3 * 2**53 - 1)
-        walks = []
         walk = model._exact_walk
-        monkeypatch.setattr(
-            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
-        )
+        walks = spy(monkeypatch, "_exact_walk")
         pi = stationary_ratio_product(ModelParams(1, a, a))
-        assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55)
+        assert walks == [] and "weights" not in vars(pi)
         assert pi.weights == tuple(walk(pi.params)) and len(walks) == 1
-        decided = stationary_ratio_product(ModelParams(3, 1, 2))
-        assert len(walks) == 1
-        assert decided.weights == tuple(walk(decided.params)) and len(walks) == 2
+        assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55) and len(walks) == 1
+
+    @given(valid_params())
+    @example(ModelParams(1, F(2**53 + 1, 3 * 2**53 - 1), F(2**53 + 1, 3 * 2**53 - 1)))
+    def test_weight_alone_is_the_walked_weight(self, p):
+        # The Beta-Binomial weight of one state, built alone, is the exact
+        # walk's, (2n)! divided out, at every state.
+        walked = model._exact_walk(p)
+        assert [model._weight(p, i) for i in range(2 * p.n + 1)] == walked
+
+    @given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70), st.integers(0, 70))
+    @example(5, 3, 0)
+    def test_rising_is_the_product_of_its_factors(self, base, c, k):
+        assert model._rising(base, c, k) == math.prod(base + c * j for j in range(k))
 
     def test_total_is_read_without_binary_splitting(self, monkeypatch):
         # total is the closed-form product; only neg_s_sum splits.
@@ -388,18 +401,14 @@ class TestExactPass:
 
     def test_state_undecided_after_decided_ones_falls_back(self, monkeypatch):
         # At 12 bits the first 21 states of (300, 599/2, 1/7) round to 0 from
-        # both bounds and the 22nd is undecided: the whole point, not the
-        # rest of it, comes from the exact walk.
+        # both bounds and the 22nd is undecided: the decided states are kept,
+        # and only undecided ones, from the 22nd on, are divided exactly.
         p = ModelParams(300, F(599, 2), F(1, 7))
         want = stationary_ratio_product(p)
-        walks = []
-        walk = model._exact_walk
-        monkeypatch.setattr(
-            model, "_exact_walk", lambda params: walks.append(params) or walk(params)
-        )
+        walks, alone = spy(monkeypatch, "_exact_walk"), spy(monkeypatch, "_weight")
         monkeypatch.setattr(model, "_MIRROR_BITS", 12)
         got = stationary_ratio_product(p)
-        assert walks == [p]
+        assert walks == [] and alone[0] == (p, 21)
         assert mirror_hex(got) == mirror_hex(want)
         assert stein_floats(stein_report(got)) == stein_floats(stein_report(want))
 
@@ -436,12 +445,14 @@ class TestExactPass:
 
     def test_no_fallback_at_benchmark_points(self, monkeypatch):
         # Without --exact, no point of the benchmark runs the binary
-        # splitting or the exact walk, from pi to the rendered values.
+        # splitting, the exact walk or a state's own weight, from pi to the
+        # rendered values.
         def refuse(*args):
             raise AssertionError("exact pass ran")
 
         monkeypatch.setattr(model, "_split", refuse)
         monkeypatch.setattr(model, "_exact_walk", refuse)
+        monkeypatch.setattr(model, "_weight", refuse)
         for n, a, b in BENCHMARK_POINTS:
             point = cli.compute_point(ModelParams(n, a, b))
             assert point.stein.ok

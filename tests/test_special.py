@@ -36,10 +36,10 @@ class TestLogGamma:
         assert abs(log_gamma(1.0)) <= 1e-15
 
     def test_gamma_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14)
+        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-14, abs=0)
 
     def test_gamma_six_is_120(self):
-        assert log_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14)
+        assert log_gamma(6.0) == pytest.approx(math.log(120.0), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize("t", [0.0, -1.0, -0.5])
     def test_domain_error(self, t):
@@ -82,10 +82,10 @@ class TestLogBeta:
         assert log_beta(1.0, 1.0) == 0.0
 
     def test_b22(self):
-        assert log_beta(2.0, 2.0) == pytest.approx(math.log(1.0 / 6.0), rel=1e-14)
+        assert log_beta(2.0, 2.0) == pytest.approx(math.log(1.0 / 6.0), rel=1e-14, abs=0)
 
     def test_half_half_is_pi(self):
-        assert log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), rel=1e-14)
+        assert log_beta(0.5, 0.5) == pytest.approx(math.log(math.pi), rel=1e-14, abs=0)
 
     def test_domain_error(self):
         with pytest.raises(ValueError):

@@ -69,12 +69,12 @@ class TestCConstant:
         off_family = 2 * (1 + 1) * math.exp(
             log_gamma(1.0) + log_gamma(1.0) - log_gamma(2.0)
         )
-        assert diag == pytest.approx(4.0, rel=1e-13)
-        assert off_family == pytest.approx(4.0, rel=1e-13)
+        assert diag == pytest.approx(4.0, rel=1e-13, abs=0)
+        assert off_family == pytest.approx(4.0, rel=1e-13, abs=0)
 
     def test_diagonal_above_one(self):
-        assert c_constant(2, 2) == pytest.approx(16.0 / 3.0, rel=1e-13)
-        assert c_constant(1.5, 1.5) == pytest.approx(1.5 * math.pi, rel=1e-13)
+        assert c_constant(2, 2) == pytest.approx(16.0 / 3.0, rel=1e-13, abs=0)
+        assert c_constant(1.5, 1.5) == pytest.approx(1.5 * math.pi, rel=1e-13, abs=0)
 
     @pytest.mark.parametrize(
         "a,b,factor",
@@ -86,7 +86,7 @@ class TestCConstant:
         ],
     )
     def test_offdiagonal_branches(self, a, b, factor):
-        assert c_constant(a, b) == pytest.approx(2 * (a + b) * factor, rel=1e-12)
+        assert c_constant(a, b) == pytest.approx(2 * (a + b) * factor, rel=1e-12, abs=0)
 
     def test_gamma_ratio_overflow_is_inf(self):
         # Gamma(1201)/(Gamma(600)Gamma(601)) is about e^832, past the
@@ -108,12 +108,12 @@ class TestCConstant:
 
 class TestKConstant:
     def test_unit_shapes(self):
-        assert k_constant(1, 1) == pytest.approx(9.0, rel=1e-13)
+        assert k_constant(1, 1) == pytest.approx(9.0, rel=1e-13, abs=0)
 
     def test_half_shapes(self):
         # (7.5*4 + 3pi/2 + 1*(3pi/2)*4)/12 with C(1.5,1.5) = 3pi/2
         want = (30.0 + 7.5 * math.pi) / 12.0
-        assert k_constant(0.5, 0.5) == pytest.approx(want, rel=1e-13)
+        assert k_constant(0.5, 0.5) == pytest.approx(want, rel=1e-13, abs=0)
 
     def test_positive_on_grid(self):
         for a in (0.3, 1.0, 2.0, 5.0):
@@ -301,7 +301,7 @@ class TestCertificate:
         rep = report_at(2, 1, 1)
         assert rep.lower == F(1, 144)
         assert rep.gap == F(1, 120)
-        assert rep.upper == pytest.approx(4.5, rel=1e-13)
+        assert rep.upper == pytest.approx(4.5, rel=1e-13, abs=0)
         assert rep.sandwich_ok and rep.ok
 
     def test_sandwich_on_grid(self):
