@@ -8,8 +8,8 @@ default, `report` in one. The process computes the first share and a
 forked child each other one, with no process pool, and the output is the
 same bytes for any number of shares. A point's record, `_row` or
 `report`'s `_report_payload`, is built once as plain values, which a child
-sends through its pipe by `marshal`. Each share places itself on its own
-CPU of the affinity mask.
+sends through its pipe by `marshal`. The kernel places the shares on
+CPUs; no process's affinity mask is changed.
 Every command runs on the standard library: the package has no runtime
 dependency.
 
@@ -41,7 +41,7 @@ from contextlib import contextmanager, suppress
 from decimal import Decimal
 from fractions import Fraction
 from operator import attrgetter
-from typing import BinaryIO, Callable, NamedTuple, Sequence
+from typing import BinaryIO, Callable, NamedTuple
 
 from . import beta as beta_dist
 from . import distance
@@ -312,14 +312,13 @@ Record = Callable[[PointResult], dict]
 
 
 def _run_share(
-    points: list[ModelParams], share: list[int], record: Record, cpus: Sequence[int]
+    points: list[ModelParams], share: list[int], record: Record
 ) -> tuple[list, tuple | None]:
-    """`(index, record(point), ok)` of each point of one share, computed on
-    `cpus`, up to its first failing point, and that failure as `(index,
-    message)`, or None: plain data, which is all that marshal sends. The
-    share starts from an empty atom slot, so a command never reads atoms
-    an earlier one left in the process; its own nested lattices still do."""
-    _set_affinity(cpus)
+    """`(index, record(point), ok)` of each point of one share, up to its
+    first failing point, and that failure as `(index, message)`, or None:
+    plain data, which is all that marshal sends. The share starts from an
+    empty atom slot, so a command never reads atoms an earlier one left in
+    the process; its own nested lattices still do."""
     distance._reset_atoms()
     records = []
     for i in share:
@@ -333,7 +332,7 @@ def _run_share(
 
 
 def _fork_share(
-    points: list[ModelParams], share: list[int], record: Record, cpus: Sequence[int]
+    points: list[ModelParams], share: list[int], record: Record
 ) -> tuple[int, BinaryIO]:
     """Run `_run_share` in a forked child; returns its pid and the read end of
     the pipe that carries the result as one marshal. The CLI starts no
@@ -352,7 +351,7 @@ def _fork_share(
         try:
             os.close(read_fd)
             with open(write_fd, "wb") as pipe:
-                pipe.write(marshal.dumps(_run_share(points, share, record, cpus)))
+                pipe.write(marshal.dumps(_run_share(points, share, record)))
             code = 0
         finally:
             os._exit(code)
@@ -374,47 +373,26 @@ def _share_result(
     return [], (share[0], _internal(points[share[0]], f"sweep worker {what}"))
 
 
-def _cpus() -> list[int]:
-    """The CPUs this process may run on (its affinity mask), in order; empty
-    where the platform has no `os.sched_getaffinity`."""
-    return sorted(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else []
-
-
 def _default_jobs() -> int:
     """One share per CPU of the affinity mask, else per CPU of the machine."""
-    return len(_cpus()) or os.cpu_count() or 1
-
-
-def _set_affinity(cpus: Sequence[int]) -> None:
-    """Best effort: set this process's affinity mask to `cpus`. Nothing
-    changes where `cpus` is empty, where there is no `os.sched_setaffinity`
-    or where the kernel refuses."""
-    if cpus and hasattr(os, "sched_setaffinity"):
-        try:
-            os.sched_setaffinity(0, cpus)
-        except OSError:
-            pass
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[tuple[dict, bool]]:
     """`(record(point), ok)` of every point in grid order.
 
     The parent computes the first share and a forked child each other one;
-    where there is no `os.fork`, the parent computes the one share. Share k
-    runs on CPU `cpus[k % len(cpus)]` of the affinity mask: a forked child
-    starts on its parent's CPU and the scheduler left it there, so on 2
-    vCPU both halves of a fork ran on one core for the whole sweep. Each
-    share sets its own process's mask as it starts, the parent's once the
-    children are forked, and the parent restores the full mask on the way
-    out, however it leaves. Each pipe is read to EOF before its child is
-    reaped, so no child blocks on a full pipe. A failure is raised as the
-    serial loop would raise it: the one earliest in grid order. A child is
-    collected inside the guard of its share's first point, so a failed read
-    or wait is a failure there, ranked with the rest. If the parent fails or is interrupted,
-    it kills and reaps every child it has not collected and can still reap,
-    and lets the failure through. While children run, SIGCHLD has its
-    default disposition: an ignored one, inherited across exec, reaps them
-    before `os.waitpid`.
+    where there is no `os.fork`, the parent computes the one share. The
+    kernel places the shares on CPUs, and the process's affinity mask is
+    left as it was. Each pipe is read to EOF before its child is reaped, so
+    no child blocks on a full pipe. A failure is raised as the serial loop
+    would raise it: the one earliest in grid order. A child is collected
+    inside the guard of its share's first point, so a failed read or wait
+    is a failure there, ranked with the rest. If the parent fails or is
+    interrupted, it kills and reaps every child it has not collected and
+    can still reap, and lets the failure through. While children run,
+    SIGCHLD has its default disposition: an ignored one, inherited across
+    exec, reaps them before `os.waitpid`.
     """
     shares = _shares(points, jobs if hasattr(os, "fork") else 1)
     reaping = False
@@ -425,15 +403,13 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
                 signal.signal(signal.SIGCHLD, signal.SIG_DFL)
             except ValueError:  # set only in the main thread: compute in one share
                 shares, reaping = _shares(points, 1), False
-    cpus = _cpus() if len(shares) > 1 else []
-    homes = [cpus[k % len(cpus)] for k in range(len(shares))] if cpus else []
     children: dict[int, tuple[BinaryIO, list[int]]] = {}
     try:
-        for k, share in enumerate(shares[1:], 1):
+        for share in shares[1:]:
             with _computing(points[share[0]]):
-                pid, pipe = _fork_share(points, share, record, homes[k:k + 1])
+                pid, pipe = _fork_share(points, share, record)
             children[pid] = (pipe, share)
-        outcomes = [_run_share(points, shares[0], record, homes[:1])]
+        outcomes = [_run_share(points, shares[0], record)]
         for pid, (pipe, share) in list(children.items()):
             try:
                 with _computing(points[share[0]]), pipe:
@@ -444,7 +420,6 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
             except PointError as exc:  # a failed read or wait, ranked with the rest
                 outcomes.append(([], (share[0], str(exc))))
     finally:
-        _set_affinity(cpus)
         for pid, (pipe, _) in children.items():  # left only by a failure
             pipe.close()
             with suppress(OSError):

@@ -22,6 +22,7 @@ tests.
 from __future__ import annotations
 
 import math
+import sys
 from decimal import Context, Decimal
 from functools import cached_property
 from fractions import Fraction
@@ -74,7 +75,9 @@ class ModelParams(_Frozen):
     of the package: below it ln Gamma of a shape needs its recurrence, and both
     laws sit so close to the endpoints that the float W1 is rounding noise
     (1.1e-13 at n=10, a=2.3e-308, b=3e-308, where a 30-digit oracle gives
-    below 1e-31).  With
+    below 1e-31).  Nor may a or b exceed the largest float (checked before
+    the floor, which compares floats): that needs n > 5e307, more than
+    10^308 states, and K(a,b) is never a finite float there.  With
     q = lcm(den a, den b), qa = q a, qb = q b, m = 2n, kernel_den = q m^3
     and c = qm - qa - qb = q(m - a - b) > 0, each kept as a field (the law's
     `total` and `moment_recursion` read c from here too),
@@ -120,6 +123,11 @@ class ModelParams(_Frozen):
             raise ValueError(
                 f"need a + b < 2n for a valid mutation regime, got "
                 f"a + b = {_decimal_text(a + b)} with 2n = {2 * n}"
+            )
+        if max(a, b) > sys.float_info.max:
+            raise ValueError(
+                f"mutation parameters must be at most the largest float {sys.float_info.max!r}, "
+                f"got a={_decimal_text(a)}, b={_decimal_text(b)}"
             )
         if min(float(a), float(b)) < _LANCZOS_MIN_T:
             raise ValueError(

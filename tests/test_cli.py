@@ -428,12 +428,28 @@ class TestGate:
                 ["report", "--n", "10", "--a=-1e5000", "--b", "1"],
                 "mutation parameters must be positive, got a=-1.0000000000000000e+5000, b=1",
             ),
+            *(
+                (
+                    [*argv, "--a", "1e400", "--b", "1"],
+                    "mutation parameters must be at most the largest float "
+                    "1.7976931348623157e+308, got a=1.0000000000000000e+400, b=1",
+                )
+                for argv in (
+                    ["report", "--n", str(10**401)],
+                    ["sweep", "--n", str(10**401), "--jobs", "1"],
+                    ["rate", "--n", ",".join(str(k * 10**401) for k in (1, 2, 4, 8))],
+                )
+            ),
         ],
-        ids=["a_1e300", "b_1e4500", "a_minus_1e5000"],
+        ids=["a_1e300", "b_1e4500", "a_minus_1e5000", "report_a_1e400", "sweep_a_1e400",
+             "rate_a_1e400"],
     )
     def test_huge_shape_refused_in_one_short_line(self, capsys, argv, line):
         # The refusal shows each value to 17 significant digits, never the
         # exact integer: not 301 digits, nor the interpreter's int-to-str cap.
+        # A shape above the largest float passes a + b < 2n at n = 10**401,
+        # and the model refuses it before the float shape floor could raise
+        # OverflowError.
         code, out, err = run_cli(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {line}\n")
         assert len(err.encode()) < 200
@@ -755,73 +771,43 @@ class TestSweep:
         monkeypatch.delattr(os, "sched_getaffinity")
         assert cli.build_parser().parse_args(argv).jobs == 64
 
-    def test_unpinnable_sweep_runs_as_before(self, monkeypatch, capsys):
-        # Placing shares on CPUs is best effort: where the kernel refuses,
-        # the sweep prints the same bytes and exit code as a serial one.
-        argv = ["sweep", "--n", "3,4,5", "--a", "1", "--b", "1,2"]
-        serial = run_cli(capsys, *argv, "--jobs", "1")
-        calls = []
-
-        def refusing(pid, cpus):
-            calls.append(set(cpus))
-            raise OSError(errno.EINVAL, "Invalid argument")
-
-        monkeypatch.setattr(os, "sched_setaffinity", refusing, raising=False)
-        assert serial[0] == 0
-        assert run_cli(capsys, *argv, "--jobs", "2") == serial
-        assert bool(calls) == hasattr(os, "sched_getaffinity")
-
-    @pytest.mark.skipif(
-        not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
-        reason="needs an affinity mask of at least 2 CPUs",
-    )
     @pytest.mark.parametrize("ending", ["rows", "point_error", "failed_fork", "interrupt"])
-    def test_each_share_runs_on_its_own_cpu(self, monkeypatch, ending):
-        # A forked child starts on its parent's CPU and stays there, so
-        # without placement both shares of --jobs 2 share one core. Share k
-        # runs on cpus[k % len(cpus)]: each child places itself, and the
-        # parent sets its own mask once and restores it once, whole again
-        # however the sweep ends. Three shares on a mask of two CPUs.
-        whole = os.sched_getaffinity(0)
-        cpus = sorted(whole)[:2]
+    def test_shares_leave_the_affinity_mask_alone(self, monkeypatch, tmp_path, ending):
+        # The kernel places the shares: however the sweep ends, no process,
+        # parent or child, sets an affinity mask, the caller's mask is the
+        # same set afterwards, and no child is left. The spy writes to a
+        # file, so a child's call shows too.
         points = grid_points((F(1),), (F(1), F(2)), (3, 4, 5), certified=True)
         parent = os.getpid()
-        real_set = os.sched_setaffinity
-        calls = []
+        mask = getattr(os, "sched_getaffinity", lambda pid: None)
+        before = mask(0)
+        spied = tmp_path / "sched_setaffinity"
+
+        def spy(pid, cpus):
+            with open(spied, "a") as fh:
+                fh.write(f"{os.getpid()} {sorted(cpus)}\n")
 
         def recording(point):
             if ending == "point_error":
                 raise cli.PointError("injected")
             if ending == "interrupt" and os.getpid() == parent:
                 raise KeyboardInterrupt
-            return {**cli._row(point, False), "mask": sorted(os.sched_getaffinity(0))}
-
-        def counting(pid, mask):
-            if os.getpid() == parent:
-                calls.append(set(mask))
-            real_set(pid, mask)
+            return cli._row(point, False)
 
         def failing_fork():
             raise BlockingIOError(11, "Resource temporarily unavailable")
 
         if ending == "failed_fork":
             monkeypatch.setattr(os, "fork", failing_fork)
-        try:
-            real_set(0, cpus)
-            monkeypatch.setattr(os, "sched_setaffinity", counting)
-            if ending == "rows":
-                rows = cli._compute_rows(points, 3, recording)
-                for k, share in enumerate(cli._shares(points, 3)):
-                    assert [rows[i][0]["mask"] for i in share] == [[cpus[k % 2]]] * len(share)
-                assert calls == [{cpus[0]}, set(cpus)]
-            else:
-                expected = KeyboardInterrupt if ending == "interrupt" else cli.PointError
-                with pytest.raises(expected):
-                    cli._compute_rows(points, 3, recording)
-                assert len(calls) <= 2 and calls[-1] == set(cpus)
-            assert os.sched_getaffinity(0) == set(cpus)
-        finally:
-            real_set(0, whole)
+        monkeypatch.setattr(os, "sched_setaffinity", spy, raising=False)
+        if ending == "rows":
+            assert cli._compute_rows(points, 3, recording) == cli._compute_rows(points, 1, recording)
+        else:
+            expected = KeyboardInterrupt if ending == "interrupt" else cli.PointError
+            with pytest.raises(expected):
+                cli._compute_rows(points, 3, recording)
+        assert not spied.exists(), spied.read_text()
+        assert mask(0) == before
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -1488,14 +1474,9 @@ class TestRate:
 
     @staticmethod
     def run_on(monkeypatch, capsys, count):
-        # rate with `count` CPUs in the mask, each share on a real one.
-        real = cli._cpus()
-        monkeypatch.setattr(cli, "_cpus", lambda: (real * count)[:count])
-        try:
-            return run_cli(capsys, *TestRate.GRID)
-        finally:
-            if real:
-                os.sched_setaffinity(0, real)
+        # rate as if the mask held `count` CPUs: `count` shares.
+        monkeypatch.setattr(cli, "_default_jobs", lambda: count)
+        return run_cli(capsys, *TestRate.GRID)
 
     def test_same_bytes_for_any_cpu_count(self, monkeypatch, capsys):
         # rate computes its grid in the sweep's shares, one per CPU of the
