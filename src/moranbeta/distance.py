@@ -60,10 +60,6 @@ _GL_WEIGHTS = (
     0.46791393457269104, 0.3607615730481387, 0.17132449237917027,
 )
 _GL_RULE = tuple(zip([1.0 + t for t in _GL_NODES], _GL_WEIGHTS))
-# Each moment's relative error bound, the one-evaluation bound's value, held
-# apart so that a one-evaluation bound of 0, which refuses every estimate,
-# leaves the margin defined.
-_MOMENT_REL_BOUND = _ONE_EVAL_BOUND
 
 
 def gap_h(params: ModelParams) -> Fraction:
@@ -90,15 +86,9 @@ def _end_density(shape: float, ln_beta: float) -> float:
 
 
 # The atoms of the last lattice `_atoms` served, for the next one of the same
-# shape pair: ((a, b), m, atoms), or None.  One lattice, one slot, which the
-# CLI empties as each command starts computing (`cli._run_share`).
+# shape pair: ((a, b), m, atoms), or None.  One lattice, one slot, never
+# emptied: what it serves is what a cold pass gives (see `_atoms`).
 _slot = None
-
-
-def _reset_atoms() -> None:
-    """Empty the atom slot, so the next `_atoms` call is a cold pass."""
-    global _slot
-    _slot = None
 
 
 def _atoms(
@@ -116,10 +106,11 @@ def _atoms(
     lattice m = k m0 of the same shapes, such as the next n of a doubling
     sweep, copies atom j of m0 to atom k j and evaluates only the others:
     k j / (k m0) and j / m0 are one rational, correctly rounded to one
-    float, so every value is the one a cold pass gives, bit for bit.  Any
-    other lattice starts from the endpoints, where F_Z is 0 and 1, G is 0
-    and b/(a+b), and f_Z is its limit: 0, infinite or 1/B(a,b) as the shape
-    at that end is above, below or equal to 1.
+    float, so every value is the one a cold pass gives, bit for bit, under
+    either key.  Any other lattice starts from the endpoints, where F_Z is
+    0 and 1, G is 0 and b/(a+b), rounded once from the exact ratio of the
+    shapes as given, and f_Z is its limit: 0, infinite or 1/B(a,b) as the
+    shape at that end is above, below or equal to 1.
     """
     global _slot
     a, b = map(float, shapes)
@@ -128,7 +119,7 @@ def _atoms(
         ends = (
             (0.0, 1.0),
             (_end_density(a, ln_beta), _end_density(b, ln_beta)),
-            (0.0, float(shapes[1] / (shapes[0] + shapes[1]))),
+            (0.0, float(Fraction(shapes[1]) / sum(map(Fraction, shapes)))),
             ln_beta,
         )
         _slot = (shapes, 1, ends)
@@ -195,14 +186,15 @@ def _interior_margin(a: float, b: float) -> int:
     and that of I0 = int f_Z the same without (1 + R).  This takes
     r = (2K - 1)/(2K + s), which balances (1 - r)^-s against
     rho^-(2K-1) ~ (4 J r)^-(2K-1), and returns the least J >= 2 with the
-    bound below _MOMENT_REL_BOUND = 2^-60, found by doubling and bisection,
-    as the bound falls while J grows.  For K = 6 it gives J = 13 at s = 0
-    (a = b = 1), 17 at s = 1, 26 at s = 4 and 302 at s = 100.  This is the
-    rule's own error; the rounding of the node values adds a few ulps.
+    bound below _ONE_EVAL_BOUND = 2^-60, the bound each crossing's estimate
+    is also kept by, found by doubling and bisection, as the bound falls
+    while J grows.  For K = 6 it gives J = 13 at s = 0 (a = b = 1), 17 at
+    s = 1, 26 at s = 4 and 302 at s = 100.  This is the rule's own error;
+    the rounding of the node values adds a few ulps.
     """
     k, s = len(_GL_NODES), abs(a - 1.0) + abs(b - 1.0)
     r = (2 * k - 1) / (2 * k + s)
-    log_bound = math.log(_MOMENT_REL_BOUND)
+    log_bound = math.log(_ONE_EVAL_BOUND)
 
     def too_close(j: int) -> bool:
         big_r = 2 * j * r - 1.0
@@ -344,15 +336,16 @@ def wasserstein(pi: LatticeDistribution) -> float:
     second evaluation at the crossing point added the difference of two
     noises.  What remains is the noise of F_Z and G at the atoms, which
     every crossing method shares, and that of the margin crossings.
-    Relative error against a 30-digit mpmath oracle, with the figure of a
-    continued-fraction evaluation at every crossing in brackets:
-    5.3e-12 (9.4e-13) at n=200, (1/10, 1/10), which the test suite holds
-    to 1e-11; 8.0e-13 (4.9e-12) at n=400, (1/2, 3/2), held to 2e-12;
-    single measurements, too slow for the suite: 1.5e-11 (1.9e-11) at
-    n=1000, (1/10, 1/10); 1.8e-13 (2.6e-11) at n=1000, (355/113, 103/37);
+    Relative error against the 30-digit mpmath table
+    `tests/data/distance_oracles.json`, which the test suite holds each
+    point to, with the figure of a continued-fraction evaluation at every
+    crossing in brackets: 5.3e-12 (9.4e-13) at n=200, (1/10, 1/10);
+    8.0e-13 (4.9e-12) at n=400, (1/2, 3/2); 1.5e-11 (1.9e-11) at n=1000,
+    (1/10, 1/10); 1.8e-13 (2.6e-11) at n=1000, (355/113, 103/37);
     2.4e-13 (5.5e-11) at n=2000 and 2.0e-11 (1.4e-11) at n=5000, both
     (1/2, 3/2); 2.5e-12 (6.9e-11) at n=2000, (7/3, 11/5); 3.4e-11
-    (3.5e-10) at n=111, (1/1000, 811/1000).
+    (3.5e-10) at n=111, (1/1000, 811/1000).  It grows with n: 2.8e-10 at
+    n=20000 and 1.2e-9 at n=100000, (1/2, 3/2).
     """
     m, shapes = 2 * pi.n, (pi.params.a, pi.params.b)
     fz, dens, g, ln_beta = _atoms(m, shapes)

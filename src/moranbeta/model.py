@@ -189,10 +189,12 @@ class LatticeDistribution(_Frozen):
     (lo, hi) in one unit w_0 2**e, which cancels from every ratio, on the
     sums total = sum_i w_i and neg_s_sum = sum_i w_i S_i^-, where S_i^- =
     max(-S_i, 0) for S_i of `ModelParams.rows`.  Built on first access and
-    kept, for `--exact`, `stein`'s fallback, the tests and `perfbench/tracer.py`:
-    those two sums exactly (total in closed form, neg_s_sum 0 with no split
-    where no S_i < 0), `weights` (by the exact walk) and `probs_exact`
-    (reduced `Fraction`s).  Immutable; compares by identity.
+    kept, for `--exact` and `stein`'s fallback: those two sums exactly
+    (total in closed form, neg_s_sum 0 with no split where no S_i < 0).
+    `probs_exact`, the reduced `Fraction`s w_i / total from each state's
+    own weight (`_weight`), is for the tests and `perfbench/tracer.py`;
+    the exact walk of all the weights lives with the tests.  Immutable;
+    compares by identity.
     """
 
     params: ModelParams
@@ -219,12 +221,8 @@ class LatticeDistribution(_Frozen):
         return _split(down, up, s, 0, len(down))[2] // math.factorial(2 * self.n)
 
     @cached_property
-    def weights(self) -> tuple[int, ...]:
-        return tuple(_exact_walk(self.params))
-
-    @cached_property
     def probs_exact(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(w, self.total) for w in self.weights)
+        return tuple(Fraction(_weight(self.params, i), self.total) for i in range(2 * self.n + 1))
 
 
 # Bits of each bound in the interval walk.  Wider only makes a state left
@@ -326,7 +324,7 @@ def _rising(base: int, c: int, k: int) -> int:
 
 
 def _weight(params: ModelParams, i: int) -> int:
-    # The exact walk's w_i alone: C(m,i) prod_{j<i} (qa m + c j) prod_{j<m-i} (qb m + c j).
+    # w_i alone: C(m,i) prod_{j<i} (qa m + c j) prod_{j<m-i} (qb m + c j).
     m, c = 2 * params.n, params.c
     return math.comb(m, i) * _rising(params.qa * m, c, i) * _rising(params.qb * m, c, m - i)
 
@@ -342,11 +340,3 @@ def _scaled(lo: int, hi: int, exp: int, num: int, den: int, bits: int):
         lo, hi = lo << -excess, hi << -excess
     return lo // den, -(-hi // den), exp + excess
 
-
-def _exact_walk(params: ModelParams) -> list[int]:
-    # The weights w_i: per state one big-by-small multiply and exact division.
-    (down, up, _), m = params.rows, 2 * params.n
-    weights = [_rising(params.qb * m, params.c, m)]
-    for u, d in zip(up, down[1:]):
-        weights.append(weights[-1] * u // d)
-    return weights

@@ -28,6 +28,7 @@ sums, and the verdict `ok` that the CLI's exit code 1 reads.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
@@ -128,7 +129,14 @@ def c_constant(a, b) -> float:
 
 
 def k_constant(a, b) -> float:
-    """K(a,b) = [(9a+6b)C(a,b) + C(a+1,b+1) + (a+b)C(a+1,b+1)C(a,b)] / 12."""
+    """K(a,b) = [(9a+6b)C(a,b) + C(a+1,b+1) + (a+b)C(a+1,b+1)C(a,b)] / 12.
+
+    C(a,b) >= 2 once a + b >= 2, so K >= (a+b) C(a,b) / 2 >= a + b.  Where
+    a + b is past the largest float, K is inf, returned before a shape's
+    float conversion can raise or a Gamma ratio take inf - inf.
+    """
+    if a + b > sys.float_info.max:
+        return math.inf
     cab = c_constant(a, b)
     c11 = c_constant(a + 1, b + 1)
     af, bf = float(a), float(b)

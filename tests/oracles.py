@@ -2,12 +2,13 @@
 
 None of these is on the certifier's path.  They restate the stationary law
 through the closed Gamma-function formula and through power iteration of
-the float kernel, step the kernel in float and in rational arithmetic, read
-exact residuals, moments and the two Stein sums state by state off a law's
-integer weights, give each state's exact asymptotic variance in the chain
-by a closed form and by the fundamental matrix, give the Beta moments as
-rising-factorial products and the incomplete beta function as a one-value
-Lentz loop, and build the periodic test function g behind the lower bound.
+the float kernel, step the kernel in float and in rational arithmetic, walk
+a law's integer weights exactly and read exact residuals, moments and the
+two Stein sums state by state off them, give each state's exact asymptotic
+variance in the chain by a closed form and by the fundamental matrix, give
+the Beta moments as rising-factorial products and the incomplete beta
+function as a one-value Lentz loop, and build the periodic test function g
+behind the lower bound.
 The Monte Carlo check of pi draws from two seeded samplers on the standard
 library's `random`: `sample_stationary`, i.i.d. draws from the law, and
 `simulate_chain`, a path of the chain itself.
@@ -81,23 +82,35 @@ def from_floats(n: int, probs: Sequence[float], a, b) -> ExactLaw:
     return from_exact(n, [p / mass for p in exact], a, b)
 
 
+def exact_walk(params: ModelParams) -> list[int]:
+    """The integer weights w_i, pi(i) = w_i / total, by one walk along the
+    kernel rows: w_0 = prod_{j<2n} (2n qb + c j), then w_{i+1} = w_i U_i /
+    D_{i+1}, each division exact.  Its ints grow as n^2 in all, so only the
+    tests walk all 2n + 1 weights."""
+    (down, up, _), m = params.rows, 2 * params.n
+    weights = [math.prod(params.qb * m + params.c * j for j in range(m))]
+    for u, d in zip(up, down[1:]):
+        weights.append(weights[-1] * u // d)
+    return weights
+
+
 def moment_exact(pi: LatticeDistribution, r: int) -> Fraction:
     """Exact E[W^r] by brute-force summation over the support."""
     m = 2 * pi.n
-    weights = pi.weights
+    weights = exact_walk(pi.params)
     return Fraction(sum(w * i**r for i, w in enumerate(weights)), sum(weights) * m**r)
 
 
 def abs_s_sum(pi: LatticeDistribution) -> int:
     """sum_i w_i |S_i| over the exact weights; E|S| is it over 2 kernel_den total."""
-    return sum(w * abs(s) for w, s in zip(pi.weights, pi.params.rows[2]))
+    return sum(w * abs(s) for w, s in zip(exact_walk(pi.params), pi.params.rows[2]))
 
 
 def move_sum(pi: LatticeDistribution) -> int:
     """sum_i w_i (D_i + U_i) over the exact weights; E|W'-W|^3/lambda is it
     over 2n kernel_den total."""
     down, up, _ = pi.params.rows
-    return sum(w * (d + u) for w, d, u in zip(pi.weights, down, up))
+    return sum(w * (d + u) for w, d, u in zip(exact_walk(pi.params), down, up))
 
 
 def beta_moments(a, b, r: int):
@@ -241,7 +254,7 @@ def detailed_balance_residuals(
     params: ModelParams, pi: LatticeDistribution
 ) -> tuple[Fraction, ...]:
     """Exact residuals pi(i)p(i,i+1) - pi(i+1)p(i+1,i) along every edge."""
-    weights, total = pi.weights, pi.total
+    weights, total = exact_walk(params), pi.total
     down, up, _ = params.rows
     den = total * params.kernel_den
     return tuple(
@@ -339,9 +352,9 @@ def wasserstein_mpmath(pi: LatticeDistribution, dps: int = 30) -> float:
         fz = [cdf(x) for x in atoms]
         g = [antiderivative(x) for x in atoms]
         total = mpmath.mpf(0)
-        weight = 0
+        weight, weights = 0, exact_walk(pi.params)
         for i in range(m):
-            weight += pi.weights[i]
+            weight += weights[i]
             c = mpmath.mpf(weight) / pi.total
             lo, hi = atoms[i], atoms[i + 1]
             if fz[i] < c < fz[i + 1]:

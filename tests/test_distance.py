@@ -1,9 +1,11 @@
 """Test-function gap, the periodic extension, Wasserstein, Kolmogorov."""
 
+import json
 import math
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -157,7 +159,7 @@ class TestAtomPass:
         # strictly inside their pieces), and Kolmogorov evaluates nothing.
         pi = stationary_ratio_product(ModelParams(30, F(2, 7), F(9, 4)))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._reset_atoms()
+        distance._slot = None
         wasserstein(pi)
         after_w1 = len(calls)
         kolmogorov(pi)
@@ -172,7 +174,7 @@ class TestAtomPass:
 
     def test_continued_fraction_budget_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
-        distance._reset_atoms()
+        distance._slot = None
         pi = stationary_ratio_product(ModelParams(20, F(5, 2), F(7, 3)))
         with pytest.raises(ConvergenceError, match="did not converge in 3"):
             wasserstein(pi)
@@ -183,7 +185,7 @@ class TestAtomPass:
             distance, "_cdf_pdf", lambda a, b, ln_beta, x: (np.nan, np.nan)
         )
         shapes = (F("2.3e-308"), F("3e-308"))
-        distance._reset_atoms()
+        distance._slot = None
         with pytest.raises(FloatingPointError):
             distance._atoms(20, shapes)
 
@@ -202,7 +204,7 @@ def as_hex(atoms):
 
 
 def cold_atoms(m, shapes):
-    distance._reset_atoms()
+    distance._slot = None
     return distance._atoms(m, shapes)
 
 
@@ -249,7 +251,7 @@ class TestAtomReuse:
         # After 40 then 80, the slot holds 80 alone: 40 again is a cold pass.
         shapes = (F(2, 7), F(9, 4))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._reset_atoms()
+        distance._slot = None
         distance._atoms(40, shapes)
         distance._atoms(80, shapes)
         assert len(calls) == 79
@@ -267,6 +269,17 @@ class TestAtomReuse:
         distance._atoms(40, (2, F(1, 2)))
         assert len(calls) == 78
 
+    def test_float_key_serves_the_cold_bits_of_its_fractions(self):
+        # A float pair and its exact Fractions are one key.  The float
+        # b/(a+b) is one ulp off the exact ratio's rounding here, so G(1)
+        # is rounded from the exact ratio, and the float pair's atoms reused
+        # for the Fractions are the Fractions' cold pass, bit for bit.
+        a, b = 5.154658132183473, 3.132001042023183
+        assert b / (a + b) != float(F(b) / (F(a) + F(b)))
+        cold = as_hex(cold_atoms(20, (F(a), F(b))))
+        cold_atoms(10, (a, b))
+        assert as_hex(distance._atoms(20, (F(a), F(b)))) == cold
+
     def test_same_lattice_is_served_and_reset_is_cold(self, monkeypatch):
         shapes = (F(1, 10), F(1, 10))
         calls = spy_cdf_pdf(monkeypatch)
@@ -280,7 +293,7 @@ class TestAtomReuse:
         # The n of a doubling sweep: each atom of the finest lattice once.
         shapes = (F(1, 2), F(2))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._reset_atoms()
+        distance._slot = None
         for m in (50, 100, 200, 400):
             distance._atoms(m, shapes)
         assert sorted(x for *_, x in calls) == [i / 400 for i in range(1, 400)]
@@ -401,8 +414,31 @@ def oracle_distances(pi, a, b):
     return w1, kol
 
 
+ORACLE_TABLE = json.loads(
+    (Path(__file__).parent / "data" / "distance_oracles.json").read_text(encoding="utf-8")
+)
+
+# Relative errors (W1, Kolmogorov) against the table, measured when it was
+# frozen and rounded up to two digits: each point's gate, never raised to
+# let a change pass.  W1's grows with n at (1/2, 3/2).
+ORACLE_TOLERANCES = {
+    (200, "1/10", "1/10"): (5.3e-12, 2.6e-15),
+    (400, "1/2", "3/2"): (8.0e-13, 0.0),
+    (1000, "1/10", "1/10"): (1.5e-11, 2.9e-15),
+    (1000, "355/113", "103/37"): (1.9e-13, 4.9e-15),
+    (2000, "1/2", "3/2"): (2.4e-13, 0.0),
+    (5000, "1/2", "3/2"): (2.0e-11, 0.0),
+    (2000, "7/3", "11/5"): (2.6e-12, 5.0e-12),
+    (111, "1/1000", "811/1000"): (3.5e-11, 0.0),
+    (1000, "1", "1"): (6.9e-13, 0.0),
+    (1000, "3", "3"): (3.7e-13, 3.0e-12),
+    (20000, "1/2", "3/2"): (2.8e-10, 0.0),
+    (100000, "1/2", "3/2"): (1.3e-9, 0.0),
+}
+
+
 class TestLargeN:
-    """W1 and Kolmogorov against an independent scipy oracle at large n."""
+    """W1 and Kolmogorov against independent oracles at large n."""
 
     @pytest.mark.parametrize(
         "n,a,b",
@@ -431,6 +467,20 @@ class TestLargeN:
         oracle = wasserstein_mpmath(pi)
         assert wasserstein(pi) == pytest.approx(oracle, rel=2e-12, abs=0.0)
 
+    @pytest.mark.parametrize(
+        "point", ORACLE_TABLE["points"],
+        ids=lambda p: f"{p['n']}-{p['a']}-{p['b']}".replace("/", "_"),
+    )
+    def test_against_30_digit_table(self, point):
+        # tests/data/distance_oracles.json, written by make_distance_oracles.py
+        # from the Beta-Binomial closed form at 30 digits, up to n = 100000.
+        n, a, b = point["n"], point["a"], point["b"]
+        w1_tol, kol_tol = ORACLE_TOLERANCES[n, a, b]
+        pi = stationary_ratio_product(ModelParams(n, F(a), F(b)))
+        want = float(point["wasserstein"]), float(point["kolmogorov"])
+        assert wasserstein(pi) == pytest.approx(want[0], rel=w1_tol, abs=0.0)
+        assert kolmogorov(pi) == pytest.approx(want[1], rel=kol_tol, abs=0.0)
+
 
 SWEEP_GRID = [
     (n, a, b)
@@ -449,13 +499,15 @@ def crossing_pieces(pi):
 @contextmanager
 def newton_only():
     """Every crossing solved by Newton to the root tolerance: the bound for
-    keeping a corrected estimate set to 0."""
-    bound = distance._ONE_EVAL_BOUND
-    distance._ONE_EVAL_BOUND = 0.0
+    keeping a corrected estimate set to 0.  The endpoint margin, which is
+    derived from that bound, is set to 1, so every crossing off the two end
+    pieces takes the moment estimate, and the zero bound refuses it."""
+    bound, margin = distance._ONE_EVAL_BOUND, distance._interior_margin
+    distance._ONE_EVAL_BOUND, distance._interior_margin = 0.0, lambda a, b: 1
     try:
         yield
     finally:
-        distance._ONE_EVAL_BOUND = bound
+        distance._ONE_EVAL_BOUND, distance._interior_margin = bound, margin
 
 
 def record_crossings(monkeypatch):
@@ -498,7 +550,7 @@ class TestCrossings:
         atom_calls = crossings = 0
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._reset_atoms()
+            distance._slot = None
             wasserstein(pi)
             atom_calls += 2 * n - 1
             crossings += len(crossing_pieces(pi))
@@ -514,7 +566,7 @@ class TestCrossings:
         atom_calls = margin = interior = 0
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._reset_atoms()
+            distance._slot = None
             wasserstein(pi)
             m, j = 2 * n, distance._interior_margin(float(a), float(b))
             atom_calls += m - 1
@@ -533,7 +585,6 @@ class TestCrossings:
         crossings = record_crossings(monkeypatch)
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._reset_atoms()
             w1 = wasserstein(pi)
             crossings.clear()
             with newton_only():
@@ -576,7 +627,6 @@ class TestCrossings:
         # itself near 2e-10 of it.
         assume(a + b < 2 * n)
         pi = stationary_ratio_product(ModelParams(n, a, b))
-        distance._reset_atoms()
         w1 = wasserstein(pi)
         with newton_only():
             newton = wasserstein(pi)
@@ -634,7 +684,7 @@ class TestInteriorMoments:
                 w * w * md * mpmath.quad(lambda s: s * ratio(s), [0, 1]),
                 md * ratio(1),
             )
-            tol = distance._MOMENT_REL_BOUND + 8 * 2.0**-53
+            tol = distance._ONE_EVAL_BOUND + 8 * 2.0**-53
             for got, ref in zip((i0, i1, f), want):
                 assert abs(float((got - ref) / ref)) <= tol, (a, b, m, i, x)
 

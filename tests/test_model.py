@@ -21,6 +21,7 @@ from oracles import (
     asymptotic_variances_dense,
     closed_form_log_weights,
     detailed_balance_residuals,
+    exact_walk,
     from_exact,
     moment_exact,
     power_iteration_oracle,
@@ -225,7 +226,7 @@ class TestStationaryRatioProduct:
         p = ModelParams(2000, F(7, 3), F(11, 5))
         pi = stationary_ratio_product(p)
         down, up, _ = p.rows
-        w = pi.weights
+        w = exact_walk(p)
         assert all(w[i] * up[i] == w[i + 1] * down[i + 1] for i in range(2 * p.n))
         # sum_i pi(i) = 1 exactly, read off the integers: reducing 4001
         # Fractions of about 10^5 bits would take minutes.
@@ -262,10 +263,14 @@ def spy(monkeypatch, name):
     return calls
 
 
+# n = 1 and a = b = (2**53 + 1)/(3 2**53 - 1): pi(1) = a/(1 + a) = 1/4 + 2**-55
+# exactly, the midpoint of 0.25 and the next float.
+TIE_SHAPE = F(2**53 + 1, 3 * 2**53 - 1)
+
+
 class TestExactPass:
     """The interval walk of `stationary_ratio_product` and its lazy
-    binary-splitting sums against the exact walk, which `weights` runs on
-    first access."""
+    binary-splitting sums against the tests' exact walk (`oracles.exact_walk`)."""
 
     @given(valid_params())
     # pi(i) rounds to 0 at 21 states and to a subnormal at 11
@@ -274,7 +279,7 @@ class TestExactPass:
     @example(ModelParams(10, F(1e-30), 1))
     def test_matches_exact_walk(self, p):
         pi = stationary_ratio_product(p)
-        w = pi.weights
+        w = exact_walk(p)
         assert pi.total == sum(w)
         # S^- = (|S| - S) / 2
         signed = sum(x * s for x, s in zip(w, p.rows[2]))
@@ -298,14 +303,13 @@ class TestExactPass:
     )
     def test_narrow_mirror_decides_each_state_alone(self, monkeypatch, n, a, b):
         # At 8 bits states are left undecided: each one is divided from its
-        # own weight, over a total built once and not kept, with no exact walk.
+        # own weight, over a total built once and not kept.
         p = ModelParams(n, a, b)
         want = stationary_ratio_product(p)
-        walks, alone = spy(monkeypatch, "_exact_walk"), spy(monkeypatch, "_weight")
-        products = spy(monkeypatch, "_rising")
+        alone, products = spy(monkeypatch, "_weight"), spy(monkeypatch, "_rising")
         monkeypatch.setattr(model, "_MIRROR_BITS", 8)
         got = stationary_ratio_product(p)
-        assert walks == [] and alone and all(args[0] == p for args in alone)
+        assert alone and all(args[0] == p for args in alone)
         m = 2 * n
         assert products.count(((p.qa + p.qb) * m, p.c, m)) == 1
         assert "total" not in vars(got)
@@ -314,35 +318,33 @@ class TestExactPass:
         assert (got.total, got.neg_s_sum) == (want.total, want.neg_s_sum)
 
     def test_exact_tie_falls_back_at_default_width(self, monkeypatch, capsys):
-        # At n = 1 and a = b = (2**53 + 1)/(3 2**53 - 1), pi(1) = a/(1 + a) =
-        # 1/4 + 2**-55 exactly, the midpoint of 0.25 and the next float: no
-        # width of the walk decides it, so that state alone is divided exactly.
-        a = F(2**53 + 1, 3 * 2**53 - 1)
-        p = ModelParams(1, a, a)
-        walks, alone = spy(monkeypatch, "_exact_walk"), spy(monkeypatch, "_weight")
+        # No width of the walk decides the tie point's pi(1), so that state
+        # alone is divided exactly.
+        p = ModelParams(1, TIE_SHAPE, TIE_SHAPE)
+        alone = spy(monkeypatch, "_weight")
         pi = stationary_ratio_product(p)
-        assert walks == [] and alone == [(p, 1)]
+        assert alone == [(p, 1)]
         assert pi.probs == (0.375, 0.25, 0.375)  # the tie goes to even
         assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55)
-        assert cli.main(["report", "--n", "1", "--a", str(a), "--b", str(a)]) == 0
-
-    def test_fallback_walks_nothing(self, monkeypatch):
-        # The tie's law keeps no weights from its fallback: `weights` walks
-        # once, on first read, and probs_exact reads what it kept.
-        a = F(2**53 + 1, 3 * 2**53 - 1)
-        walk = model._exact_walk
-        walks = spy(monkeypatch, "_exact_walk")
-        pi = stationary_ratio_product(ModelParams(1, a, a))
-        assert walks == [] and "weights" not in vars(pi)
-        assert pi.weights == tuple(walk(pi.params)) and len(walks) == 1
-        assert pi.probs_exact[1] == F(1, 4) + F(1, 2**55) and len(walks) == 1
+        shape = str(TIE_SHAPE)
+        assert cli.main(["report", "--n", "1", "--a", shape, "--b", shape]) == 0
 
     @given(valid_params())
-    @example(ModelParams(1, F(2**53 + 1, 3 * 2**53 - 1), F(2**53 + 1, 3 * 2**53 - 1)))
+    @example(ModelParams(1, TIE_SHAPE, TIE_SHAPE))
+    def test_probs_exact_are_the_walk_reduced(self, p):
+        # Each state's own weight over total is the walked weight's reduced
+        # fraction.
+        walked = exact_walk(p)
+        total = sum(walked)
+        pi = stationary_ratio_product(p)
+        assert pi.probs_exact == tuple(F(w, total) for w in walked)
+
+    @given(valid_params())
+    @example(ModelParams(1, TIE_SHAPE, TIE_SHAPE))
     def test_weight_alone_is_the_walked_weight(self, p):
         # The Beta-Binomial weight of one state, built alone, is the exact
         # walk's, (2n)! divided out, at every state.
-        walked = model._exact_walk(p)
+        walked = exact_walk(p)
         assert [model._weight(p, i) for i in range(2 * p.n + 1)] == walked
 
     @given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70), st.integers(0, 70))
@@ -359,7 +361,7 @@ class TestExactPass:
         )
         p = ModelParams(150, F(355, 113), F(103, 37))
         pi = stationary_ratio_product(p)
-        assert pi.total == sum(pi.weights)
+        assert pi.total == sum(exact_walk(p))
         assert ranges == []
         assert pi.neg_s_sum > 0
         assert ranges[0] == (0, 301)
@@ -376,7 +378,7 @@ class TestExactPass:
         )
         p = ModelParams(n, a, b)
         pi = stationary_ratio_product(p)
-        signed = sum(x * s for x, s in zip(pi.weights, p.rows[2]))
+        signed = sum(x * s for x, s in zip(exact_walk(p), p.rows[2]))
         assert pi.neg_s_sum == 0 == oracles.abs_s_sum(pi) - signed
         assert ranges == []
 
@@ -405,10 +407,10 @@ class TestExactPass:
         # and only undecided ones, from the 22nd on, are divided exactly.
         p = ModelParams(300, F(599, 2), F(1, 7))
         want = stationary_ratio_product(p)
-        walks, alone = spy(monkeypatch, "_exact_walk"), spy(monkeypatch, "_weight")
+        alone = spy(monkeypatch, "_weight")
         monkeypatch.setattr(model, "_MIRROR_BITS", 12)
         got = stationary_ratio_product(p)
-        assert walks == [] and alone[0] == (p, 21)
+        assert alone[0] == (p, 21)
         assert mirror_hex(got) == mirror_hex(want)
         assert stein_floats(stein_report(got)) == stein_floats(stein_report(want))
 
@@ -417,8 +419,8 @@ class TestExactPass:
         # 2**-1110 max w, so their shift against the walked total passes the
         # 1100 at which the walk stops building it; every state still rounds
         # as w_i / total does.
-        pi = stationary_ratio_product(ModelParams(5000, 4000, 5000))
-        w = pi.weights
+        p = ModelParams(5000, 4000, 5000)
+        pi, w = stationary_ratio_product(p), exact_walk(p)
         assert min(w) << 1110 < max(w)
         total = sum(w)
         assert mirror_hex(pi) == [(x / total).hex() for x in w]
@@ -445,13 +447,11 @@ class TestExactPass:
 
     def test_no_fallback_at_benchmark_points(self, monkeypatch):
         # Without --exact, no point of the benchmark runs the binary
-        # splitting, the exact walk or a state's own weight, from pi to the
-        # rendered values.
+        # splitting or a state's own weight, from pi to the rendered values.
         def refuse(*args):
             raise AssertionError("exact pass ran")
 
         monkeypatch.setattr(model, "_split", refuse)
-        monkeypatch.setattr(model, "_exact_walk", refuse)
         monkeypatch.setattr(model, "_weight", refuse)
         for n, a, b in BENCHMARK_POINTS:
             point = cli.compute_point(ModelParams(n, a, b))

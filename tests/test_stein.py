@@ -120,6 +120,17 @@ class TestKConstant:
             for b in (0.5, 1.5, 4.0):
                 assert k_constant(a, b) > 0
 
+    @pytest.mark.parametrize(
+        "a,b",
+        [(F(10) ** 400, 1), (F(1, 2), F(10) ** 400), (1e308, 1e308), (1e308, F(8e307))],
+        ids=["a_past", "b_past", "sum_past_floats", "sum_past_mixed"],
+    )
+    def test_inf_past_the_largest_float(self, a, b):
+        # K >= a + b once a + b >= 2, so where a, b or a + b is past the
+        # largest float K is inf: not an OverflowError from a shape's float,
+        # nor nan from Gamma ratios of inf - inf.
+        assert k_constant(a, b) == math.inf
+
 
 class TestLowerBound:
     def test_spot_values(self):
