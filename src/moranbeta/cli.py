@@ -44,6 +44,7 @@ from operator import attrgetter
 from typing import BinaryIO, Callable, NamedTuple
 
 from . import beta as beta_dist
+from . import distance
 from .distance import kolmogorov, wasserstein
 from .model import ModelParams, stationary_ratio_product
 from .moments import mean, moment_recursion, variance
@@ -315,9 +316,10 @@ def _run_share(
 ) -> tuple[list, tuple | None]:
     """`(index, record(point), ok)` of each point of one share, up to its
     first failing point, and that failure as `(index, message)`, or None:
-    plain data, which is all that marshal sends. Atoms an earlier point or
-    command left in `distance`'s slot are the bits a cold pass gives, so the
-    share reads them as they are."""
+    plain data, which is all that marshal sends. The share starts from an
+    empty atom slot, so a command never reads atoms an earlier one left in
+    the process; its own nested lattices still do."""
+    distance._reset_atoms()
     records = []
     for i in share:
         try:

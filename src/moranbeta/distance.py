@@ -86,9 +86,15 @@ def _end_density(shape: float, ln_beta: float) -> float:
 
 
 # The atoms of the last lattice `_atoms` served, for the next one of the same
-# shape pair: ((a, b), m, atoms), or None.  One lattice, one slot, never
-# emptied: what it serves is what a cold pass gives (see `_atoms`).
+# shape pair: ((a, b), m, atoms), or None.  One lattice, one slot, which the
+# CLI empties as each command starts computing (`cli._run_share`).
 _slot = None
+
+
+def _reset_atoms() -> None:
+    """Empty the atom slot, so the next `_atoms` call is a cold pass."""
+    global _slot
+    _slot = None
 
 
 def _atoms(

@@ -1,11 +1,11 @@
 """Write tests/data/distance_oracles.json: W1 and Kolmogorov oracles at 30 digits.
 
-    python tests/make_distance_oracles.py [--dps 30] [--point N:A:B ...]
+    python tests/make_distance_oracles.py
 
-Each point (n; a, b) gets the Wasserstein and Kolmogorov distances between
-the Moran chain's stationary law on {0, ..., 2n}/(2n) and Beta(a, b),
-computed in mpmath at `--dps` significant digits with no part of the
-package.  The law is Beta-Binomial(m, alpha, beta), m = 2n,
+Each point (n; a, b) of `POINTS` gets the Wasserstein and Kolmogorov
+distances between the Moran chain's stationary law on {0, ..., 2n}/(2n)
+and Beta(a, b), computed in mpmath at `DPS` = 30 significant digits with
+no part of the package.  The law is Beta-Binomial(m, alpha, beta), m = 2n,
 alpha = m a/(m - a - b), beta = m b/(m - a - b) (Ewens 2004), so
 
     pi(i) = exp(ln C(m, i) + ln B(i + alpha, m - i + beta) - ln B(alpha, beta))
@@ -18,59 +18,66 @@ piece [lo, hi] F_W is the constant c; with G(x) = int_0^x F_Z =
 c (2x* - lo - hi) + G(lo) + G(hi) - 2 G(x*), with x* from a Newton loop on
 mpmath's regularized incomplete beta function.  Kolmogorov is the largest
 |F_W - F_Z| at the atoms, from either side.  The file records this script's
-argv and digits; the test suite compares the package's floats with it.
+argv and digits; the test suite compares the package's floats with it, and
+`oracles.wasserstein_mpmath` runs the same `distances` on a law's exact
+weights.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
-import sys
 import time
+from collections.abc import Iterable, Iterator
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 
+DPS = 30
+
 # The eight points of the `wasserstein` docstring, (1, 1), where the
 # endpoint margin's s = |a-1| + |b-1| is 0, (3, 3), where it is 4, and
 # n = 20000 and 100000 at (1/2, 3/2).
 POINTS = (
-    "200:1/10:1/10",
-    "400:1/2:3/2",
-    "1000:1/10:1/10",
-    "1000:355/113:103/37",
-    "2000:1/2:3/2",
-    "5000:1/2:3/2",
-    "2000:7/3:11/5",
-    "111:1/1000:811/1000",
-    "1000:1:1",
-    "1000:3:3",
-    "20000:1/2:3/2",
-    "100000:1/2:3/2",
+    (200, "1/10", "1/10"),
+    (400, "1/2", "3/2"),
+    (1000, "1/10", "1/10"),
+    (1000, "355/113", "103/37"),
+    (2000, "1/2", "3/2"),
+    (5000, "1/2", "3/2"),
+    (2000, "7/3", "11/5"),
+    (111, "1/1000", "811/1000"),
+    (1000, "1", "1"),
+    (1000, "3", "3"),
+    (20000, "1/2", "3/2"),
+    (100000, "1/2", "3/2"),
 )
 
 OUT = Path(__file__).resolve().parent / "data" / "distance_oracles.json"
 
 
-def parse_point(text: str) -> tuple[int, Fraction, Fraction]:
-    n, a, b = text.split(":")
-    return int(n), Fraction(a), Fraction(b)
-
-
-def distances(n: int, a: Fraction, b: Fraction) -> tuple[mpmath.mpf, mpmath.mpf]:
-    """(W1, Kolmogorov) at the working precision."""
+def beta_binomial(n: int, a: Fraction, b: Fraction) -> Iterator[mpmath.mpf]:
+    """pi(0), ..., pi(2n) from the log-gamma closed form, one at a time."""
     mpf, lg = mpmath.mpf, mpmath.loggamma
     m = 2 * n
-    sa, sb = (mpf(s.numerator) / s.denominator for s in (a, b))
     alpha, beta = (mpf(m * s.numerator) / (s.denominator * (m - a - b)) for s in (a, b))
-    mu, ln_beta = sa / (sa + sb), lg(sa) + lg(sb) - lg(sa + sb)
     # ln C(m, i) B(i + alpha, m - i + beta) / B(alpha, beta), less its i terms
     ln_law = lg(m + 1) + lg(alpha + beta) - lg(alpha) - lg(beta) - lg(m + alpha + beta)
-
-    def prob(i: int):
+    for i in range(m + 1):
         ln_i = lg(i + alpha) + lg(m - i + beta) - lg(i + 1) - lg(m - i + 1)
-        return mpmath.exp(ln_law + ln_i)
+        yield mpmath.exp(ln_law + ln_i)
+
+
+def distances(
+    n: int, a: Fraction, b: Fraction, probs: Iterable[mpmath.mpf]
+) -> tuple[mpmath.mpf, mpmath.mpf]:
+    """(W1, Kolmogorov) between the law `probs` = pi(0), ..., pi(2n) and
+    Beta(a, b), at the working precision."""
+    mpf = mpmath.mpf
+    m = 2 * n
+    sa, sb = (mpf(s.numerator) / s.denominator for s in (a, b))
+    mu = sa / (sa + sb)
+    ln_beta = mpmath.loggamma(sa) + mpmath.loggamma(sb) - mpmath.loggamma(sa + sb)
 
     def cdf_pdf(x):
         dens = mpmath.exp((sa - 1) * mpmath.log(x) + (sb - 1) * mpmath.log1p(-x) - ln_beta)
@@ -99,8 +106,8 @@ def distances(n: int, a: Fraction, b: Fraction) -> tuple[mpmath.mpf, mpmath.mpf]
         raise ArithmeticError(f"F_Z(x) = {c} not solved on [{left}, {right}]")
 
     w1 = kol = cum = f_lo = g_lo = mpf(0)
-    for i in range(m + 1):
-        prev, cum = cum, cum + prob(i)
+    for i, p in enumerate(probs):
+        prev, cum = cum, cum + p
         kol = max(kol, abs(cum - f_lo), abs(prev - f_lo))
         if i == m:
             return w1, kol
@@ -118,27 +125,19 @@ def distances(n: int, a: Fraction, b: Fraction) -> tuple[mpmath.mpf, mpmath.mpf]
         f_lo, g_lo = f_hi, g_hi
 
 
-def main(argv: list[str]) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--dps", type=int, default=30, help="mpmath significant digits")
-    parser.add_argument(
-        "--point", action="append", metavar="N:A:B",
-        help="a point (repeatable); default: the script's table",
-    )
-    args = parser.parse_args(argv)
+def main() -> None:
     points = []
-    with mpmath.workdps(args.dps):
-        for text in args.point or POINTS:
-            n, a, b = parse_point(text)
+    with mpmath.workdps(DPS):
+        for n, a, b in POINTS:
             start = time.perf_counter()
-            w1, kol = (mpmath.nstr(d, args.dps) for d in distances(n, a, b))
-            points.append({"n": n, "a": str(a), "b": str(b), "wasserstein": w1, "kolmogorov": kol})
+            law = beta_binomial(n, Fraction(a), Fraction(b))
+            w1, kol = (mpmath.nstr(d, DPS) for d in distances(n, Fraction(a), Fraction(b), law))
+            points.append({"n": n, "a": a, "b": b, "wasserstein": w1, "kolmogorov": kol})
             secs = time.perf_counter() - start
-            print(f"{text}: W1 {w1}, Kolmogorov {kol} ({secs:.1f} s)", flush=True)
-    doc = {"argv": ["tests/make_distance_oracles.py", *argv], "dps": args.dps, "points": points}
+            print(f"{n}:{a}:{b}: W1 {w1}, Kolmogorov {kol} ({secs:.1f} s)", flush=True)
+    doc = {"argv": ["tests/make_distance_oracles.py"], "dps": DPS, "points": points}
     OUT.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
-    return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    main()

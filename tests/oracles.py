@@ -327,44 +327,17 @@ def _inverse(a: list[list[Fraction]]) -> list[list[Fraction]]:
     return [row[size:] for row in rows]
 
 
-def wasserstein_mpmath(pi: LatticeDistribution, dps: int = 30) -> float:
-    """W1 of the law `pi` to Beta(a, b) at `dps` significant digits (mpmath).
-
-    The same piecewise closed form as `moranbeta.distance.wasserstein`,
-    on the exact weights, with G(x) = int_0^x F_Z = x I_x(a,b) - mu
-    I_x(a+1,b), mu = a/(a+b), and each crossing F_Z(x*) = c solved by
-    mpmath's bracketing root finder.
-    """
+def wasserstein_mpmath(pi: LatticeDistribution) -> float:
+    """W1 of the law `pi` to Beta(a, b) at 30 digits (mpmath): the table's
+    `make_distance_oracles.distances`, fed the exact weights instead of the
+    Beta-Binomial closed form."""
     import mpmath
 
-    with mpmath.workdps(dps):
-        a, b = (mpmath.mpf(x.numerator) / x.denominator for x in (pi.params.a, pi.params.b))
-        mu = a / (a + b)
+    from make_distance_oracles import DPS, distances
 
-        def cdf(x):
-            return mpmath.betainc(a, b, 0, x, regularized=True)
-
-        def antiderivative(x):
-            return x * cdf(x) - mu * mpmath.betainc(a + 1, b, 0, x, regularized=True)
-
-        m = 2 * pi.n
-        atoms = [mpmath.mpf(i) / m for i in range(m + 1)]
-        fz = [cdf(x) for x in atoms]
-        g = [antiderivative(x) for x in atoms]
-        total = mpmath.mpf(0)
-        weight, weights = 0, exact_walk(pi.params)
-        for i in range(m):
-            weight += weights[i]
-            c = mpmath.mpf(weight) / pi.total
-            lo, hi = atoms[i], atoms[i + 1]
-            if fz[i] < c < fz[i + 1]:
-                x = mpmath.findroot(lambda t: cdf(t) - c, (lo, hi), solver="anderson")
-                total += c * (2 * x - lo - hi) + g[i] + g[i + 1] - 2 * antiderivative(x)
-            elif c <= fz[i]:
-                total += g[i + 1] - g[i] - c * (hi - lo)
-            else:
-                total += c * (hi - lo) - (g[i + 1] - g[i])
-        return float(total)
+    with mpmath.workdps(DPS):
+        probs = (mpmath.mpf(w) / pi.total for w in exact_walk(pi.params))
+        return float(distances(pi.n, pi.params.a, pi.params.b, probs)[0])
 
 
 def power_iteration_oracle(params: ModelParams) -> np.ndarray:

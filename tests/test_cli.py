@@ -148,9 +148,9 @@ def test_serial_path_loads_neither_json_nor_pickle(tmp_path):
 
 def test_log_beta_once_per_point_not_per_atom(monkeypatch):
     # ln B(a,b) is fixed per point: the atom pass computes it once and hands
-    # it to every CDF evaluation, the crossings included, at any n.  The atom
-    # slot is never emptied, so a second `main` on a multiple of the first
-    # one's lattice reuses its ln B, and one from an empty slot computes it.
+    # it to every CDF evaluation, the crossings included, at any n.  Each
+    # command starts from an empty atom slot, so the second `main`, on a
+    # multiple of the first one's lattice, runs its own atom pass.
     real = special.log_beta
     calls = []
 
@@ -163,29 +163,27 @@ def test_log_beta_once_per_point_not_per_atom(monkeypatch):
         if name.startswith("moranbeta") and getattr(mod, "log_beta", None) is real:
             monkeypatch.setattr(mod, "log_beta", counting)
     counts = []
-    for n, empty in (("50", True), ("400", False), ("400", True)):
-        if empty:
-            distance._slot = None
+    for n in ("50", "400"):
         calls.clear()
         argv = ["report", "--n", n, "--a", "1/10", "--b", "1/10", "--out", os.devnull]
         assert main(argv) == 0
         counts.append(len(calls))
-    assert counts == [1, 0, 1]
+    assert counts == [1, 1]
 
 
 @pytest.mark.parametrize("n", ["200", "400"])
-def test_report_after_a_sweep_prints_the_fresh_bytes(capsys, n):
-    # The atom slot is never emptied: a report after a sweep of its shapes in
-    # one process reads the sweep's last lattice, m = 400, as it is at
-    # n = 200 and as every other atom at n = 400, and prints the bytes of a
-    # run from an empty slot.
+def test_report_after_a_sweep_prints_the_fresh_bytes(capsys, monkeypatch, n):
+    # Reused atoms are a cold pass's bits, so a report that keeps the atom
+    # slot a sweep of its shapes left in the process, m = 400, reading it as
+    # it is at n = 200 and for every other atom at n = 400, prints the bytes
+    # of a run from an empty slot.
     report = ("report", "--n", n, "--a", "1/2", "--b", "3/2", "--exact")
-    distance._slot = None
     fresh = run_cli(capsys, *report)
     assert fresh[0] == 0
     sweep = ("sweep", "--n", "25,50,100,200", "--a", "1/2", "--b", "3/2", "--jobs", "1")
     assert run_cli(capsys, *sweep)[0] == 0
     assert distance._slot[:2] == ((Fraction(1, 2), Fraction(3, 2)), 400)
+    monkeypatch.setattr(distance, "_reset_atoms", lambda: None)
     assert run_cli(capsys, *report) == fresh
 
 

@@ -23,6 +23,7 @@ from moranbeta.model import ModelParams, stationary_ratio_product
 from moranbeta.moments import moment_recursion
 from moranbeta.special import ConvergenceError, log_beta
 from moranbeta.stein import lower_bound
+from make_distance_oracles import DPS, POINTS
 from oracles import (
     ExactLaw,
     Shapes,
@@ -159,7 +160,7 @@ class TestAtomPass:
         # strictly inside their pieces), and Kolmogorov evaluates nothing.
         pi = stationary_ratio_product(ModelParams(30, F(2, 7), F(9, 4)))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._slot = None
+        distance._reset_atoms()
         wasserstein(pi)
         after_w1 = len(calls)
         kolmogorov(pi)
@@ -174,7 +175,7 @@ class TestAtomPass:
 
     def test_continued_fraction_budget_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
-        distance._slot = None
+        distance._reset_atoms()
         pi = stationary_ratio_product(ModelParams(20, F(5, 2), F(7, 3)))
         with pytest.raises(ConvergenceError, match="did not converge in 3"):
             wasserstein(pi)
@@ -185,7 +186,7 @@ class TestAtomPass:
             distance, "_cdf_pdf", lambda a, b, ln_beta, x: (np.nan, np.nan)
         )
         shapes = (F("2.3e-308"), F("3e-308"))
-        distance._slot = None
+        distance._reset_atoms()
         with pytest.raises(FloatingPointError):
             distance._atoms(20, shapes)
 
@@ -204,7 +205,7 @@ def as_hex(atoms):
 
 
 def cold_atoms(m, shapes):
-    distance._slot = None
+    distance._reset_atoms()
     return distance._atoms(m, shapes)
 
 
@@ -251,7 +252,7 @@ class TestAtomReuse:
         # After 40 then 80, the slot holds 80 alone: 40 again is a cold pass.
         shapes = (F(2, 7), F(9, 4))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._slot = None
+        distance._reset_atoms()
         distance._atoms(40, shapes)
         distance._atoms(80, shapes)
         assert len(calls) == 79
@@ -293,7 +294,7 @@ class TestAtomReuse:
         # The n of a doubling sweep: each atom of the finest lattice once.
         shapes = (F(1, 2), F(2))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._slot = None
+        distance._reset_atoms()
         for m in (50, 100, 200, 400):
             distance._atoms(m, shapes)
         assert sorted(x for *_, x in calls) == [i / 400 for i in range(1, 400)]
@@ -467,6 +468,14 @@ class TestLargeN:
         oracle = wasserstein_mpmath(pi)
         assert wasserstein(pi) == pytest.approx(oracle, rel=2e-12, abs=0.0)
 
+    def test_table_holds_every_point_at_30_digits(self):
+        # A table written with fewer points or digits fails here, instead of
+        # the table test below passing on fewer points.
+        table = {(p["n"], p["a"], p["b"]) for p in ORACLE_TABLE["points"]}
+        assert table == set(ORACLE_TOLERANCES) == set(POINTS)
+        assert len(ORACLE_TABLE["points"]) == len(POINTS)
+        assert ORACLE_TABLE["dps"] == DPS == 30
+
     @pytest.mark.parametrize(
         "point", ORACLE_TABLE["points"],
         ids=lambda p: f"{p['n']}-{p['a']}-{p['b']}".replace("/", "_"),
@@ -550,7 +559,7 @@ class TestCrossings:
         atom_calls = crossings = 0
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._slot = None
+            distance._reset_atoms()
             wasserstein(pi)
             atom_calls += 2 * n - 1
             crossings += len(crossing_pieces(pi))
@@ -566,7 +575,7 @@ class TestCrossings:
         atom_calls = margin = interior = 0
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._slot = None
+            distance._reset_atoms()
             wasserstein(pi)
             m, j = 2 * n, distance._interior_margin(float(a), float(b))
             atom_calls += m - 1
@@ -585,6 +594,7 @@ class TestCrossings:
         crossings = record_crossings(monkeypatch)
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
+            distance._reset_atoms()
             w1 = wasserstein(pi)
             crossings.clear()
             with newton_only():
@@ -627,6 +637,7 @@ class TestCrossings:
         # itself near 2e-10 of it.
         assume(a + b < 2 * n)
         pi = stationary_ratio_product(ModelParams(n, a, b))
+        distance._reset_atoms()
         w1 = wasserstein(pi)
         with newton_only():
             newton = wasserstein(pi)

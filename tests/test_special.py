@@ -103,7 +103,7 @@ class TestLogBeta:
         monkeypatch.setattr(special, "log_gamma", counting)
         a, b = 0.3141592653589793, 2.718281828459045  # used nowhere else
         # The atom pass evaluates I_x at 999 atoms with one ln B(a,b).
-        distance._slot = None
+        distance._reset_atoms()
         distance._atoms(1000, (a, b))
         assert len(calls) <= 3
         assert log_beta(a, b) == log_gamma(a) + log_gamma(b) - log_gamma(a + b)
@@ -191,7 +191,7 @@ class TestRegIncBeta:
         # atom pass lets the error through.
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
         inc_beta([1e-4, 2e-4], 4.0, 4.0)
-        distance._slot = None
+        distance._reset_atoms()
         with pytest.raises(ConvergenceError, match="x=0.5"):
             distance._atoms(2, (4.0, 4.0))
 
