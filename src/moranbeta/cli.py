@@ -6,10 +6,12 @@ each inside one guard, `_computing`: a `sweep` in at most `--jobs` shares
 balanced by lattice states (`_shares`), `rate` in as many as the sweep's
 default, `report` in one. The process computes the first share and a
 forked child each other one, with no process pool, and the output is the
-same bytes for any number of shares. A point's record, `_row` or
-`report`'s `_report_payload`, is built once as plain values, which a child
-sends through its pipe by `marshal`. The kernel places the shares on
-CPUs; no process's affinity mask is changed.
+same bytes for any number of shares. A point's record is built once as
+plain values, which a child sends through its pipe by `marshal`: its
+`_row`, the one place a printed per-point value is rendered (`COLUMNS`),
+or `report`'s `_report_payload`, which groups that row's values and
+converts only what no column holds. The kernel places the shares on CPUs;
+no process's affinity mask is changed.
 Every command runs on the standard library: the package has no runtime
 dependency.
 
@@ -32,7 +34,6 @@ from __future__ import annotations
 
 import argparse
 import atexit
-import io
 import marshal
 import math
 import os
@@ -230,7 +231,8 @@ def compute_point(params: ModelParams) -> PointResult:
 def _row(point: PointResult, exact: bool) -> dict:
     """The point's row, built once: each column's JSON value in COLUMNS order
     and, under `exact`, an "exact" object of p/q strings. It is the JSON
-    sweep's row as printed, and plain data, so a child sends it by marshal."""
+    sweep's row as printed, the cells of the CSV sweep and the shared fields
+    of `report`, and plain data, so a child sends it by marshal."""
     row = {name: kind(attrgetter(path)(point)) for name, kind, path, _ in COLUMNS}
     if exact:
         row["exact"] = {name: pq(attrgetter(path)(point)) for name, *_, path in COLUMNS if path}
@@ -238,48 +240,44 @@ def _row(point: PointResult, exact: bool) -> dict:
 
 
 def _report_payload(point: PointResult, exact: bool) -> dict:
-    """`report`'s JSON document of its one point, moments 1..8 included."""
-    params, rep = point.params, point.stein
+    """`report`'s JSON document of its one point, moments 1..8 included. It
+    groups the values of the point's `_row`, exact object too, into sections
+    and converts only what no column holds: u, v, lambda, the conditions
+    verdict, the cube term, the assembled bound and the moments."""
+    row, params, rep = _row(point, exact), point.params, point.stein
     table = moment_recursion(params)
+
+    def take(*names: str) -> dict:
+        return {name: row[name] for name in names}
+
     payload: dict = {
         "schema_version": SCHEMA_VERSION,
         "command": "report",
         "params": {
-            "n": params.n,
-            "a": float(params.a),
-            "b": float(params.b),
+            **take("n", "a", "b"),
             "u": float(params.u),
             "v": float(params.v),
             "lambda": float(params.lam),
         },
         "stein": {
-            "cond1_max_residual": float(rep.cond1_max_abs),
-            "cond2_max_residual": float(rep.cond2_max_abs),
+            **take("cond1_max_residual", "cond2_max_residual"),
             "conditions_exact": rep.conditions_exact,
-            "e_abs_s_exact": rep.e_abs_s_float,
-            "e_abs_s_bound": float(rep.e_abs_s_bound),
+            **take("e_abs_s_exact", "e_abs_s_bound"),
             "e_cubed_over_lambda_exact": rep.e_cubed_over_lambda_float,
             "e_cubed_over_lambda_bound": float(rep.e_cubed_over_lambda_bound),
         },
         "certificate": {
-            "lower": float(rep.lower),
-            "gap_h": float(rep.gap),
-            "upper": rep.upper,
+            **take("lower", "gap_h", "upper"),
             "upper_assembled": rep.upper_assembled,
-            "sandwich_ok": rep.sandwich_ok,
+            **take("sandwich_ok"),
         },
         "moments": {str(r): float(table[r]) for r in sorted(table)},
-        "variance": float(point.variance),
-        "beta_variance": float(point.beta_variance),
-        "distance": {
-            "gap_h": float(rep.gap),
-            "wasserstein": point.wasserstein,
-            "kolmogorov": point.kolmogorov,
-        },
+        **take("variance", "beta_variance"),
+        "distance": take("gap_h", "wasserstein", "kolmogorov"),
     }
     if exact:
         moments = {str(r): pq(table[r]) for r in sorted(table)}
-        payload["exact"] = {**_row(point, exact)["exact"], "moments": moments}
+        payload["exact"] = {**row["exact"], "moments": moments}
     return payload
 
 
@@ -441,17 +439,14 @@ def _compute_rows(points: list[ModelParams], jobs: int, record: Record) -> list[
 
 
 def _render_sweep_csv(rows: list[dict], exact: bool) -> str:
-    import csv  # here, as `json` in `_json_text`, so only a CSV sweep loads it
-
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_COLUMNS + (EXACT_COLUMNS if exact else []))
+    """The header and one line per row, cells joined by "," and lines ended
+    by "\n". No cell holds a comma, a quote or a line break, so none is
+    quoted."""
+    lines = [SWEEP_COLUMNS + (EXACT_COLUMNS if exact else [])]
     for row in rows:
         cells = [_CSV_CELL[kind](row[name]) for name, kind, *_ in COLUMNS]
-        if exact:
-            cells += row["exact"].values()
-        writer.writerow(cells)
-    return buf.getvalue()
+        lines.append([*cells, *row["exact"].values()] if exact else cells)
+    return "".join(",".join(cells) + "\n" for cells in lines)
 
 
 def _render_sweep_json(rows: list[dict], exact: bool) -> str:

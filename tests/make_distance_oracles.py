@@ -36,8 +36,8 @@ import mpmath
 DPS = 30
 
 # The eight points of the `wasserstein` docstring, (1, 1), where the
-# endpoint margin's s = |a-1| + |b-1| is 0, (3, 3), where it is 4, and
-# n = 20000 and 100000 at (1/2, 3/2).
+# endpoint margin's s = |a-1| + |b-1| is 0, (3, 3), where it is 4,
+# (51, 51), where it is 100, and n = 20000 and 100000 at (1/2, 3/2).
 POINTS = (
     (200, "1/10", "1/10"),
     (400, "1/2", "3/2"),
@@ -49,6 +49,7 @@ POINTS = (
     (111, "1/1000", "811/1000"),
     (1000, "1", "1"),
     (1000, "3", "3"),
+    (1000, "51", "51"),
     (20000, "1/2", "3/2"),
     (100000, "1/2", "3/2"),
 )

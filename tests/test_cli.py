@@ -46,10 +46,12 @@ def test_cli_import_skips_scipy_and_mpmath():
     # Start-up cost is part of every invocation; scipy, mpmath and numpy are
     # test-only oracles, no command loads multiprocessing (a parallel sweep
     # forks its workers directly), the record classes are built without
-    # dataclasses, which would load inspect and its imports, and only a CSV
-    # sweep loads csv.
+    # dataclasses, which would load inspect and its imports, and a CSV sweep
+    # joins its cells itself, so no command loads csv.
     script = (
-        "import sys, moranbeta.cli; "
+        "import os, sys, moranbeta.cli; "
+        "grid = ['sweep', '--n', '5,10', '--a', '1/2', '--b', '1', '--jobs', '1']; "
+        "assert moranbeta.cli.main(grid + ['--out', os.devnull]) == 0; "
         "print(sorted(m for m in ('scipy', 'mpmath', 'numpy', 'multiprocessing', "
         "'dataclasses', 'inspect', 'csv') if m in sys.modules))"
     )
@@ -255,6 +257,40 @@ class TestReport:
         assert doc["stein"]["cond1_max_residual"] == 0.0
         assert doc["exact"]["gap_h"] == "1/120"
         assert doc["exact"]["variance"] == "1/10"
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("n,a,b", [("7", "1/2", "3"), ("150", "355/113", "103/37")])
+    def test_shared_fields_are_the_sweep_row(self, capsys, n, a, b, exact):
+        # Every report field that is also a sweep column is the JSON sweep's
+        # row value of the same point, bit for bit; (150; 355/113, 103/37)
+        # has states with S_i < 0 and an odd q.
+        flag = ["--exact"] if exact else []
+        code, out, _ = run_cli(capsys, "report", "--n", n, "--a", a, "--b", b, *flag)
+        assert code == 0
+        doc = json.loads(out)
+        sweep = ("sweep", "--n", n, "--a", a, "--b", b, "--jobs", "1", "--format", "json")
+        code, out, _ = run_cli(capsys, *sweep, *flag)
+        assert code == 0
+        (row,) = json.loads(out)["rows"]
+        sections = {
+            "params": ("n", "a", "b"),
+            "stein": ("cond1_max_residual", "cond2_max_residual", "e_abs_s_exact", "e_abs_s_bound"),
+            "certificate": ("lower", "gap_h", "upper", "sandwich_ok"),
+            "distance": ("gap_h", "wasserstein", "kolmogorov"),
+        }
+        pairs = [(doc[k][name], row[name]) for k, names in sections.items() for name in names]
+        pairs += [(doc[name], row[name]) for name in ("variance", "beta_variance")]
+        shared = {name for names in sections.values() for name in names}
+        assert shared | {"variance", "beta_variance", "mean"} == set(SWEEP_COLUMNS)
+
+        def bits(v):
+            return (type(v), v.hex() if type(v) is float else v)
+
+        assert [bits(got) for got, _ in pairs] == [bits(want) for _, want in pairs]
+        if exact:
+            assert {k: v for k, v in doc["exact"].items() if k != "moments"} == row["exact"]
+        else:
+            assert "exact" not in doc and "exact" not in row
 
     def test_document_size_does_not_grow_with_n(self, capsys):
         # No field holds one value per state: the remainder S is a closed-form
@@ -600,6 +636,29 @@ class TestSweep:
             cells = line.split(",")
             assert cells[ok_col] == "true"
             assert cells[res_col] == "0"
+
+    @pytest.mark.parametrize(
+        "grid",
+        [
+            ("--n", "25,50,100,200", "--a", "0.5,1,2", "--b", "0.5,1,2"),
+            ("--n", "160,300", "--a", "355/113,1/7", "--b", "103/37,599/2"),
+        ],
+    )
+    def test_csv_is_csv_writer_over_the_cells(self, capsys, grid):
+        # The sweep joins its cells with "," and "\n" itself: no cell needs
+        # quoting, so the bytes are csv.writer's over the same cells.
+        code, out, _ = run_cli(capsys, "sweep", *grid, "--jobs", "1", "--exact")
+        assert code == 0
+        args = cli.build_parser().parse_args(["sweep", *grid])
+        points = grid_points(args.a, args.b, args.n, certified=True)
+        rows = cli._compute_rows(points, 1, lambda point: cli._row(point, True))
+        want = io.StringIO()
+        writer = csv.writer(want, lineterminator="\n")
+        writer.writerow(SWEEP_COLUMNS + cli.EXACT_COLUMNS)
+        for row, _ in rows:
+            cells = [cli._CSV_CELL[kind](row[name]) for name, kind, *_ in cli.COLUMNS]
+            writer.writerow(cells + list(row["exact"].values()))
+        assert out == want.getvalue()
 
     def test_lexicographic_order_and_determinism(self, tmp_path, capsys):
         args = [

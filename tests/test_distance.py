@@ -433,6 +433,7 @@ ORACLE_TOLERANCES = {
     (111, "1/1000", "811/1000"): (3.5e-11, 0.0),
     (1000, "1", "1"): (6.9e-13, 0.0),
     (1000, "3", "3"): (3.7e-13, 3.0e-12),
+    (1000, "51", "51"): (4.3e-12, 1.2e-11),
     (20000, "1/2", "3/2"): (2.8e-10, 0.0),
     (100000, "1/2", "3/2"): (1.3e-9, 0.0),
 }
