@@ -6,12 +6,13 @@ each inside one guard, `_computing`: a `sweep` in at most `--jobs` shares
 balanced by lattice states (`_shares`), `rate` in as many as the sweep's
 default, `report` in one. The process computes the first share and a
 forked child each other one, with no process pool, and the output is the
-same bytes for any number of shares. A point's record is built once as
-plain values, which a child sends through its pipe by `marshal`: its
-`_row`, the one place a printed per-point value is rendered (`COLUMNS`),
-or `report`'s `_report_payload`, which groups that row's values and
-converts only what no column holds. The kernel places the shares on CPUs;
-no process's affinity mask is changed.
+same bytes for any number of shares. A share holds its points' distance
+atoms itself (`_run_share`), so no state outlives a command. A point's
+record is built once as plain values, which a child sends through its pipe
+by `marshal`: its `_row`, the one place a printed per-point value is
+rendered (`COLUMNS`), or `report`'s `_report_payload`, which groups that
+row's values and converts only what no column holds. The kernel places
+the shares on CPUs; no process's affinity mask is changed.
 Every command runs on the standard library: the package has no runtime
 dependency.
 
@@ -45,7 +46,6 @@ from operator import attrgetter
 from typing import BinaryIO, Callable, NamedTuple
 
 from . import beta as beta_dist
-from . import distance
 from .distance import kolmogorov, wasserstein
 from .model import ModelParams, stationary_ratio_product
 from .moments import mean, moment_recursion, variance
@@ -212,11 +212,12 @@ def grid_points(
     return points
 
 
-def compute_point(params: ModelParams) -> PointResult:
-    """The point pipeline: exact pi, its certificate, distances."""
+def compute_point(params: ModelParams, reuse: list | None = None) -> PointResult:
+    """The point pipeline: exact pi, its certificate, distances, which
+    share one atom pass through the holder `reuse` (`distance.wasserstein`)."""
     pi = stationary_ratio_product(params)
     rep = stein_report(pi)
-    w1, kd = wasserstein(pi), kolmogorov(pi)
+    w1, kd = wasserstein(pi, reuse), kolmogorov(pi, reuse)
     return PointResult(
         params=params,
         stein=rep,
@@ -314,15 +315,15 @@ def _run_share(
 ) -> tuple[list, tuple | None]:
     """`(index, record(point), ok)` of each point of one share, up to its
     first failing point, and that failure as `(index, message)`, or None:
-    plain data, which is all that marshal sends. The share starts from an
-    empty atom slot, so a command never reads atoms an earlier one left in
-    the process; its own nested lattices still do."""
-    distance._reset_atoms()
-    records = []
+    plain data, which is all that marshal sends. The share owns one atom
+    holder, which its points hand on in grid order: each point makes one
+    atom pass, a multiple of the last lattice evaluates only its new atoms,
+    and nothing outlives the share."""
+    reuse, records = [None], []
     for i in share:
         try:
             with _computing(points[i]):
-                point = compute_point(points[i])
+                point = compute_point(points[i], reuse)
                 records.append((i, record(point), point.stein.ok))
         except PointError as exc:
             return records, (i, str(exc))

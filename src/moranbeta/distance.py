@@ -14,10 +14,11 @@ Three quantities are reported:
 
 The target is Beta(a, b) for the law's own point, `pi.params`, so each
 distance takes the law alone.  Both read F_Z at the atoms i/(2n) from one
-pass per point, which also yields the antiderivative G for W1; a point of
-the same shapes on a multiple of the last lattice evaluates only its new
-atoms.  Each distance is one loop on Python floats over the lattice
-pieces.  W1 reads each crossing of F_W and F_Z from its left atom: F_Z and
+pass, which also yields the antiderivative G for W1.  The module keeps no
+state: a caller that hands both distances one holder, `reuse`, gets one
+pass per point, and a point of the same shapes on a multiple of the
+holder's last lattice evaluates only its new atoms.  Each distance is one
+loop on Python floats over the lattice pieces.  W1 reads each crossing of F_W and F_Z from its left atom: F_Z and
 the gain follow from two Gauss-Legendre moments of the closed-form density
 on the piece, so the continued fraction for F_Z runs at the atoms only.
 Crossings within a shape-dependent margin of the endpoints, where the rule's
@@ -85,42 +86,29 @@ def _end_density(shape: float, ln_beta: float) -> float:
     return 0.0 if shape > 1.0 else math.inf if shape < 1.0 else math.exp(-ln_beta)
 
 
-# The atoms of the last lattice `_atoms` served, for the next one of the same
-# shape pair: ((a, b), m, atoms), or None.  One lattice, one slot, which the
-# CLI empties as each command starts computing (`cli._run_share`).
-_slot = None
+def _atoms(m: int, shapes: tuple, last: tuple | None = None) -> tuple:
+    """The record `(shapes, m, (fz, dens, g, ln_beta))` of the lattice i/m,
+    i = 0..m, for the shape pair `shapes` = (a, b), rational or float: F_Z,
+    f_Z and G at the atoms and ln B(a,b).  Both distances read F_Z, and W1
+    reads G and f_Z, for each crossing's Hermite start and as the base of
+    its moment rule (see `wasserstein`).  They depend on the lattice and the
+    shapes only, so no lattice law enters.
 
-
-def _reset_atoms() -> None:
-    """Empty the atom slot, so the next `_atoms` call is a cold pass."""
-    global _slot
-    _slot = None
-
-
-def _atoms(
-    m: int, shapes: tuple
-) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...], float]:
-    """F_Z, f_Z and G at the atoms i/m, i = 0..m, and ln B(a,b) for the
-    shape pair `shapes` = (a, b), rational or float: both distances read
-    F_Z, and W1 reads G and f_Z, for each crossing's Hermite start and as
-    the base of its moment rule (see `wasserstein`).  They depend on the
-    lattice and the shapes only, so no lattice law enters.
-
-    The atoms of the last lattice m0 are kept in one slot, keyed on the
-    pair, which compares by value: (1/2, 2) and (0.5, 2.0) are one key.
-    The same lattice again (W1, then Kolmogorov) is served from it.  A
-    lattice m = k m0 of the same shapes, such as the next n of a doubling
-    sweep, copies atom j of m0 to atom k j and evaluates only the others:
-    k j / (k m0) and j / m0 are one rational, correctly rounded to one
-    float, so every value is the one a cold pass gives, bit for bit, under
-    either key.  Any other lattice starts from the endpoints, where F_Z is
-    0 and 1, G is 0 and b/(a+b), rounded once from the exact ratio of the
-    shapes as given, and f_Z is its limit: 0, infinite or 1/B(a,b) as the
-    shape at that end is above, below or equal to 1.
+    The result depends on the arguments alone.  `last` is an earlier
+    record or None.  One of the same pair, which compares by value, so
+    (1/2, 2) and (0.5, 2.0) are one pair, is returned as it is on the same
+    lattice.  On a lattice m0 dividing m = k m0, such as the previous n of
+    a doubling sweep, it gives atom j of m0 to atom k j, and only the
+    others are evaluated: k j / (k m0) and j / m0 are one rational,
+    correctly rounded to one float, so every value is the one a cold pass
+    gives, bit for bit, for either form of the pair.  Any other lattice
+    starts from the endpoints, where F_Z is 0 and 1, G is 0 and b/(a+b),
+    rounded once from the exact ratio of the shapes as given, and f_Z is
+    its limit: 0, infinite or 1/B(a,b) as the shape at that end is above,
+    below or equal to 1.
     """
-    global _slot
     a, b = map(float, shapes)
-    if _slot is None or m % _slot[1] or _slot[0] != shapes:
+    if last is None or m % last[1] or last[0] != shapes:
         ln_beta = log_beta(a, b)
         ends = (
             (0.0, 1.0),
@@ -128,10 +116,10 @@ def _atoms(
             (0.0, float(Fraction(shapes[1]) / sum(map(Fraction, shapes)))),
             ln_beta,
         )
-        _slot = (shapes, 1, ends)
-    _, coarse, atoms = _slot
+        last = (shapes, 1, ends)
+    _, coarse, atoms = last
     if m == coarse:
-        return atoms
+        return last
     k = m // coarse
     *kept, ln_beta = atoms
     fz, dens, g = [0.0] * (m + 1), [0.0] * (m + 1), [0.0] * (m + 1)
@@ -143,9 +131,17 @@ def _atoms(
             if not math.isfinite(f):
                 raise FloatingPointError(f"Beta{a, b} CDF is not finite at i/{m}")
             fz[i], dens[i], g[i] = f, d, _cdf_integral(a, b, x, f, d)
-    atoms = (tuple(fz), tuple(dens), tuple(g), ln_beta)
-    _slot = (shapes, m, atoms)
-    return atoms
+    return shapes, m, (tuple(fz), tuple(dens), tuple(g), ln_beta)
+
+
+def _law_atoms(pi: LatticeDistribution, reuse: list | None) -> tuple:
+    # The atoms of pi's lattice and shapes, built on the record in the
+    # caller's holder, which then holds the new one; cold without a holder.
+    last = None if reuse is None else reuse[0]
+    record = _atoms(2 * pi.n, (pi.params.a, pi.params.b), last)
+    if reuse is not None:
+        reuse[0] = record
+    return record[2]
 
 
 def _hermite_start(
@@ -306,9 +302,11 @@ def _crossing_gain(
     return 2.0 * (c * (x - lo) - rise) + correction
 
 
-def wasserstein(pi: LatticeDistribution) -> float:
+def wasserstein(pi: LatticeDistribution, reuse: list | None = None) -> float:
     """Wasserstein distance: integral of |F_W - F_Z| over [0,1], in closed
-    form, for Z ~ Beta(a, b) with the shapes of `pi.params`.
+    form, for Z ~ Beta(a, b) with the shapes of `pi.params`.  `reuse`, a
+    one-item list the caller owns, holds the last atom record (`_atoms`) or
+    None; without it the atoms are a cold pass.
 
     On each piece [lo, hi] = [i/m, (i+1)/m], m = 2n, F_W is a constant c.
     With G(x) = int_0^x F_Z = (x - mu) F_Z(x) + x(1-x) f_Z(x)/(a+b),
@@ -353,9 +351,9 @@ def wasserstein(pi: LatticeDistribution) -> float:
     (3.5e-10) at n=111, (1/1000, 811/1000).  It grows with n: 2.8e-10 at
     n=20000 and 1.2e-9 at n=100000, (1/2, 3/2).
     """
-    m, shapes = 2 * pi.n, (pi.params.a, pi.params.b)
-    fz, dens, g, ln_beta = _atoms(m, shapes)
-    a, b = map(float, shapes)
+    m = 2 * pi.n
+    fz, dens, g, ln_beta = _law_atoms(pi, reuse)
+    a, b = float(pi.params.a), float(pi.params.b)
     am1, bm1 = a - 1.0, b - 1.0
     margin = _interior_margin(a, b)
     pieces = []
@@ -388,14 +386,14 @@ def wasserstein(pi: LatticeDistribution) -> float:
     return math.fsum(pieces)
 
 
-def kolmogorov(pi: LatticeDistribution) -> float:
+def kolmogorov(pi: LatticeDistribution, reuse: list | None = None) -> float:
     """Kolmogorov distance sup_x |F_W(x) - F_Z(x)|, for Z ~ Beta(a, b) with
-    the shapes of `pi.params`.
+    the shapes of `pi.params`, and `reuse` as for `wasserstein`.
 
     F_W is constant between atoms and F_Z is monotone, so the supremum is
     attained at an atom, approached from the left or from the right.
     """
-    fz = _atoms(2 * pi.n, (pi.params.a, pi.params.b))[0]
+    fz = _law_atoms(pi, reuse)[0]
     worst = prev = 0.0
     for p, f in zip(pi.probs, fz):
         cum = prev + p

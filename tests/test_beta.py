@@ -69,7 +69,7 @@ class TestCdf:
 
     def test_nondecreasing(self):
         # F_Z at the atoms i/200, i = 0..200, ends included.
-        fz = distance._atoms(200, (0.4, 2.7))[0]
+        fz = distance._atoms(200, (0.4, 2.7))[2][0]
         assert (np.diff(fz) >= 0.0).all()
 
 

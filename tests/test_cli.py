@@ -150,9 +150,12 @@ def test_serial_path_loads_neither_json_nor_pickle(tmp_path):
 
 def test_log_beta_once_per_point_not_per_atom(monkeypatch):
     # ln B(a,b) is fixed per point: the atom pass computes it once and hands
-    # it to every CDF evaluation, the crossings included, at any n.  Each
-    # command starts from an empty atom slot, so the second `main`, on a
-    # multiple of the first one's lattice, runs its own atom pass.
+    # it to every CDF evaluation, the crossings included, at any n.  No state
+    # outlives a command, so the second `main`, on a multiple of the first
+    # one's lattice, runs its own atom pass.  A sweep's share hands its atoms
+    # on along the doubling n, so the README grid computes ln B once per
+    # shape pair, 9 times, in each of two runs in one process, and the runs
+    # leave the distance module's names bound as they were.
     real = special.log_beta
     calls = []
 
@@ -171,21 +174,29 @@ def test_log_beta_once_per_point_not_per_atom(monkeypatch):
         assert main(argv) == 0
         counts.append(len(calls))
     assert counts == [1, 1]
+    names = dict(vars(distance))
+    counts.clear()
+    for _ in range(2):
+        calls.clear()
+        argv = ["sweep", "--n", "25,50,100,200", "--a", "0.5,1,2", "--b", "0.5,1,2"]
+        assert main([*argv, "--jobs", "1", "--out", os.devnull]) == 0
+        counts.append(len(calls))
+    assert counts == [9, 9]
+    assert vars(distance).keys() == names.keys()
+    assert all(vars(distance)[name] is value for name, value in names.items())
 
 
 @pytest.mark.parametrize("n", ["200", "400"])
-def test_report_after_a_sweep_prints_the_fresh_bytes(capsys, monkeypatch, n):
-    # Reused atoms are a cold pass's bits, so a report that keeps the atom
-    # slot a sweep of its shapes left in the process, m = 400, reading it as
-    # it is at n = 200 and for every other atom at n = 400, prints the bytes
-    # of a run from an empty slot.
+def test_report_after_a_sweep_prints_the_fresh_bytes(capsys, n):
+    # No state outlives a command: a report after a sweep of its shapes in
+    # the same process, whose last lattice, m = 400, is the report's own at
+    # n = 200 and a divisor of it at n = 400, prints the bytes of a report
+    # run alone.
     report = ("report", "--n", n, "--a", "1/2", "--b", "3/2", "--exact")
     fresh = run_cli(capsys, *report)
     assert fresh[0] == 0
     sweep = ("sweep", "--n", "25,50,100,200", "--a", "1/2", "--b", "3/2", "--jobs", "1")
     assert run_cli(capsys, *sweep)[0] == 0
-    assert distance._slot[:2] == ((Fraction(1, 2), Fraction(3, 2)), 400)
-    monkeypatch.setattr(distance, "_reset_atoms", lambda: None)
     assert run_cli(capsys, *report) == fresh
 
 
@@ -1233,10 +1244,10 @@ class TestInternalErrors:
             failed.append(pid)
             raise OSError(errno.EIO, os.strerror(errno.EIO))
 
-        def fails_at_3(params):
+        def fails_at_3(params, reuse=None):
             if params.n == 3:
                 raise ArithmeticError("injected")
-            return real_compute(params)
+            return real_compute(params, reuse)
 
         monkeypatch.setattr(os, "waitpid", wait_fails_once)
         monkeypatch.setattr(cli, "compute_point", fails_at_3)
@@ -1566,10 +1577,10 @@ class TestRate:
         # the serial one: the earliest failing point in grid order.
         real = cli.kolmogorov
 
-        def failing(pi):
+        def failing(pi, reuse=None):
             if pi.params.a >= 1:
                 raise ValueError("injected")
-            return real(pi)
+            return real(pi, reuse)
 
         monkeypatch.setattr(cli, "kolmogorov", failing)
         serial = self.run_on(monkeypatch, capsys, 1)

@@ -2,6 +2,8 @@
 
 import json
 import math
+import sys
+import threading
 from contextlib import contextmanager
 from fractions import Fraction
 from itertools import accumulate
@@ -139,7 +141,7 @@ class TestAtomPass:
     @settings(max_examples=25)
     @given(st.integers(1, 300), SHAPES, SHAPES)
     def test_atom_cdfs_match_scalar_cdf_bitwise(self, n, a, b):
-        fz = distance._atoms(2 * n, (a, b))[0]
+        fz = distance._atoms(2 * n, (a, b))[2][0]
         assert list(fz) == scalar_atom_cdfs(n, a, b)
 
     @settings(max_examples=25)
@@ -156,26 +158,26 @@ class TestAtomPass:
         assert kolmogorov(ExactLaw(n, pi.probs, Shapes(a, b))) == best
 
     def test_runs_once_for_both_distances(self, monkeypatch):
-        # W1 evaluates each interior atom once (the crossings evaluate
-        # strictly inside their pieces), and Kolmogorov evaluates nothing.
+        # With one holder, W1 evaluates each interior atom once (the
+        # crossings evaluate strictly inside their pieces), and Kolmogorov
+        # evaluates nothing.
         pi = stationary_ratio_product(ModelParams(30, F(2, 7), F(9, 4)))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._reset_atoms()
-        wasserstein(pi)
+        reuse = [None]
+        wasserstein(pi, reuse)
         after_w1 = len(calls)
-        kolmogorov(pi)
+        kolmogorov(pi, reuse)
         assert len(calls) == after_w1
         atoms = [x for *_, x in calls if x in {i / 60 for i in range(1, 60)}]
         assert sorted(atoms) == [i / 60 for i in range(1, 60)]
 
     def test_cached_arrays_are_read_only(self):
-        # Immutable: the cached atoms are tuples.
-        fz, _, g, _ = distance._atoms(10, (1, 2))
+        # Immutable: the atoms a record hands on are tuples.
+        _, _, (fz, _, g, _) = distance._atoms(10, (1, 2))
         assert type(fz) is tuple and type(g) is tuple
 
     def test_continued_fraction_budget_raises(self, monkeypatch):
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
-        distance._reset_atoms()
         pi = stationary_ratio_product(ModelParams(20, F(5, 2), F(7, 3)))
         with pytest.raises(ConvergenceError, match="did not converge in 3"):
             wasserstein(pi)
@@ -186,7 +188,6 @@ class TestAtomPass:
             distance, "_cdf_pdf", lambda a, b, ln_beta, x: (np.nan, np.nan)
         )
         shapes = (F("2.3e-308"), F("3e-308"))
-        distance._reset_atoms()
         with pytest.raises(FloatingPointError):
             distance._atoms(20, shapes)
 
@@ -198,15 +199,11 @@ class TestAtomPass:
             ModelParams(10, F("2.3e-308"), F("3e-308"))
 
 
-def as_hex(atoms):
-    """The atoms `(F_Z, f_Z, G, ln B)` as hex strings, equal only bit for bit."""
-    *columns, ln_beta = atoms
-    return [[float.hex(x) for x in col] for col in columns], float.hex(ln_beta)
-
-
-def cold_atoms(m, shapes):
-    distance._reset_atoms()
-    return distance._atoms(m, shapes)
+def as_hex(record):
+    """A record's lattice and atoms `(F_Z, f_Z, G, ln B)` as hex strings,
+    equal only bit for bit."""
+    _, m, (*columns, ln_beta) = record
+    return m, [[float.hex(x) for x in col] for col in columns], float.hex(ln_beta)
 
 
 REUSE_SHAPES = st.one_of(
@@ -216,18 +213,19 @@ REUSE_SHAPES = st.one_of(
 
 
 class TestAtomReuse:
-    """The slot keeps the last lattice's atoms; a multiple k m of it, same
-    shapes, copies the shared atoms and evaluates only the new ones."""
+    """A record, the one item of a caller's holder (its slot), keeps one
+    lattice's atoms; a multiple k m of it, same shapes, copies the shared
+    atoms and evaluates only the new ones."""
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(1, 400), st.integers(1, 8), REUSE_SHAPES, REUSE_SHAPES)
     def test_multiple_lattice_equals_cold_pass_bitwise(self, m, k, a, b):
         shapes = (a, b)
-        cold = as_hex(cold_atoms(k * m, shapes))
-        cold_atoms(m, shapes)
+        cold = as_hex(distance._atoms(k * m, shapes))
+        last = distance._atoms(m, shapes)
         with pytest.MonkeyPatch.context() as mp:
             calls = spy_cdf_pdf(mp)
-            warm = distance._atoms(k * m, shapes)
+            warm = distance._atoms(k * m, shapes, last)
         assert len(calls) == (k * m - 1) - (m - 1)
         assert as_hex(warm) == cold
 
@@ -242,32 +240,31 @@ class TestAtomReuse:
     )
     def test_other_lattices_evaluate_every_atom(self, monkeypatch, first, then):
         (m0, shapes0), (m, shapes) = first, then
-        cold = as_hex(cold_atoms(m, shapes))
-        cold_atoms(m0, shapes0)
+        cold = as_hex(distance._atoms(m, shapes))
+        last = distance._atoms(m0, shapes0)
         calls = spy_cdf_pdf(monkeypatch)
-        assert as_hex(distance._atoms(m, shapes)) == cold
+        assert as_hex(distance._atoms(m, shapes, last)) == cold
         assert len(calls) == m - 1
 
     def test_slot_holds_one_lattice(self, monkeypatch):
-        # After 40 then 80, the slot holds 80 alone: 40 again is a cold pass.
+        # After 40 then 80, the holder's record is 80's alone: 40 again is a
+        # cold pass.
         shapes = (F(2, 7), F(9, 4))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._reset_atoms()
-        distance._atoms(40, shapes)
-        distance._atoms(80, shapes)
-        assert len(calls) == 79
-        distance._atoms(40, shapes)
+        last = distance._atoms(80, shapes, distance._atoms(40, shapes))
+        assert last[:2] == (shapes, 80) and len(calls) == 79
+        distance._atoms(40, shapes, last)
         assert len(calls) == 79 + 39
 
     def test_slot_key_compares_shapes_by_value(self, monkeypatch):
-        # The slot is keyed on the shape pair as given: (1/2, 2), (1/2, 2/1)
+        # A record is keyed on the shape pair as given: (1/2, 2), (1/2, 2/1)
         # and (0.5, 2.0) are one key, and the swapped pair is another.
         calls = spy_cdf_pdf(monkeypatch)
-        atoms = cold_atoms(40, (F(1, 2), 2))
-        assert distance._atoms(40, (F(1, 2), F(2))) is atoms
-        assert distance._atoms(40, (0.5, 2.0)) is atoms
+        record = distance._atoms(40, (F(1, 2), 2))
+        assert distance._atoms(40, (F(1, 2), F(2)), record) is record
+        assert distance._atoms(40, (0.5, 2.0), record) is record
         assert len(calls) == 39
-        distance._atoms(40, (2, F(1, 2)))
+        distance._atoms(40, (2, F(1, 2)), record)
         assert len(calls) == 78
 
     def test_float_key_serves_the_cold_bits_of_its_fractions(self):
@@ -277,27 +274,99 @@ class TestAtomReuse:
         # for the Fractions are the Fractions' cold pass, bit for bit.
         a, b = 5.154658132183473, 3.132001042023183
         assert b / (a + b) != float(F(b) / (F(a) + F(b)))
-        cold = as_hex(cold_atoms(20, (F(a), F(b))))
-        cold_atoms(10, (a, b))
-        assert as_hex(distance._atoms(20, (F(a), F(b)))) == cold
+        cold = as_hex(distance._atoms(20, (F(a), F(b))))
+        last = distance._atoms(10, (a, b))
+        assert as_hex(distance._atoms(20, (F(a), F(b)), last)) == cold
 
     def test_same_lattice_is_served_and_reset_is_cold(self, monkeypatch):
         shapes = (F(1, 10), F(1, 10))
+        # Without a record the pass is cold, as from a reset holder.
         calls = spy_cdf_pdf(monkeypatch)
-        atoms = cold_atoms(50, shapes)
-        assert distance._atoms(50, shapes) is atoms
+        record = distance._atoms(50, shapes)
+        assert distance._atoms(50, shapes, record) is record
         assert len(calls) == 49
-        assert as_hex(cold_atoms(50, shapes)) == as_hex(atoms)
+        assert as_hex(distance._atoms(50, shapes)) == as_hex(record)
         assert len(calls) == 98
 
     def test_doubling_lattices_evaluate_the_finest_once(self, monkeypatch):
         # The n of a doubling sweep: each atom of the finest lattice once.
         shapes = (F(1, 2), F(2))
         calls = spy_cdf_pdf(monkeypatch)
-        distance._reset_atoms()
+        last = None
         for m in (50, 100, 200, 400):
-            distance._atoms(m, shapes)
+            last = distance._atoms(m, shapes, last)
         assert sorted(x for *_, x in calls) == [i / 400 for i in range(1, 400)]
+
+    @pytest.mark.parametrize(
+        "earlier", ["same", "divisor", "coarser", "not_a_multiple", "other_shapes", "float_pair"]
+    )
+    @settings(max_examples=12, deadline=None)
+    @given(st.integers(1, 100), st.integers(1, 4), REUSE_SHAPES, REUSE_SHAPES, REUSE_SHAPES)
+    def test_holder_from_any_earlier_point_changes_no_bit(self, earlier, n0, k, a, b, other):
+        # Both distances with a holder that an earlier point filled give the
+        # bits of a cold pass: the holder decides only which atoms are
+        # evaluated.  The float pair's law is measured against the exact
+        # Fractions of those floats, so its holder's record shares the key.
+        n = k * n0
+        assume(a + b < 2 * n)
+        shapes = (a, b)
+        if earlier == "float_pair":
+            shapes = (F(float(a)), F(float(b)))
+        shapes0, m0 = {
+            "same": (shapes, n),
+            "divisor": (shapes, n0),
+            "coarser": (shapes, 2 * n),
+            "not_a_multiple": (shapes, n + 1),
+            "other_shapes": ((other, b), n0),
+            "float_pair": ((float(a), float(b)), n0),
+        }[earlier]
+        reuse = [None]
+        kolmogorov(ExactLaw(m0, (1.0,) + (0.0,) * (2 * m0), Shapes(*shapes0)), reuse)
+        law = ExactLaw(n, stationary_ratio_product(ModelParams(n, a, b)).probs, Shapes(*shapes))
+        cold = (wasserstein(law).hex(), kolmogorov(law).hex())
+        assert (wasserstein(law, reuse).hex(), kolmogorov(law, reuse).hex()) == cold
+        assert reuse[0][1] == 2 * n
+
+
+RACE_LAWS = [(n, a, b) for a, b in (("1/2", "3/2"), ("7/3", "11/5")) for n in (40, 80)]
+
+
+def test_threads_get_their_own_laws_distances():
+    # The distances keep no process-global state.  Four threads, each on
+    # another of four laws in every round (two lattices, one a multiple of
+    # the other, of each of two shape pairs), with the interpreter switching
+    # threads every microsecond, get each law's single-thread bits.  Each
+    # law has its own Fraction objects, so comparing two shape pairs runs
+    # Fraction.__eq__, where the interpreter may switch threads.
+    laws = [stationary_ratio_product(ModelParams(n, F(a), F(b))) for n, a, b in RACE_LAWS]
+    want = [(wasserstein(pi).hex(), kolmogorov(pi).hex()) for pi in laws]
+    rounds = 300
+    got = [[] for _ in laws]
+
+    def work(k):
+        for r in range(rounds):
+            pi = laws[(k + r) % len(laws)]
+            try:
+                got[k].append((wasserstein(pi).hex(), kolmogorov(pi).hex()))
+            except Exception as exc:  # another law's atoms may not fit this one
+                got[k].append(repr(exc))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(len(laws))]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    wrong = [
+        (k, r, result) for k, results in enumerate(got) for r, result in enumerate(results)
+        if result != want[(k + r) % len(laws)]
+    ]
+    assert [len(results) for results in got] == [rounds] * len(laws)
+    assert len(wrong) == 0, wrong[:3]
 
 
 def point_mass_at_half():
@@ -486,10 +555,10 @@ class TestLargeN:
         # from the Beta-Binomial closed form at 30 digits, up to n = 100000.
         n, a, b = point["n"], point["a"], point["b"]
         w1_tol, kol_tol = ORACLE_TOLERANCES[n, a, b]
-        pi = stationary_ratio_product(ModelParams(n, F(a), F(b)))
+        pi, reuse = stationary_ratio_product(ModelParams(n, F(a), F(b))), [None]
         want = float(point["wasserstein"]), float(point["kolmogorov"])
-        assert wasserstein(pi) == pytest.approx(want[0], rel=w1_tol, abs=0.0)
-        assert kolmogorov(pi) == pytest.approx(want[1], rel=kol_tol, abs=0.0)
+        assert wasserstein(pi, reuse) == pytest.approx(want[0], rel=w1_tol, abs=0.0)
+        assert kolmogorov(pi, reuse) == pytest.approx(want[1], rel=kol_tol, abs=0.0)
 
 
 SWEEP_GRID = [
@@ -498,10 +567,11 @@ SWEEP_GRID = [
 ]
 
 
-def crossing_pieces(pi):
+def crossing_pieces(pi, reuse=(None,)):
     """The indices i of the pieces [i/m, (i+1)/m] where F_W = c lies strictly
-    between F_Z at the piece's ends."""
-    fz = distance._atoms(2 * pi.n, (pi.params.a, pi.params.b))[0]
+    between F_Z at the piece's ends.  `reuse` is a holder W1 filled for `pi`,
+    so a spy on F_Z counts no second atom pass."""
+    fz = distance._atoms(2 * pi.n, (pi.params.a, pi.params.b), reuse[0])[2][0]
     cum = accumulate(pi.probs)
     return [i for i, (c, f_lo, f_hi) in enumerate(zip(cum, fz, fz[1:])) if f_lo < c < f_hi]
 
@@ -559,11 +629,10 @@ class TestCrossings:
         calls = spy_cdf_pdf(monkeypatch)
         atom_calls = crossings = 0
         for n, a, b in SWEEP_GRID:
-            pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._reset_atoms()
-            wasserstein(pi)
+            pi, reuse = stationary_ratio_product(ModelParams(n, a, b)), [None]
+            wasserstein(pi, reuse)
             atom_calls += 2 * n - 1
-            crossings += len(crossing_pieces(pi))
+            crossings += len(crossing_pieces(pi, reuse))
         assert len(calls) <= 14_000
         assert len(calls) - atom_calls <= 1.1 * crossings
 
@@ -575,12 +644,11 @@ class TestCrossings:
         calls = spy_cdf_pdf(monkeypatch)
         atom_calls = margin = interior = 0
         for n, a, b in SWEEP_GRID:
-            pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._reset_atoms()
-            wasserstein(pi)
+            pi, reuse = stationary_ratio_product(ModelParams(n, a, b)), [None]
+            wasserstein(pi, reuse)
             m, j = 2 * n, distance._interior_margin(float(a), float(b))
             atom_calls += m - 1
-            for i in crossing_pieces(pi):
+            for i in crossing_pieces(pi, reuse):
                 if j <= i < m - j:
                     interior += 1
                 else:
@@ -595,7 +663,6 @@ class TestCrossings:
         crossings = record_crossings(monkeypatch)
         for n, a, b in SWEEP_GRID:
             pi = stationary_ratio_product(ModelParams(n, a, b))
-            distance._reset_atoms()
             w1 = wasserstein(pi)
             crossings.clear()
             with newton_only():
@@ -638,7 +705,6 @@ class TestCrossings:
         # itself near 2e-10 of it.
         assume(a + b < 2 * n)
         pi = stationary_ratio_product(ModelParams(n, a, b))
-        distance._reset_atoms()
         w1 = wasserstein(pi)
         with newton_only():
             newton = wasserstein(pi)

@@ -103,7 +103,6 @@ class TestLogBeta:
         monkeypatch.setattr(special, "log_gamma", counting)
         a, b = 0.3141592653589793, 2.718281828459045  # used nowhere else
         # The atom pass evaluates I_x at 999 atoms with one ln B(a,b).
-        distance._reset_atoms()
         distance._atoms(1000, (a, b))
         assert len(calls) <= 3
         assert log_beta(a, b) == log_gamma(a) + log_gamma(b) - log_gamma(a + b)
@@ -127,7 +126,7 @@ class TestRegIncBeta:
     def test_endpoints(self):
         # The distances never evaluate I_x at x = 0 or 1: the atom pass
         # sets F_Z to exactly 0 and 1 there.
-        fz = distance._atoms(4, (3.2, 0.7))[0]
+        fz = distance._atoms(4, (3.2, 0.7))[2][0]
         assert fz[0] == 0.0
         assert fz[-1] == 1.0
 
@@ -191,7 +190,6 @@ class TestRegIncBeta:
         # atom pass lets the error through.
         monkeypatch.setattr(special, "_CF_MAX_ITER", 3)
         inc_beta([1e-4, 2e-4], 4.0, 4.0)
-        distance._reset_atoms()
         with pytest.raises(ConvergenceError, match="x=0.5"):
             distance._atoms(2, (4.0, 4.0))
 
