@@ -28,6 +28,7 @@ Newton loop on F_Z instead.
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -42,9 +43,9 @@ __all__ = [
     "kolmogorov",
 ]
 
-# A crossing's estimate is kept once its error term |f_Z'(x)| |delta|^3 / 3
-# is below _ONE_EVAL_BOUND / 3; a Newton loop otherwise stops once a step is
-# below _ROOT_REL_TOL of the piece width (see `_crossing_gain`).
+# A crossing's estimate is kept by `_newton_step`'s test against
+# _ONE_EVAL_BOUND; a Newton loop otherwise stops once a step is below
+# _ROOT_REL_TOL of the piece width (see `_crossing_gain`).
 _ROOT_REL_TOL = 1e-10
 _ROOT_MAX_ITER = 100
 _ONE_EVAL_BOUND = 2.0**-60
@@ -129,7 +130,7 @@ def _atoms(m: int, shapes: tuple, last: tuple | None = None) -> tuple:
             x = i / m
             f, d = _cdf_pdf(a, b, ln_beta, x)
             if not math.isfinite(f):
-                raise FloatingPointError(f"Beta{a, b} CDF is not finite at i/{m}")
+                raise FloatingPointError(f"Beta{a, b} CDF is not finite at {i}/{m}")
             fz[i], dens[i], g[i] = f, d, _cdf_integral(a, b, x, f, d)
     return shapes, m, (tuple(fz), tuple(dens), tuple(g), ln_beta)
 
@@ -142,6 +143,12 @@ def _law_atoms(pi: LatticeDistribution, reuse: list | None) -> tuple:
     if reuse is not None:
         reuse[0] = record
     return record[2]
+
+
+def _cdf(pi: LatticeDistribution) -> list[float]:
+    # F_W at the atoms i/(2n): the float running sums of `pi.probs`, left to
+    # right, the one F_W both distances read.
+    return list(itertools.accumulate(pi.probs))
 
 
 def _hermite_start(
@@ -240,6 +247,29 @@ def _moments(
     return h * d_lo * i0, h * d_lo * i1, f
 
 
+def _newton_step(
+    am1: float, bm1: float, lo: float, hi: float, x: float, e: float, f: float
+) -> tuple[float, bool]:
+    """The Newton step delta = e / f from x in the piece (lo, hi), for
+    e = c - F_Z(x), f = f_Z(x) and a - 1 = am1, b - 1 = bm1, and whether
+    the crossing's one-evaluation estimate at x is kept.
+
+    The gain P(x) = 2 (c (x - lo) - (G(x) - G(lo))) has P' = 2 (c - F_Z),
+    which vanishes at the root x* of F_Z = c, so
+
+        P(x*) = P(x) + e^2 / f - f_Z'(x) delta^3 / 3 + O(delta^4),
+
+    f_Z'(x) = f_Z(x) ((a-1)/x - (b-1)/(1-x)).  P(x) + e^2 / f is kept once
+    x + delta stays in (lo, hi) and |f_Z'(x)| |delta|^3 < _ONE_EVAL_BOUND
+    = 2^-60, a leading error below 2^-60 / 3.  The step is infinite where f
+    is 0 or infinite, and the piece is tested first, so |delta|^3 is formed
+    only for a step inside it and cannot overflow.
+    """
+    step = e / f if 0.0 < f < math.inf else math.inf
+    slope = f * (am1 / x - bm1 / (1.0 - x))
+    return step, lo < x + step < hi and abs(slope) * abs(step) ** 3 < _ONE_EVAL_BOUND
+
+
 def _crossing_gain(
     a: float, b: float, ln_beta: float, lo: float, hi: float,
     f_lo: float, f_hi: float, d_lo: float, d_hi: float, c: float,
@@ -248,30 +278,23 @@ def _crossing_gain(
     (lo, hi), given F_Z(lo) = f_lo < c < f_hi = F_Z(hi) and the densities
     d_lo, d_hi there: what the piece adds to G(hi) - G(lo) - c (hi - lo).
 
-    With P(x) = c (2x - lo - hi) + G(lo) + G(hi) - 2 G(x), the piece is
-    P(x*), and P' = 2 (c - F_Z) vanishes at x*.  From an evaluation F, f at
-    x, with e = c - F and delta = e / f,
-
-        P(x*) = P(x) + e^2 / f - f_Z'(x) delta^3 / 3 + O(delta^4),
-
-    f_Z'(x) = f_Z(x) ((a-1)/x - (b-1)/(1-x)).  `wasserstein` calls this
-    only for a crossing within the endpoint margin (`_interior_margin`) or
-    one whose moment estimate the same test refuses.  One Newton loop finds
-    x: it starts at the Hermite point of `_hermite_start`.  Each round
-    evaluates F_Z and f_Z once and narrows the bracket by the sign of
-    c - F.  It returns P(x) + e^2 / f once x + delta stays in (lo, hi) and
-    |f_Z'(x)| |delta|^3 < _ONE_EVAL_BOUND = 2^-60, a leading error below
-    2^-60 / 3: mostly after the first round.  Otherwise it returns P(x)
-    alone once its next step is below _ROOT_REL_TOL of the piece width,
-    and steps to x + delta before that, bisecting when x + delta leaves
-    the bracket or f is 0 or infinite; a Newton step that small may round
-    onto a bracket end, so it is tested first.  G(x) - G(lo) is formed
-    from differences of F_Z and of x(1-x) f_Z, not of O(1) values of G,
-    so it does not cancel.
+    `wasserstein` calls this only for a crossing within the endpoint margin
+    (`_interior_margin`) or one whose moment estimate `_newton_step`
+    refuses.  One Newton loop finds x: it starts at the Hermite point of
+    `_hermite_start`.  Each round evaluates F_Z and f_Z once and narrows
+    the bracket by the sign of c - F.  It returns the one-evaluation
+    estimate at x once `_newton_step` keeps it: mostly after the first
+    round.  Otherwise it returns the gain at x alone once its next step is
+    below _ROOT_REL_TOL of the piece width, and steps to x + delta before
+    that, bisecting when x + delta leaves the bracket or f is 0 or
+    infinite; a Newton step that small may round onto a bracket end, so it
+    is tested first.  G(x) - G(lo) is formed from differences of F_Z and of
+    x(1-x) f_Z, not of O(1) values of G, so it does not cancel.
     """
     x = _hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, c)
     tol = _ROOT_REL_TOL * (hi - lo)
     left, right = lo, hi
+    am1, bm1 = a - 1.0, b - 1.0
     for _ in range(_ROOT_MAX_ITER):
         fx, dens = _cdf_pdf(a, b, ln_beta, x)
         if fx < c:
@@ -279,10 +302,8 @@ def _crossing_gain(
         elif fx > c:
             right = x
         e = c - fx
-        step = e / dens if 0.0 < dens < math.inf else math.inf
-        slope = dens * ((a - 1.0) / x - (b - 1.0) / (1.0 - x))
-        # A step that leaves the piece fails first, before |step|^3 can overflow.
-        if lo < x + step < hi and abs(slope) * abs(step) ** 3 < _ONE_EVAL_BOUND:
+        step, kept = _newton_step(am1, bm1, lo, hi, x, e, dens)
+        if kept:
             correction = e * step
             break
         correction = 0.0
@@ -325,11 +346,9 @@ def wasserstein(pi: LatticeDistribution, reuse: list | None = None) -> float:
 
         2 I1 + 2 (x - lo) e + e^2 / f,
 
-    formed from small quantities only, with the error term
-    f_Z'(x) delta^3 / 3 of `_crossing_gain`.  It is kept once x + delta
-    stays in the piece and |f_Z'(x)| |delta|^3 < _ONE_EVAL_BOUND = 2^-60,
-    read at each call; the rule's own error in each moment is below 2^-60
-    relative by the Bernstein-ellipse bound that sets the margin.  Any
+    formed from small quantities only.  It is kept where `_newton_step`
+    keeps it; the rule's own error in each moment is below 2^-60 relative
+    by the Bernstein-ellipse bound that sets the margin.  Any
     other crossing goes to `_crossing_gain`, one Newton loop on F_Z from
     the same start.  One pass over the pieces takes each crossing as it
     comes, and the pieces, each >= 0, are summed by `math.fsum`.
@@ -357,9 +376,7 @@ def wasserstein(pi: LatticeDistribution, reuse: list | None = None) -> float:
     am1, bm1 = a - 1.0, b - 1.0
     margin = _interior_margin(a, b)
     pieces = []
-    c = 0.0
-    for i in range(m):
-        c += pi.probs[i]
+    for i, c in zip(range(m), _cdf(pi)):
         lo, hi = i / m, (i + 1) / m
         f_lo, f_hi, g_lo, g_hi = fz[i], fz[i + 1], g[i], g[i + 1]
         if f_lo < c < f_hi:
@@ -369,9 +386,8 @@ def wasserstein(pi: LatticeDistribution, reuse: list | None = None) -> float:
                 x = _hermite_start(lo, hi, f_lo, f_hi, d_lo, d_hi, c)
                 i0, i1, f = _moments(am1, bm1, lo, x, d_lo)
                 e = c - f_lo - i0
-                step = e / f if f > 0.0 else math.inf
-                slope = f * (am1 / x - bm1 / (1.0 - x))
-                if lo < x + step < hi and abs(slope) * abs(step) ** 3 < _ONE_EVAL_BOUND:
+                step, kept = _newton_step(am1, bm1, lo, hi, x, e, f)
+                if kept:
                     gain = 2.0 * i1 + 2.0 * (x - lo) * e + e * step
             if gain is None:
                 gain = _crossing_gain(a, b, ln_beta, lo, hi, f_lo, f_hi, d_lo, d_hi, c)
@@ -393,10 +409,8 @@ def kolmogorov(pi: LatticeDistribution, reuse: list | None = None) -> float:
     F_W is constant between atoms and F_Z is monotone, so the supremum is
     attained at an atom, approached from the left or from the right.
     """
-    fz = _law_atoms(pi, reuse)[0]
-    worst = prev = 0.0
-    for p, f in zip(pi.probs, fz):
-        cum = prev + p
+    fz, cdf = _law_atoms(pi, reuse)[0], _cdf(pi)
+    worst = 0.0
+    for prev, cum, f in zip([0.0, *cdf], cdf, fz):
         worst = max(worst, abs(cum - f), abs(prev - f))
-        prev = cum
     return worst

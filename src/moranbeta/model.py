@@ -23,12 +23,11 @@ from __future__ import annotations
 
 import math
 import sys
-from decimal import Context, Decimal
 from functools import cached_property
 from fractions import Fraction
 from typing import Union
 
-from .special import _LANCZOS_MIN_T
+from .special import _LANCZOS_MIN_T, _decimal_text
 
 __all__ = [
     "RationalLike",
@@ -43,15 +42,6 @@ RationalLike = Union[int, str, Fraction, float]
 def as_fraction(x: RationalLike) -> Fraction:
     """Coerce to an exact Fraction (strings may be 'p/q' or decimal)."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def _decimal_text(x: RationalLike) -> str:
-    """x to 17 significant digits, for a message: `Decimal` converts an int
-    of any size, past the interpreter's cap on int-to-str digits."""
-    if not isinstance(x, float):
-        x = as_fraction(x)
-        x = Context(prec=17).divide(Decimal(x.numerator), Decimal(x.denominator))
-    return format(x, ".17g")
 
 
 class _Frozen:
@@ -210,8 +200,7 @@ class LatticeDistribution(_Frozen):
 
     @cached_property
     def total(self) -> int:
-        p, m = self.params, 2 * self.n
-        return _rising((p.qa + p.qb) * m, p.c, m)
+        return _total(self.params)
 
     @cached_property
     def neg_s_sum(self) -> int:
@@ -254,15 +243,14 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     hi and exact left shifts, so they hold at any width, with no
     accumulated-error constant.  Each enclosure adds c_i lo_i 2**(e_i - e)
     floored and c_i hi_i 2**(e_i - e) ceiled, e = max e_i, for c_i = 1 and,
-    only where S_i < 0, c_i = S_i^-.  Rounding to nearest is monotone, so
-    where RN(lo_i / Z_hi) = RN(hi_i / Z_lo), both times 2**(e_i - e), that
-    is RN(w_i / total); int true division rounds correctly into the
-    subnormals and to 0.  A state left undecided (a near-tie, rare at 192
-    bits), and every state where a narrow width loses the bound on z_lo
-    below, is RN(w_i / total) from its own weight alone (`_weight`), with
-    total built at most once and not kept.  The law builds its exact sums
-    only when read: total as that product, neg_s_sum by `_split` where
-    some S_i < 0.
+    only where S_i < 0, c_i = S_i^-.  Each pi(i) is RN(w_i / total) read
+    from lo_i 2**(e_i - e) and hi_i 2**(e_i - e) over that enclosure of
+    total by `_round_enclosed`.  A state it leaves undecided (a near-tie,
+    rare at 192 bits), and every state where a narrow width loses the
+    bound on z_lo below, is RN(w_i / total) from its own weight alone
+    (`_weight`), with total (`_total`) built at most once and not kept.
+    The law builds its exact sums only when read: total as that product,
+    neg_s_sum by `_split` where some S_i < 0.
     """
     bits = _MIRROR_BITS
     down, up, s_row = params.rows
@@ -281,14 +269,14 @@ def stationary_ratio_product(params: ModelParams) -> LatticeDistribution:
     # Each hi_i <= 2**(bits + 1) and z_lo >= 2**(bits - 2), checked as a
     # narrow width can lose it, so past a shift of 1100 both quotients are
     # below 2**-1097 and round to 0: a longer shift need not be built.
-    m, total, probs = 2 * params.n, 0, []
+    total, probs = 0, []
     for i, (lo, hi, e) in enumerate(states):
         k = min(top - e, 1100)
-        if z_lo >> (bits - 2) and (p := lo / (z_hi << k)) == hi / (z_lo << k):
-            probs.append(p)
-        else:  # undecided: RN(w_i / total) from the state's own weight
-            total = total or _rising((params.qa + params.qb) * m, params.c, m)
-            probs.append(_weight(params, i) / total)
+        p = _round_enclosed(lo, hi, z_lo << k, z_hi << k) if z_lo >> (bits - 2) else None
+        if p is None:  # undecided: RN(w_i / total) from the state's own weight
+            total = total or _total(params)
+            p = _weight(params, i) / total
+        probs.append(p)
     return LatticeDistribution(params, tuple(probs), ((z_lo, z_hi), (s_lo, s_hi)))
 
 
@@ -313,6 +301,28 @@ def _split(down, up, s, lo: int, hi: int) -> tuple[int, int, int]:
     pu1, pd1, t1 = _split(down, up, s, lo, mid)
     pu2, pd2, t2 = _split(down, up, s, mid, hi)
     return pu1 * pu2, pd1 * pd2, t1 * pd2 + pu1 * t2
+
+
+def _round_enclosed(n_lo: int, n_hi: int, d_lo: int, d_hi: int) -> float | None:
+    """RN(n / d) for any n in [n_lo, n_hi] and d in [d_lo, d_hi], all
+    integers >= 0, where both ends of that enclosure round alike; None
+    where they differ or d_lo is 0.
+
+    Rounding to nearest is monotone, so RN(n_lo / d_hi) <= RN(n / d) <=
+    RN(n_hi / d_lo), and where the ends agree every value in between
+    rounds to them.  Int true division rounds each end correctly, into
+    the subnormals and to 0, so this holds over the whole float range.
+    """
+    if d_lo and (x := n_lo / d_hi) == n_hi / d_lo:
+        return x
+    return None
+
+
+def _total(params: ModelParams) -> int:
+    # Z = sum_i w_i = prod_{j<m} (c j + (qa+qb) m), m = 2n: the
+    # Beta-Binomial normaliser of `stationary_ratio_product`.
+    m = 2 * params.n
+    return _rising((params.qa + params.qb) * m, params.c, m)
 
 
 def _rising(base: int, c: int, k: int) -> int:

@@ -2,18 +2,25 @@
 
 Deliberately minimal: log-gamma, log-beta, and the regularized incomplete
 beta function are all that the Beta distribution function at the lattice
-atoms and the constants C(a,b) and K(a,b) require.
+atoms and the constants C(a,b) and K(a,b) require, with the one float
+conversion of their arguments (`_as_float`): a rational past the largest
+float is a ValueError that names it to 17 digits, not an OverflowError.
 
 The Beta CDF and density have one evaluator, `_cdf_pdf`: F_Z = I_x(a,b)
 by a one-value continued fraction on Python floats, and f_Z from the same
-logarithms, at one 0 < x < 1.  The distances call it at every lattice atom
-and crossing point; it takes ln B(a,b) from its caller, which computes it
-once per point.
+logarithms, at one 0 < x < 1.  The distances call it at the lattice atoms
+a pass evaluates (`distance._atoms`: a cold pass, or the new atoms of a
+finer nested lattice) and at the crossings of F_W and F_Z that
+`distance._crossing_gain` solves, those within the endpoint margin or whose
+one-evaluation estimate is refused.  It takes ln B(a,b) from its caller,
+which computes it once per cold atom pass.
 """
 
 from __future__ import annotations
 
 import math
+from decimal import Context, Decimal
+from fractions import Fraction
 
 __all__ = [
     "ConvergenceError",
@@ -59,13 +66,34 @@ _LANCZOS_COF = (
 )
 
 
+def _decimal_text(x) -> str:
+    """x, a float or a rational, to 17 significant digits, for a message:
+    `Decimal` converts an int of any size, past the interpreter's cap on
+    int-to-str digits."""
+    if not isinstance(x, float):
+        x = Fraction(x)
+        x = Context(prec=17).divide(Decimal(x.numerator), Decimal(x.denominator))
+    return format(x, ".17g")
+
+
+def _as_float(x, name: str) -> float:
+    """float(x), or for a rational x past the largest float, which float()
+    refuses with an OverflowError, a ValueError naming `name` and x."""
+    try:
+        return float(x)
+    except OverflowError as exc:
+        raise ValueError(
+            f"{name} requires arguments within the float range, got {_decimal_text(x)}"
+        ) from exc
+
+
 def log_gamma(t: float) -> float:
     """ln Gamma(t) for t > 0 via a fixed-coefficient Lanczos sum.
 
     For t < 1e-300 it returns ln Gamma(t + 1) - ln t, since t + 1 rounds to
     1 and the sum itself would overflow.
     """
-    t = float(t)
+    t = _as_float(t, "log_gamma")
     if not t > 0.0:
         raise ValueError(f"log_gamma requires t > 0, got {t!r}")
     if t < _LANCZOS_MIN_T:
@@ -82,8 +110,8 @@ def log_gamma(t: float) -> float:
 
 def log_beta(a: float, b: float) -> float:
     """ln B(a,b) = ln Gamma(a) + ln Gamma(b) - ln Gamma(a+b), for a, b > 0."""
-    a = float(a)
-    b = float(b)
+    a = _as_float(a, "log_beta")
+    b = _as_float(b, "log_beta")
     if not (a > 0.0 and b > 0.0):
         raise ValueError(f"log_beta requires positive arguments, got ({a!r}, {b!r})")
     return log_gamma(a) + log_gamma(b) - log_gamma(a + b)

@@ -34,9 +34,9 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .distance import gap_h
-from .model import LatticeDistribution, ModelParams, _decimal_text
+from .model import LatticeDistribution, ModelParams, _round_enclosed
 from .moments import variance
-from .special import log_gamma
+from .special import _as_float, _decimal_text, log_gamma
 
 __all__ = [
     "SteinReport",
@@ -111,7 +111,7 @@ def c_constant(a, b) -> float:
     if a <= 0 or b <= 0:
         shown = ", ".join(map(_decimal_text, (a, b)))
         raise ValueError(f"c_constant requires positive arguments, got ({shown})")
-    af, bf = float(a), float(b)
+    af, bf = _as_float(a, "c_constant"), _as_float(b, "c_constant")
     if a == b:
         if af < 1.0:
             return 4.0
@@ -186,13 +186,13 @@ def third_moment_ratio(params: ModelParams) -> Fraction:
 
 def _decided(num, total, scale: int, cap: Fraction, exact) -> tuple[float, bool]:
     # RN(x) and x <= cap for x = N / (scale total), N and total in the
-    # enclosures `num` and `total`.  Int true division rounds each end
-    # correctly and rounding is monotone, so ends that agree give RN(x);
-    # the cap is compared with each end exactly.  Where either is
-    # undecided, both come from `exact()`, the Fraction x (Ziv 1991).
+    # enclosures `num` and `total`: RN(x) by `_round_enclosed`, and the cap
+    # compared with each end exactly.  Where either is undecided, both come
+    # from `exact()`, the Fraction x (Ziv 1991).
     (n_lo, n_hi), (z_lo, z_hi) = num, total
-    x, p, q = n_lo / (scale * z_hi), cap.numerator, cap.denominator
-    if z_lo and x == n_hi / (scale * z_lo):
+    x = _round_enclosed(n_lo, n_hi, scale * z_lo, scale * z_hi)
+    if x is not None:
+        p, q = cap.numerator, cap.denominator
         upper_ok, lower_ok = n_hi * q <= p * scale * z_lo, n_lo * q <= p * scale * z_hi
         if upper_ok == lower_ok:
             return x, upper_ok

@@ -434,6 +434,34 @@ class TestFloatPath:
         assert len(rows) == 5
         assert list(csv.reader(io.StringIO(plain))) == [row[: len(SWEEP_COLUMNS)] for row in rows]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["report", "--n", "40", "--a", "355/113", "--b", "103/37", "--exact"],
+         ["sweep", "--n", "5,10,25", "--a", "1/2,2", "--b", "3/2", "--jobs", "1"]],
+    )
+    def test_undecided_enclosures_print_the_same_bytes(self, monkeypatch, capsys, argv):
+        # `model._round_enclosed` decides every pi(i) in the walk and E|S| in
+        # the certificate.  Where it decides nothing, each pi(i) comes from
+        # its own weight and E|S| from the exact pass, to the same bytes.
+        want = run_cli(capsys, *argv)
+        assert want[0] == 0
+        asked = []
+
+        def undecided(n_lo, n_hi, d_lo, d_hi):
+            asked.append(n_lo)
+            return None
+
+        for module in (model, stein):
+            monkeypatch.setattr(module, "_round_enclosed", undecided)
+        weights = []
+        weight = model._weight
+        monkeypatch.setattr(model, "_weight", lambda p, i: weights.append(i) or weight(p, i))
+        assert run_cli(capsys, *argv) == want
+        # Each state of each point is asked once, and then E|S| once.
+        ns = [40] if argv[0] == "report" else [5, 5, 10, 10, 25, 25]
+        assert len(weights) == sum(2 * n + 1 for n in ns)
+        assert len(asked) == len(weights) + len(ns)
+
     def test_exact_pass_runs_once_per_point_under_exact(self, monkeypatch, capsys):
         tops = []
         split = model._split
@@ -1268,6 +1296,31 @@ class TestInternalErrors:
         assert err == (
             f"error: internal: {exc_type.__name__}: injected "
             "(point a=1, b=1, n=3)\n"
+        )
+
+    def test_non_finite_atom_cdf_names_the_atom(self, monkeypatch, capsys):
+        real = distance._cdf_pdf
+
+        def nan_at_3_8(a, b, ln_beta, x):
+            return (math.nan, math.nan) if x == 3 / 8 else real(a, b, ln_beta, x)
+
+        monkeypatch.setattr(distance, "_cdf_pdf", nan_at_3_8)
+        code, out, err = run_cli(capsys, "report", "--n", "4", "--a", "1/2", "--b", "3/2")
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: internal: FloatingPointError: Beta(0.5, 1.5) CDF is not finite at 3/8 "
+            "(point a=1/2, b=3/2, n=4)\n"
+        )
+
+    def test_unsolved_crossing_exits_3(self, monkeypatch, capsys):
+        # A Newton loop with no rounds left raises at the first margin crossing.
+        monkeypatch.setattr(distance, "_ROOT_MAX_ITER", 0)
+        code, out, err = run_cli(capsys, "report", "--n", "20", "--a", "1/2", "--b", "3/2")
+        assert (code, out) == (3, "")
+        assert re.fullmatch(
+            r"error: internal: ConvergenceError: F_Z\(x\) = [^\n]* not solved on \[[^\n]*\] "
+            r"\(point a=1/2, b=3/2, n=20\)\n",
+            err,
         )
 
     def test_rate_distance_failure_exits_3(self, monkeypatch, capsys):

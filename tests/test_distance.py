@@ -191,6 +191,24 @@ class TestAtomPass:
         with pytest.raises(FloatingPointError):
             distance._atoms(20, shapes)
 
+    def test_both_distances_read_f_w_from_one_running_sum(self, monkeypatch):
+        # F_W comes from `_cdf` alone: with F_W = 0 at every atom, W1 is
+        # int_0^1 F_Z = G(1) = b/(a+b) and Kolmogorov is F_Z(1) = 1.
+        pi = stationary_ratio_product(ModelParams(40, F(1, 2), F(3, 2)))
+        assert wasserstein(pi) < 0.01 and kolmogorov(pi) < 0.5
+        monkeypatch.setattr(distance, "_cdf", lambda law: [0.0] * (2 * law.n + 1))
+        assert wasserstein(pi) == pytest.approx(0.75, rel=1e-14, abs=0)
+        assert kolmogorov(pi) == 1.0
+
+    @pytest.mark.parametrize("density", [2.0**40, 0.0, math.inf])
+    def test_hermite_start_falls_back_to_the_midpoint(self, density):
+        # Both starts round onto lo: t = 2^-30 of a piece 2^-40 wide at 1/2
+        # moves the linear start below half an ulp of lo, and with densities
+        # 2^40 the cubic's slope term as well.
+        lo, hi = 0.5, 0.5 + 2.0**-40
+        x = distance._hermite_start(lo, hi, 0.0, 1.0, density, density, 2.0**-30)
+        assert x == 0.5 * (lo + hi)
+
     def test_tiny_shapes_are_refused(self):
         # Both laws sit on the endpoints, P(0) = b/(a+b) up to O(a), so the
         # exact W1 is below 1e-31 (30-digit mpmath), where the float W1 came

@@ -352,6 +352,17 @@ class TestExactPass:
     def test_rising_is_the_product_of_its_factors(self, base, c, k):
         assert model._rising(base, c, k) == math.prod(base + c * j for j in range(k))
 
+    @pytest.mark.parametrize(
+        "ends, want",
+        [((10**30, 10**30 + 1, 1, 1), 1e30), ((1, 1, 2**1074, 2**1074 + 1), 5e-324),
+         ((1, 2, 2**1080, 2**1080), 0.0), ((1, 2, 1, 1), None), ((1, 1, 0, 1), None)],
+        ids=["decided", "subnormal", "zero", "apart", "zero_divisor"],
+    )
+    def test_round_enclosed(self, ends, want):
+        # RN(n/d) where both ends of the enclosure round alike, into the
+        # subnormals and to 0; None where they differ or d may be 0.
+        assert model._round_enclosed(*ends) == want
+
     def test_total_is_read_without_binary_splitting(self, monkeypatch):
         # total is the closed-form product; only neg_s_sum splits.
         ranges = []

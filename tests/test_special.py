@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,12 @@ class TestLogGamma:
     @pytest.mark.parametrize("t", [0.0, -1.0, -0.5])
     def test_domain_error(self, t):
         with pytest.raises(ValueError):
+            log_gamma(t)
+
+    @pytest.mark.parametrize("t", [Fraction(10) ** 400, 10**400, -Fraction(10) ** 400])
+    def test_past_the_largest_float_is_a_value_error(self, t):
+        # Not float()'s OverflowError: a ValueError naming t to 17 digits.
+        with pytest.raises(ValueError, match=r"^log_gamma .* got -?1\.0{16}e\+400$"):
             log_gamma(t)
 
     def test_against_libm_over_contract_domain(self):
@@ -92,6 +99,11 @@ class TestLogBeta:
             log_beta(0.0, 1.0)
         with pytest.raises(ValueError):
             log_beta(1.0, -2.0)
+
+    @pytest.mark.parametrize("a, b", [(Fraction(10) ** 400, 1), (0.5, Fraction(10) ** 400)])
+    def test_past_the_largest_float_is_a_value_error(self, a, b):
+        with pytest.raises(ValueError, match=r"^log_beta .* got 1\.0{16}e\+400$"):
+            log_beta(a, b)
 
     def test_computed_once_per_shape_pair(self, monkeypatch):
         calls = []

@@ -105,6 +105,12 @@ class TestCConstant:
         with pytest.raises(ValueError, match=r"got \(-1\.0{16}e\+5000, 0\.5\)$"):
             c_constant(-F(10) ** 5000, F(1, 2))
 
+    @pytest.mark.parametrize("a, b", [(F(10) ** 400, 1), (F(1, 2), 10**400)])
+    def test_shape_past_the_largest_float_is_a_value_error(self, a, b):
+        # Not float()'s OverflowError: a ValueError naming the shape.
+        with pytest.raises(ValueError, match=r"^c_constant .* got 1\.0{16}e\+400$"):
+            c_constant(a, b)
+
 
 class TestKConstant:
     def test_unit_shapes(self):
